@@ -74,28 +74,26 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _failure_verdict(failure: RegularityFailure) -> dict:
+    verdict: dict = {"verdict": "fail", "reason": failure.reason}
+    if failure.witness is not None:
+        verdict["witness"] = list(failure.witness)
+    if failure.expected is not None:
+        verdict["expected"] = failure.expected
+        verdict["found"] = failure.found
+    return verdict
+
+
 def _srg_verdict(result: SrgParams | RegularityFailure) -> dict:
     if isinstance(result, SrgParams):
         return {"verdict": "pass", "params": list(result.as_tuple())}
-    verdict: dict = {"verdict": "fail", "reason": result.reason}
-    if result.witness is not None:
-        verdict["witness"] = list(result.witness)
-    if result.expected is not None:
-        verdict["expected"] = result.expected
-        verdict["found"] = result.found
-    return verdict
+    return _failure_verdict(result)
 
 
 def _drg_verdict(result: IntersectionArray | RegularityFailure) -> dict:
     if isinstance(result, IntersectionArray):
         return {"verdict": "pass", "b": list(result.b), "c": list(result.c)}
-    verdict: dict = {"verdict": "fail", "reason": result.reason}
-    if result.witness is not None:
-        verdict["witness"] = list(result.witness)
-    if result.expected is not None:
-        verdict["expected"] = result.expected
-        verdict["found"] = result.found
-    return verdict
+    return _failure_verdict(result)
 
 
 # ---------------------------------------------------------------------------

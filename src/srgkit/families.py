@@ -38,7 +38,13 @@ from .geometry import (
     perp_type,
     projective_reps,
 )
-from .gf import FieldElement, field_of_order, norm, quadratic_character
+from .gf import (
+    FieldElement,
+    field_of_order,
+    is_prime_power,
+    norm,
+    quadratic_character,
+)
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, complement, distance_graph
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
@@ -151,13 +157,15 @@ class FamilyId:
         p = dict(self.params)
         if "q" in p and (not isinstance(p["q"], int) or p["q"] < 2):
             raise ValueError("q must be an integer >= 2")
+        if "q" in p and not is_prime_power(p["q"]):
+            raise ValueError(f"q must be a prime power, got {p['q']}")
         if "eps" in p and p["eps"] not in ("+", "-"):
             raise ValueError("eps must be '+' or '-'")
         if self.tag in ("NU", "unitary-orbital") and p["n"] < 3:
             raise ValueError(f"{self.tag} needs n >= 3")
         if self.tag in ("NO", "orthogonal-orbital"):
-            if p["m"] < 1:
-                raise ValueError(f"{self.tag} needs m >= 1")
+            if p["m"] < 2:
+                raise ValueError(f"{self.tag} needs m >= 2 (dimension 2m+1 >= 5)")
             if p["q"] % 2 == 0:
                 raise ValueError(f"{self.tag} needs odd q")
         if self.tag == "grassmann" and p["n"] < 6:
@@ -395,31 +403,105 @@ def _classify_pairs(
 
 
 # ---------------------------------------------------------------------------
+# Pair-invariant kernel: a table-lookup inner product on point representatives
+# ---------------------------------------------------------------------------
+
+
+def _pair_kernel(space: FormedSpace, points, label_of, reference=None):
+    """``pair_label(i, j) = label_of[inner(x_i, x_j)]`` by table lookup.
+
+    Each point's row functional x.G (G = ``space.gram()``) is held as one
+    ``mul_table`` row per coordinate, and its column vector is
+    ``space.conjugate(x)``; an inner value then costs ``dim`` lookups and
+    adds.  On the base row the expansion is checked against
+    ``space.inner`` and, where given, the label against
+    ``reference(x_0, x_j)``.
+    """
+    field = space.field
+    add, mul = field.add_table, field.mul_table
+    gram = space.gram()
+    reps = [p.rep for p in points]
+    functionals = []
+    for x in reps:
+        row = []
+        for j in range(space.dim):
+            acc = 0
+            for xi, gram_row in zip(x, gram):
+                acc = add[acc][mul[xi][gram_row[j]]]
+            row.append(mul[acc])
+        functionals.append(tuple(row))
+    columns = [space.conjugate(x) for x in reps]
+
+    def inner(i: int, j: int) -> int:
+        acc = 0
+        for row, c in zip(functionals[i], columns[j]):
+            acc = add[acc][row[c]]
+        return acc
+
+    x = reps[0]
+    for j in range(1, len(reps)):
+        value = inner(0, j)
+        if value != space.inner(x, reps[j]):
+            raise AssertionError(f"Gram expansion differs from the form at (0, {j})")
+        if reference is not None and label_of[value] != reference(x, reps[j]):
+            raise AssertionError(f"pair label differs from its reference at (0, {j})")
+
+    def pair_label(i: int, j: int) -> int:
+        return label_of[inner(i, j)]
+
+    return pair_label
+
+
+def _tangency_graph(space: FormedSpace, points, pair_label) -> Graph:
+    """Graph on ``points``, adjacent where the pair label is 1 (the
+    tangency class), each unordered pair evaluated once.  The base row is
+    checked against the geometric definition: the joining line has exactly
+    one singular point."""
+    n = len(points)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pair_label(i, j) == 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    for j in range(1, n):
+        tangent = line_tangency_count(space, points[0], points[j]) == 1
+        if tangent != bool(rows[0] >> j & 1):
+            raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
+    return Graph(rows, [str(p) for p in points], validate=False)
+
+
+# ---------------------------------------------------------------------------
 # Nonisotropic unitary graphs
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_space(n: int, q: int) -> FormedSpace:
-    return FormedSpace("hermitian", field_of_order(q * q), n)
-
-
-def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
-    """Graph on the nonsingular points of the n-dimensional hermitian space
-    over F_{q^2}, two points adjacent exactly when the line joining them is
-    tangent to the hermitian variety (contains exactly one singular point)."""
+def _unitary_pairs(n: int, q: int, family: str, max_v: int):
+    """The nonsingular points of the n-dimensional hermitian space over
+    F_{q^2} at unit representatives, with their hermitian space and the
+    relative norm of h(x, y) as pair label."""
     predicted = params_closed_form(FamilyId.make("NU", n=n, q=q)).v
-    _guard(f"NU_{n}({q})", predicted, max_v)
-    space = _hermitian_space(n, q)
+    _guard(family, predicted, max_v)
+    space = FormedSpace("hermitian", field_of_order(q * q), n)
+    field = space.field
     points = enumerate_points(space, "nonsingular")
     if len(points) != predicted:
         raise AssertionError(
             f"enumerated {len(points)} nonsingular points, expected {predicted}"
         )
-    return build_graph(
-        points,
-        lambda a, b: a.rep != b.rep and line_tangency_count(space, a, b) == 1,
-        labels=str,
-    )
+    norm_index = [norm(FieldElement(field, a)).index for a in range(field.q)]
+    return space, points, _pair_kernel(space, points, norm_index)
+
+
+def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+    """Graph on the nonsingular points of the n-dimensional hermitian space
+    over F_{q^2}, two points adjacent exactly when the line joining them is
+    tangent to the hermitian variety (contains exactly one singular point).
+
+    For unit representatives the line is tangent exactly when its Gram
+    determinant 1 - N(h(x, y)) vanishes, so adjacency is norm label 1."""
+    space, points, pair_label = _unitary_pairs(n, q, f"NU_{n}({q})", max_v)
+    return _tangency_graph(space, points, pair_label)
 
 
 def build_unitary_orbitals(
@@ -433,22 +515,9 @@ def build_unitary_orbitals(
     The labeling is representative-independent because rescaling unit
     vectors multiplies h(x, y) by an element of norm 1.
     """
-    predicted = params_closed_form(FamilyId.make("NU", n=n, q=q)).v
-    _guard(f"NU_{n}({q}) pair classes", predicted, max_v)
-    space = _hermitian_space(n, q)
-    field = space.field
-    points = enumerate_points(space, "nonsingular")
-    if len(points) != predicted:
-        raise AssertionError(
-            f"enumerated {len(points)} nonsingular points, expected {predicted}"
-        )
-    norm_index = [norm(FieldElement(field, a)).index for a in range(field.q)]
-    reps = [p.rep for p in points]
-    inner = space.inner
-
-    def pair_label(i: int, j: int) -> int:
-        return norm_index[inner(reps[i], reps[j])]
-
+    _, points, pair_label = _unitary_pairs(
+        n, q, f"NU_{n}({q}) pair classes", max_v
+    )
     return _classify_pairs(points, pair_label, str)
 
 
@@ -495,19 +564,41 @@ def _orthogonal_point_classes(m: int, q: int):
     return space, by_eps
 
 
+def _orthogonal_pair_label(space: FormedSpace, points, c_value: int):
+    """Pair label of one square class with form value c: the halved
+    bilinear form divided by c, read up to sign, min(t, -t) for
+    t = B(x, y) (2c)^-1; checked against ``space.half_inner`` on the base
+    row."""
+    field = space.field
+    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
+    two_c_inv = inv[mul[c_value][field.add_table[1][1]]]
+    inv_c = inv[c_value]
+
+    def up_to_sign(t: int) -> int:
+        return min(t, neg[t])
+
+    def reference(x, y) -> int:
+        return up_to_sign(mul[space.half_inner(x, y)][inv_c])
+
+    label_of = [up_to_sign(mul[b][two_c_inv]) for b in range(field.q)]
+
+    return _pair_kernel(space, points, label_of, reference)
+
+
 def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
     """Graph on the nonsingular points of the (2m+1)-dimensional quadratic
     space over odd F_q whose perpendicular space has type ``eps``, two
     points adjacent exactly when the line joining them is tangent to the
-    quadric."""
+    quadric.
+
+    For representatives of form value c the line is tangent exactly when
+    its Gram determinant c^2 - (x, y)^2 vanishes, so adjacency is label 1."""
     fid = FamilyId.make("NO", m=m, q=q, eps=eps)
     _guard(f"NO_{2 * m + 1}^{eps}({q})", params_closed_form(fid).v, max_v)
     space, by_eps = _orthogonal_point_classes(m, q)
-    points, _ = by_eps[eps]
-    return build_graph(
-        points,
-        lambda a, b: a.rep != b.rep and line_tangency_count(space, a, b) == 1,
-        labels=str,
+    points, c_value = by_eps[eps]
+    return _tangency_graph(
+        space, points, _orthogonal_pair_label(space, points, c_value)
     )
 
 
@@ -533,16 +624,7 @@ def build_orthogonal_orbitals(
         params_closed_form(fid).v,
         max_v,
     )
-    field = space.field
-    mul, neg = field.mul_table, field.neg_table
-    inv_c = field.inv_table[c_value]
-    reps = [p.rep for p in points]
-    half_inner = space.half_inner
-
-    def pair_label(i: int, j: int) -> int:
-        t = mul[half_inner(reps[i], reps[j])][inv_c]
-        return min(t, neg[t])
-
+    pair_label = _orthogonal_pair_label(space, points, c_value)
     return _classify_pairs(points, pair_label, str, eps=eps)
 
 

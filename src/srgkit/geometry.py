@@ -244,6 +244,15 @@ class FormedSpace:
         two_inv = field.inv_table[field.add_table[1][1]]
         return field.mul_table[self.inner(x, y)][two_inv]
 
+    def conjugate(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """vec with the field involution applied to each coordinate for
+        hermitian spaces, vec itself for the other kinds; so that
+        inner(x, y) = x . gram() . conjugate(y)."""
+        if self.kind != "hermitian":
+            return vec
+        conj = self._conj
+        return tuple(conj[c] for c in vec)
+
     def is_singular(self, vec: tuple[int, ...]) -> bool:
         return self.form_value(vec) == 0
 

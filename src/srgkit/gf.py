@@ -28,6 +28,7 @@ __all__ = [
     "field_of_order",
     "hermitian_count_closed",
     "hyperbolic_count_closed",
+    "is_prime_power",
     "make_field",
     "norm",
     "quadratic_character",
@@ -447,19 +448,21 @@ def make_field(p: int, k: int) -> Field:
     )
 
 
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and an exponent k >= 1."""
+    return isinstance(q, int) and q >= 2 and len(_prime_divisors(q)) == 1
+
+
 @lru_cache(maxsize=None)
 def field_of_order(q: int) -> Field:
     """F_q for a prime power q = p^k (canonical modulus, cached)."""
-    if q < 2:
+    if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
+    p = _prime_divisors(q)[0]
     k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    while q > 1:
+        q //= p
         k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
     return make_field(p, k)
 
 

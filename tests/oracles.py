@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 
+from srgkit.geometry import line_tangency_count
 from srgkit.gf import FieldElement, field_of_order
+from srgkit.graphcore import build_graph
 
 
 def hermitian_norm_counts(n: int, q: int) -> list[int]:
@@ -64,3 +66,14 @@ def char_sum_direct(
             if not (t * t - kx * t + m):
                 total += 1
     return total
+
+
+def tangency_graph(space, points):
+    """Graph on the given projective points, two points adjacent exactly
+    when the line joining them has one singular point, found by evaluating
+    the form on every point of that line."""
+    return build_graph(
+        points,
+        lambda a, b: a.rep != b.rep and line_tangency_count(space, a, b) == 1,
+        labels=str,
+    )

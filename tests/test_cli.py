@@ -67,6 +67,24 @@ def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "nu:n=4,q=3", "--max-v", "600")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "spec", ["nu:n=3,q=6", "flags:q=6", "grassmann:n=6,q=6", "no:m=2,q=15,eps=+"]
+)
+def test_non_prime_power_q_is_an_input_error(capsys, tmp_path, spec):
+    assert main(["verify", spec]) == 2
+    assert "q must be a prime power" in capsys.readouterr().err
+    path = tmp_path / "never.g6"
+    assert main(["gen", spec, "-o", str(path)]) == 2
+    assert "q must be a prime power" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_orthogonal_dimension_three_is_an_input_error(capsys, eps):
+    assert main(["verify", f"no:m=1,q=3,eps={eps}"]) == 2
+    assert "NO needs m >= 2" in capsys.readouterr().err
+
+
 def test_verify_unreadable_file(capsys, tmp_path):
     path = tmp_path / "junk.g6"
     path.write_text("#\nnot numbers at all\n")

@@ -1,5 +1,6 @@
 """Family constructors: closed forms, graphs, and pair classifications."""
 
+import oracles
 import pytest
 
 from srgkit.families import (
@@ -28,7 +29,8 @@ from srgkit.families import (
     params_closed_form,
     parse_family_spec,
 )
-from srgkit.gf import field_of_order
+from srgkit.geometry import FormedSpace, enumerate_points, perp_type
+from srgkit.gf import FieldElement, field_of_order, quadratic_character
 from srgkit.graphcore import (
     IntersectionArray,
     RegularityFailure,
@@ -65,6 +67,15 @@ def test_family_id_normalizes_and_validates():
         FamilyId.make("nonsense", q=2)
     with pytest.raises(ValueError):
         FamilyId.make("NU", n=3)  # missing q
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        FamilyId.make("flag-orbital", i=2, q=6)
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        FamilyId.make("NO", m=2, q=15, eps="+")
+    for tag in ("NO", "orthogonal-orbital"):
+        with pytest.raises(ValueError, match="needs m >= 2"):
+            FamilyId.make(tag, m=1, q=3, eps="+")
+
+
 
 
 def test_parse_family_spec_round_trips():
@@ -328,6 +339,15 @@ def test_unitary_tangency_graph_small():
     assert check_srg(g) == SrgParams(63, 32, 16, 16)
 
 
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)])
+def test_unitary_tangency_graph_matches_line_enumeration(n, q):
+    space = FormedSpace("hermitian", field_of_order(q * q), n)
+    expected = oracles.tangency_graph(space, enumerate_points(space, "nonsingular"))
+    graph = build_NU(n, q)
+    assert graph.rows == expected.rows
+    assert graph.labels == expected.labels
+
+
 def test_unitary_classification_at_q3():
     cls = build_unitary_orbitals(3, 3)
     assert cls.labels == (0, 1, 2)
@@ -364,6 +384,31 @@ def test_unitary_four_dimensional():
 def test_orthogonal_tangency_graphs_match_closed_forms():
     assert check_srg(build_NO(2, 5, "+")) == SrgParams(325, 144, 68, 60)
     assert check_srg(build_NO(2, 5, "-")) == SrgParams(300, 104, 28, 40)
+
+
+def _orthogonal_square_class(m, q, eps):
+    """The space and the square class of nonsingular points whose
+    perpendicular space has type eps, at representatives of form value 1
+    or of the least non-square."""
+    space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
+    zeta = next(
+        s for s in range(2, q)
+        if quadratic_character(FieldElement(space.field, s)) == -1
+    )
+    for value in (1, zeta):
+        points = enumerate_points(space, "norm-class", value)
+        if perp_type(space, points[0]) == eps:
+            return space, points
+    raise AssertionError(f"no square class of type {eps}")
+
+
+@pytest.mark.parametrize("q, eps", [(3, "+"), (3, "-"), (5, "+"), (5, "-")])
+def test_orthogonal_tangency_graph_matches_line_enumeration(q, eps):
+    space, points = _orthogonal_square_class(2, q, eps)
+    expected = oracles.tangency_graph(space, points)
+    graph = build_NO(2, q, eps)
+    assert graph.rows == expected.rows
+    assert graph.labels == expected.labels
 
 
 def test_orthogonal_classification_both_types():
