@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .gf import (
     FieldElement,
+    ScaleGuardError,
     field_of_order,
     is_prime_power,
     norm,
@@ -80,19 +81,6 @@ __all__ = [
 # Constructions refuse to enumerate more vertices than this unless the
 # caller raises the budget explicitly.
 DEFAULT_MAX_V = 2000
-
-
-class ScaleGuardError(ValueError):
-    """A construction would exceed the configured vertex budget."""
-
-    def __init__(self, family: str, predicted_v: int, max_v: int):
-        super().__init__(
-            f"{family} has {predicted_v} vertices, over the budget of "
-            f"{max_v}; pass a larger max_v to build it anyway"
-        )
-        self.family = family
-        self.predicted_v = predicted_v
-        self.max_v = max_v
 
 
 def _guard(family: str, predicted_v: int, max_v: int) -> None:
@@ -335,68 +323,65 @@ def _classify_pairs(
     points, pair_label, vertex_label, eps: str | None = None
 ) -> OrbitalClassification:
     """Build an :class:`OrbitalClassification` from a symmetric pair
-    invariant ``pair_label(i, j) -> int`` on index pairs ``i != j``."""
+    invariant ``pair_label(i, j) -> int`` on index pairs ``i != j``.
+
+    Classes are numbered by first sight into one byte per ordered pair,
+    then renumbered into sorted-label order; symmetry is checked on every
+    pair by comparing each row of ``class_of`` with its column."""
     n = len(points)
-    raw = [0] * (n * n)
-    labels_present: set[int] = set()
+    seen: dict[int, int] = {}
+    class_of = bytearray(n * n)
     for i in range(n):
-        base = i * n
-        for j in range(n):
-            if i == j:
-                raw[base + j] = -1
-            else:
-                lab = pair_label(i, j)
-                raw[base + j] = lab
-                labels_present.add(lab)
-    labels = tuple(sorted(labels_present))
-    to_class = {lab: c + 1 for c, lab in enumerate(labels)}
-    to_class[-1] = 0
-    class_of = tuple(to_class[r] for r in raw)
+        row = [
+            seen.setdefault(pair_label(i, j), len(seen) + 1) if j != i else 0
+            for j in range(n)
+        ]
+        if len(seen) > 255:
+            raise ValueError("pair invariant has more than 255 labels")
+        class_of[i * n : (i + 1) * n] = row
+    labels = tuple(sorted(seen))
+    renumber = bytearray(range(256))
+    for c, lab in enumerate(labels, 1):
+        renumber[seen[lab]] = c
+    class_of = bytes(class_of).translate(renumber)
     rank = 1 + len(labels)
     for i in range(n):
-        base = i * n
-        for j in range(i + 1, n):
-            if class_of[base + j] != class_of[j * n + i]:
-                raise AssertionError(
-                    f"pair invariant is asymmetric at ({i}, {j})"
-                )
-    reps = [(0, 0)]
-    for lab in labels:
-        c = to_class[lab]
-        y = next((y for y in range(n) if class_of[y] == c), None)
-        if y is None:
+        row = class_of[i * n : (i + 1) * n]
+        if row != class_of[i::n]:
+            j = next(j for j in range(n) if row[j] != class_of[j * n + i])
+            raise AssertionError(f"pair invariant is asymmetric at ({i}, {j})")
+    base_row = class_of[:n]
+    lengths = [base_row.count(c) for c in range(rank)]
+    for c, lab in enumerate(labels, 1):
+        if not lengths[c]:
             raise AssertionError(
                 f"pair class {lab} has no representative in the base row"
             )
-        reps.append((0, y))
-    lengths = [0] * rank
-    for y in range(n):
-        lengths[class_of[y]] += 1
     partition = OrbitalPartition(
         degree=n,
         rank=rank,
         class_of=class_of,
         paired=tuple(range(rank)),
-        reps=tuple(reps),
+        reps=tuple((0, base_row.index(c)) for c in range(rank)),
         suborbit_lengths=tuple(lengths),
     )
-    rows_by_class = [[0] * n for _ in range(rank)]
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            if j != i:
-                rows_by_class[class_of[base + j]][i] |= 1 << j
     names = [vertex_label(p) for p in points]
-    graphs = {
-        lab: Graph(rows_by_class[to_class[lab]], names, validate=False)
-        for lab in labels
-    }
+    graphs = {}
+    for c, lab in enumerate(labels, 1):
+        # Row i is the bitset of the bytes equal to c in row i: the reversed
+        # row, translated to binary digits, puts pair (i, j) at bit j.
+        digits = bytes(ord("1") if b == c else ord("0") for b in range(256))
+        rows = [
+            int(class_of[i * n : (i + 1) * n][::-1].translate(digits), 2)
+            for i in range(n)
+        ]
+        graphs[lab] = Graph(rows, names, validate=False)
     return OrbitalClassification(
         points=tuple(points),
         labels=labels,
         partition=partition,
         graphs=graphs,
-        suborbit_lengths={lab: lengths[to_class[lab]] for lab in labels},
+        suborbit_lengths={lab: lengths[c] for c, lab in enumerate(labels, 1)},
         tensor=tensor_from_orbital_partition(partition),
         eps=eps,
     )
@@ -669,26 +654,19 @@ def build_polar_complement(
 # ---------------------------------------------------------------------------
 
 
-def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
-    """Graph on the maximal (3-dimensional) totally isotropic subspaces of
-    the 6-dimensional symplectic space over F_q, two subspaces adjacent
-    exactly when they meet in a 2-space (q+1 common projective points)."""
-    predicted = (q**3 + 1) * (q**2 + 1) * (q + 1)
-    _guard(f"dual polar Sp6({q})", predicted, max_v)
-    field = field_of_order(q)
-    space = FormedSpace("symplectic", field, 6)
-    subspaces = enumerate_max_isotropic(space)
+def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
+    """Graph on 3-subspaces of F_q^ambient_dim, two adjacent exactly when
+    they meet in a 2-space: each subspace is held as the bitset of its
+    q^2+q+1 projective points, and a 2-space meet is q+1 common points."""
+    q = field.q
     point_index = {
-        rep: i for i, rep in enumerate(projective_reps(field, 6))
+        rep: i for i, rep in enumerate(projective_reps(field, ambient_dim))
     }
-    points_per_space = q * q + q + 1
     masks = []
     for s in subspaces:
         point_reps = s.point_reps(field)
-        if len(point_reps) != points_per_space:
-            raise AssertionError(
-                f"a maximal isotropic 3-space has {len(point_reps)} points"
-            )
+        if len(point_reps) != q * q + q + 1:
+            raise AssertionError(f"a 3-space has {len(point_reps)} points")
         mask = 0
         for rep in point_reps:
             mask |= 1 << point_index[rep]
@@ -705,6 +683,17 @@ def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
                 rows[j] |= 1 << i
         rows[i] = acc
     return Graph(rows, [str(s) for s in subspaces], validate=False)
+
+
+def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+    """Graph on the maximal (3-dimensional) totally isotropic subspaces of
+    the 6-dimensional symplectic space over F_q, two subspaces adjacent
+    exactly when they meet in a 2-space (q+1 common projective points)."""
+    predicted = (q**3 + 1) * (q**2 + 1) * (q + 1)
+    _guard(f"dual polar Sp6({q})", predicted, max_v)
+    field = field_of_order(q)
+    space = FormedSpace("symplectic", field, 6)
+    return _meet_graph(field, 6, enumerate_max_isotropic(space))
 
 
 def build_dual_polar_sp6_dist3(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -968,17 +957,12 @@ def build_flag_orbitals(
             f"group action has rank {group.rank}, classes give "
             f"{classification.partition.rank}"
         )
-    n = len(flags)
-    relabel = {}
-    for c, (x, y) in enumerate(group.reps):
-        relabel[c] = classification.partition.class_of[x * n + y]
-    if sorted(relabel.values()) != list(range(group.rank)):
+    class_of = classification.partition.class_of
+    relabel = [class_of[x * len(flags) + y] for x, y in group.reps]
+    if sorted(relabel) != list(range(group.rank)):
         raise AssertionError("group orbitals do not map onto the classes")
-    for p in range(n * n):
-        if relabel[group.class_of[p]] != classification.partition.class_of[p]:
-            raise AssertionError(
-                "group orbitals differ from the set-theoretic classes"
-            )
+    if bytes(relabel[c] for c in group.class_of) != class_of:
+        raise AssertionError("group orbitals differ from the set-theoretic classes")
     return classification
 
 
@@ -1011,30 +995,7 @@ def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     predicted = gaussian_binomial(n, 3, q)
     _guard(f"Grassmann 3-spaces of F_{q}^{n}", predicted, max_v)
     field = field_of_order(q)
-    subspaces = enumerate_subspaces(field, n, 3)
-    point_index = {rep: i for i, rep in enumerate(projective_reps(field, n))}
-    points_per_space = q * q + q + 1
-    masks = []
-    for s in subspaces:
-        reps = s.point_reps(field)
-        if len(reps) != points_per_space:
-            raise AssertionError(f"a 3-space has {len(reps)} points")
-        mask = 0
-        for rep in reps:
-            mask |= 1 << point_index[rep]
-        masks.append(mask)
-    size = len(subspaces)
-    meet_in_line = q + 1
-    rows = [0] * size
-    for i in range(size):
-        mi = masks[i]
-        acc = rows[i]
-        for j in range(i + 1, size):
-            if (mi & masks[j]).bit_count() == meet_in_line:
-                acc |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = acc
-    return Graph(rows, [str(s) for s in subspaces], validate=False)
+    return _meet_graph(field, n, enumerate_subspaces(field, n, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .gf import Field, FieldElement, field_of_order
+from .gf import Field, FieldElement, ScaleGuardError, field_of_order
 
 __all__ = [
     "Flag",
@@ -51,6 +51,11 @@ _KINDS = (
 
 # Enumerating q^dim vectors beyond this is refused (desk scale).
 _VECTOR_CAP = 1 << 20
+
+
+def _check_vector_cap(field: Field, dim: int) -> None:
+    if field.q**dim > _VECTOR_CAP:
+        raise ScaleGuardError(f"F_{field.q}^{dim}", field.q**dim, _VECTOR_CAP)
 
 
 def least_zeta(field: Field) -> int:
@@ -137,10 +142,7 @@ class FormedSpace:
             raise ValueError(f"unknown form kind {kind!r}")
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if field.q**dim > _VECTOR_CAP:
-            raise ValueError(
-                f"{field.q}^{dim} vectors exceed the desk-scale enumeration cap"
-            )
+        _check_vector_cap(field, dim)
         self.kind = kind
         self.field = field
         self.dim = dim
@@ -363,8 +365,7 @@ def kernel_basis(field: Field, matrix: list[list[int]]) -> list[tuple[int, ...]]
 def projective_reps(field: Field, n: int) -> list[tuple[int, ...]]:
     """Canonical representatives (first nonzero coordinate = 1) of all
     projective points of F_q^n, in lexicographic order."""
-    if field.q**n > _VECTOR_CAP:
-        raise ValueError("projective enumeration exceeds the desk-scale cap")
+    _check_vector_cap(field, n)
     reps = []
     for vec in itertools.product(range(field.q), repeat=n):
         lead = next((c for c in vec if c), 0)
@@ -505,6 +506,40 @@ def _witt_index(space: FormedSpace) -> int:
     raise ValueError(f"no isotropic subspace enumeration for {space.kind}")
 
 
+def _rref_bases(field: Field, n: int, dim: int, admits=None) -> list[Subspace]:
+    """All ``dim``-dimensional subspaces of F_q^n as canonical RREF bases,
+    sorted, enumerated row by row for each pivot-column pattern.
+
+    ``admits(rows, row)``, when given, prunes every partial basis ``rows``
+    that may not be extended by ``row``.
+    """
+    _check_vector_cap(field, n)
+    results: list[tuple[tuple[int, ...], ...]] = []
+
+    def fill(pivots: tuple[int, ...], rows: list[tuple[int, ...]]) -> None:
+        i = len(rows)
+        if i == dim:
+            results.append(tuple(rows))
+            return
+        free_cols = [j for j in range(pivots[i] + 1, n) if j not in pivots]
+        base = [0] * n
+        base[pivots[i]] = 1
+        for values in itertools.product(range(field.q), repeat=len(free_cols)):
+            row = list(base)
+            for col, val in zip(free_cols, values):
+                row[col] = val
+            row = tuple(row)
+            if admits is None or admits(rows, row):
+                rows.append(row)
+                fill(pivots, rows)
+                rows.pop()
+
+    for pivots in itertools.combinations(range(n), dim):
+        fill(pivots, [])
+    results.sort()
+    return [Subspace(rows) for rows in results]
+
+
 def enumerate_max_isotropic(space: FormedSpace) -> list[Subspace]:
     """All totally isotropic (symplectic) / totally singular (quadratic)
     subspaces of maximal dimension, as canonical RREF bases, sorted.
@@ -512,47 +547,16 @@ def enumerate_max_isotropic(space: FormedSpace) -> list[Subspace]:
     Enumerates reduced-row-echelon patterns directly, pruning every
     partial basis that violates isotropy.
     """
-    w = _witt_index(space)
-    field = space.field
-    n = space.dim
     quadratic = space.kind.startswith("quadratic")
-    results: list[tuple[tuple[int, ...], ...]] = []
 
-    def row_candidates(
-        pivots: tuple[int, ...], i: int
-    ) -> Iterator[tuple[int, ...]]:
-        """All RREF row-i vectors for the given pivot columns."""
-        free_cols = [
-            j for j in range(pivots[i] + 1, n) if j not in pivots
-        ]
-        base = [0] * n
-        base[pivots[i]] = 1
-        for values in itertools.product(range(field.q), repeat=len(free_cols)):
-            row = list(base)
-            for col, val in zip(free_cols, values):
-                row[col] = val
-            yield tuple(row)
+    def isotropic(rows, row) -> bool:
+        if quadratic and space.form_value(row) != 0:
+            return False
+        return all(space.inner(prev, row) == 0 for prev in rows)
 
-    def extend(pivots: tuple[int, ...], rows: list[tuple[int, ...]]) -> None:
-        i = len(rows)
-        if i == w:
-            results.append(tuple(rows))
-            return
-        for row in row_candidates(pivots, i):
-            if quadratic and space.form_value(row) != 0:
-                continue
-            if any(space.inner(prev, row) != 0 for prev in rows):
-                continue
-            rows.append(row)
-            extend(pivots, rows)
-            rows.pop()
-
-    for pivots in itertools.combinations(range(n), w):
-        extend(pivots, [])
-    results.sort()
-    subspaces = [Subspace(rows) for rows in results]
+    subspaces = _rref_bases(space.field, space.dim, _witt_index(space), isotropic)
     if space.kind == "symplectic" and space.dim == 6:
-        q = field.q
+        q = space.field.q
         expected = (q**3 + 1) * (q**2 + 1) * (q + 1)
         if len(subspaces) != expected:
             raise AssertionError(
@@ -573,39 +577,16 @@ def enumerate_subspaces(
     """
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"no {dim}-spaces inside dimension {ambient_dim}")
-    q = field.q
-    if q**ambient_dim > _VECTOR_CAP:
-        raise ValueError("subspace enumeration exceeds the desk-scale cap")
-    n = ambient_dim
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def fill(pivots: tuple[int, ...], rows: list[tuple[int, ...]]) -> None:
-        i = len(rows)
-        if i == dim:
-            results.append(tuple(rows))
-            return
-        free_cols = [j for j in range(pivots[i] + 1, n) if j not in pivots]
-        base = [0] * n
-        base[pivots[i]] = 1
-        for values in itertools.product(range(q), repeat=len(free_cols)):
-            row = list(base)
-            for col, val in zip(free_cols, values):
-                row[col] = val
-            rows.append(tuple(row))
-            fill(pivots, rows)
-            rows.pop()
-
-    for pivots in itertools.combinations(range(n), dim):
-        fill(pivots, [])
+    subspaces = _rref_bases(field, ambient_dim, dim)
+    q, n = field.q, ambient_dim
     expected = 1
     for i in range(dim):
         expected = expected * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
-    if len(results) != expected:
+    if len(subspaces) != expected:
         raise AssertionError(
-            f"found {len(results)} {dim}-spaces, expected {expected}"
+            f"found {len(subspaces)} {dim}-spaces, expected {expected}"
         )
-    results.sort()
-    return [Subspace(rows) for rows in results]
+    return subspaces
 
 
 def enumerate_flags(q: int) -> list[Flag]:

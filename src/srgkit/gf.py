@@ -42,6 +42,23 @@ CharacterValue = int
 _TABLE_CAP = 1024
 
 
+class ScaleGuardError(ValueError):
+    """A construction would exceed a desk-scale limit.
+
+    ``family`` names what was refused, ``predicted_v`` is its size and
+    ``max_v`` the limit it exceeds: the vertex budget a caller passes to a
+    family builder, or a fixed cap on field tables or enumerated vectors.
+    """
+
+    def __init__(self, family: str, predicted_v: int, max_v: int):
+        super().__init__(
+            f"{family} has size {predicted_v}, over the desk-scale limit of {max_v}"
+        )
+        self.family = family
+        self.predicted_v = predicted_v
+        self.max_v = max_v
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -186,9 +203,7 @@ class Field:
         self.q = p**k
         self.modulus = modulus
         if self.q > _TABLE_CAP:
-            raise NotImplementedError(
-                f"field order {self.q} exceeds the desk-scale cap {_TABLE_CAP}"
-            )
+            raise ScaleGuardError(f"GF({self.q})", self.q, _TABLE_CAP)
         self._build_tables()
         self._subfields: dict[int, tuple[Field, list[int]]] = {}
         if len(self.mul_table) != self.q:

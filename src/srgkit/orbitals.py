@@ -61,14 +61,17 @@ class PermGroupAction:
 class OrbitalPartition:
     """Orbits of a transitive action on ordered pairs.
 
-    class_of is row-major over pairs: class_of[x * degree + y].  Class 0 is
-    the diagonal.  paired[c] is the class of the transposed pairs of class
-    c; reps[c] is a representative pair with first coordinate 0.
+    class_of is row-major over pairs: class_of[x * degree + y].  It is a
+    tuple when :func:`compute_orbitals` builds it (a generator file may give
+    any rank), and ``bytes``, one byte per pair, for the invariant
+    classifications of :mod:`srgkit.families`, whose rank stays below 256.
+    Class 0 is the diagonal.  paired[c] is the class of the transposed pairs
+    of class c; reps[c] is a representative pair with first coordinate 0.
     """
 
     degree: int
     rank: int
-    class_of: tuple[int, ...]
+    class_of: tuple[int, ...] | bytes
     paired: tuple[int, ...]
     reps: tuple[tuple[int, int], ...]
     suborbit_lengths: tuple[int, ...]

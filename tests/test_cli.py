@@ -85,11 +85,44 @@ def test_orthogonal_dimension_three_is_an_input_error(capsys, eps):
     assert "NO needs m >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("no:m=2,q=1031,eps=+", "GF(1031) has size 1031"),
+        ("nu:n=3,q=37", "GF(1369) has size 1369"),
+        ("grassmann:n=7,q=8", "F_8^7 has size 2097152"),
+    ],
+)
+def test_desk_scale_caps_are_scale_errors(capsys, tmp_path, spec, message):
+    budget = "100000000000000"
+    assert main(["verify", spec, "--max-v", budget]) == 3
+    assert message in capsys.readouterr().err
+    path = tmp_path / "never.g6"
+    assert main(["gen", spec, "-o", str(path), "--max-v", budget]) == 3
+    assert message in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_verify_unreadable_file(capsys, tmp_path):
     path = tmp_path / "junk.g6"
     path.write_text("#\nnot numbers at all\n")
     code, _ = run(capsys, "verify", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# vertices 3\n0 1\n-1 2\n", "negative vertex id"),
+        ("# vertices 3\n0 1 2\n", "needs exactly two integer ids"),
+        ("~~??????\n", "'~~' graph6 size form is unsupported"),
+    ],
+)
+def test_verify_rejects_bad_graph_files_by_name(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from srgkit.families import (
     DEFAULT_MAX_V,
     FamilyId,
     ScaleGuardError,
+    _classify_pairs,
     build_NO,
     build_NU,
     build_dual_polar_sp6,
@@ -29,7 +30,12 @@ from srgkit.families import (
     params_closed_form,
     parse_family_spec,
 )
-from srgkit.geometry import FormedSpace, enumerate_points, perp_type
+from srgkit.geometry import (
+    FormedSpace,
+    enumerate_points,
+    enumerate_subspaces,
+    perp_type,
+)
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
 from srgkit.graphcore import (
     IntersectionArray,
@@ -525,6 +531,13 @@ def test_scale_guard_reports_prediction():
     with pytest.raises(ScaleGuardError):
         build_NU(4, 3, max_v=500)  # 540 vertices over a tight budget
     build_NU(3, 3, max_v=63)  # exactly at the budget is allowed
+    # the field-table and vector caps raise the same type
+    with pytest.raises(ScaleGuardError) as info:
+        field_of_order(1031)
+    assert (info.value.predicted_v, info.value.max_v) == (1031, 1024)
+    with pytest.raises(ScaleGuardError) as info:
+        enumerate_subspaces(field_of_order(8), 7, 3)
+    assert (info.value.predicted_v, info.value.max_v) == (8**7, 1 << 20)
 
 
 def test_build_family_dispatches_every_graph_tag():
@@ -555,6 +568,23 @@ def test_build_family_rejects_classification_tags():
 # ---------------------------------------------------------------------------
 # classification tensors satisfy the defining relations
 # ---------------------------------------------------------------------------
+
+
+def test_pair_classes_reject_an_invariant_asymmetric_at_one_pair():
+    # (5, 7) lies outside the base row and outside every 1/16 sample
+    # (step 3 at 48 points), so only an exhaustive check sees it.
+    def pair_label(i, j):
+        return 3 if (i, j) == (5, 7) else 1 + (i + j) % 2
+
+    with pytest.raises(AssertionError, match=r"asymmetric at \(5, 7\)"):
+        _classify_pairs(range(48), pair_label, str)
+
+
+def test_pair_classes_are_bytes_and_reject_over_255_labels():
+    cls = hamming_classification(3)
+    assert isinstance(cls.partition.class_of, bytes)
+    with pytest.raises(ValueError, match="more than 255 labels"):
+        _classify_pairs(range(24), lambda i, j: min(i, j) * 24 + max(i, j), str)
 
 
 def test_classification_tensors_validate():

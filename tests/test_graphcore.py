@@ -58,8 +58,10 @@ class TestGraphType:
     def test_validation_rejects_loops_and_asymmetry(self):
         with pytest.raises(ValueError):
             Graph([0b001, 0b000, 0b000])  # loop at 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(0, 1\)"):
             Graph([0b010, 0b000, 0b000])  # 0-1 edge missing its mirror
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(2, 0\)"):
+            Graph([0b000, 0b000, 0b001])  # only the upper endpoint has it
 
     def test_reflexive_predicate_rejected(self):
         with pytest.raises(ValueError):
@@ -244,3 +246,21 @@ class TestSerialization:
     def test_edgelist_rejects_loops(self):
         with pytest.raises(ValueError):
             from_edgelist("0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n-1 2\n", r"edge \(-1, 2\) has a negative vertex id"),
+            ("# vertices 4\n3 -2\n", r"edge \(3, -2\) has a negative vertex id"),
+            ("0 1 2\n", "edge line '0 1 2' needs exactly two integer ids"),
+            ("0 1\n2\n", "edge line '2' needs exactly two integer ids"),
+            ("0 x\n", "edge line '0 x' needs exactly two integer ids"),
+        ],
+    )
+    def test_edgelist_rejects_bad_edge_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_edgelist(text)
+
+    def test_graph6_rejects_the_long_size_form_by_name(self):
+        with pytest.raises(ValueError, match="'~~' graph6 size form is unsupported"):
+            from_graph6("~~??????")
