@@ -45,6 +45,7 @@ from .graphcore import (
 )
 from .orbitals import compute_orbitals, load_gens, orbital_graph
 from .schemes import (
+    _DUAL_POLAR_EXPONENTS,
     InfeasibleArrayError,
     dual_polar_symbolic,
     fraction_json,
@@ -211,9 +212,20 @@ def _parse_array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     left, sep, right = text.partition(";")
     if not sep:
         raise ValueError("array needs the form 'b0,b1,...;c1,c2,...'")
-    b = tuple(int(s) for s in left.split(","))
-    c = tuple(int(s) for s in right.split(","))
-    return b, c
+    return _array_side(left, "b", 0), _array_side(right, "c", 1)
+
+
+def _array_side(text: str, side: str, first: int) -> tuple[int, ...]:
+    """The integer entries of one side of an array, b_0.. or c_1.."""
+    entries = []
+    for i, s in enumerate(text.split(","), first):
+        try:
+            entries.append(int(s))
+        except ValueError:
+            raise ValueError(
+                f"array entry {side}{i} = {s!r} is not an integer"
+            ) from None
+    return tuple(entries)
 
 
 def _scheme_array_report(array: IntersectionArray) -> dict:
@@ -325,8 +337,9 @@ def cmd_scheme(args: argparse.Namespace) -> int:
             except (ValueError, ZeroDivisionError):
                 _note(f"error: bad dual-polar exponent in {job!r}")
                 return EXIT_INPUT
-            if e not in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)):
-                _note("error: dual-polar exponent must be 1, 2, 1/2, or 3/2")
+            if e not in _DUAL_POLAR_EXPONENTS:
+                allowed = ", ".join(map(str, _DUAL_POLAR_EXPONENTS))
+                _note(f"error: dual-polar exponent must be one of {allowed}")
                 return EXIT_INPUT
             report = _scheme_dual_polar_report(e)
         else:

@@ -23,13 +23,12 @@ so a typo in parameters fails fast instead of grinding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
 from .geometry import (
     FormedSpace,
-    ProjectivePoint,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,

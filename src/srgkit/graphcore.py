@@ -440,12 +440,16 @@ def complement(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# the largest vertex count the graph6 writer encodes; edge lists obey it too
+_MAX_VERTICES = 258047
+
+
 def _graph6_size(n: int) -> str:
     if n < 0:
         raise ValueError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= _MAX_VERTICES:
         return "~" + "".join(
             chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
         )
@@ -531,7 +535,16 @@ def from_edgelist(text: str) -> Graph:
         if line.startswith("#"):
             tokens = line[1:].split()
             if len(tokens) == 2 and tokens[0] == "vertices":
+                if not tokens[1].isdecimal():
+                    raise ValueError(
+                        f"header {line!r} needs a non-negative integer count"
+                    )
                 n = int(tokens[1])
+                if n > _MAX_VERTICES:
+                    raise ValueError(
+                        f"header {line!r} exceeds the limit of "
+                        f"{_MAX_VERTICES} vertices"
+                    )
             continue
         try:
             u, v = map(int, line.split())
@@ -543,6 +556,10 @@ def from_edgelist(text: str) -> Graph:
             raise ValueError(f"edge ({u}, {v}) has a negative vertex id")
         if u == v:
             raise ValueError(f"loop at vertex {u}")
+        if max(u, v) >= _MAX_VERTICES:
+            raise ValueError(
+                f"edge ({u}, {v}) exceeds the limit of {_MAX_VERTICES} vertices"
+            )
         pairs.append((u, v))
         top = max(top, u, v)
     if n is None:

@@ -2,9 +2,11 @@
 
 Three layers:
 
-* exact scalar arithmetic — univariate polynomials over Q (:class:`RatPoly`),
-  their quotients (:class:`RatFunc`), and polynomials in a second variable X
-  with RatFunc coefficients (:class:`XPoly`);
+* exact scalar arithmetic — one dense polynomial type over two coefficient
+  rings: polynomials over Q (:class:`RatPoly`) and polynomials in a second
+  variable X over their quotients (:class:`XPoly` over :class:`RatFunc`),
+  sharing one implementation of the ring operations and of Horner
+  evaluation;
 * the recursion that rebuilds the full tensor p_ij^h from an intersection
   array, generic over those scalars (:func:`tensor_from_array` and friends);
 * the three symbolic verifications: the G_2-type array, the rank-3 dual
@@ -58,7 +60,7 @@ class InfeasibleArrayError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Q
+# Dense polynomials: one arithmetic core, two coefficient rings
 # ---------------------------------------------------------------------------
 
 
@@ -70,28 +72,29 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
 
 
-class RatPoly:
-    """Dense univariate polynomial with Fraction coefficients, normalized
-    so the coefficient list never ends in zero (the zero polynomial is
-    the empty list)."""
+class _DensePoly:
+    """Dense univariate polynomial over a coefficient ring, normalized so
+    the coefficient tuple never ends in zero (the zero polynomial is the
+    empty tuple).
+
+    A subclass names its ring: ``_coeff`` coerces one coefficient,
+    ``_scalars`` are the types read as constant polynomials, and ``_zero``
+    is the ring's zero."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Sequence = ()):
+        coerce = self._coeff
+        cs = [coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def const(cls, c) -> "RatPoly":
-        return cls((_as_fraction(c),))
-
-    @classmethod
-    def gen(cls) -> "RatPoly":
+    def gen(cls):
         """The polynomial equal to the indeterminate."""
         return cls((0, 1))
 
@@ -105,11 +108,12 @@ class RatPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _coerced(self, other) -> "RatPoly | None":
-        if isinstance(other, RatPoly):
+    def _coerced(self, other):
+        # the exact type: a RatPoly must not take an XPoly as its own kind
+        if type(other) is type(self):
             return other
-        if isinstance(other, (int, Fraction)):
-            return RatPoly.const(other)
+        if isinstance(other, self._scalars):
+            return type(self)((other,))
         return None
 
     def __add__(self, other):
@@ -121,13 +125,13 @@ class RatPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            out[i] = out[i] + c
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -143,20 +147,20 @@ class RatPoly:
         if other is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)()
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+                    out[i + j] = out[i + j] + a * b
+        return type(self)(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = RatPoly.const(1)
+        result = type(self)((1,))
         base = self
         while n:
             if n & 1:
@@ -164,6 +168,35 @@ class RatPoly:
             base = base * base
             n >>= 1
         return result
+
+    @staticmethod
+    def _horner(coeffs: Sequence, value, acc):
+        """sum_i coeffs[i] value^i by Horner's rule from the zero ``acc``."""
+        for c in reversed(coeffs):
+            acc = acc * value + c
+        return acc
+
+    def __eq__(self, other) -> bool:
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+
+class RatPoly(_DensePoly):
+    """Dense univariate polynomial with Fraction coefficients."""
+
+    __slots__ = ()
+    _coeff = staticmethod(_as_fraction)
+    _scalars = (int, Fraction)
+    _zero = Fraction(0)
+
+    @classmethod
+    def const(cls, c) -> "RatPoly":
+        return cls((c,))
 
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero():
@@ -181,26 +214,13 @@ class RatPoly:
         return RatPoly(quot), RatPoly(rem)
 
     def evaluate(self, value: Fraction | int) -> Fraction:
-        value = _as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return self._horner(self.coeffs, _as_fraction(value), self._zero)
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
         return RatPoly([c / lead for c in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"RatPoly({poly_str(self)})"
@@ -376,118 +396,37 @@ def ratfunc_str(f: RatFunc, var: str = "q") -> str:
 # ---------------------------------------------------------------------------
 
 
-class XPoly:
+class XPoly(_DensePoly):
     """Dense polynomial in a second indeterminate X whose coefficients are
     RatFuncs in q.  Division is only defined by X-free values."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _scalars = (int, Fraction, RatPoly, RatFunc)
+    _zero = RatFunc(0)
 
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
-
-    @classmethod
-    def gen(cls) -> "XPoly":
-        return cls((RatFunc(0), RatFunc(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    @staticmethod
+    def _coeff(c) -> RatFunc:
+        return c if isinstance(c, RatFunc) else RatFunc(c)
 
     def coefficient(self, i: int) -> RatFunc:
-        return self.coeffs[i] if i <= self.degree else RatFunc(0)
-
-    def _coerced(self, other) -> "XPoly | None":
-        if isinstance(other, XPoly):
-            return other
-        if isinstance(other, (int, Fraction, RatPoly, RatFunc)):
-            return XPoly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return XPoly()
-        out = [RatFunc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    __rmul__ = __mul__
+        return self.coeffs[i] if i <= self.degree else self._zero
 
     def __truediv__(self, other):
         if isinstance(other, XPoly):
             if other.degree > 0:
                 raise ValueError("XPoly division only by X-free values")
             other = other.coefficient(0)
-        if isinstance(other, (int, Fraction, RatPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
+        if not isinstance(other, self._scalars):
             return NotImplemented
+        other = self._coeff(other)
         return XPoly([c / other for c in self.coeffs])
 
     def substitute_x(self, value: RatFunc) -> RatFunc:
-        acc = RatFunc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return self._horner(self.coeffs, value, self._zero)
 
     def evaluate(self, q0: Fraction | int, x0: Fraction | int) -> Fraction:
-        x0 = _as_fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c.evaluate(q0)
-        return acc
-
-    def __eq__(self, other) -> bool:
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        values = [c.evaluate(q0) for c in self.coeffs]
+        return self._horner(values, _as_fraction(x0), Fraction(0))
 
     def __repr__(self):
         if self.is_zero():
@@ -498,9 +437,7 @@ class XPoly:
             if c.is_zero():
                 continue
             xpart = "" if i == 0 else ("X" if i == 1 else f"X^{i}")
-            terms.append(
-                f"({ratfunc_str(c)}){'*' if xpart else ''}{xpart}"
-            )
+            terms.append(f"({ratfunc_str(c)}){'*' if xpart else ''}{xpart}")
         return "XPoly(" + " + ".join(terms) + ")"
 
 
@@ -869,6 +806,9 @@ class DualPolarSymbolic:
     graph_checked_qs: tuple
 
 
+_DUAL_POLAR_EXPONENTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
 def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
     """Tensor of the array b_i = q^(i+e) [3-i]_q, c_i = [i]_q, symbolically.
 
@@ -880,7 +820,7 @@ def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
     constructed symplectic dual polar graphs at the given q values.
     """
     e = Fraction(e)
-    if e not in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+    if e not in _DUAL_POLAR_EXPONENTS:
         raise ValueError("e must be 1/2, 1 or 3/2")
     r = RatFunc.gen()
     if e.denominator == 2:

@@ -116,6 +116,9 @@ def test_verify_unreadable_file(capsys, tmp_path):
         ("# vertices 3\n0 1\n-1 2\n", "negative vertex id"),
         ("# vertices 3\n0 1 2\n", "needs exactly two integer ids"),
         ("~~??????\n", "'~~' graph6 size form is unsupported"),
+        ("# vertices x\n0 1\n", "header '# vertices x' needs a non-negative"),
+        ("# vertices -2\n0 1\n", "header '# vertices -2' needs a non-negative"),
+        ("# vertices 258048\n0 1\n", "exceeds the limit of 258047 vertices"),
     ],
 )
 def test_verify_rejects_bad_graph_files_by_name(capsys, tmp_path, text, message):
@@ -192,11 +195,18 @@ def test_scheme_small_rank_skips_union_criterion(capsys):
 
 
 def test_scheme_exit_codes(capsys):
-    assert run(capsys, "scheme", "not an array")[0] == 2
+    assert main(["scheme", "not an array"]) == 2
+    assert "array needs the form 'b0,b1,...;c1,c2,...'" in capsys.readouterr().err
+    assert main(["scheme", "3;"]) == 2
+    assert "array entry c1 = '' is not an integer" in capsys.readouterr().err
+    assert main(["scheme", "3,x;1,1"]) == 2
+    assert "array entry b1 = 'x' is not an integer" in capsys.readouterr().err
     # non-integral second valency: k_2 = 3*1/2
     assert run(capsys, "scheme", "3,1;1,2")[0] == 4
     assert run(capsys, "scheme", "dualpolar:5")[0] == 2
     assert run(capsys, "scheme", "dualpolar:x")[0] == 2
+    assert main(["scheme", "dualpolar:2"]) == 2
+    assert "exponent must be one of 1/2, 1, 3/2" in capsys.readouterr().err
 
 
 def test_scheme_g2_job(capsys):

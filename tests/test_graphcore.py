@@ -255,6 +255,10 @@ class TestSerialization:
             ("0 1 2\n", "edge line '0 1 2' needs exactly two integer ids"),
             ("0 1\n2\n", "edge line '2' needs exactly two integer ids"),
             ("0 x\n", "edge line '0 x' needs exactly two integer ids"),
+            ("# vertices x\n0 1\n", "header '# vertices x' needs a non-negative"),
+            ("# vertices -2\n0 1\n", "header '# vertices -2' needs a non-negative"),
+            ("# vertices 258048\n", "'# vertices 258048' exceeds the limit of 258047"),
+            ("0 258048\n", r"edge \(0, 258048\) exceeds the limit of 258047"),
         ],
     )
     def test_edgelist_rejects_bad_edge_lines(self, text, message):

@@ -40,6 +40,16 @@ def cycle(n: int) -> Graph:
     return build_graph(range(n), lambda a, b: (a - b) % n in (1, n - 1))
 
 
+def assert_ring_axioms(samples):
+    """Distributivity, commutativity and subtraction over every triple."""
+    for f in samples:
+        for g in samples:
+            for h in samples:
+                assert (f + g) * h == f * h + g * h
+                assert f * g == g * f
+                assert (f - g) + g == f
+
+
 # ---------------------------------------------------------------------------
 # RatPoly
 # ---------------------------------------------------------------------------
@@ -52,19 +62,15 @@ class TestRatPoly:
         assert RatPoly().degree == -1
 
     def test_ring_axioms_on_samples(self):
-        samples = [
-            RatPoly(()),
-            RatPoly((1,)),
-            RatPoly((0, 1)),
-            RatPoly((Fraction(1, 2), -2, 3)),
-            RatPoly((-1, 0, 0, 1)),
-        ]
-        for f in samples:
-            for g in samples:
-                for h in samples:
-                    assert (f + g) * h == f * h + g * h
-                    assert f * g == g * f
-                    assert (f - g) + g == f
+        assert_ring_axioms(
+            [
+                RatPoly(()),
+                RatPoly((1,)),
+                RatPoly((0, 1)),
+                RatPoly((Fraction(1, 2), -2, 3)),
+                RatPoly((-1, 0, 0, 1)),
+            ]
+        )
 
     def test_divmod_roundtrip(self):
         f = RatPoly((2, 0, -3, 0, 1))
@@ -170,6 +176,17 @@ class TestRatFunc:
 
 
 class TestXPoly:
+    def test_ring_axioms_on_samples(self):
+        assert_ring_axioms(
+            [
+                XPoly(()),
+                XPoly((1,)),
+                XPoly((0, 1)),
+                XPoly((Fraction(1, 2), -Q, 1 / (Q + 1))),
+                XPoly((-1, 0, 0, Q**2)),
+            ]
+        )
+
     def test_basic_arithmetic(self):
         x = XPoly.gen()
         f = Q * x + 1
@@ -200,6 +217,19 @@ class TestXPoly:
     def test_zero_normalization(self):
         assert XPoly((RatFunc(0), RatFunc(0))).is_zero()
         assert (XPoly((1,)) - 1).is_zero()
+
+    def test_mixed_with_ratpoly_resolves_to_xpoly(self):
+        left = RatPoly.gen() + XPoly.gen()
+        right = XPoly.gen() + RatPoly.gen()
+        assert type(left) is XPoly and type(right) is XPoly
+        assert left == right
+        assert repr(left) == "XPoly((1)*X + (q))"
+        assert RatPoly((1,)) == XPoly((1,))
+        assert XPoly((1,)) == RatPoly((1,))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="XPoly is immutable"):
+            XPoly.gen().coeffs = ()
 
 
 # ---------------------------------------------------------------------------
