@@ -427,7 +427,14 @@ def cmd_orbitals(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as e:
         _note(f"error: cannot load generators from {args.gens!r}: {e}")
         return EXIT_INPUT
-    partition = compute_orbitals(action)
+    try:
+        partition = compute_orbitals(action)
+    except ScaleGuardError as e:  # before ValueError, its base class
+        _note(f"error: {e}")
+        return EXIT_SCALE
+    except ValueError as e:  # not transitive, or over 255 pair orbits
+        _note(f"error: {args.gens!r}: {e}")
+        return EXIT_INPUT
     classes = []
     for c in range(1, partition.rank):
         entry: dict = {

@@ -46,7 +46,8 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, complement, distance_graph
-from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals
+from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
+from .orbitals import _pair_bytes, _partition
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
 __all__ = [
@@ -329,7 +330,7 @@ def _classify_pairs(
     pair by comparing each row of ``class_of`` with its column."""
     n = len(points)
     seen: dict[int, int] = {}
-    class_of = bytearray(n * n)
+    class_of = _pair_bytes(n)
     for i in range(n):
         row = [
             seen.setdefault(pair_label(i, j), len(seen) + 1) if j != i else 0
@@ -339,48 +340,25 @@ def _classify_pairs(
             raise ValueError("pair invariant has more than 255 labels")
         class_of[i * n : (i + 1) * n] = row
     labels = tuple(sorted(seen))
-    renumber = bytearray(range(256))
-    for c, lab in enumerate(labels, 1):
-        renumber[seen[lab]] = c
+    # first-sight number k -> 1 + the place of its label in sorted order
+    renumber = bytes([0, *(1 + labels.index(lab) for lab in seen)]).ljust(256, b"\0")
     class_of = bytes(class_of).translate(renumber)
-    rank = 1 + len(labels)
     for i in range(n):
         row = class_of[i * n : (i + 1) * n]
         if row != class_of[i::n]:
             j = next(j for j in range(n) if row[j] != class_of[j * n + i])
             raise AssertionError(f"pair invariant is asymmetric at ({i}, {j})")
-    base_row = class_of[:n]
-    lengths = [base_row.count(c) for c in range(rank)]
-    for c, lab in enumerate(labels, 1):
-        if not lengths[c]:
-            raise AssertionError(
-                f"pair class {lab} has no representative in the base row"
-            )
-    partition = OrbitalPartition(
-        degree=n,
-        rank=rank,
-        class_of=class_of,
-        paired=tuple(range(rank)),
-        reps=tuple((0, base_row.index(c)) for c in range(rank)),
-        suborbit_lengths=tuple(lengths),
-    )
+    partition = _partition(n, class_of)
     names = [vertex_label(p) for p in points]
-    graphs = {}
-    for c, lab in enumerate(labels, 1):
-        # Row i is the bitset of the bytes equal to c in row i: the reversed
-        # row, translated to binary digits, puts pair (i, j) at bit j.
-        digits = bytes(ord("1") if b == c else ord("0") for b in range(256))
-        rows = [
-            int(class_of[i * n : (i + 1) * n][::-1].translate(digits), 2)
-            for i in range(n)
-        ]
-        graphs[lab] = Graph(rows, names, validate=False)
     return OrbitalClassification(
         points=tuple(points),
         labels=labels,
         partition=partition,
-        graphs=graphs,
-        suborbit_lengths={lab: lengths[c] for c, lab in enumerate(labels, 1)},
+        graphs={
+            lab: orbital_graph(partition, c).relabel(names)
+            for c, lab in enumerate(labels, 1)
+        },
+        suborbit_lengths=dict(zip(labels, partition.suborbit_lengths[1:])),
         tensor=tensor_from_orbital_partition(partition),
         eps=eps,
     )
@@ -951,16 +929,15 @@ def build_flag_orbitals(
             f"direct-count matrix {counted} differs from closed form {m}"
         )
     group = compute_orbitals(flag_action(q))
-    if group.rank != classification.partition.rank:
+    classes = classification.partition
+    if group.rank != classes.rank:
         raise AssertionError(
-            f"group action has rank {group.rank}, classes give "
-            f"{classification.partition.rank}"
+            f"group action has rank {group.rank}, classes give {classes.rank}"
         )
-    class_of = classification.partition.class_of
-    relabel = [class_of[x * len(flags) + y] for x, y in group.reps]
+    relabel = bytes(classes.pair_class(*rep) for rep in group.reps)
     if sorted(relabel) != list(range(group.rank)):
         raise AssertionError("group orbitals do not map onto the classes")
-    if bytes(relabel[c] for c in group.class_of) != class_of:
+    if group.class_of.translate(relabel.ljust(256, b"\0")) != classes.class_of:
         raise AssertionError("group orbitals differ from the set-theoretic classes")
     return classification
 

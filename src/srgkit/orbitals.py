@@ -10,10 +10,11 @@ product-action family and the oracle cross-checks need at degree <= 1000.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gf import make_field
+from .gf import ScaleGuardError, make_field
 from .graphcore import Graph
 
 __all__ = [
@@ -59,19 +60,18 @@ class PermGroupAction:
 
 @dataclass(frozen=True)
 class OrbitalPartition:
-    """Orbits of a transitive action on ordered pairs.
+    """Orbits of a transitive action on ordered pairs, or the classes of a
+    symmetric pair invariant.
 
-    class_of is row-major over pairs: class_of[x * degree + y].  It is a
-    tuple when :func:`compute_orbitals` builds it (a generator file may give
-    any rank), and ``bytes``, one byte per pair, for the invariant
-    classifications of :mod:`srgkit.families`, whose rank stays below 256.
-    Class 0 is the diagonal.  paired[c] is the class of the transposed pairs
-    of class c; reps[c] is a representative pair with first coordinate 0.
+    class_of is ``bytes``, one byte per pair, row-major:
+    class_of[x * degree + y]; so there are at most 255 classes.  Class 0 is
+    the diagonal.  paired[c] is the class of the transposed pairs of class
+    c; reps[c] is a representative pair with first coordinate 0.
     """
 
     degree: int
     rank: int
-    class_of: tuple[int, ...] | bytes
+    class_of: bytes
     paired: tuple[int, ...]
     reps: tuple[tuple[int, int], ...]
     suborbit_lengths: tuple[int, ...]
@@ -83,48 +83,60 @@ class OrbitalPartition:
         return self.paired[c] == c
 
 
+_PAIR_CAP = 1 << 26  # most pairs held one byte each: degree 8192
+_UNCLASSIFIED = 255  # the byte of a pair the orbit BFS has not reached
+
+
+def _pair_bytes(n: int, fill: int = 0) -> bytearray:
+    """One ``fill`` byte per ordered pair of n points; the cap is checked first."""
+    if n * n > _PAIR_CAP:
+        raise ScaleGuardError(f"the pair partition of {n} points", n * n, _PAIR_CAP)
+    return bytearray([fill]) * (n * n)
+
+
+def _partition(n: int, class_of: bytes) -> OrbitalPartition:
+    """The partition with pair classes ``class_of``.  Reps, suborbit lengths
+    and pairing are read off the base row (0, y) and the first column
+    (y, 0), so every class needs a representative in the base row."""
+    base_row = class_of[:n]
+    rank = max(base_row) + 1
+    lengths = tuple(map(base_row.count, range(rank)))
+    if 0 in lengths or class_of.translate(None, bytes(range(rank))):
+        raise AssertionError("a pair class has no representative in the base row")
+    reps = tuple((0, base_row.index(c)) for c in range(rank))
+    paired = tuple(class_of[y * n] for _, y in reps)
+    return OrbitalPartition(n, rank, class_of, paired, reps, lengths)
+
+
 def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
     """Pair-orbit partition of a transitive action, by BFS closure.
 
     Classes are numbered by the first pair (0, y) reached in y order, so
     the diagonal is always class 0 and the numbering is deterministic.
+    Raises ValueError past 255 classes, ScaleGuardError past 2^26 pairs.
     """
     if not action.is_transitive():
         raise ValueError("action is not transitive")
     n = action.degree
     gens = action.generators
-    class_of = [-1] * (n * n)
-    reps: list[tuple[int, int]] = []
-    for y0 in range(n):
-        if class_of[y0] != -1:  # pair (0, y0)
-            continue
-        c = len(reps)
-        reps.append((0, y0))
+    class_of = _pair_bytes(n, _UNCLASSIFIED)
+    c = 0
+    while (y0 := class_of.find(_UNCLASSIFIED, 0, n)) != -1:  # pair (0, y0)
+        if c == _UNCLASSIFIED:
+            raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
         class_of[y0] = c
-        frontier = [(0, y0)]
+        frontier = [y0]
         while frontier:
-            x, y = frontier.pop()
+            x, y = divmod(frontier.pop(), n)
             for g in gens:
-                gx, gy = g[x], g[y]
-                code = gx * n + gy
-                if class_of[code] == -1:
+                code = g[x] * n + g[y]
+                if class_of[code] == _UNCLASSIFIED:
                     class_of[code] = c
-                    frontier.append((gx, gy))
-    if any(c == -1 for c in class_of):
+                    frontier.append(code)
+        c += 1
+    if class_of.find(_UNCLASSIFIED) != -1:
         raise AssertionError("pair BFS left pairs unclassified")
-    rank = len(reps)
-    paired = tuple(class_of[y * n + x] for x, y in reps)
-    lengths = [0] * rank
-    for y in range(n):
-        lengths[class_of[y]] += 1
-    return OrbitalPartition(
-        degree=n,
-        rank=rank,
-        class_of=tuple(class_of),
-        paired=paired,
-        reps=tuple(reps),
-        suborbit_lengths=tuple(lengths),
-    )
+    return _partition(n, bytes(class_of))
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
@@ -133,17 +145,16 @@ def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
         raise ValueError(f"no class {cls}")
     if cls == 0:
         raise ValueError("the diagonal class has no graph")
-    wanted = {cls, partition.paired[cls]}
+    wanted = (cls, partition.paired[cls])
     n = partition.degree
     class_of = partition.class_of
-    rows = []
-    for x in range(n):
-        base = x * n
-        row = 0
-        for y in range(n):
-            if class_of[base + y] in wanted:
-                row |= 1 << y
-        rows.append(row)
+    # Row x is the bitset of the wanted bytes in row x: the reversed row,
+    # translated to binary digits, puts pair (x, y) at bit y.
+    digits = bytes(ord("1") if b in wanted else ord("0") for b in range(256))
+    rows = [
+        int(class_of[x * n : (x + 1) * n][::-1].translate(digits), 2)
+        for x in range(n)
+    ]
     return Graph(rows, validate=False)
 
 
@@ -163,26 +174,19 @@ def intersection_number_direct(
     n = partition.degree
     class_of = partition.class_of
 
-    def count_at(x: int, y: int) -> int:
-        base = x * n
-        return sum(
-            1
-            for z in range(n)
-            if class_of[base + z] == i and class_of[z * n + y] == j
-        )
+    def count_at(pair: int) -> int:
+        x, y = divmod(pair, n)
+        row, column = class_of[x * n : (x + 1) * n], class_of[y::n]
+        return sum(a == i and b == j for a, b in zip(row, column))
 
     x0, y0 = partition.reps[h]
-    value = count_at(x0, y0)
-    second = next(
-        (
-            (p // n, p % n)
-            for p, c in enumerate(partition.class_of)
-            if c == h and (p // n, p % n) != (x0, y0)
-        ),
-        None,
-    )
-    if second is not None:
-        check = count_at(*second)
+    first = x0 * n + y0
+    value = count_at(first)
+    second = class_of.find(h)
+    if second == first:
+        second = class_of.find(h, first + 1)
+    if second != -1:
+        check = count_at(second)
         if check != value:
             raise AssertionError(
                 f"p_{i}{j}^{h} differs between representatives: "
@@ -205,16 +209,25 @@ def save_gens(action: PermGroupAction, path: str | Path) -> None:
 
 
 def load_gens(path: str | Path) -> PermGroupAction:
-    """Read the format written by save_gens."""
-    tokens = Path(path).read_text().split("\n")
-    header = tokens[0].split()
+    """Read the format written by save_gens, naming a bad entry's place."""
+    lines = Path(path).read_text().split("\n")
+
+    def ints(number: int) -> tuple[int, ...]:
+        tokens = lines[number - 1].split()
+        for k, token in enumerate(tokens, 1):
+            if not re.fullmatch(r"[+-]?\d+", token):
+                raise ValueError(
+                    f"line {number}, token {k}: {token!r} is not an integer"
+                )
+        return tuple(map(int, tokens))
+
+    header = ints(1)
     if len(header) != 2:
         raise ValueError("bad header: expected 'degree generator-count'")
-    degree, count = int(header[0]), int(header[1])
-    gens = []
-    for line in tokens[1 : count + 1]:
-        images = tuple(int(x) for x in line.split())
-        gens.append(images)
+    degree, count = header
+    if degree < 1:
+        raise ValueError(f"bad header: degree {degree} is below 1")
+    gens = [ints(number) for number in range(2, min(count + 1, len(lines)) + 1)]
     if len(gens) != count:
         raise ValueError("generator count does not match header")
     return PermGroupAction(degree, tuple(gens))

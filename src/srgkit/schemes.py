@@ -183,6 +183,9 @@ class _DensePoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
 
@@ -379,6 +382,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, so it hashes like it
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

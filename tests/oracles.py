@@ -12,7 +12,8 @@ import itertools
 
 from srgkit.geometry import line_tangency_count
 from srgkit.gf import FieldElement, field_of_order
-from srgkit.graphcore import build_graph
+from srgkit.graphcore import bits, build_graph
+from srgkit.orbitals import mulclose
 
 
 def hermitian_norm_counts(n: int, q: int) -> list[int]:
@@ -77,3 +78,49 @@ def tangency_graph(space, points):
         lambda a, b: a.rep != b.rep and line_tangency_count(space, a, b) == 1,
         labels=str,
     )
+
+
+def pair_orbit_classes(action) -> list[int]:
+    """The pair-orbit class of every ordered pair, row-major, from the
+    closed group: the orbit of (0, y) is {(g(0), g(y)) : g in G}, and the
+    orbits are numbered by their first pair (0, y) in y order."""
+    n = action.degree
+    group = mulclose(list(action.generators))
+    class_of = [None] * (n * n)
+    rank = 0
+    for y0 in range(n):
+        if class_of[y0] is None:
+            for g in group:
+                class_of[g[0] * n + g[y0]] = rank
+            rank += 1
+    return class_of
+
+
+def orbital_graph_rows(partition, cls: int) -> list[int]:
+    """Adjacency rows of class ``cls`` united with its paired class, read
+    one pair at a time."""
+    wanted = {cls, partition.paired[cls]}
+    n = partition.degree
+    rows = []
+    for x in range(n):
+        row = 0
+        for y in range(n):
+            if partition.pair_class(x, y) in wanted:
+                row |= 1 << y
+        rows.append(row)
+    return rows
+
+
+def srg_violation(graph):
+    """The first pair (u, v), u < v in scan order, whose number of common
+    neighbours differs from that of the first pair of its kind (adjacent or
+    not), as ((u, v), first count, its count); None if no pair differs.
+    Counted by intersecting neighbour sets."""
+    nbrs = [set(bits(row)) for row in graph.rows]
+    first: dict[bool, int] = {}
+    for u, v in itertools.combinations(range(graph.n), 2):
+        common = len(nbrs[u] & nbrs[v])
+        expected = first.setdefault(v in nbrs[u], common)
+        if common != expected:
+            return (u, v), expected, common
+    return None

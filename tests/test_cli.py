@@ -1,6 +1,8 @@
 """Command-line verbs: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +321,30 @@ def test_orbitals_exit_code_on_missing_file(capsys):
     assert run(capsys, "orbitals", "/nonexistent/file.gens")[0] == 2
 
 
+def cyclic_gens(n: int) -> str:
+    return f"{n} 1\n" + " ".join(str((x + 1) % n) for x in range(n)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("3 1\n1 0 2\n", 2, "action is not transitive"),
+        ("0 0\n", 2, "degree 0 is below 1"),
+        ("3 1\n0 1 extra\n", 2, "line 2, token 3: 'extra' is not an integer"),
+        (cyclic_gens(256), 2, "more than 255 pair orbits"),
+        (cyclic_gens(8193), 3, "the pair partition of 8193 points"),
+    ],
+    ids=["not-transitive", "degree-0", "bad-token", "cyclic-256", "cyclic-8193"],
+)
+def test_orbitals_rejects_bad_generator_files(capsys, tmp_path, text, code, message):
+    path = tmp_path / "bad.gens"
+    path.write_text(text)
+    assert main(["orbitals", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -346,3 +372,45 @@ def test_outputs_deterministic_up_to_timing(capsys, argv):
     first = strip_timing(run(capsys, *argv)[1])
     second = strip_timing(run(capsys, *argv)[1])
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# payloads recorded by the benchmark
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "perfbench" / "expected"
+
+PAYLOAD_CASES = [
+    ("table1", "table1", ["table1"]),
+    (
+        "verify",
+        "orbitals psl2_8_sq6",
+        ["orbitals", str(ROOT / "src/srgkit/data/psl2_8_sq6.gens")],
+    ),
+    ("verify", "gen grassmann:n=6,q=2", ["gen", "grassmann:n=6,q=2", "-o"]),
+    ("symbolic", "scheme g2", ["scheme", "g2"]),
+    ("symbolic", "scheme dualpolar:1/2", ["scheme", "dualpolar:1/2"]),
+    ("symbolic", "scheme dualpolar:3/2", ["scheme", "dualpolar:3/2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, key, argv", PAYLOAD_CASES, ids=[key for _, key, _ in PAYLOAD_CASES]
+)
+def test_payload_matches_the_benchmark_expectation(
+    capsys, tmp_path, workload, key, argv
+):
+    """The benchmark's recorded payloads, without their timings, are what
+    the commands print (for ``gen``: the size and SHA-256 of the file)."""
+    expected = json.loads((EXPECTED / f"{workload}.json").read_text())[key]
+    if argv[0] == "gen":
+        path = tmp_path / "graph.g6"
+        assert main([*argv, str(path)]) == 0
+        data = path.read_bytes()
+        got = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    else:
+        code, got = run(capsys, *argv)
+        assert code == 0
+    got = json.dumps(strip_timing(got), sort_keys=True)
+    assert got == json.dumps(expected, sort_keys=True)

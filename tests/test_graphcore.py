@@ -1,14 +1,19 @@
 """Tests for the bitset graph type and the regularity engines."""
 
+import random
 from itertools import combinations
 
+import oracles
 import pytest
 
+from srgkit.cli import TABLE1_TARGETS
+from srgkit.families import build_family, parse_family_spec
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
     RegularityFailure,
     SrgParams,
+    bits,
     build_graph,
     check_drg,
     check_srg,
@@ -268,3 +273,51 @@ class TestSerialization:
     def test_graph6_rejects_the_long_size_form_by_name(self):
         with pytest.raises(ValueError, match="'~~' graph6 size form is unsupported"):
             from_graph6("~~??????")
+
+
+# ---------------------------------------------------------------------------
+# mutation: degree-preserving switches of the table1 graphs
+# ---------------------------------------------------------------------------
+
+
+def two_switch(g: Graph, rng: random.Random) -> Graph:
+    """Replace edges ab and cd by ad and cb, for random a, b, c, d with ad
+    and cb not edges; every degree is kept."""
+    rows = list(g.rows)
+    edges = [(u, v) for u in range(g.n) for v in bits(rows[u]) if u < v]
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.adjacent(a, d) and not g.adjacent(c, b):
+            break
+    for u, v, add in ((a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1)):
+        for x, y in ((u, v), (v, u)):
+            rows[x] = rows[x] | (1 << y) if add else rows[x] & ~(1 << y)
+    return Graph(rows)
+
+
+SWITCHED = [(spec, params) for spec, params in TABLE1_TARGETS if params[0] <= 325]
+
+
+@pytest.mark.parametrize("spec, params", SWITCHED, ids=[s for s, _ in SWITCHED])
+def test_check_srg_catches_degree_preserving_switches(spec, params):
+    """A 2-switch keeps every degree, so only the common-neighbour counts
+    can tell.  check_srg must agree with a set-based count, and report the
+    first pair whose count breaks the lambda or mu it took from the first
+    pair of the same kind."""
+    rng = random.Random(spec)
+    g = build_family(parse_family_spec(spec))
+    assert check_srg(g) == SrgParams(*params)
+    for _ in range(2):
+        g = two_switch(g, rng)
+        assert set(g.degrees()) == {params[1]}
+        violation = oracles.srg_violation(g)
+        result = check_srg(g)
+        if violation is None:
+            assert isinstance(result, SrgParams)
+            continue
+        assert isinstance(result, RegularityFailure)
+        assert (result.witness, result.expected, result.found) == violation
+        kind = "adjacent" if g.adjacent(*result.witness) else "non-adjacent"
+        assert result.reason == f"{kind} pairs disagree on common neighbours"

@@ -1,12 +1,16 @@
 """Pair-orbit partitions, orbital graphs, and direct p_ij^h counting."""
 
 import itertools
+import re
 
+import oracles
 import pytest
 
+from srgkit.families import flag_action
 from srgkit.graphcore import SrgParams, check_srg, complement
 from srgkit.orbitals import (
     PermGroupAction,
+    _partition,
     compute_orbitals,
     intersection_number_direct,
     load_gens,
@@ -38,6 +42,10 @@ def a5_on_pairs():
 
 def z5_translation():
     return PermGroupAction(5, ((1, 2, 3, 4, 0),))
+
+
+def cyclic(n: int) -> PermGroupAction:
+    return PermGroupAction(n, (tuple((x + 1) % n for x in range(n)),))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +129,35 @@ def test_z5_translation_rank_and_pairing():
     assert partition.suborbit_lengths == (1, 1, 1, 1, 1)
     # class of (0, y) pairs with class of (0, -y)
     assert partition.paired == (0, 4, 3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [s3_action, a5_on_pairs, z5_translation, lambda: flag_action(2)],
+    ids=["s3", "a5_on_pairs", "z5_translation", "flag_action_2"],
+)
+def test_byte_partition_matches_the_group_oracles(make):
+    """The BFS numbering equals the orbits of the closed group, and every
+    class graph equals the one read pair by pair."""
+    action = make()
+    partition = compute_orbitals(action)
+    assert type(partition.class_of) is bytes
+    assert partition.class_of == bytes(oracles.pair_orbit_classes(action))
+    for c in range(1, partition.rank):
+        expected = oracles.orbital_graph_rows(partition, c)
+        assert list(orbital_graph(partition, c).rows) == expected
+
+
+def test_more_than_255_pair_orbits_is_a_named_error():
+    assert compute_orbitals(cyclic(255)).rank == 255
+    with pytest.raises(ValueError, match="more than 255 pair orbits"):
+        compute_orbitals(cyclic(256))
+
+
+def test_every_class_needs_a_base_row_representative():
+    # class 2 occurs only at the pair (1, 1)
+    with pytest.raises(AssertionError, match="no representative in the base row"):
+        _partition(2, bytes([0, 1, 1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +275,16 @@ def test_gens_roundtrip(tmp_path):
 
 def test_load_gens_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.gens"
-    path.write_text("3\n0 1 2\n")
-    with pytest.raises(ValueError):
-        load_gens(path)
+    for text, message in [
+        ("3\n0 1 2\n", "bad header"),
+        ("0 0\n", "degree 0 is below 1"),
+        ("-3 1\n2 0 1\n", "degree -3 is below 1"),
+        ("x 1\n0\n", "line 1, token 1: 'x' is not an integer"),
+        ("3 1\n0 1 extra\n", "line 2, token 3: 'extra' is not an integer"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_gens(path)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,27 @@ class TestXPoly:
             XPoly.gen().coeffs = ()
 
 
+def test_equal_scalars_hash_alike():
+    """Values that compare equal across the three symbolic types hash
+    alike, so sets and dict keys treat them as one."""
+    equal_groups = [
+        [0, Fraction(0), RatPoly(()), RatFunc(0), XPoly(())],
+        [1, Fraction(1), RatPoly((1,)), RatFunc(1), XPoly((1,))],
+        [Fraction(-2, 3), RatPoly((Fraction(-2, 3),)), RatFunc(Fraction(-2, 3))],
+        [RatPoly.gen(), RatFunc.gen(), XPoly((RatPoly.gen(),))],
+        [RatPoly((1, 0, 2)), 1 + 2 * Q**2, XPoly((1 + 2 * Q**2,))],
+    ]
+    for group in equal_groups:
+        for a in group:
+            for b in group:
+                assert a == b
+                assert hash(a) == hash(b), (a, b)
+    assert len({RatPoly((1,)), XPoly((1,))}) == 1
+    assert len({RatPoly.gen(), RatFunc.gen(), XPoly((Q,))}) == 1
+    # a genuine fraction or an X-dependent polynomial stays apart
+    assert len({1 / (Q + 1), Q + 1, XPoly.gen(), RatPoly.gen()}) == 4
+
+
 # ---------------------------------------------------------------------------
 # Numeric tensors
 # ---------------------------------------------------------------------------
