@@ -230,6 +230,17 @@ def load_gens(path: str | Path) -> PermGroupAction:
     gens = [ints(number) for number in range(2, min(count + 1, len(lines)) + 1)]
     if len(gens) != count:
         raise ValueError("generator count does not match header")
+    for number, gen in enumerate(gens, 2):
+        if len(gen) != degree:
+            raise ValueError(
+                f"line {number}: {len(gen)} entries, expected the degree {degree}"
+            )
+    for number in range(count + 2, len(lines) + 1):
+        if lines[number - 1].strip():
+            raise ValueError(
+                f"line {number}: a generator line beyond the {count} "
+                "the header counts"
+            )
     return PermGroupAction(degree, tuple(gens))
 
 

@@ -3,10 +3,12 @@
 Three layers:
 
 * exact scalar arithmetic — one dense polynomial type over two coefficient
-  rings: polynomials over Q (:class:`RatPoly`) and polynomials in a second
-  variable X over their quotients (:class:`XPoly` over :class:`RatFunc`),
-  sharing one implementation of the ring operations and of Horner
-  evaluation;
+  rings: polynomials over Q (:class:`RatPoly`, integral coefficients held
+  as ``int``) and polynomials in a second variable X over their quotients
+  (:class:`XPoly` over :class:`RatFunc`), sharing one implementation of
+  the ring operations and of Horner evaluation.  A :class:`RatFunc` is a
+  pair of coprime integer polynomials, reduced by one gcd (:func:`poly_gcd`,
+  GCDHEU certified by exact division, with Euclid over Q as fallback);
 * the recursion that rebuilds the full tensor p_ij^h from an intersection
   array, generic over those scalars (:func:`tensor_from_array` and friends);
 * the three symbolic verifications: the G_2-type array, the rank-3 dual
@@ -18,8 +20,11 @@ No floating point is used anywhere; every identity is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import floordiv
 from typing import Sequence
 
 from .graphcore import Graph, IntersectionArray, distance_masks
@@ -70,6 +75,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
+
+
+def _rational(x) -> int | Fraction:
+    """An exact rational, as ``int`` when it is integral."""
+    if type(x) is int:
+        return x
+    x = _as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class _DensePoly:
@@ -190,12 +203,13 @@ class _DensePoly:
 
 
 class RatPoly(_DensePoly):
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial with rational coefficients; an integral
+    coefficient is held as an ``int``, any other as a ``Fraction``."""
 
     __slots__ = ()
-    _coeff = staticmethod(_as_fraction)
+    _coeff = staticmethod(_rational)
     _scalars = (int, Fraction)
-    _zero = Fraction(0)
+    _zero = 0
 
     @classmethod
     def const(cls, c) -> "RatPoly":
@@ -204,35 +218,87 @@ class RatPoly(_DensePoly):
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            factor = rem[i + dn] / lead
-            if factor:
-                quot[i] = factor
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= factor * c
+        quot, rem = _long_division(self.coeffs, other.coeffs, Fraction)
         return RatPoly(quot), RatPoly(rem)
 
     def evaluate(self, value: Fraction | int) -> Fraction:
-        return self._horner(self.coeffs, _as_fraction(value), self._zero)
+        return self._horner(self.coeffs, _as_fraction(value), Fraction(0))
 
     def monic(self) -> "RatPoly":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
         lead = self.coeffs[-1]
-        return RatPoly([c / lead for c in self.coeffs])
+        return RatPoly([Fraction(c, lead) for c in self.coeffs])
 
     def __repr__(self):
         return f"RatPoly({poly_str(self)})"
 
 
+def _primitive(*polys: RatPoly) -> list[list[int]]:
+    """The coefficient lists of ``polys`` times the one positive rational
+    that makes them integers with no common factor."""
+    # star arguments from lists, not generators: CPython resizes a
+    # generator's argument tuple, and its free lists then hoard such tuples
+    scale = math.lcm(
+        *[c.denominator for p in polys for c in p.coeffs if type(c) is not int]
+    )
+    lists = [[int(c * scale) for c in p.coeffs] for p in polys]
+    content = math.gcd(*[c for cs in lists for c in cs])
+    if content > 1:
+        lists = [[c // content for c in cs] for cs in lists]
+    return lists
+
+
+def _long_division(a: Sequence, b: Sequence, div) -> tuple[list, list]:
+    """Quotient and remainder of the coefficient lists a by b, each
+    quotient term being div(leading remainder term, leading term of b).
+    With div = floordiv on integers, b divides a in Z[q] exactly when the
+    remainder is zero: a term floordiv cannot divide stays in it."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - db - 1, -1, -1):
+        factor = div(rem[i + db], b[-1])
+        if factor:
+            quot[i] = factor
+            for j, c in enumerate(b):
+                rem[i + j] -= factor * c
+    return quot, rem
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """The monic gcd of two polynomials over Q (zero only for two zeros).
+
+    With denominators and contents cleared, GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 7, 1989) reads a candidate off the balanced
+    base-xi digits of gcd(a(xi), b(xi)), xi >= 2 min(|a|_inf, |b|_inf) + 2,
+    and accepts its primitive part only if it divides both exactly in Z[q]:
+    by their theorem it is then the gcd, so the answer is certified, not
+    sampled.  After six rejected xi, Euclid over Q decides."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    (pa,), (pb,) = _primitive(a), _primitive(b)
+    if len(pa) == 1 or len(pb) == 1:
+        return RatPoly((1,))
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    for _ in range(6):
+        h = math.gcd(_DensePoly._horner(pa, xi, 0), _DensePoly._horner(pb, xi, 0))
+        digits = []
+        while h:
+            digits.append((h + xi // 2) % xi - xi // 2)
+            h = (h - digits[-1]) // xi
+        (candidate,) = _primitive(RatPoly(digits))
+        if not any(any(_long_division(p, candidate, floordiv)[1]) for p in (pa, pb)):
+            return RatPoly(candidate).monic()
+        xi = xi * 73794 // 27011
+    return _euclid_gcd(a, b)
+
+
+def _euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Euclid's algorithm over Q: the fallback of :func:`poly_gcd`."""
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def poly_str(p: RatPoly, var: str = "q") -> str:
@@ -265,31 +331,44 @@ def poly_str(p: RatPoly, var: str = "q") -> str:
 
 
 class RatFunc:
-    """Quotient of RatPolys, held reduced with a monic denominator."""
+    """Quotient of two polynomials in q, held as coprime integer
+    polynomials with no common content and a denominator whose leading
+    coefficient is positive.  That form is canonical, so equal quotients
+    hold equal pairs; ``num`` and ``den`` give the same quotient over a
+    monic denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, RatPoly) else RatPoly.const(num)
-        if den is None:
-            den = RatPoly.const(1)
-        elif not isinstance(den, RatPoly):
-            den = RatPoly.const(den)
+        den = RatPoly.const(1) if den is None else den
+        den = den if isinstance(den, RatPoly) else RatPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = RatPoly.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * RatPoly.const(Fraction(1) / lead)
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            top, bottom = _primitive(num, den)
+            if len(top) > 1 and len(bottom) > 1:
+                (g,) = _primitive(poly_gcd(num, den))
+                if len(g) > 1:
+                    top = _long_division(top, g, floordiv)[0]
+                    bottom = _long_division(bottom, g, floordiv)[0]
+            num, den = RatPoly(top), RatPoly(bottom)
+            if bottom[-1] < 0:
+                num, den = -num, -den
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @property
+    def num(self) -> RatPoly:
+        """The numerator over the monic denominator :attr:`den`."""
+        lead = self._den.coeffs[-1]
+        return RatPoly([Fraction(c, lead) for c in self._num.coeffs])
+
+    @property
+    def den(self) -> RatPoly:
+        return self._den.monic()
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -306,14 +385,14 @@ class RatFunc:
         return None
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return not self._num.is_zero()
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return self._den.degree == 0
 
     def as_poly(self) -> RatPoly:
         if not self.is_polynomial:
@@ -325,13 +404,14 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            self._num * other._den + other._num * self._den,
+            self._den * other._den,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self._num, self._den)
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -346,7 +426,7 @@ class RatFunc:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -356,7 +436,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return RatFunc(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other):
         other = self._coerced(other)
@@ -366,26 +446,26 @@ class RatFunc:
 
     def __pow__(self, n: int):
         if n < 0:
-            return RatFunc(self.den**-n, self.num**-n)
-        return RatFunc(self.num**n, self.den**n)
+            return RatFunc(self._den**-n, self._num**-n)
+        return RatFunc(self._num**n, self._den**n)
 
     def evaluate(self, value: Fraction | int) -> Fraction:
-        bottom = self.den.evaluate(value)
+        bottom = self._den.evaluate(value)
         if bottom == 0:
             raise ZeroDivisionError(f"denominator vanishes at {value}")
-        return self.num.evaluate(value) / bottom
+        return self._num.evaluate(value) / bottom
 
     def __eq__(self, other) -> bool:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # a polynomial equals its numerator, so it hashes like it
-        if self.den.degree == 0:
+        if self.is_polynomial:
             return hash(self.num)
-        return hash((self.num, self.den))
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return f"RatFunc({ratfunc_str(self)})"
@@ -475,56 +555,37 @@ class IntersectionTensor:
         k, p = self.k, self.p
         one = k[0]
         zero = one - one
-        for h in range(r):
-            for j in range(r):
-                want = one if j == h else zero
-                if p[h][0][j] != want:
-                    raise InfeasibleArrayError("p_0j^h = delta_jh", f"h={h} j={j}")
-        for i in range(r):
-            for j in range(r):
-                want = k[j] if i == j else zero
-                if p[0][i][j] != want:
-                    raise InfeasibleArrayError("p_ij^0 = delta_ij k_j", f"i={i} j={j}")
-        for h in range(r):
-            for i in range(r):
-                for j in range(r):
-                    if p[h][i][j] != p[h][j][i]:
-                        raise InfeasibleArrayError(
-                            "p_ij^h = p_ji^h", f"h={h} i={i} j={j}"
-                        )
-        for h in range(r):
-            for j in range(r):
-                total = zero
-                for i in range(r):
-                    total = total + p[h][i][j]
-                if total != k[j]:
-                    raise InfeasibleArrayError("sum_i p_ij^h = k_j", f"h={h} j={j}")
-        total = zero
-        for kj in k:
-            total = total + kj
-        if total != self.v:
+        R = range(r)
+        for h, j in product(R, R):
+            if p[h][0][j] != (one if j == h else zero):
+                raise InfeasibleArrayError("p_0j^h = delta_jh", f"h={h} j={j}")
+        for i, j in product(R, R):
+            if p[0][i][j] != (k[j] if i == j else zero):
+                raise InfeasibleArrayError("p_ij^0 = delta_ij k_j", f"i={i} j={j}")
+        for h, i, j in product(R, R, R):
+            if p[h][i][j] != p[h][j][i]:
+                raise InfeasibleArrayError("p_ij^h = p_ji^h", f"h={h} i={i} j={j}")
+        for h, j in product(R, R):
+            if sum((p[h][i][j] for i in R), zero) != k[j]:
+                raise InfeasibleArrayError("sum_i p_ij^h = k_j", f"h={h} j={j}")
+        if sum(k, zero) != self.v:
             raise InfeasibleArrayError("sum_j k_j = v")
-        for h in range(r):
-            for i in range(r):
-                for j in range(r):
-                    if p[h][i][j] * k[h] != p[j][i][h] * k[j]:
-                        raise InfeasibleArrayError(
-                            "p_ij^h k_h = p_ih^j k_j", f"h={h} i={i} j={j}"
-                        )
-        for i in range(r):
-            for j in range(r):
-                for h in range(r):
-                    for m in range(r):
-                        lhs = zero
-                        rhs = zero
-                        for l in range(r):
-                            lhs = lhs + p[l][i][j] * p[m][h][l]
-                            rhs = rhs + p[l][h][j] * p[m][i][l]
-                        if lhs != rhs:
-                            raise InfeasibleArrayError(
-                                "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
-                                f"i={i} j={j} h={h} m={m}",
-                            )
+        for h, i, j in product(R, R, R):
+            if p[h][i][j] * k[h] != p[j][i][h] * k[j]:
+                raise InfeasibleArrayError(
+                    "p_ij^h k_h = p_ih^j k_j", f"h={h} i={i} j={j}"
+                )
+        # the right side at (i, j, h, m) is left(h, j, i, m), so each sum is
+        # formed once, at i < h: the first failure in this order lies there
+        def left(i, j, h, m):
+            return sum((p[l][i][j] * p[m][h][l] for l in R), zero)
+
+        for i, j, h, m in product(R, R, R, R):
+            if i < h and left(i, j, h, m) != left(h, j, i, m):
+                raise InfeasibleArrayError(
+                    "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
+                    f"i={i} j={j} h={h} m={m}",
+                )
 
 
 def _is_nonneg_integer(x: Fraction) -> bool:
@@ -579,10 +640,7 @@ def _tensor_recursion(b: list, c: list, one):
                 term = term - table[i - 1][j] * b_full[i - 1]
                 table[i + 1][j] = term / c_full[i + 1]
         p.append(tuple(tuple(row) for row in table))
-    v = zero
-    for kj in k:
-        v = v + kj
-    return tuple(k), tuple(p), v
+    return tuple(k), tuple(p), sum(k, zero)
 
 
 def tensor_from_array(array: IntersectionArray) -> IntersectionTensor:

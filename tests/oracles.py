@@ -9,10 +9,11 @@ directness, not cleverness, so they serve as the ground truth.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from srgkit.geometry import line_tangency_count
 from srgkit.gf import FieldElement, field_of_order
-from srgkit.graphcore import bits, build_graph
+from srgkit.graphcore import IntersectionArray, bits, build_graph
 from srgkit.orbitals import mulclose
 
 
@@ -124,3 +125,60 @@ def srg_violation(graph):
         if common != expected:
             return (u, v), expected, common
     return None
+
+
+def drg_violation(graph):
+    """What check_drg should find on a connected regular graph: the first
+    (reason, witness, expected, found) met scanning roots, then distance,
+    then vertex, where the eccentricity, c_d or b_d differs from the first
+    value seen; else the intersection array.  Distances by set BFS."""
+    nbrs = [set(bits(row)) for row in graph.rows]
+    first: dict[str, int] = {}
+    for root in range(graph.n):
+        layers = [{root}]
+        seen = {root}
+        while True:
+            step = {w for u in layers[-1] for w in nbrs[u]} - seen
+            if not step:
+                break
+            layers.append(step)
+            seen |= step
+        l = len(layers) - 1
+        diameter = first.setdefault("diameter", l)
+        if l != diameter:
+            return "eccentricity varies", (0, root), diameter, l
+        for d in range(1, l + 1):
+            for v in sorted(layers[d]):
+                counts = [("c", len(nbrs[v] & layers[d - 1]))]
+                if d < l:
+                    counts.append(("b", len(nbrs[v] & layers[d + 1])))
+                for side, count in counts:
+                    expected = first.setdefault(f"{side}_{d}", count)
+                    if count != expected:
+                        return f"{side}_{d} not constant", (root, v), expected, count
+    b = tuple(first[f"b_{d}"] for d in range(1, diameter))
+    c = tuple(first[f"c_{d}"] for d in range(1, diameter + 1))
+    return IntersectionArray((len(nbrs[0]),) + b, c)
+
+
+def euclid_gcd(a, b) -> list[Fraction]:
+    """The monic gcd over Q of two coefficient lists (constant term first),
+    by Euclid's algorithm on Fractions; [] for two zero polynomials."""
+
+    def trimmed(p):
+        p = [Fraction(c) for c in p]
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        rem = a
+        while len(rem) >= len(b):
+            factor = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            rem = trimmed(
+                [c - factor * b[i - shift] if i >= shift else c for i, c in enumerate(rem)]
+            )
+        a, b = b, rem
+    return [c / a[-1] for c in a] if a else []

@@ -333,8 +333,20 @@ def cyclic_gens(n: int) -> str:
         ("3 1\n0 1 extra\n", 2, "line 2, token 3: 'extra' is not an integer"),
         (cyclic_gens(256), 2, "more than 255 pair orbits"),
         (cyclic_gens(8193), 3, "the pair partition of 8193 points"),
+        ("3 1\n1 2 0\n1 0 2\n", 2, "line 3: a generator line beyond the 1"),
+        ("3 1\n1 2\n", 2, "line 2: 2 entries, expected the degree 3"),
+        ("3 2\n1 2 0\n\n1 0 2\n", 2, "line 3: 0 entries, expected the degree 3"),
     ],
-    ids=["not-transitive", "degree-0", "bad-token", "cyclic-256", "cyclic-8193"],
+    ids=[
+        "not-transitive",
+        "degree-0",
+        "bad-token",
+        "cyclic-256",
+        "cyclic-8193",
+        "extra-generator",
+        "short-generator",
+        "blank-generator",
+    ],
 )
 def test_orbitals_rejects_bad_generator_files(capsys, tmp_path, text, code, message):
     path = tmp_path / "bad.gens"
@@ -389,8 +401,10 @@ PAYLOAD_CASES = [
         ["orbitals", str(ROOT / "src/srgkit/data/psl2_8_sq6.gens")],
     ),
     ("verify", "gen grassmann:n=6,q=2", ["gen", "grassmann:n=6,q=2", "-o"]),
+    ("symbolic", "scheme grassmann", ["scheme", "grassmann"]),
     ("symbolic", "scheme g2", ["scheme", "g2"]),
     ("symbolic", "scheme dualpolar:1/2", ["scheme", "dualpolar:1/2"]),
+    ("symbolic", "scheme dualpolar:1", ["scheme", "dualpolar:1"]),
     ("symbolic", "scheme dualpolar:3/2", ["scheme", "dualpolar:3/2"]),
 ]
 

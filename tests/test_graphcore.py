@@ -7,7 +7,12 @@ import oracles
 import pytest
 
 from srgkit.cli import TABLE1_TARGETS
-from srgkit.families import build_family, parse_family_spec
+from srgkit.families import (
+    build_dual_polar_sp6,
+    build_family,
+    build_johnson,
+    parse_family_spec,
+)
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -321,3 +326,34 @@ def test_check_srg_catches_degree_preserving_switches(spec, params):
         assert (result.witness, result.expected, result.found) == violation
         kind = "adjacent" if g.adjacent(*result.witness) else "non-adjacent"
         assert result.reason == f"{kind} pairs disagree on common neighbours"
+
+
+DRG_SWITCHED = {
+    "J(7,3)": lambda: build_johnson(7, 2),
+    "J(8,3)": lambda: build_johnson(8, 2),
+    "Sp6(2) dual polar": lambda: build_dual_polar_sp6(2),
+}
+
+
+@pytest.mark.parametrize("name", DRG_SWITCHED)
+def test_check_drg_catches_degree_preserving_switches(name):
+    """check_drg must agree with a set-based BFS scan after seeded
+    2-switches: the same array while the graph stays distance-regular,
+    else the same first failure.  A switch that disconnects the graph is
+    redrawn."""
+    rng = random.Random(name)
+    g = DRG_SWITCHED[name]()
+    assert check_drg(g) == oracles.drg_violation(g)
+    for _ in range(3):
+        while True:
+            switched = two_switch(g, rng)
+            if sum(m.bit_count() for m in distance_masks(switched, 0)) == g.n:
+                break
+        g = switched
+        expected = oracles.drg_violation(g)
+        result = check_drg(g)
+        if isinstance(expected, IntersectionArray):
+            assert result == expected
+        else:
+            assert isinstance(result, RegularityFailure)
+            assert (result.reason, result.witness, result.expected, result.found) == expected

@@ -281,6 +281,9 @@ def test_load_gens_rejects_bad_header(tmp_path):
         ("-3 1\n2 0 1\n", "degree -3 is below 1"),
         ("x 1\n0\n", "line 1, token 1: 'x' is not an integer"),
         ("3 1\n0 1 extra\n", "line 2, token 3: 'extra' is not an integer"),
+        ("3 1\n1 2 0\n1 0 2\n", "line 3: a generator line beyond the 1"),
+        ("3 1\n1 2\n", "line 2: 2 entries, expected the degree 3"),
+        ("3 2\n1 2 0\n\n1 0 2\n", "line 3: 0 entries, expected the degree 3"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,7 +1,9 @@
 """Tests for the exact intersection-number calculus."""
 
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from srgkit.graphcore import Graph, IntersectionArray, build_graph, check_drg
@@ -25,6 +27,7 @@ from srgkit.schemes import (
     tensor_from_orbital_partition,
     tensor_to_json,
 )
+from srgkit.schemes import _euclid_gcd
 
 Q = RatFunc.gen()
 
@@ -120,6 +123,41 @@ class TestRatPoly:
             RatPoly((1,)).coeffs = ()
 
 
+def random_poly(rng: random.Random, degree: int, bits: int, rational: bool):
+    coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(degree)]
+    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 2**bits))
+    if rational:
+        coeffs = [Fraction(c, rng.randint(1, 2**bits)) for c in coeffs]
+    return RatPoly(coeffs)
+
+
+def test_poly_gcd_matches_the_euclid_oracle():
+    """Seeded pairs with planted common factors, integer and rational
+    coefficients up to 2^70: poly_gcd, and its Euclid fallback called
+    directly, equal the oracle's monic gcd."""
+    rng = random.Random(1989)
+    for trial in range(300):
+        bits = rng.choice((2, 8, 70))
+        rational = trial % 3 == 0
+        common = random_poly(rng, rng.randint(0, 3), bits, rational)
+        a = common * random_poly(rng, rng.randint(0, 4), bits, rational)
+        b = common * random_poly(rng, rng.randint(0, 4), bits, rational)
+        if trial % 50 == 0:
+            a = RatPoly()
+        want = tuple(oracles.euclid_gcd(a.coeffs, b.coeffs))
+        assert poly_gcd(a, b).coeffs == want, (a, b)
+        assert poly_gcd(b, a).coeffs == want, (a, b)
+        assert _euclid_gcd(a, b).coeffs == want, (a, b)
+
+
+def test_integral_coefficients_are_ints():
+    q = RatPoly.gen()
+    f = (q - Fraction(1, 2)) * 2 + Fraction(3, 3)
+    assert f.coeffs == (0, 2) and all(type(c) is int for c in f.coeffs)
+    assert type((q * Fraction(1, 2)).coeffs[1]) is Fraction
+    assert type(f.evaluate(3)) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # RatFunc
 # ---------------------------------------------------------------------------
@@ -168,6 +206,29 @@ class TestRatFunc:
         assert ratfunc_str(Q + 1) == "q + 1"
         assert ratfunc_str(1 / (Q - 1)) == "(1) / (q - 1)"
         assert ratfunc_str(Q**2, var="r") == "r^2"
+
+
+def test_ratfunc_form_is_canonical_on_random_pairs():
+    """Random quotients, each drawn in several forms scaled by a common
+    factor: f == g exactly when f.num g.den == g.num f.den, and equal
+    quotients hash alike."""
+    rng = random.Random(7)
+    q = RatPoly.gen()
+    bases = [
+        tuple(random_poly(rng, rng.randint(0, 2), 3, False) for _ in range(2))
+        for _ in range(6)
+    ]
+    samples = []
+    for num, den in bases:
+        for _ in range(4):
+            scale = random_poly(rng, rng.randint(0, 2), 3, True) * rng.choice((1, q))
+            samples.append(RatFunc(num * scale, den * scale))
+    for f in samples:
+        for g in samples:
+            assert (f == g) == (f.num * g.den == g.num * f.den)
+            if f == g:
+                assert hash(f) == hash(g)
+    assert sum(f == g for f in samples for g in samples) > len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +367,32 @@ class TestTensorFromArray:
         )
         with pytest.raises(InfeasibleArrayError):
             bad.validate()
+
+    def test_quadratic_relation_violation_named(self):
+        """Relations 1-6 are linear in p: shifting the heptagon tensor by a
+        fully symmetric D on classes 1..3 whose line sums vanish keeps
+        them (k_1 = k_2 = k_3), so only relation 7 can fail, and its
+        first failing tuple is named."""
+        import itertools
+
+        t = tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1)))
+        shift = {(1, 1, 1): -1, (1, 1, 3): 1, (1, 3, 3): -1, (3, 3, 3): 1}
+        rows = [list(map(list, table)) for table in t.p]
+        for key, value in shift.items():
+            for h, i, j in set(itertools.permutations(key)):
+                rows[h][i][j] += value
+        bad = IntersectionTensor(
+            k=t.k,
+            p=tuple(tuple(tuple(r) for r in table) for table in rows),
+            v=t.v,
+            realizable=True,
+        )
+        with pytest.raises(InfeasibleArrayError) as info:
+            bad.validate()
+        assert str(info.value) == (
+            "infeasible array: relation sum_l p_ij^l p_hl^m = "
+            "sum_l p_hj^l p_il^m violated (i=1 j=1 h=2 m=2)"
+        )
 
 
 class TestTensorFromGraph:
