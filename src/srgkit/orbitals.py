@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .gf import ScaleGuardError, make_field
-from .graphcore import Graph
+from .graphcore import _PAIR_CAP, Graph
 
 __all__ = [
     "OrbitalPartition",
@@ -83,7 +83,6 @@ class OrbitalPartition:
         return self.paired[c] == c
 
 
-_PAIR_CAP = 1 << 26  # most pairs held one byte each: degree 8192
 _UNCLASSIFIED = 255  # the byte of a pair the orbit BFS has not reached
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from srgkit.geometry import line_tangency_count
 from srgkit.gf import FieldElement, field_of_order
-from srgkit.graphcore import IntersectionArray, bits, build_graph
+from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph
 from srgkit.orbitals import mulclose
 
 
@@ -159,6 +159,51 @@ def drg_violation(graph):
     b = tuple(first[f"b_{d}"] for d in range(1, diameter))
     c = tuple(first[f"c_{d}"] for d in range(1, diameter + 1))
     return IntersectionArray((len(nbrs[0]),) + b, c)
+
+
+def graph6_bits(g) -> str:
+    """graph6 of a graph with at most 258047 vertices, one bit at a time:
+    the size, then the upper triangle column by column in 6-bit groups,
+    each written as chr(63 + value)."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)]
+    buf = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            buf = (buf << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(buf + 63))
+                buf = nbits = 0
+    if nbits:
+        out.append(chr((buf << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def graph_from_graph6_bits(s: str):
+    """The graph of a graph6 string without a header, read one bit at a
+    time.  Only checks the body length."""
+    if s[0] == "~":
+        n = 0
+        for ch in s[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        body = s[4:]
+    else:
+        n, body = ord(s[0]) - 63, s[1:]
+    assert len(body) == (n * (n - 1) // 2 + 5) // 6
+    stream = [(ord(ch) - 63) >> shift & 1 for ch in body for shift in range(5, -1, -1)]
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if stream[pos]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return Graph(rows)
 
 
 def euclid_gcd(a, b) -> list[Fraction]:

@@ -118,6 +118,8 @@ def test_verify_unreadable_file(capsys, tmp_path):
         ("# vertices 3\n0 1\n-1 2\n", "negative vertex id"),
         ("# vertices 3\n0 1 2\n", "needs exactly two integer ids"),
         ("~~??????\n", "'~~' graph6 size form is unsupported"),
+        ("A`\n", "nonzero graph6 padding bits"),
+        ("~??A_\n", "graph6 size 2 written in the '~' form"),
         ("# vertices x\n0 1\n", "header '# vertices x' needs a non-negative"),
         ("# vertices -2\n0 1\n", "header '# vertices -2' needs a non-negative"),
         ("# vertices 258048\n0 1\n", "exceeds the limit of 258047 vertices"),

@@ -6,6 +6,7 @@ from itertools import combinations
 import oracles
 import pytest
 
+from srgkit import graphcore
 from srgkit.cli import TABLE1_TARGETS
 from srgkit.families import (
     build_dual_polar_sp6,
@@ -279,6 +280,65 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'~~' graph6 size form is unsupported"):
             from_graph6("~~??????")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A`", "nonzero graph6 padding bits"),
+            ("~??A_", "graph6 size 2 written in the '~' form"),
+            ("~?", "truncated graph6 size"),
+            (">", "invalid graph6 size"),
+            ("B\x80", "invalid graph6 character"),
+            ("Bww", "graph6 body length 2, expected 1"),
+        ],
+    )
+    def test_graph6_rejects_malformed_strings_by_name(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_graph6(text)
+
+    def test_graph6_codec_matches_the_bitwise_oracle(self):
+        """Every size up to 70 and 258, empty, random and complete: the
+        base64 codec writes what the bit-at-a-time writer writes and reads
+        it back.  n(n-1)/2 is never 2 mod 3, and its residue mod 24 (one
+        base64 quantum) repeats with period 48 in n, so these sizes reach
+        every residue that a graph6 body can have."""
+        rng = random.Random(6)
+        residues = set()
+        for n in list(range(71)) + [258]:
+            for density in (0, 0.3, 1):
+                rows = [0] * n
+                for u, v in combinations(range(n), 2):
+                    if rng.random() < density:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                g = Graph(rows)
+                text = to_graph6(g)
+                assert text == oracles.graph6_bits(g)
+                assert from_graph6(text) == g
+                assert oracles.graph_from_graph6_bits(text) == g
+            residues.add(n * (n - 1) // 2 % 24)
+        assert residues == {n * (n - 1) // 2 % 24 for n in range(48)}
+
+    def test_graph6_accepts_only_what_it_writes(self):
+        """Random bodies of the right length: a string is either refused
+        or written back unchanged."""
+        rng = random.Random(7)
+        accepted = refused = 0
+        for n in range(2, 14):
+            need = (n * (n - 1) // 2 + 5) // 6
+            for _ in range(20):
+                text = chr(n + 63) + "".join(
+                    chr(rng.randrange(63, 127)) for _ in range(need)
+                )
+                try:
+                    g = from_graph6(text)
+                except ValueError as e:
+                    assert "padding" in str(e)
+                    refused += 1
+                    continue
+                assert to_graph6(g) == text
+                accepted += 1
+        assert accepted and refused
+
 
 # ---------------------------------------------------------------------------
 # mutation: degree-preserving switches of the table1 graphs
@@ -357,3 +417,119 @@ def test_check_drg_catches_degree_preserving_switches(name):
         else:
             assert isinstance(result, RegularityFailure)
             assert (result.reason, result.witness, result.expected, result.found) == expected
+
+
+# ---------------------------------------------------------------------------
+# check_drg: the three-term identity against a set-based scan
+# ---------------------------------------------------------------------------
+
+
+def cube(d: int, extra: tuple[int, ...] = ()) -> Graph:
+    """The Cayley graph of Z_2^d on the unit vectors and ``extra``."""
+    gens = [1 << i for i in range(d)] + list(extra)
+    return Graph([sum(1 << (x ^ t) for t in gens) for x in range(1 << d)])
+
+
+def multipartite(parts: int, size: int) -> Graph:
+    n = parts * size
+    block = (1 << size) - 1
+    return Graph([((1 << n) - 1) & ~(block << size * (x // size)) for x in range(n)])
+
+
+def random_regular(n: int, k: int, seed: int) -> Graph:
+    """A connected k-regular graph: a circulant scrambled by 2-switches."""
+    rng = random.Random(seed)
+    steps = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
+    g = Graph(
+        [sum(1 << (x + t) % n | 1 << (x - t) % n for t in steps) for x in range(n)]
+    )
+    for _ in range(3 * n):
+        switched = two_switch(g, rng)
+        if sum(m.bit_count() for m in distance_masks(switched, 0)) == n:
+            g = switched
+    return g
+
+
+def one_way(g: Graph, u: int, old: int, new: int) -> Graph:
+    """g with the edge u-old replaced by the arc u -> new alone; every row
+    keeps its size."""
+    rows = list(g.rows)
+    rows[u] ^= 1 << old | 1 << new
+    return Graph(rows, validate=False)
+
+
+DRG_CORPUS = {
+    "Q4": lambda: cube(4),
+    "Q6": lambda: cube(6),
+    "folded 6-cube": lambda: cube(5, (31,)),
+    "C_9": lambda: cycle(9),
+    "C_10": lambda: cycle(10),
+    "K_3x130": lambda: multipartite(3, 130),
+    # identity rows fail only at the last level (l = 3), or only at the
+    # middle level 2 of 3 (l = 4)
+    "Q5 + 01111": lambda: cube(5, (15,)),
+    "Q6 + 111110": lambda: cube(6, (62,)),
+    "random 3-regular, 20": lambda: random_regular(20, 3, 1),
+    "random 4-regular, 30": lambda: random_regular(30, 4, 2),
+    "random 5-regular, 24": lambda: random_regular(24, 5, 3),
+    "random 6-regular, 40": lambda: random_regular(40, 6, 4),
+    "Q4, one arc one-way": lambda: one_way(cube(4), 0, 1, 3),
+    "directed 7-cycle": lambda: Graph(
+        [1 << (x + 1) % 7 for x in range(7)], validate=False
+    ),
+}
+
+
+def drg_outcome(check, g):
+    """The verdict as the oracle states it, or a ValueError's message."""
+    try:
+        result = check(g)
+    except ValueError as e:
+        return str(e)
+    if isinstance(result, RegularityFailure):
+        return (result.reason, result.witness, result.expected, result.found)
+    return result
+
+
+@pytest.mark.parametrize("name", DRG_CORPUS)
+def test_check_drg_and_its_identity_match_the_oracle(name):
+    """check_drg gives the oracle's array or first failure, whichever
+    certificate its cost estimate picks.  The three-term identity alone
+    certifies exactly the oracle's distance-regular graphs, with the same
+    array; asymmetric rows never pass it."""
+    g = DRG_CORPUS[name]()
+    expected = drg_outcome(oracles.drg_violation, g)
+    assert drg_outcome(check_drg, g) == expected
+    k = g.degree(0)
+    certified = graphcore._three_term_array(
+        g, distance_masks(g, 0), (k.bit_length() + 7) // 8
+    )
+    assert certified == (expected if isinstance(expected, IntersectionArray) else None)
+
+
+@pytest.mark.parametrize(
+    "name, array",
+    [
+        ("Q6", ((6, 5, 4, 3, 2, 1), (1, 2, 3, 4, 5, 6))),
+        ("K_3x130", ((260, 129), (1, 260))),
+    ],
+)
+def test_check_drg_certifies_by_the_identity_alone(monkeypatch, name, array):
+    """On these shapes the cost estimate picks the identity, and it needs
+    no scan: K_3x130 has k = 260, so its counters take two bytes."""
+
+    def no_scan(g):
+        raise AssertionError("the per-root scan ran")
+
+    monkeypatch.setattr(graphcore, "_scan_drg", no_scan)
+    assert check_drg(DRG_CORPUS[name]()) == IntersectionArray(*array)
+
+
+def test_distance_graph_matches_per_root_bfs():
+    g = DRG_CORPUS["Q6 + 111110"]()
+    for i in range(1, 6):
+        rows = []
+        for root in range(g.n):
+            masks = distance_masks(g, root)
+            rows.append(masks[i] if i < len(masks) else 0)
+        assert distance_graph(g, i).rows == tuple(rows)
