@@ -7,6 +7,12 @@ verification.  Families whose strongly-regular parameters have a closed form
 get an exact big-integer evaluator (:func:`params_closed_form`), so tests can
 compare a constructed graph against an independently evaluated formula.
 
+Every family graph and pair classification is read off one label table
+checked on every ordered pair (:func:`srgkit.graphcore._label_table`).  Its
+rows come from a table-lookup inner product (unitary, orthogonal, polar),
+packed incidence sums (Grassmann, dual polar) or one call per ordered pair
+(flags, Hamming words, and ``build_graph`` for Johnson and Hamming graphs).
+
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
 :func:`hamming_classification`) partition the ordered vertex pairs by an
@@ -23,7 +29,9 @@ so a typo in parameters fails fast instead of grinding.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from math import comb
 from typing import Mapping
 
@@ -45,9 +53,10 @@ from .gf import (
     norm,
     quadratic_character,
 )
-from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, complement, distance_graph
+from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
+from .graphcore import _label_graph, _label_table
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
-from .orbitals import _pair_bytes, _partition
+from .orbitals import _partition
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
 __all__ = [
@@ -320,35 +329,15 @@ class OrbitalClassification:
 
 
 def _classify_pairs(
-    points, pair_label, vertex_label, eps: str | None = None
+    points, row_of, vertex_label, eps: str | None = None
 ) -> OrbitalClassification:
-    """Build an :class:`OrbitalClassification` from a symmetric pair
-    invariant ``pair_label(i, j) -> int`` on index pairs ``i != j``.
-
-    Classes are numbered by first sight into one byte per ordered pair,
-    then renumbered into sorted-label order; symmetry is checked on every
-    pair by comparing each row of ``class_of`` with its column."""
+    """Build an :class:`OrbitalClassification` from the label table of a
+    symmetric pair invariant: ``row_of(i)`` labels the pairs (i, j) for
+    every j (see :func:`srgkit.graphcore._label_table`)."""
     n = len(points)
-    seen: dict[int, int] = {}
-    class_of = _pair_bytes(n)
-    for i in range(n):
-        row = [
-            seen.setdefault(pair_label(i, j), len(seen) + 1) if j != i else 0
-            for j in range(n)
-        ]
-        if len(seen) > 255:
-            raise ValueError("pair invariant has more than 255 labels")
-        class_of[i * n : (i + 1) * n] = row
-    labels = tuple(sorted(seen))
-    # first-sight number k -> 1 + the place of its label in sorted order
-    renumber = bytes([0, *(1 + labels.index(lab) for lab in seen)]).ljust(256, b"\0")
-    class_of = bytes(class_of).translate(renumber)
-    for i in range(n):
-        row = class_of[i * n : (i + 1) * n]
-        if row != class_of[i::n]:
-            j = next(j for j in range(n) if row[j] != class_of[j * n + i])
-            raise AssertionError(f"pair invariant is asymmetric at ({i}, {j})")
-    partition = _partition(n, class_of)
+    class_of, labels = _label_table(n, row_of)
+    partition = _partition(n, bytes(class_of))
+    del class_of  # the partition holds its own copy
     names = [vertex_label(p) for p in points]
     return OrbitalClassification(
         points=tuple(points),
@@ -369,20 +358,29 @@ def _classify_pairs(
 # ---------------------------------------------------------------------------
 
 
-def _pair_kernel(space: FormedSpace, points, label_of, reference=None):
-    """``pair_label(i, j) = label_of[inner(x_i, x_j)]`` by table lookup.
+def _pair_kernel(space: FormedSpace, points, label_of, reference=None, tangency=False):
+    """``row_of(i)``: the labels ``label_of[inner(x_i, x_j)]`` of point i
+    with every point j, as bytes.
 
-    Each point's row functional x.G (G = ``space.gram()``) is held as one
-    ``mul_table`` row per coordinate, and its column vector is
-    ``space.conjugate(x)``; an inner value then costs ``dim`` lookups and
-    adds.  On the base row the expansion is checked against
-    ``space.inner`` and, where given, the label against
-    ``reference(x_0, x_j)``.
+    Each point's row functional x.G (G = ``space.gram()``) is one product
+    lookup per coordinate, mapped over that coordinate of every column
+    ``space.conjugate(x_j)``.  Products are spread: base-p digit t sits at
+    radix^t, radix > dim (p - 1), so they add as ints without carries.  On
+    the base row the expansion is checked against ``space.inner``, the
+    label against ``reference(x_0, x_j)`` where given, and with
+    ``tangency`` label 1 against a joining line with one singular point.
     """
     field = space.field
     add, mul = field.add_table, field.mul_table
     gram = space.gram()
     reps = [p.rep for p in points]
+    radix = space.dim * (field.p - 1) + 1
+    place = [radix**t for t in range(field.k)]
+    spread = [sum(map(operator.mul, field.coeffs_of(e), place)) for e in range(field.q)]
+    element_of = [
+        field.index_of([s // r % radix for r in place]) for s in range(radix**field.k)
+    ]
+    products = [[spread[m] for m in mul_row] for mul_row in mul]
     functionals = []
     for x in reps:
         row = []
@@ -390,47 +388,30 @@ def _pair_kernel(space: FormedSpace, points, label_of, reference=None):
             acc = 0
             for xi, gram_row in zip(x, gram):
                 acc = add[acc][mul[xi][gram_row[j]]]
-            row.append(mul[acc])
-        functionals.append(tuple(row))
-    columns = [space.conjugate(x) for x in reps]
+            row.append(products[acc].__getitem__)
+        functionals.append(row)
+    columns = list(zip(*map(space.conjugate, reps)))
+    label_of_sum = bytes(label_of[e] for e in element_of)
 
-    def inner(i: int, j: int) -> int:
-        acc = 0
-        for row, c in zip(functionals[i], columns[j]):
-            acc = add[acc][row[c]]
-        return acc
+    def sums(i: int):  # the spread inner values of point i with every point
+        return reduce(partial(map, operator.add), map(map, functionals[i], columns))
 
     x = reps[0]
+    base_row = list(map(element_of.__getitem__, sums(0)))
     for j in range(1, len(reps)):
-        value = inner(0, j)
+        value, label = base_row[j], label_of[base_row[j]]
         if value != space.inner(x, reps[j]):
             raise AssertionError(f"Gram expansion differs from the form at (0, {j})")
-        if reference is not None and label_of[value] != reference(x, reps[j]):
+        if reference is not None and label != reference(x, reps[j]):
             raise AssertionError(f"pair label differs from its reference at (0, {j})")
-
-    def pair_label(i: int, j: int) -> int:
-        return label_of[inner(i, j)]
-
-    return pair_label
-
-
-def _tangency_graph(space: FormedSpace, points, pair_label) -> Graph:
-    """Graph on ``points``, adjacent where the pair label is 1 (the
-    tangency class), each unordered pair evaluated once.  The base row is
-    checked against the geometric definition: the joining line has exactly
-    one singular point."""
-    n = len(points)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pair_label(i, j) == 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    for j in range(1, n):
-        tangent = line_tangency_count(space, points[0], points[j]) == 1
-        if tangent != bool(rows[0] >> j & 1):
+        tangent = tangency and line_tangency_count(space, points[0], points[j]) == 1
+        if tangent != (tangency and label == 1):
             raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
-    return Graph(rows, [str(p) for p in points], validate=False)
+
+    def row_of(i: int) -> bytes:
+        return bytes(map(label_of_sum.__getitem__, sums(i)))
+
+    return row_of
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +419,10 @@ def _tangency_graph(space: FormedSpace, points, pair_label) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _unitary_pairs(n: int, q: int, family: str, max_v: int):
+def _unitary_pairs(n: int, q: int, family: str, max_v: int, tangency=False):
     """The nonsingular points of the n-dimensional hermitian space over
-    F_{q^2} at unit representatives, with their hermitian space and the
-    relative norm of h(x, y) as pair label."""
+    F_{q^2} at unit representatives, with the rows of the relative norm of
+    h(x, y) as pair label (see :func:`_pair_kernel` for ``tangency``)."""
     predicted = params_closed_form(FamilyId.make("NU", n=n, q=q)).v
     _guard(family, predicted, max_v)
     space = FormedSpace("hermitian", field_of_order(q * q), n)
@@ -452,7 +433,7 @@ def _unitary_pairs(n: int, q: int, family: str, max_v: int):
             f"enumerated {len(points)} nonsingular points, expected {predicted}"
         )
     norm_index = [norm(FieldElement(field, a)).index for a in range(field.q)]
-    return space, points, _pair_kernel(space, points, norm_index)
+    return points, _pair_kernel(space, points, norm_index, tangency=tangency)
 
 
 def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -462,8 +443,8 @@ def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 
     For unit representatives the line is tangent exactly when its Gram
     determinant 1 - N(h(x, y)) vanishes, so adjacency is norm label 1."""
-    space, points, pair_label = _unitary_pairs(n, q, f"NU_{n}({q})", max_v)
-    return _tangency_graph(space, points, pair_label)
+    points, row_of = _unitary_pairs(n, q, f"NU_{n}({q})", max_v, tangency=True)
+    return _label_graph(len(points), row_of, 1, list(map(str, points)))
 
 
 def build_unitary_orbitals(
@@ -477,10 +458,8 @@ def build_unitary_orbitals(
     The labeling is representative-independent because rescaling unit
     vectors multiplies h(x, y) by an element of norm 1.
     """
-    _, points, pair_label = _unitary_pairs(
-        n, q, f"NU_{n}({q}) pair classes", max_v
-    )
-    return _classify_pairs(points, pair_label, str)
+    points, row_of = _unitary_pairs(n, q, f"NU_{n}({q}) pair classes", max_v)
+    return _classify_pairs(points, row_of, str)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +505,11 @@ def _orthogonal_point_classes(m: int, q: int):
     return space, by_eps
 
 
-def _orthogonal_pair_label(space: FormedSpace, points, c_value: int):
-    """Pair label of one square class with form value c: the halved
+def _orthogonal_pair_label(space: FormedSpace, points, c_value: int, tangency=False):
+    """Label rows of one square class with form value c: the halved
     bilinear form divided by c, read up to sign, min(t, -t) for
     t = B(x, y) (2c)^-1; checked against ``space.half_inner`` on the base
-    row."""
+    row (see :func:`_pair_kernel` for ``tangency``)."""
     field = space.field
     mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
     two_c_inv = inv[mul[c_value][field.add_table[1][1]]]
@@ -544,7 +523,7 @@ def _orthogonal_pair_label(space: FormedSpace, points, c_value: int):
 
     label_of = [up_to_sign(mul[b][two_c_inv]) for b in range(field.q)]
 
-    return _pair_kernel(space, points, label_of, reference)
+    return _pair_kernel(space, points, label_of, reference, tangency)
 
 
 def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -559,9 +538,8 @@ def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
     _guard(f"NO_{2 * m + 1}^{eps}({q})", params_closed_form(fid).v, max_v)
     space, by_eps = _orthogonal_point_classes(m, q)
     points, c_value = by_eps[eps]
-    return _tangency_graph(
-        space, points, _orthogonal_pair_label(space, points, c_value)
-    )
+    row_of = _orthogonal_pair_label(space, points, c_value, tangency=True)
+    return _label_graph(len(points), row_of, 1, list(map(str, points)))
 
 
 def build_orthogonal_orbitals(
@@ -586,8 +564,8 @@ def build_orthogonal_orbitals(
         params_closed_form(fid).v,
         max_v,
     )
-    pair_label = _orthogonal_pair_label(space, points, c_value)
-    return _classify_pairs(points, pair_label, str, eps=eps)
+    row_of = _orthogonal_pair_label(space, points, c_value)
+    return _classify_pairs(points, row_of, str, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +578,8 @@ def build_polar_complement(
 ) -> Graph:
     """Complement of the perpendicularity graph on the singular points of a
     quadratic space: ``kind`` is "O7" (dimension 7) or "O8+" (dimension 8,
-    plus type)."""
+    plus type).  Two distinct points are adjacent exactly when their polar
+    form value is nonzero."""
     kind = kind.replace("_", "")
     if kind == "O7":
         fid = FamilyId.make("polar-complement-O7", q=q)
@@ -617,13 +596,9 @@ def build_polar_complement(
         raise AssertionError(
             f"enumerated {len(points)} singular points, expected {predicted}"
         )
-    inner = space.inner
-    polar = build_graph(
-        points,
-        lambda a, b: a.rep != b.rep and inner(a.rep, b.rep) == 0,
-        labels=str,
-    )
-    return complement(polar)
+    nonzero = [0] + [1] * (space.field.q - 1)  # label 1: not perpendicular
+    row_of = _pair_kernel(space, points, nonzero)
+    return _label_graph(len(points), row_of, 1, list(map(str, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +608,29 @@ def build_polar_complement(
 
 def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
     """Graph on 3-subspaces of F_q^ambient_dim, two adjacent exactly when
-    they meet in a 2-space: each subspace is held as the bitset of its
-    q^2+q+1 projective points, and a 2-space meet is q+1 common points."""
+    they meet in a 2-space (q+1 common projective points).  A projective
+    point is one int with byte v set when subspace v contains it, so the
+    sum over a subspace's points is its row of intersection sizes.  A size
+    fits a byte: q >= 16 gives more than 8192 subspaces, past the pair cap."""
     q = field.q
     point_index = {
         rep: i for i, rep in enumerate(projective_reps(field, ambient_dim))
     }
-    masks = []
-    for s in subspaces:
-        point_reps = s.point_reps(field)
-        if len(point_reps) != q * q + q + 1:
-            raise AssertionError(f"a 3-space has {len(point_reps)} points")
-        mask = 0
-        for rep in point_reps:
-            mask |= 1 << point_index[rep]
-        masks.append(mask)
     n = len(subspaces)
-    meet_in_line = q + 1
-    rows = [0] * n
-    for i in range(n):
-        mi = masks[i]
-        acc = rows[i]
-        for j in range(i + 1, n):
-            if (mi & masks[j]).bit_count() == meet_in_line:
-                acc |= 1 << j
-                rows[j] |= 1 << i
-        rows[i] = acc
-    return Graph(rows, [str(s) for s in subspaces], validate=False)
+    incidence = [0] * len(point_index)
+    points_of = []
+    for v, s in enumerate(subspaces):
+        ids = [point_index[rep] for rep in s.point_reps(field)]
+        if len(ids) != q * q + q + 1:
+            raise AssertionError(f"a 3-space has {len(ids)} points")
+        for i in ids:
+            incidence[i] |= 1 << 8 * v
+        points_of.append(ids)
+
+    def row_of(v: int) -> bytes:
+        return sum(map(incidence.__getitem__, points_of[v])).to_bytes(n, "little")
+
+    return _label_graph(n, row_of, q + 1, [str(s) for s in subspaces])
 
 
 def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -760,10 +731,10 @@ def hamming_classification(
     _guard(f"H(3,{d}) pair classes", d**3, max_v)
     words = _words(d)
 
-    def pair_label(i: int, j: int) -> int:
-        return sum(1 for x, y in zip(words[i], words[j]) if x != y)
+    def row_of(i: int) -> bytes:
+        return bytes(sum(map(operator.ne, words[i], w)) for w in words)
 
-    return _classify_pairs(words, pair_label, str)
+    return _classify_pairs(words, row_of, str)
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +870,9 @@ def build_flag_orbitals(
             acc = add[acc][mul[a][b]]
         return acc == 0
 
-    def pair_label(i: int, j: int) -> int:
-        point, line = flags[i]
-        other_point, other_line = flags[j]
+    def pair_label(flag, other) -> int:
+        point, line = flag
+        other_point, other_line = other
         if point == other_point or line == other_line:
             return 1
         first = incident(point, other_line)
@@ -913,8 +884,8 @@ def build_flag_orbitals(
         return 2 if first or second else 3
 
     classification = _classify_pairs(
-        flags, pair_label, lambda f: f"{':'.join(map(str, f.point))}|"
-        f"{':'.join(map(str, f.line))}"
+        flags, lambda i: bytes(map(pair_label, itertools.repeat(flags[i]), flags)),
+        lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
     )
     lengths = classification.suborbit_lengths
     if (lengths[1], lengths[2], lengths[3]) != (2 * q, 2 * q * q, q**3):

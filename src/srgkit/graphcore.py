@@ -6,7 +6,8 @@ that sit exhaustive verifiers: strong regularity (every vertex pair is
 checked), BFS distance computation, distance-i graphs, complements, and
 full distance-regularity checking with intersection-array extraction (by
 the three-term identity on packed counter rows, or a BFS from every root).
-The graph6 codec runs through binascii.
+The graph6 codec runs through binascii.  Graphs read off pair labels
+share one label table, in which every pair is compared with its mirror.
 Failures carry a witness (the first offending vertex or pair) rather than
 a bare boolean.
 """
@@ -16,9 +17,11 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import or_
 from typing import Callable, Iterator, Sequence
+
+from .gf import ScaleGuardError
 
 __all__ = [
     "Graph",
@@ -41,6 +44,13 @@ __all__ = [
 
 # most ordered pairs, one byte each, that a pair table may hold: degree 8192
 _PAIR_CAP = 1 << 26
+
+
+def _pair_bytes(n: int, fill: int = 0) -> bytearray:
+    """One ``fill`` byte per ordered pair of n points; the cap is checked first."""
+    if n * n > _PAIR_CAP:
+        raise ScaleGuardError(f"the pair partition of {n} points", n * n, _PAIR_CAP)
+    return bytearray([fill]) * (n * n)
 
 
 def bits(x: int) -> Iterator[int]:
@@ -263,29 +273,73 @@ def build_graph(
     """Build a graph from a vertex list and a symmetric, irreflexive
     adjacency predicate.
 
-    The predicate is evaluated on unordered pairs (u < v in list order);
-    irreflexivity is checked on every vertex and symmetry is spot-checked
-    on a deterministic sample of pairs.
+    The predicate is evaluated on every ordered pair into one label table
+    (:func:`_label_table`), which compares every pair with its mirror, so a
+    reflexive vertex and the first asymmetric pair are refused by name.
+    The table holds one byte per ordered pair: more than 2^26 pairs (8192
+    vertices) raise ScaleGuardError.
     """
-    n = len(vertices)
-    rows = [0] * n
-    for i in range(n):
-        vi = vertices[i]
-        if adjacent(vi, vi):
+
+    def row_of(i: int) -> bytes:
+        row = bytes(map(bool, map(adjacent, repeat(vertices[i]), vertices)))
+        if row[i]:
             raise ValueError(f"predicate is reflexive at vertex {i}")
-        for j in range(i + 1, n):
-            if adjacent(vi, vertices[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    step = max(1, n // 16)
-    for i in range(0, n, step):
-        for j in range(i + 1, n, step):
-            if adjacent(vertices[j], vertices[i]) != bool((rows[i] >> j) & 1):
-                raise ValueError(f"predicate is asymmetric at ({i}, {j})")
-    label_strings = (
-        [labels(v) for v in vertices] if labels else [str(v) for v in vertices]
-    )
-    return Graph(rows, label_strings, validate=False)
+        return row
+
+    names = list(map(labels or str, vertices))
+    return _label_graph(len(vertices), row_of, 1, names, "predicate", ValueError)
+
+
+def _label_table(n: int, row_of, subject="pair invariant", error=AssertionError):
+    """The class of every ordered pair of n points, one byte each, row-major,
+    and the labels found off the diagonal, ascending.
+
+    ``row_of(i)`` gives the labels of the pairs (i, 0), ..., (i, n - 1),
+    ints in range(256); the label of (i, i) is ignored.  The diagonal is
+    class 0 and label l is class 1 + its rank.  Every pair (i, j) is
+    compared with (j, i), and the first asymmetric pair in row-major order
+    is named by ``error``.  More than 255 labels raise ValueError.
+    """
+    table = _pair_bytes(n)
+    unseen = bytes(range(256))  # the labels not yet found off the diagonal
+    for i in range(n):
+        row, start = row_of(i), i * n
+        try:
+            table[start : start + n] = row
+        except ValueError:  # a label beyond one byte: count the labels to say why
+            found = {x for h in range(n) for j, x in enumerate(row_of(h)) if j != h}
+            why = "has more than 255" if len(found) > 255 else "needs byte"
+            raise ValueError(f"{subject} {why} labels") from None
+        unseen = unseen.translate(None, table[start : start + i])
+        unseen = unseen.translate(None, table[start + i + 1 : start + n])
+    if not unseen:
+        raise ValueError(f"{subject} has more than 255 labels")
+    labels = bytes(range(256)).translate(None, unseen)
+    rank = bytes(labels.find(b) + 1 for b in range(256))
+    for i in range(n):  # (i, j) against (j, i) for j > i, then row i to classes
+        start = i * n
+        row, column = table[start + i + 1 : start + n], table[start + n + i :: n]
+        if row != column:
+            j = next(j for j, (a, b) in enumerate(zip(row, column), i + 1) if a != b)
+            raise error(f"{subject} is asymmetric at ({i}, {j})")
+        table[start : start + n] = table[start : start + n].translate(rank)
+        table[start + i] = 0
+    return table, tuple(labels)
+
+
+def _class_rows(n: int, table: bytes | bytearray, classes) -> list[int]:
+    """Row x is the bitset of the pairs (x, y) whose class is in ``classes``:
+    the reversed row, translated to binary digits, puts (x, y) at bit y."""
+    digits = bytes(ord("1") if b in classes else ord("0") for b in range(256))
+    return [int(table[x * n : (x + 1) * n][::-1].translate(digits), 2) for x in range(n)]
+
+
+def _label_graph(n, row_of, label, names, subject="pair invariant", error=AssertionError):
+    """The graph joining the pairs labelled ``label`` in the label table of
+    ``row_of`` (see :func:`_label_table`)."""
+    table, labels = _label_table(n, row_of, subject, error)
+    classes = {1 + labels.index(label)} if label in labels else ()
+    return Graph(_class_rows(n, table, classes), names, validate=False)
 
 
 def _basic_failure(g: Graph) -> RegularityFailure | None:
@@ -302,22 +356,11 @@ def _basic_failure(g: Graph) -> RegularityFailure | None:
             )
     if k == n - 1:
         return RegularityFailure("complete graph")
-    seen = _reachable(g, 0)
+    seen = reduce(or_, distance_masks(g, 0))
     if seen.bit_count() != n:
         unreachable = next(bits(~seen & ((1 << n) - 1)))
         return RegularityFailure("disconnected", witness=(0, unreachable))
     return None
-
-
-def _reachable(g: Graph, root: int) -> int:
-    seen = frontier = 1 << root
-    while frontier:
-        grow = 0
-        for u in bits(frontier):
-            grow |= g.rows[u]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen
 
 
 def distance_masks(g: Graph, root: int) -> list[int]:
@@ -482,7 +525,7 @@ def _scan_drg(g: Graph) -> IntersectionArray | RegularityFailure:
         if diameter is None:
             diameter = l
             b = [-1] * (l + 1)
-            c = [-1] * (l + 1)
+            c = [-1, 1] + [-1] * (l - 1)  # c_1 = 1 unless an edge is one-way
             b[0] = k
         elif l != diameter:
             return RegularityFailure(
@@ -499,7 +542,7 @@ def _scan_drg(g: Graph) -> IntersectionArray | RegularityFailure:
                     c[d] = cd
                 elif cd != c[d]:
                     return RegularityFailure(
-                        f"c_{d} not constant",
+                        f"c_{d} not constant" if d > 1 else "c_1 is not 1",
                         witness=(root, v),
                         expected=c[d],
                         found=cd,
@@ -549,7 +592,7 @@ def distance_graph(g: Graph, i: int) -> Graph:
     exactly i (empty edge set when i exceeds the diameter)."""
     if i < 1:
         raise ValueError("distance must be >= 1")
-    if g.n and _reachable(g, 0).bit_count() != g.n:
+    if g.n and reduce(or_, distance_masks(g, 0)).bit_count() != g.n:
         raise ValueError("distance_graph requires a connected graph")
     for j, level in enumerate(_distance_levels(_neighbour_lists(g))):
         if j == i:

@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gf import ScaleGuardError, make_field
-from .graphcore import _PAIR_CAP, Graph
+from .gf import make_field
+from .graphcore import Graph, _class_rows, _pair_bytes
 
 __all__ = [
     "OrbitalPartition",
@@ -86,13 +86,6 @@ class OrbitalPartition:
 _UNCLASSIFIED = 255  # the byte of a pair the orbit BFS has not reached
 
 
-def _pair_bytes(n: int, fill: int = 0) -> bytearray:
-    """One ``fill`` byte per ordered pair of n points; the cap is checked first."""
-    if n * n > _PAIR_CAP:
-        raise ScaleGuardError(f"the pair partition of {n} points", n * n, _PAIR_CAP)
-    return bytearray([fill]) * (n * n)
-
-
 def _partition(n: int, class_of: bytes) -> OrbitalPartition:
     """The partition with pair classes ``class_of``.  Reps, suborbit lengths
     and pairing are read off the base row (0, y) and the first column
@@ -145,15 +138,7 @@ def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
     if cls == 0:
         raise ValueError("the diagonal class has no graph")
     wanted = (cls, partition.paired[cls])
-    n = partition.degree
-    class_of = partition.class_of
-    # Row x is the bitset of the wanted bytes in row x: the reversed row,
-    # translated to binary digits, puts pair (x, y) at bit y.
-    digits = bytes(ord("1") if b in wanted else ord("0") for b in range(256))
-    rows = [
-        int(class_of[x * n : (x + 1) * n][::-1].translate(digits), 2)
-        for x in range(n)
-    ]
+    rows = _class_rows(partition.degree, partition.class_of, wanted)
     return Graph(rows, validate=False)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from srgkit.geometry import line_tangency_count
+from srgkit.geometry import line_tangency_count, rref
 from srgkit.gf import FieldElement, field_of_order
-from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph
+from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph, complement
 from srgkit.orbitals import mulclose
 
 
@@ -81,6 +81,27 @@ def tangency_graph(space, points):
     )
 
 
+def meet_graph_by_rank(field, subspaces):
+    """Graph on 3-subspaces, two adjacent exactly when their stacked bases
+    have rank 4, so that they meet in a 2-space."""
+    return build_graph(
+        subspaces,
+        lambda a, b: len(rref(field, list(a.rows + b.rows))) == 4,
+        labels=str,
+    )
+
+
+def polar_complement_by_form(space, points):
+    """Complement of the graph joining distinct singular points whose
+    polar form value is 0, evaluated by the form on every pair."""
+    polar = build_graph(
+        points,
+        lambda a, b: a.rep != b.rep and space.inner(a.rep, b.rep) == 0,
+        labels=str,
+    )
+    return complement(polar)
+
+
 def pair_orbit_classes(action) -> list[int]:
     """The pair-orbit class of every ordered pair, row-major, from the
     closed group: the orbit of (0, y) is {(g(0), g(y)) : g in G}, and the
@@ -130,8 +151,9 @@ def srg_violation(graph):
 def drg_violation(graph):
     """What check_drg should find on a connected regular graph: the first
     (reason, witness, expected, found) met scanning roots, then distance,
-    then vertex, where the eccentricity, c_d or b_d differs from the first
-    value seen; else the intersection array.  Distances by set BFS."""
+    then vertex, where c_1 is not 1, or the eccentricity, c_d or b_d
+    differs from the first value seen; else the intersection array.
+    Distances by set BFS."""
     nbrs = [set(bits(row)) for row in graph.rows]
     first: dict[str, int] = {}
     for root in range(graph.n):
@@ -152,6 +174,8 @@ def drg_violation(graph):
                 counts = [("c", len(nbrs[v] & layers[d - 1]))]
                 if d < l:
                     counts.append(("b", len(nbrs[v] & layers[d + 1])))
+                if d == 1 and counts[0][1] != 1:  # an edge at v is one-way
+                    return "c_1 is not 1", (root, v), 1, counts[0][1]
                 for side, count in counts:
                     expected = first.setdefault(f"{side}_{d}", count)
                     if count != expected:

@@ -32,6 +32,7 @@ from srgkit.families import (
 )
 from srgkit.geometry import (
     FormedSpace,
+    enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
     perp_type,
@@ -475,6 +476,17 @@ def test_polar_complements_at_q2():
     )
 
 
+@pytest.mark.parametrize("kind, q", [("O7", 2), ("O7", 3), ("O8+", 2)])
+def test_polar_complement_matches_the_form_on_every_pair(kind, q):
+    form, dim = ("quadratic-odd", 7) if kind == "O7" else ("quadratic-plus", 8)
+    space = FormedSpace(form, field_of_order(q), dim)
+    points = enumerate_points(space, "singular")
+    expected = oracles.polar_complement_by_form(space, points)
+    graph = build_polar_complement(kind, q)
+    assert graph.rows == expected.rows
+    assert graph.labels == expected.labels
+
+
 def test_polar_complement_rejects_unknown_kind():
     with pytest.raises(ValueError):
         build_polar_complement("O9", 2)
@@ -489,6 +501,15 @@ def test_dual_polar_sp6_q2_is_distance_regular():
     g = build_dual_polar_sp6(2)
     assert g.n == 135
     assert check_drg(g) == IntersectionArray((14, 12, 8), (1, 3, 7))
+
+
+def test_dual_polar_sp6_matches_the_meet_by_rank():
+    field = field_of_order(2)
+    subspaces = enumerate_max_isotropic(FormedSpace("symplectic", field, 6))
+    expected = oracles.meet_graph_by_rank(field, subspaces)
+    graph = build_dual_polar_sp6(2)
+    assert graph.rows == expected.rows
+    assert graph.labels == expected.labels
 
 
 def test_dual_polar_distance_three_matches_closed_form():
@@ -577,14 +598,16 @@ def test_pair_classes_reject_an_invariant_asymmetric_at_one_pair():
         return 3 if (i, j) == (5, 7) else 1 + (i + j) % 2
 
     with pytest.raises(AssertionError, match=r"asymmetric at \(5, 7\)"):
-        _classify_pairs(range(48), pair_label, str)
+        _classify_pairs(range(48), lambda i: [pair_label(i, j) for j in range(48)], str)
 
 
 def test_pair_classes_are_bytes_and_reject_over_255_labels():
     cls = hamming_classification(3)
     assert isinstance(cls.partition.class_of, bytes)
     with pytest.raises(ValueError, match="more than 255 labels"):
-        _classify_pairs(range(24), lambda i, j: min(i, j) * 24 + max(i, j), str)
+        _classify_pairs(
+            range(24), lambda i: [min(i, j) * 24 + max(i, j) for j in range(24)], str
+        )
 
 
 def test_classification_tensors_validate():

@@ -81,6 +81,10 @@ class TestGraphType:
     def test_asymmetric_predicate_detected(self):
         with pytest.raises(ValueError):
             build_graph(list(range(40)), lambda u, v: u < v)
+        # (5, 7) lies off the base row and off every 1/16 sample (step 3),
+        # so only a check of every ordered pair sees it
+        with pytest.raises(ValueError, match=r"predicate is asymmetric at \(5, 7\)"):
+            build_graph(range(48), lambda u, v: (u, v) == (5, 7))
 
 
 class TestSrgParams:
@@ -388,6 +392,27 @@ def test_check_srg_catches_degree_preserving_switches(spec, params):
         assert result.reason == f"{kind} pairs disagree on common neighbours"
 
 
+@pytest.mark.parametrize("spec, params", SWITCHED, ids=[s for s, _ in SWITCHED])
+def test_check_srg_names_a_single_edge_flip(spec, params):
+    """Toggling one seeded vertex pair moves two degrees by one.  check_srg
+    must name the first vertex whose degree differs from vertex 0's, as a
+    set-based degree count does, and the common-neighbour oracle must
+    refuse the graph too."""
+    rng = random.Random(spec)
+    g = build_family(parse_family_spec(spec))
+    u, v = rng.sample(range(g.n), 2)
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    flipped = Graph(rows)
+    degrees = [len(set(bits(row))) for row in rows]
+    w = next(x for x in range(g.n) if degrees[x] != degrees[0])
+    assert check_srg(flipped) == RegularityFailure(
+        "not regular", witness=(0, w), expected=degrees[0], found=degrees[w]
+    )
+    assert oracles.srg_violation(flipped) is not None
+
+
 DRG_SWITCHED = {
     "J(7,3)": lambda: build_johnson(7, 2),
     "J(8,3)": lambda: build_johnson(8, 2),
@@ -523,6 +548,14 @@ def test_check_drg_certifies_by_the_identity_alone(monkeypatch, name, array):
 
     monkeypatch.setattr(graphcore, "_scan_drg", no_scan)
     assert check_drg(DRG_CORPUS[name]()) == IntersectionArray(*array)
+
+
+def test_check_drg_names_a_one_way_edge():
+    """An edge that is one-way shows as a vertex at distance 1 whose c_1 is
+    0: a failure with its witness, not an error."""
+    assert check_drg(DRG_CORPUS["directed 7-cycle"]()) == RegularityFailure(
+        "c_1 is not 1", witness=(0, 1), expected=1, found=0
+    )
 
 
 def test_distance_graph_matches_per_root_bfs():
