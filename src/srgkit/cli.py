@@ -8,10 +8,15 @@ scheme   intersection-number tensor of an array, or a symbolic derivation
 table1   regression run over the whole desk-scale target matrix
 orbitals load a permutation-generator file and report its pair classes
 
-All payloads go to stdout as JSON with sorted keys; a one-line human
-summary (with timing) goes to stderr.  Rationals appear as ``num/den``
-strings.  Exit codes: 0 pass, 1 verification failure, 2 input error,
-3 scale guard, 4 infeasible array.
+Each verb returns its exit code, its payload (or None) and a one-line
+summary; :func:`main` alone times the verb, writes the payload to stdout as
+JSON with sorted keys and the summary with the elapsed time to stderr.  So
+stdout carries nothing that varies between runs.  Rationals appear as
+``num/den`` strings.  Exit codes: 0 pass, 1 verification failure, 2 input
+error, 3 scale guard (or a ``table1`` row skipped by it), 4 infeasible
+array.  A verb refuses its input by raising :class:`_Refusal` where it
+detects the fault; ``main`` prints that message, a ``ScaleGuardError`` or an
+``InfeasibleArrayError`` as one ``error:`` line and writes no payload.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .graphcore import (
     IntersectionArray,
     RegularityFailure,
     SrgParams,
+    _array_entries,
     check_drg,
     check_srg,
     from_edgelist,
@@ -66,13 +72,19 @@ EXIT_SCALE = 3
 EXIT_INFEASIBLE = 4
 
 
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+class _Refusal(Exception):
+    """A verb declines its input: exit with ``code``, print the message."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+def _family(spec: str) -> FamilyId:
+    try:
+        return parse_family_spec(spec)
+    except ValueError as e:
+        raise _Refusal(EXIT_INPUT, str(e)) from None
 
 
 def _failure_verdict(failure: RegularityFailure) -> dict:
@@ -102,21 +114,16 @@ def _drg_verdict(result: IntersectionArray | RegularityFailure) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        fid = parse_family_spec(args.family)
-    except ValueError as e:
-        _note(f"error: {e}")
-        return EXIT_INPUT
-    try:
-        graph = build_family(fid, max_v=args.max_v)
-    except ScaleGuardError as e:
-        _note(f"error: {e}")
-        return EXIT_SCALE
+def cmd_gen(args: argparse.Namespace) -> tuple[int, None, str]:
+    fid = _family(args.family)
+    graph = build_family(fid, max_v=args.max_v)
     text = to_graph6(graph) + "\n" if args.format == "graph6" else to_edgelist(graph)
-    Path(args.output).write_text(text)
-    _note(f"gen {fid}: wrote {graph.n} vertices to {args.output} ({args.format})")
-    return EXIT_PASS
+    try:
+        Path(args.output).write_text(text)
+    except OSError as e:
+        raise _Refusal(EXIT_INPUT, f"cannot write {args.output!r}: {e}") from None
+    summary = f"gen {fid}: wrote {graph.n} vertices to {args.output} ({args.format})"
+    return EXIT_PASS, None, summary
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +131,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_graph_file(path: Path) -> Graph:
-    text = path.read_text()
-    if text.lstrip().startswith("#"):
-        return from_edgelist(text)
-    return from_graph6(text.strip())
+def _load_graph_file(name: str) -> Graph:
+    try:
+        text = Path(name).read_text()
+        if text.lstrip().startswith("#"):
+            return from_edgelist(text)
+        return from_graph6(text.strip())
+    except (OSError, ValueError) as e:
+        raise _Refusal(EXIT_INPUT, f"unreadable graph file {name!r}: {e}") from None
 
 
 def _closed_form_verdict(
@@ -159,28 +169,14 @@ def _closed_form_verdict(
     return {"verdict": "pass", "params": list(expected.as_tuple())}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    source = Path(args.target)
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     fid: FamilyId | None = None
-    if source.exists():
-        try:
-            graph = _load_graph_file(source)
-        except ValueError as e:
-            _note(f"error: unreadable graph file {args.target!r}: {e}")
-            return EXIT_INPUT
-        name = str(args.target)
+    if Path(args.target).exists():
+        graph = _load_graph_file(args.target)
+        name = args.target
     else:
-        try:
-            fid = parse_family_spec(args.target)
-        except ValueError as e:
-            _note(f"error: {e}")
-            return EXIT_INPUT
-        try:
-            graph = build_family(fid, max_v=args.max_v)
-        except ScaleGuardError as e:
-            _note(f"error: {e}")
-            return EXIT_SCALE
+        fid = _family(args.target)
+        graph = build_family(fid, max_v=args.max_v)
         name = str(fid)
     srg = check_srg(graph)
     drg = check_drg(graph)
@@ -192,15 +188,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "srg": _srg_verdict(srg),
         "drg": _drg_verdict(drg),
         "closed_form": closed,
-        "seconds": round(time.perf_counter() - started, 3),
     }
-    _emit(report)
     ok = (
         isinstance(srg, SrgParams) or isinstance(drg, IntersectionArray)
     ) and closed["verdict"] != "fail"
-    summary = "pass" if ok else "fail"
-    _note(f"verify {name}: {summary} in {report['seconds']}s")
-    return EXIT_PASS if ok else EXIT_VERIFICATION
+    code = EXIT_PASS if ok else EXIT_VERIFICATION
+    return code, report, f"verify {name}: {'pass' if ok else 'fail'}"
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +201,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left, sep, right = text.partition(";")
-    if not sep:
-        raise ValueError("array needs the form 'b0,b1,...;c1,c2,...'")
-    return _array_side(left, "b", 0), _array_side(right, "c", 1)
+def _parse_array(text: str) -> IntersectionArray:
+    try:
+        b, c = _array_entries(text)
+    except ValueError as e:
+        raise _Refusal(EXIT_INPUT, str(e)) from None
+    # array-shape violations (positivity, c_1 = 1, integrality of the
+    # valencies) are infeasibility, not input errors
+    try:
+        return IntersectionArray(b, c)
+    except ValueError as e:
+        raise _Refusal(EXIT_INFEASIBLE, f"infeasible array: {e}") from None
 
 
-def _array_side(text: str, side: str, first: int) -> tuple[int, ...]:
-    """The integer entries of one side of an array, b_0.. or c_1.."""
-    entries = []
-    for i, s in enumerate(text.split(","), first):
-        try:
-            entries.append(int(s))
-        except ValueError:
-            raise ValueError(
-                f"array entry {side}{i} = {s!r} is not an integer"
-            ) from None
-    return tuple(entries)
+def _dual_polar_exponent(job: str) -> Fraction:
+    try:
+        e = Fraction(job.partition(":")[2])
+    except (ValueError, ZeroDivisionError):
+        raise _Refusal(EXIT_INPUT, f"bad dual-polar exponent in {job!r}") from None
+    if e not in _DUAL_POLAR_EXPONENTS:
+        allowed = ", ".join(map(str, _DUAL_POLAR_EXPONENTS))
+        raise _Refusal(EXIT_INPUT, f"dual-polar exponent must be one of {allowed}")
+    return e
 
 
 def _scheme_array_report(array: IntersectionArray) -> dict:
@@ -323,45 +320,17 @@ def _scheme_grassmann_report() -> dict:
     }
 
 
-def cmd_scheme(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_scheme(args: argparse.Namespace) -> tuple[int, dict, str]:
     job = args.job
-    try:
-        if job == "g2":
-            report = _scheme_g2_report()
-        elif job == "grassmann":
-            report = _scheme_grassmann_report()
-        elif job.startswith("dualpolar:"):
-            try:
-                e = Fraction(job.partition(":")[2])
-            except (ValueError, ZeroDivisionError):
-                _note(f"error: bad dual-polar exponent in {job!r}")
-                return EXIT_INPUT
-            if e not in _DUAL_POLAR_EXPONENTS:
-                allowed = ", ".join(map(str, _DUAL_POLAR_EXPONENTS))
-                _note(f"error: dual-polar exponent must be one of {allowed}")
-                return EXIT_INPUT
-            report = _scheme_dual_polar_report(e)
-        else:
-            try:
-                b, c = _parse_array_entries(job)
-            except ValueError as e:
-                _note(f"error: {e}")
-                return EXIT_INPUT
-            # array-shape violations (positivity, c_1 = 1, integrality of
-            # the valencies) are infeasibility, not input errors
-            try:
-                report = _scheme_array_report(IntersectionArray(b, c))
-            except ValueError as e:
-                _note(f"error: infeasible array: {e}")
-                return EXIT_INFEASIBLE
-    except InfeasibleArrayError as e:
-        _note(f"error: infeasible array: {e}")
-        return EXIT_INFEASIBLE
-    report["seconds"] = round(time.perf_counter() - started, 3)
-    _emit(report)
-    _note(f"scheme {job}: done in {report['seconds']}s")
-    return EXIT_PASS
+    if job == "g2":
+        report = _scheme_g2_report()
+    elif job == "grassmann":
+        report = _scheme_grassmann_report()
+    elif job.startswith("dualpolar:"):
+        report = _scheme_dual_polar_report(_dual_polar_exponent(job))
+    else:
+        report = _scheme_array_report(_parse_array(job))
+    return EXIT_PASS, report, f"scheme {job}: done"
 
 
 # ---------------------------------------------------------------------------
@@ -385,34 +354,31 @@ TABLE1_TARGETS: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
 )
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
     rows = []
-    all_pass = True
     for spec, expected in TABLE1_TARGETS:
-        started = time.perf_counter()
-        fid = parse_family_spec(spec)
         row: dict = {"family": spec, "expected": list(expected)}
         try:
-            graph = build_family(fid, max_v=args.max_v)
+            graph = build_family(parse_family_spec(spec), max_v=args.max_v)
         except ScaleGuardError as e:
-            row["verdict"] = "skipped"
-            row["reason"] = str(e)
-            row["seconds"] = round(time.perf_counter() - started, 3)
-            rows.append(row)
-            _note(f"table1 {spec}: skipped ({e})")
-            continue
-        srg = check_srg(graph)
-        row["v"] = graph.n
-        row["srg"] = _srg_verdict(srg)
-        ok = isinstance(srg, SrgParams) and srg.as_tuple() == expected
-        row["verdict"] = "pass" if ok else "fail"
-        row["seconds"] = round(time.perf_counter() - started, 3)
-        all_pass = all_pass and ok
+            row.update(verdict="skipped", reason=str(e))
+        else:
+            srg = check_srg(graph)
+            ok = isinstance(srg, SrgParams) and srg.as_tuple() == expected
+            verdict = "pass" if ok else "fail"
+            row.update(v=graph.n, srg=_srg_verdict(srg), verdict=verdict)
         rows.append(row)
-        _note(f"table1 {spec}: {row['verdict']} in {row['seconds']}s")
-    report = {"targets": rows, "all_pass": all_pass}
-    _emit(report)
-    return EXIT_PASS if all_pass else EXIT_VERIFICATION
+    verdicts = [row["verdict"] for row in rows]
+    # a skipped row verified nothing, so it is not a pass
+    if "fail" in verdicts:
+        code = EXIT_VERIFICATION
+    elif "skipped" in verdicts:
+        code = EXIT_SCALE
+    else:
+        code = EXIT_PASS
+    tally = (f"{verdicts.count(v)} {v}" for v in ("pass", "fail", "skipped"))
+    report = {"targets": rows, "all_pass": code == EXIT_PASS}
+    return code, report, "table1: " + ", ".join(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +386,19 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_orbitals(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
     try:
         action = load_gens(args.gens)
     except (OSError, ValueError) as e:
-        _note(f"error: cannot load generators from {args.gens!r}: {e}")
-        return EXIT_INPUT
+        raise _Refusal(
+            EXIT_INPUT, f"cannot load generators from {args.gens!r}: {e}"
+        ) from None
     try:
         partition = compute_orbitals(action)
-    except ScaleGuardError as e:  # before ValueError, its base class
-        _note(f"error: {e}")
-        return EXIT_SCALE
+    except ScaleGuardError:  # before ValueError, its base class; main maps it
+        raise
     except ValueError as e:  # not transitive, or over 255 pair orbits
-        _note(f"error: {args.gens!r}: {e}")
-        return EXIT_INPUT
+        raise _Refusal(EXIT_INPUT, f"{args.gens!r}: {e}") from None
     classes = []
     for c in range(1, partition.rank):
         entry: dict = {
@@ -456,14 +420,9 @@ def cmd_orbitals(args: argparse.Namespace) -> int:
         "suborbit_lengths": list(partition.suborbit_lengths),
         "paired": list(partition.paired),
         "classes": classes,
-        "seconds": round(time.perf_counter() - started, 3),
     }
-    _emit(report)
-    _note(
-        f"orbitals {args.gens}: degree {partition.degree}, rank "
-        f"{partition.rank} in {report['seconds']}s"
-    )
-    return EXIT_PASS
+    summary = f"orbitals {args.gens}: degree {partition.degree}, rank {partition.rank}"
+    return EXIT_PASS, report, summary
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +479,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        code, payload, summary = args.func(args)
+    except _Refusal as e:
+        code, summary = e.code, f"error: {e}"
+    except ScaleGuardError as e:
+        code, summary = EXIT_SCALE, f"error: {e}"
+    except InfeasibleArrayError as e:  # its message begins "infeasible array"
+        code, summary = EXIT_INFEASIBLE, f"error: {e}"
+    else:
+        if payload is not None:
+            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        summary += f" in {time.perf_counter() - started:.3f}s"
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

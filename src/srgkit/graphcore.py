@@ -155,20 +155,37 @@ class IntersectionArray:
     @classmethod
     def parse(cls, text: str) -> "IntersectionArray":
         """Parse "b0,b1,...;c1,c2,..." (optional braces/spaces)."""
-        body = text.strip().strip("{}")
-        try:
-            b_part, c_part = body.split(";")
-            b = tuple(int(x) for x in b_part.split(","))
-            c = tuple(int(x) for x in c_part.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse intersection array {text!r}") from exc
-        return cls(b, c)
+        return cls(*_array_entries(text))
 
     def __str__(self) -> str:
         return "{%s; %s}" % (
             ",".join(map(str, self.b)),
             ",".join(map(str, self.c)),
         )
+
+
+def _array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The integer entries (b_0.., c_1..) of "b0,b1,...;c1,c2,...", with
+    optional enclosing braces and spaces.  A ValueError names the first
+    entry that is not an integer; the array's shape is not checked here."""
+    body = text.strip()
+    if body[:1] == "{" and body[-1:] == "}":
+        body = body[1:-1]
+    left, sep, right = body.partition(";")
+    if not sep:
+        raise ValueError("array needs the form 'b0,b1,...;c1,c2,...'")
+    sides = []
+    for side, first, part in (("b", 0, left), ("c", 1, right)):
+        entries = []
+        for i, s in enumerate(part.split(","), first):
+            try:
+                entries.append(int(s))
+            except ValueError:
+                raise ValueError(
+                    f"array entry {side}{i} = {s.strip()!r} is not an integer"
+                ) from None
+        sides.append(tuple(entries))
+    return sides[0], sides[1]
 
 
 @dataclass(frozen=True)

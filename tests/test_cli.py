@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from srgkit import cli
 from srgkit.cli import TABLE1_TARGETS, main
 from srgkit.graphcore import build_graph, from_graph6, to_edgelist
 
@@ -112,6 +114,13 @@ def test_verify_unreadable_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_directory_is_an_input_error(capsys, tmp_path):
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unreadable graph file {str(tmp_path)!r}" in captured.err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -162,6 +171,14 @@ def test_gen_exit_codes(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_gen_to_a_missing_directory_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.g6"
+    assert main(["gen", "johnson:n=7,i=1", "-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {str(path)!r}" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # scheme
 # ---------------------------------------------------------------------------
@@ -206,11 +223,18 @@ def test_scheme_exit_codes(capsys):
     assert main(["scheme", "3,x;1,1"]) == 2
     assert "array entry b1 = 'x' is not an integer" in capsys.readouterr().err
     # non-integral second valency: k_2 = 3*1/2
-    assert run(capsys, "scheme", "3,1;1,2")[0] == 4
+    assert main(["scheme", "3,1;1,2"]) == 4
+    assert "infeasible array: k_2 = 3/2 is not an integer" in capsys.readouterr().err
     assert run(capsys, "scheme", "dualpolar:5")[0] == 2
     assert run(capsys, "scheme", "dualpolar:x")[0] == 2
     assert main(["scheme", "dualpolar:2"]) == 2
     assert "exponent must be one of 1/2, 1, 3/2" in capsys.readouterr().err
+
+
+def test_scheme_accepts_the_braced_array_syntax(capsys):
+    code, braced = run(capsys, "scheme", "{ 3, 2 ; 1, 1 }")
+    assert code == 0
+    assert braced == run(capsys, "scheme", "3,2;1,1")[1]
 
 
 def test_scheme_g2_job(capsys):
@@ -267,6 +291,26 @@ def test_table1_runs_clean(capsys):
     for row in report["targets"]:
         assert row["verdict"] == "pass"
         assert row["srg"]["params"] == row["expected"]
+    assert "seconds" not in keys_of(report)
+
+
+def test_table1_with_every_row_skipped_is_not_a_pass(capsys):
+    code, report = run(capsys, "table1", "--max-v", "10")
+    assert code == 3
+    assert report["all_pass"] is False
+    assert {row["verdict"] for row in report["targets"]} == {"skipped"}
+
+
+def test_table1_failure_outranks_a_skipped_row(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli,
+        "TABLE1_TARGETS",
+        (("johnson:n=7,i=1", (35, 18, 9, 10)), ("nu:n=4,q=3", (540, 224, 88, 96))),
+    )
+    code, report = run(capsys, "table1", "--max-v", "100")
+    assert code == 1
+    assert report["all_pass"] is False
+    assert [row["verdict"] for row in report["targets"]] == ["fail", "skipped"]
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +408,13 @@ def test_orbitals_rejects_bad_generator_files(capsys, tmp_path, text, code, mess
 # ---------------------------------------------------------------------------
 
 
-def strip_timing(payload):
+def keys_of(payload):
+    """Every dict key anywhere in a parsed payload."""
     if isinstance(payload, dict):
-        return {
-            k: strip_timing(v) for k, v in payload.items() if k != "seconds"
-        }
+        return set(payload).union(*map(keys_of, payload.values()))
     if isinstance(payload, list):
-        return [strip_timing(v) for v in payload]
-    return payload
+        return set().union(*map(keys_of, payload))
+    return set()
 
 
 @pytest.mark.parametrize(
@@ -380,12 +423,31 @@ def strip_timing(payload):
         ("verify", "nu:n=3,q=3"),
         ("scheme", "6,4,4;1,1,3"),
         ("scheme", "g2"),
+        ("orbitals", "z5.gens"),
+        ("gen", "johnson:n=7,i=1", "-o", "j7.g6"),
     ],
+    ids=["verify", "scheme-array", "scheme-g2", "orbitals", "gen"],
 )
-def test_outputs_deterministic_up_to_timing(capsys, argv):
-    first = strip_timing(run(capsys, *argv)[1])
-    second = strip_timing(run(capsys, *argv)[1])
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+def test_stdout_is_byte_identical_across_runs(capsys, tmp_path, argv):
+    """Timings go to stderr only, so two runs print the same bytes (and
+    ``gen`` writes the same file)."""
+    from srgkit.orbitals import PermGroupAction, save_gens
+
+    save_gens(PermGroupAction(5, ((1, 2, 3, 4, 0),)), tmp_path / "z5.gens")
+    argv = [str(tmp_path / a) if a.endswith((".gens", ".g6")) else a for a in argv]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.search(r" in \d+\.\d{3}s\n$", captured.err)  # the timing
+        written = (tmp_path / "j7.g6").read_bytes() if argv[0] == "gen" else b""
+        outputs.append((captured.out, written))
+    assert outputs[0] == outputs[1]
+    out, written = outputs[0]
+    if argv[0] == "gen":
+        assert out == "" and written
+    else:
+        assert "seconds" not in keys_of(json.loads(out))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +479,8 @@ PAYLOAD_CASES = [
 def test_payload_matches_the_benchmark_expectation(
     capsys, tmp_path, workload, key, argv
 ):
-    """The benchmark's recorded payloads, without their timings, are what
-    the commands print (for ``gen``: the size and SHA-256 of the file)."""
+    """The benchmark's recorded payloads are exactly what the commands
+    print (for ``gen``: the size and SHA-256 of the file)."""
     expected = json.loads((EXPECTED / f"{workload}.json").read_text())[key]
     if argv[0] == "gen":
         path = tmp_path / "graph.g6"
@@ -428,5 +490,4 @@ def test_payload_matches_the_benchmark_expectation(
     else:
         code, got = run(capsys, *argv)
         assert code == 0
-    got = json.dumps(strip_timing(got), sort_keys=True)
-    assert got == json.dumps(expected, sort_keys=True)
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -1,6 +1,7 @@
 """Tests for the bitset graph type and the regularity engines."""
 
 import random
+import re
 from itertools import combinations
 
 import oracles
@@ -212,6 +213,20 @@ class TestIntersectionArray:
         assert arr.b == (14, 12, 8) and arr.c == (1, 3, 7)
         assert str(arr) == "{14,12,8; 1,3,7}"
         assert IntersectionArray.parse("3,2;1,1").valencies() == (1, 3, 6)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3,x;1,1", "array entry b1 = 'x' is not an integer"),
+            ("{3,2;1,}", "array entry c2 = '' is not an integer"),
+            ("{3,2;1,1", "array entry b0 = '{3' is not an integer"),
+            ("3,2 1,1", "array needs the form 'b0,b1,...;c1,c2,...'"),
+            ("3,1;1,2", "k_2 = 3/2 is not an integer"),
+        ],
+    )
+    def test_parse_names_the_bad_entry(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IntersectionArray.parse(text)
 
     def test_invalid_arrays_rejected(self):
         with pytest.raises(ValueError):
