@@ -171,7 +171,7 @@ def _closed_form_verdict(
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     fid: FamilyId | None = None
-    if Path(args.target).exists():
+    if Path(args.target).exists() or ":" not in args.target:  # specs have a colon
         graph = _load_graph_file(args.target)
         name = args.target
     else:

@@ -7,19 +7,25 @@ verification.  Families whose strongly-regular parameters have a closed form
 get an exact big-integer evaluator (:func:`params_closed_form`), so tests can
 compare a constructed graph against an independently evaluated formula.
 
+Each graph family is stated once, in the private table ``_FAMILIES``:
+its tag, its spec head (``nu`` in ``nu:n=3,q=3``), its parameter names and
+its builder.  :class:`FamilyId`, :func:`parse_family_spec` and
+:func:`build_family` all read that table.
+
 Every family graph and pair classification is read off one label table
 checked on every ordered pair (:func:`srgkit.graphcore._label_table`).  Its
 rows come from a table-lookup inner product (unitary, orthogonal, polar),
 packed incidence sums (Grassmann, dual polar) or one call per ordered pair
-(flags, Hamming words, and ``build_graph`` for Johnson and Hamming graphs).
+(flags and Hamming words).  Only Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
 :func:`hamming_classification`) partition the ordered vertex pairs by an
 algebraic invariant, return one graph per class, and compute the full
-intersection-number tensor of the partition by direct counting.  Where a
-small matrix-group action is available (flags of a projective plane) the
-set-theoretic classes are cross-checked against genuine group orbitals.
+intersection-number tensor of the partition by direct counting.  They have
+no family tag; call them directly.  Where a small matrix-group action is
+available (flags of a projective plane) the set-theoretic classes are
+cross-checked against genuine group orbitals.
 
 Every constructor predicts its vertex count from a formula first and
 refuses to enumerate past a configurable budget (:class:`ScaleGuardError`),
@@ -41,6 +47,7 @@ from .geometry import (
     enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
+    gaussian_binomial,
     line_tangency_count,
     perp_type,
     projective_reps,
@@ -54,7 +61,7 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import _label_graph, _label_table
+from .graphcore import _label_graph, _label_table, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
 from .orbitals import _partition
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
@@ -103,36 +110,10 @@ def _exact_div(num: int, den: int) -> int:
     return num // den
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """The Gaussian binomial [n choose k]_q: the number of k-dimensional
-    subspaces of F_q^n, as an exact integer."""
-    if k < 0 or k > n:
-        return 0
-    value = 1
-    for i in range(k):
-        value = _exact_div(value * (q ** (n - i) - 1), q ** (i + 1) - 1)
-    return value
-
-
 # ---------------------------------------------------------------------------
-# Family identifiers
+# Family identifiers (each family's spec head, parameters and builder are
+# stated once, in _FAMILIES at the end of this module)
 # ---------------------------------------------------------------------------
-
-# tag -> required parameter names
-_TAG_PARAMS: dict[str, tuple[str, ...]] = {
-    "NU": ("n", "q"),
-    "NO": ("eps", "m", "q"),
-    "polar-complement-O7": ("q",),
-    "polar-complement-O8+": ("q",),
-    "dual-polar-sp6": ("q",),
-    "dual-polar-sp6-dist3": ("q",),
-    "grassmann": ("n", "q"),
-    "johnson": ("i", "n"),
-    "hamming-orbital": ("d", "i"),
-    "flag-orbital": ("i", "q"),
-    "unitary-orbital": ("n", "q"),
-    "orthogonal-orbital": ("eps", "m", "q"),
-}
 
 
 @dataclass(frozen=True)
@@ -143,14 +124,12 @@ class FamilyId:
     params: tuple[tuple[str, int | str], ...]
 
     def __post_init__(self):
-        if self.tag not in _TAG_PARAMS:
+        if self.tag not in _FAMILIES:
             raise ValueError(f"unknown family tag {self.tag!r}")
         names = tuple(name for name, _ in self.params)
-        if names != _TAG_PARAMS[self.tag]:
-            raise ValueError(
-                f"{self.tag} takes parameters {_TAG_PARAMS[self.tag]}, "
-                f"got {names}"
-            )
+        expected = _FAMILIES[self.tag][1]
+        if names != expected:
+            raise ValueError(f"{self.tag} takes parameters {expected}, got {names}")
         p = dict(self.params)
         if "q" in p and (not isinstance(p["q"], int) or p["q"] < 2):
             raise ValueError("q must be an integer >= 2")
@@ -158,13 +137,13 @@ class FamilyId:
             raise ValueError(f"q must be a prime power, got {p['q']}")
         if "eps" in p and p["eps"] not in ("+", "-"):
             raise ValueError("eps must be '+' or '-'")
-        if self.tag in ("NU", "unitary-orbital") and p["n"] < 3:
-            raise ValueError(f"{self.tag} needs n >= 3")
-        if self.tag in ("NO", "orthogonal-orbital"):
+        if self.tag == "NU" and p["n"] < 3:
+            raise ValueError("NU needs n >= 3")
+        if self.tag == "NO":
             if p["m"] < 2:
-                raise ValueError(f"{self.tag} needs m >= 2 (dimension 2m+1 >= 5)")
+                raise ValueError("NO needs m >= 2 (dimension 2m+1 >= 5)")
             if p["q"] % 2 == 0:
-                raise ValueError(f"{self.tag} needs odd q")
+                raise ValueError("NO needs odd q")
         if self.tag == "grassmann" and p["n"] < 6:
             raise ValueError("grassmann needs n >= 6")
         if self.tag == "johnson":
@@ -195,23 +174,10 @@ class FamilyId:
         return f"{self.tag}({inner})"
 
 
-# CLI-style family strings: "<head>:<k>=<v>,...".  polarC carries its kind
-# as a bare first token ("polarC:O8+,q=2").
-_SPEC_HEADS = {
-    "nu": "NU",
-    "no": "NO",
-    "sp6": "dual-polar-sp6",
-    "sp6d3": "dual-polar-sp6-dist3",
-    "johnson": "johnson",
-    "hamming": "hamming-orbital",
-    "flags": "flag-orbital",
-    "grassmann": "grassmann",
-}
-
-
 def parse_family_spec(text: str) -> FamilyId:
-    """Parse a family selection string such as ``nu:n=3,q=3`` or
-    ``polarC:O8+,q=2`` into a validated :class:`FamilyId`."""
+    """Parse a family selection string ``<head>:<k>=<v>,...`` such as
+    ``nu:n=3,q=3`` into a validated :class:`FamilyId`.  polarC carries its
+    kind as a bare first token (``polarC:O8+,q=2``)."""
     head, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"family spec {text!r} needs '<family>:<params>'")
@@ -225,10 +191,10 @@ def parse_family_spec(text: str) -> FamilyId:
         if kind not in ("O7", "O8+"):
             raise ValueError(f"unknown polar-complement kind {kind!r}")
         tag = f"polar-complement-{kind}"
-    elif head in _SPEC_HEADS:
-        tag = _SPEC_HEADS[head]
     else:
-        raise ValueError(f"unknown family {head!r}")
+        tag = next((t for t, family in _FAMILIES.items() if family[0] == head), None)
+        if tag is None:
+            raise ValueError(f"unknown family {head!r}")
     params: dict[str, int | str] = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -240,15 +206,15 @@ def parse_family_spec(text: str) -> FamilyId:
             params[key] = value
         else:
             try:
-                params[key] = int(value)
+                params[key] = _strict_int(value)
             except ValueError:
                 raise ValueError(f"parameter {key} needs an integer, got {value!r}")
     if tag == "flag-orbital":
         params.setdefault("i", 2)
-    expected = set(_TAG_PARAMS[tag])
-    if set(params) != expected:
+    expected = _FAMILIES[tag][1]
+    if sorted(params) != list(expected):
         raise ValueError(
-            f"{head} needs parameters {sorted(expected)}, got {sorted(params)}"
+            f"{head} needs parameters {list(expected)}, got {sorted(params)}"
         )
     return FamilyId.make(tag, **params)
 
@@ -262,7 +228,7 @@ def params_closed_form(fid: FamilyId) -> SrgParams:
     """Exact big-integer evaluation of the family's closed-form strongly
     regular parameters.  Raises ValueError for families without one."""
     p = dict(fid.params)
-    if fid.tag in ("NU", "unitary-orbital"):
+    if fid.tag == "NU":
         n, q = p["n"], p["q"]
         s = (-1) ** n
         return SrgParams(
@@ -271,7 +237,7 @@ def params_closed_form(fid: FamilyId) -> SrgParams:
             q ** (2 * n - 5) * (q + 1) - s * q ** (n - 2) * (q - 1) - 2,
             q ** (n - 3) * (q + 1) * (q ** (n - 2) - s),
         )
-    if fid.tag in ("NO", "orthogonal-orbital"):
+    if fid.tag == "NO":
         m, q = p["m"], p["q"]
         e = 1 if p["eps"] == "+" else -1
         return SrgParams(
@@ -640,8 +606,12 @@ def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     predicted = (q**3 + 1) * (q**2 + 1) * (q + 1)
     _guard(f"dual polar Sp6({q})", predicted, max_v)
     field = field_of_order(q)
-    space = FormedSpace("symplectic", field, 6)
-    return _meet_graph(field, 6, enumerate_max_isotropic(space))
+    subspaces = enumerate_max_isotropic(FormedSpace("symplectic", field, 6))
+    if len(subspaces) != predicted:
+        raise AssertionError(
+            f"found {len(subspaces)} maximal isotropic 3-spaces, expected {predicted}"
+        )
+    return _meet_graph(field, 6, subspaces)
 
 
 def build_dual_polar_sp6_dist3(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -705,20 +675,24 @@ def hamming_srg_criterion(d: int) -> bool:
     return m[0][1] == m[2][1]
 
 
-def _words(d: int) -> list[tuple[int, int, int]]:
-    return list(itertools.product(range(d), repeat=3))
+def _hamming_pairs(d: int, family: str, max_v: int):
+    """The length-3 words over a d-letter alphabet, with the rows of the
+    number of coordinates in which two words disagree as pair label."""
+    _guard(family, d**3, max_v)
+    words = list(itertools.product(range(d), repeat=3))
+
+    def row_of(i: int) -> bytes:
+        return bytes(sum(map(operator.ne, words[i], w)) for w in words)
+
+    return words, row_of
 
 
 def build_hamming_orbital(d: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     """Graph on the length-3 words over a d-letter alphabet, two words
     adjacent exactly when they disagree in ``i`` coordinates."""
     FamilyId.make("hamming-orbital", d=d, i=i)
-    _guard(f"H(3,{d}) class {i}", d**3, max_v)
-    return build_graph(
-        _words(d),
-        lambda a, b: sum(1 for x, y in zip(a, b) if x != y) == i,
-        labels=str,
-    )
+    words, row_of = _hamming_pairs(d, f"H(3,{d}) class {i}", max_v)
+    return _label_graph(len(words), row_of, i, list(map(str, words)))
 
 
 def hamming_classification(
@@ -728,12 +702,7 @@ def hamming_classification(
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
     if d < 2:
         raise ValueError("need an alphabet of at least two letters")
-    _guard(f"H(3,{d}) pair classes", d**3, max_v)
-    words = _words(d)
-
-    def row_of(i: int) -> bytes:
-        return bytes(sum(map(operator.ne, words[i], w)) for w in words)
-
+    words, row_of = _hamming_pairs(d, f"H(3,{d}) pair classes", max_v)
     return _classify_pairs(words, row_of, str)
 
 
@@ -763,35 +732,6 @@ def flag_M(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def _matrix_inverse3(field, a):
-    """Inverse of a 3x3 matrix of field-element indices, by adjugate."""
-    add, mul, neg, inv = (
-        field.add_table,
-        field.mul_table,
-        field.neg_table,
-        field.inv_table,
-    )
-
-    def minor(i: int, j: int) -> int:
-        r = [x for x in range(3) if x != i]
-        c = [x for x in range(3) if x != j]
-        return add[mul[a[r[0]][c[0]]][a[r[1]][c[1]]]][
-            neg[mul[a[r[0]][c[1]]][a[r[1]][c[0]]]]
-        ]
-
-    cof = [
-        [minor(i, j) if (i + j) % 2 == 0 else neg[minor(i, j)] for j in range(3)]
-        for i in range(3)
-    ]
-    det = 0
-    for j in range(3):
-        det = add[det][mul[a[0][j]][cof[0][j]]]
-    if det == 0:
-        raise ValueError("singular matrix")
-    dinv = inv[det]
-    return [[mul[cof[j][i]][dinv] for j in range(3)] for i in range(3)]
-
-
 def _apply_row(field, vec, a):
     add, mul = field.add_table, field.mul_table
     out = []
@@ -815,8 +755,8 @@ def flag_action(q: int) -> PermGroupAction:
 
     Matrix generators: a diagonal scaling by a primitive element, one
     transvection, and the coordinate 3-cycle; points transform by the
-    matrix and lines by its inverse transpose, so incidence is preserved.
-    The duality swaps a flag's point and line coordinates.
+    matrix A and lines by its inverse transpose A^-T, so incidence is
+    preserved.  The duality swaps a flag's point and line coordinates.
     """
     field = field_of_order(q)
     flags = enumerate_flags(q)
@@ -826,20 +766,28 @@ def flag_action(q: int) -> PermGroupAction:
         for s in range(2, q)
         if all(field.pow_index(s, e) != 1 for e in range(1, q - 1))
     )
-    mats = [
-        [[primitive, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-    ]
+    cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    pairs = {  # name -> (A, A^-T)
+        "scaling": (
+            [[primitive, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[field.inv_table[primitive], 0, 0], [0, 1, 0], [0, 0, 1]],
+        ),
+        "transvection": (
+            [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [field.neg_table[1], 1, 0], [0, 0, 1]],
+        ),
+        "3-cycle": (cycle, cycle),
+    }
     generators = []
-    for a in mats:
-        b = [list(row) for row in zip(*_matrix_inverse3(field, a))]
+    for name, (a, b) in pairs.items():
         perm = []
         for point, line in flags:
             image = (
                 _canon_point(field, _apply_row(field, point, a)),
                 _canon_point(field, _apply_row(field, line, b)),
             )
+            if image not in index:
+                raise AssertionError(f"the {name} generator maps a flag to a non-flag")
             perm.append(index[image])
         generators.append(tuple(perm))
     generators.append(tuple(index[(line, point)] for point, line in flags))
@@ -946,39 +894,35 @@ def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The family table and dispatch
 # ---------------------------------------------------------------------------
 
 
-def build_family(fid: FamilyId, max_v: int = DEFAULT_MAX_V) -> Graph:
-    """Build the graph selected by a :class:`FamilyId`.
+def _flag_graph(i: int, q: int, max_v: int) -> Graph:
+    """Class-``i`` graph of :func:`build_flag_orbitals` (by name at call time)."""
+    return build_flag_orbitals(q, max_v).graphs[i]
 
-    The pair-classification tags (unitary-orbital, orthogonal-orbital)
-    describe partitions rather than single graphs; use their dedicated
-    builders instead.
-    """
-    p = dict(fid.params)
-    if fid.tag == "NU":
-        return build_NU(p["n"], p["q"], max_v)
-    if fid.tag == "NO":
-        return build_NO(p["m"], p["q"], p["eps"], max_v)
-    if fid.tag == "polar-complement-O7":
-        return build_polar_complement("O7", p["q"], max_v)
-    if fid.tag == "polar-complement-O8+":
-        return build_polar_complement("O8+", p["q"], max_v)
-    if fid.tag == "dual-polar-sp6":
-        return build_dual_polar_sp6(p["q"], max_v)
-    if fid.tag == "dual-polar-sp6-dist3":
-        return build_dual_polar_sp6_dist3(p["q"], max_v)
-    if fid.tag == "grassmann":
-        return build_grassmann(p["n"], p["q"], max_v)
-    if fid.tag == "johnson":
-        return build_johnson(p["n"], p["i"], max_v)
-    if fid.tag == "hamming-orbital":
-        return build_hamming_orbital(p["d"], p["i"], max_v)
-    if fid.tag == "flag-orbital":
-        return build_flag_orbitals(p["q"], max_v).graphs[p["i"]]
-    raise ValueError(
-        f"{fid.tag} describes a pair classification, not a single graph; "
-        f"use its dedicated builder"
-    )
+
+# tag -> (spec head, parameter names in sorted order, graph builder).  A
+# builder takes the parameters and ``max_v`` as keywords.  The benchmark
+# tracer rebinds wrapped functions among the module globals, so a wrapped
+# builder (build_flag_orbitals) is reached through a global lookup.
+_FAMILIES = {
+    "NU": ("nu", ("n", "q"), build_NU),
+    "NO": ("no", ("eps", "m", "q"), build_NO),
+    "polar-complement-O7": ("polarC", ("q",), partial(build_polar_complement, "O7")),
+    "polar-complement-O8+": ("polarC", ("q",), partial(build_polar_complement, "O8+")),
+    "dual-polar-sp6": ("sp6", ("q",), build_dual_polar_sp6),
+    "dual-polar-sp6-dist3": ("sp6d3", ("q",), build_dual_polar_sp6_dist3),
+    "grassmann": ("grassmann", ("n", "q"), build_grassmann),
+    "johnson": ("johnson", ("i", "n"), build_johnson),
+    "hamming-orbital": ("hamming", ("d", "i"), build_hamming_orbital),
+    "flag-orbital": ("flags", ("i", "q"), _flag_graph),
+}
+
+
+def build_family(fid: FamilyId, max_v: int = DEFAULT_MAX_V) -> Graph:
+    """Build the graph selected by a :class:`FamilyId`: its family's
+    builder in ``_FAMILIES``, called with the parameters as keywords.  Every
+    tag names one graph; the pair classifications have no tag."""
+    return _FAMILIES[fid.tag][2](**dict(fid.params), max_v=max_v)

@@ -15,6 +15,7 @@ a bare boolean.
 from __future__ import annotations
 
 import binascii
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
@@ -164,6 +165,16 @@ class IntersectionArray:
         )
 
 
+def _strict_int(text: str) -> int:
+    """The integer spelled by ``text`` with surrounding spaces: an optional
+    sign and ASCII digits only, so ``1_0`` and non-ASCII digits, which
+    ``int`` takes, raise ValueError."""
+    token = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def _array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The integer entries (b_0.., c_1..) of "b0,b1,...;c1,c2,...", with
     optional enclosing braces and spaces.  A ValueError names the first
@@ -179,7 +190,7 @@ def _array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         entries = []
         for i, s in enumerate(part.split(","), first):
             try:
-                entries.append(int(s))
+                entries.append(_strict_int(s))
             except ValueError:
                 raise ValueError(
                     f"array entry {side}{i} = {s.strip()!r} is not an integer"

@@ -10,12 +10,11 @@ product-action family and the oracle cross-checks need at degree <= 1000.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .gf import make_field
-from .graphcore import Graph, _class_rows, _pair_bytes
+from .graphcore import Graph, _class_rows, _pair_bytes, _strict_int
 
 __all__ = [
     "OrbitalPartition",
@@ -197,13 +196,15 @@ def load_gens(path: str | Path) -> PermGroupAction:
     lines = Path(path).read_text().split("\n")
 
     def ints(number: int) -> tuple[int, ...]:
-        tokens = lines[number - 1].split()
-        for k, token in enumerate(tokens, 1):
-            if not re.fullmatch(r"[+-]?\d+", token):
+        values = []
+        for k, token in enumerate(lines[number - 1].split(), 1):
+            try:
+                values.append(_strict_int(token))
+            except ValueError:
                 raise ValueError(
                     f"line {number}, token {k}: {token!r} is not an integer"
-                )
-        return tuple(map(int, tokens))
+                ) from None
+        return tuple(values)
 
     header = ints(1)
     if len(header) != 2:

@@ -121,6 +121,38 @@ def test_verify_directory_is_an_input_error(capsys, tmp_path):
     assert f"unreadable graph file {str(tmp_path)!r}" in captured.err
 
 
+def test_verify_missing_file_is_read_as_a_graph_file(capsys, tmp_path, monkeypatch):
+    # a target without ':' cannot be a family spec
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "missing.g6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unreadable graph file 'missing.g6': " in captured.err
+    assert "family spec" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "verb, arg, message",
+    [
+        ("scheme", "1_0,2;1,1", "array entry b0 = '1_0' is not an integer"),
+        ("verify", "nu:n=3,q=1_1", "parameter q needs an integer, got '1_1'"),
+        ("verify", "johnson:n=1_0,i=1", "parameter n needs an integer, got '1_0'"),
+        ("orbitals", "3 1\n1 2 \u0660\n", "token 3: '\u0660' is not an integer"),
+    ],
+    ids=["array", "spec", "johnson", "gens-arabic-zero"],
+)
+def test_integers_are_ascii_digits_only(capsys, tmp_path, verb, arg, message):
+    """``int`` takes '1_0' and non-ASCII digits; every reader refuses them."""
+    if verb == "orbitals":  # arg is the generator file's text
+        path = tmp_path / "digits.gens"
+        path.write_text(arg, encoding="utf-8")
+        arg = str(path)
+    assert main([verb, arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -5,6 +5,7 @@ import pytest
 
 from srgkit.families import (
     DEFAULT_MAX_V,
+    _FAMILIES,
     FamilyId,
     ScaleGuardError,
     _classify_pairs,
@@ -38,6 +39,7 @@ from srgkit.geometry import (
     perp_type,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
+from srgkit import families
 from srgkit.graphcore import (
     IntersectionArray,
     RegularityFailure,
@@ -78,9 +80,8 @@ def test_family_id_normalizes_and_validates():
         FamilyId.make("flag-orbital", i=2, q=6)
     with pytest.raises(ValueError, match="q must be a prime power"):
         FamilyId.make("NO", m=2, q=15, eps="+")
-    for tag in ("NO", "orthogonal-orbital"):
-        with pytest.raises(ValueError, match="needs m >= 2"):
-            FamilyId.make(tag, m=1, q=3, eps="+")
+    with pytest.raises(ValueError, match="needs m >= 2"):
+        FamilyId.make("NO", m=1, q=3, eps="+")
 
 
 
@@ -320,6 +321,13 @@ def test_flag_classification_structure(q):
         cls.suborbit_lengths[2],
         cls.suborbit_lengths[3],
     ) == (2 * q, 2 * q * q, q**3)
+
+
+def test_flag_action_names_a_generator_that_leaves_the_flags(monkeypatch):
+    # every image becomes the point (0:0:1) on the line (0:0:1): not a flag
+    monkeypatch.setattr(families, "_canon_point", lambda field, vec: (0, 0, 1))
+    with pytest.raises(AssertionError, match="the scaling generator maps a flag"):
+        flag_action(3)
 
 
 def test_flag_action_is_transitive_of_rank_four():
@@ -579,10 +587,40 @@ def test_build_family_dispatches_every_graph_tag():
         assert g.n == v, text
 
 
+# tag -> (the smallest parameters, vertex count)
+SMALLEST = {
+    "NU": ({"n": 3, "q": 2}, 12),
+    "NO": ({"m": 2, "q": 3, "eps": "-"}, 36),
+    "polar-complement-O7": ({"q": 2}, 63),
+    "polar-complement-O8+": ({"q": 2}, 135),
+    "dual-polar-sp6": ({"q": 2}, 135),
+    "dual-polar-sp6-dist3": ({"q": 2}, 135),
+    "grassmann": ({"n": 6, "q": 2}, 1395),
+    "johnson": ({"n": 7, "i": 0}, 35),
+    "hamming-orbital": ({"d": 2, "i": 1}, 8),
+    "flag-orbital": ({"q": 2, "i": 3}, 21),
+}
+
+
+def test_every_family_has_a_round_trip_case():
+    assert set(SMALLEST) == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("tag", sorted(SMALLEST))
+def test_every_family_head_round_trips(tag):
+    params, v = SMALLEST[tag]
+    head, names, _ = _FAMILIES[tag]
+    kind = [tag.rpartition("-")[2]] if head == "polarC" else []
+    text = f"{head}:" + ",".join(kind + [f"{k}={params[k]}" for k in names])
+    fid = parse_family_spec(text)
+    assert fid == FamilyId.make(tag, **params)
+    assert build_family(fid).n == v
+
+
 def test_build_family_rejects_classification_tags():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family tag"):
         build_family(FamilyId.make("unitary-orbital", n=3, q=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family tag"):
         build_family(FamilyId.make("orthogonal-orbital", m=2, q=5, eps="+"))
 
 
