@@ -73,7 +73,7 @@ from .schemes import (
     g2_symbolic,
     grassmann_f2,
     instantiate_tensor,
-    srg_union_criterion,
+    srg_fusions,
     tensor_from_array,
     tensor_from_graph,
     tensor_from_orbital_partition,
@@ -123,7 +123,7 @@ __all__ = [
     "params_closed_form",
     "parse_family_spec",
     "psl28_action",
-    "srg_union_criterion",
+    "srg_fusions",
     "tensor_from_array",
     "tensor_from_graph",
     "tensor_from_orbital_partition",

@@ -58,7 +58,7 @@ from .schemes import (
     g2_symbolic,
     grassmann_f2,
     ratfunc_str,
-    srg_union_criterion,
+    srg_fusions,
     tensor_from_array,
     tensor_to_json,
 )
@@ -233,32 +233,13 @@ def _scheme_array_report(array: IntersectionArray) -> dict:
         "tensor": tensor_to_json(tensor),
         "relations": "pass",
     }
-    unions = {}
-    if tensor.rank == 4:
-        for i in (1, 2, 3):
-            constant, values = srg_union_criterion(tensor, i)
-            # "constant", not "srg": the all-h constancy certifies a strongly
-            # regular class with lambda = mu, but a class can be strongly
-            # regular with lambda != mu and fail it.
-            entry = {
-                "constant": constant,
-                "values": [fraction_json(v) for v in values],
-            }
-            if constant:
-                k = tensor.k
-                entry["params"] = [
-                    fraction_json(sum(k, Fraction(0))),
-                    fraction_json(k[i]),
-                    fraction_json(tensor.p[i][i][i]),
-                    fraction_json(values[0]),
-                ]
-            unions[str(i)] = entry
-        report["union_criterion"] = unions
-    else:
-        report["union_criterion"] = {
-            "verdict": "skipped",
-            "reason": "criterion applies to rank-4 tensors",
-        }
+    try:
+        report["fusions"] = [
+            {"classes": list(union), "params": [fraction_json(x) for x in params]}
+            for union, params in srg_fusions(tensor)
+        ]
+    except ScaleGuardError as e:
+        report["fusions"] = {"verdict": "skipped", "reason": str(e)}
     return report
 
 

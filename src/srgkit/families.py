@@ -130,8 +130,13 @@ class FamilyId:
         expected = _FAMILIES[self.tag][1]
         if names != expected:
             raise ValueError(f"{self.tag} takes parameters {expected}, got {names}")
+        for name, value in self.params:
+            if name != "eps" and type(value) is not int:  # not a bool or a float
+                raise ValueError(
+                    f"{self.tag} parameter {name} needs an int, got {value!r}"
+                )
         p = dict(self.params)
-        if "q" in p and (not isinstance(p["q"], int) or p["q"] < 2):
+        if "q" in p and p["q"] < 2:
             raise ValueError("q must be an integer >= 2")
         if "q" in p and not is_prime_power(p["q"]):
             raise ValueError(f"q must be a prime power, got {p['q']}")
@@ -201,6 +206,8 @@ def parse_family_spec(text: str) -> FamilyId:
         if not sep:
             raise ValueError(f"malformed parameter {item!r} (expected k=v)")
         key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key} is given twice")
         value = value.strip()
         if key == "eps":
             params[key] = value

@@ -749,11 +749,14 @@ def from_edgelist(text: str) -> Graph:
         if line.startswith("#"):
             tokens = line[1:].split()
             if len(tokens) == 2 and tokens[0] == "vertices":
-                if not tokens[1].isdecimal():
+                try:
+                    n = _strict_int(tokens[1])
+                except ValueError:
+                    n = -1
+                if n < 0:
                     raise ValueError(
                         f"header {line!r} needs a non-negative integer count"
                     )
-                n = int(tokens[1])
                 if n > _MAX_VERTICES:
                     raise ValueError(
                         f"header {line!r} exceeds the limit of "
@@ -761,7 +764,7 @@ def from_edgelist(text: str) -> Graph:
                     )
             continue
         try:
-            u, v = map(int, line.split())
+            u, v = map(_strict_int, line.split())
         except ValueError:
             raise ValueError(
                 f"edge line {line!r} needs exactly two integer ids"

@@ -10,7 +10,8 @@ Three layers:
   pair of coprime integer polynomials, reduced by one gcd (:func:`poly_gcd`,
   GCDHEU certified by exact division, with Euclid over Q as fallback);
 * the recursion that rebuilds the full tensor p_ij^h from an intersection
-  array, generic over those scalars (:func:`tensor_from_array` and friends);
+  array, generic over those scalars (:func:`tensor_from_array` and friends),
+  and the strongly regular unions of its classes (:func:`srg_fusions`);
 * the three symbolic verifications: the G_2-type array, the rank-3 dual
   polar arrays with parameter e, and the Grassmann J(n,3) difference
   f_2 = p_22^1 - p_22^3 as a quadratic in X = q^n.
@@ -21,12 +22,13 @@ No floating point is used anywhere; every identity is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import floordiv
 from typing import Sequence
 
+from .gf import ScaleGuardError
 from .graphcore import Graph, IntersectionArray, distance_masks
 
 __all__ = [
@@ -45,7 +47,7 @@ __all__ = [
     "instantiate_tensor",
     "poly_str",
     "ratfunc_str",
-    "srg_union_criterion",
+    "srg_fusions",
     "tensor_from_array",
     "tensor_from_graph",
     "tensor_from_orbital_partition",
@@ -535,14 +537,23 @@ class XPoly(_DensePoly):
 @dataclass(frozen=True)
 class IntersectionTensor:
     """Full intersection-number tensor p[h][i][j] with valencies k and
-    degree v = sum of valencies.  Entries may be Fractions (numeric) or
-    symbolic scalars; ``realizable`` is True when every entry is a
-    nonnegative integer, and None for symbolic tensors."""
+    degree v = sum of valencies, checked against the seven defining
+    relations on construction (:meth:`validate`).  Entries may be rationals
+    (numeric) or symbolic scalars; ``realizable`` is True when every entry
+    is a nonnegative integer, and None for symbolic tensors."""
 
     k: tuple
     p: tuple
     v: object
-    realizable: bool | None
+    realizable: bool | None = field(init=False)
+
+    def __post_init__(self):
+        self.validate()
+        entries = [*self.k, *(x for table in self.p for row in table for x in row)]
+        realizable = None
+        if all(isinstance(x, (int, Fraction)) for x in entries):
+            realizable = all(x.denominator == 1 and x >= 0 for x in entries)
+        object.__setattr__(self, "realizable", realizable)
 
     @property
     def rank(self) -> int:
@@ -586,19 +597,6 @@ class IntersectionTensor:
                     "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
                     f"i={i} j={j} h={h} m={m}",
                 )
-
-
-def _is_nonneg_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x >= 0
-
-
-def _realizability(k, p) -> bool:
-    return all(_is_nonneg_integer(kj) for kj in k) and all(
-        _is_nonneg_integer(p[h][i][j])
-        for h in range(len(k))
-        for i in range(len(k))
-        for j in range(len(k))
-    )
 
 
 def _tensor_recursion(b: list, c: list, one):
@@ -649,18 +647,12 @@ def tensor_from_array(array: IntersectionArray) -> IntersectionTensor:
     integers."""
     b = [Fraction(x) for x in array.b]
     c = [Fraction(x) for x in array.c]
-    k, p, v = _tensor_recursion(b, c, Fraction(1))
-    tensor = IntersectionTensor(k=k, p=p, v=v, realizable=_realizability(k, p))
-    tensor.validate()
-    return tensor
+    return IntersectionTensor(*_tensor_recursion(b, c, Fraction(1)))
 
 
 def symbolic_tensor_from_array(b: list, c: list, one) -> IntersectionTensor:
     """Tensor over symbolic scalars (RatFunc or XPoly); realizable is None."""
-    k, p, v = _tensor_recursion(b, c, one)
-    tensor = IntersectionTensor(k=k, p=p, v=v, realizable=None)
-    tensor.validate()
-    return tensor
+    return IntersectionTensor(*_tensor_recursion(b, c, one))
 
 
 def tensor_from_graph(g: Graph) -> IntersectionTensor:
@@ -697,11 +689,7 @@ def tensor_from_graph(g: Graph) -> IntersectionTensor:
     k2, p2 = tensor_at(g.n - 1)
     if k != k2 or p != p2:
         raise ValueError("tensor differs between roots: not distance-regular")
-    tensor = IntersectionTensor(
-        k=k, p=p, v=Fraction(g.n), realizable=_realizability(k, p)
-    )
-    tensor.validate()
-    return tensor
+    return IntersectionTensor(k=k, p=p, v=Fraction(g.n))
 
 
 def tensor_from_orbital_partition(partition) -> IntersectionTensor:
@@ -722,11 +710,7 @@ def tensor_from_orbital_partition(partition) -> IntersectionTensor:
         for h in range(r)
     )
     k = tuple(Fraction(x) for x in partition.suborbit_lengths)
-    tensor = IntersectionTensor(
-        k=k, p=p, v=Fraction(partition.degree), realizable=True
-    )
-    tensor.validate()
-    return tensor
+    return IntersectionTensor(k=k, p=p, v=Fraction(partition.degree))
 
 
 def instantiate_tensor(tensor: IntersectionTensor, value) -> IntersectionTensor:
@@ -737,23 +721,44 @@ def instantiate_tensor(tensor: IntersectionTensor, value) -> IntersectionTensor:
         tuple(tuple(x.evaluate(value) for x in row) for row in table)
         for table in tensor.p
     )
-    out = IntersectionTensor(
-        k=k, p=p, v=tensor.v.evaluate(value), realizable=_realizability(k, p)
-    )
-    out.validate()
-    return out
+    return IntersectionTensor(k=k, p=p, v=tensor.v.evaluate(value))
 
 
-def srg_union_criterion(tensor: IntersectionTensor, i: int):
-    """For a rank-4 tensor: whether p_ii^h takes one constant value over
-    every non-diagonal h (h = 1, 2, 3 — including h = i).  Returns the
-    verdict and the three values (p_ii^1, p_ii^2, p_ii^3)."""
-    if tensor.rank != 4:
-        raise ValueError("the union criterion applies to rank-4 tensors only")
-    if i not in (1, 2, 3):
-        raise ValueError("class must be 1, 2 or 3")
-    values = tuple(tensor.p[h][i][i] for h in (1, 2, 3))
-    return values[0] == values[1] == values[2], values
+_UNION_CAP = 2**12 - 2  # unions srg_fusions examines: rank 13, under 1 s
+
+
+def _union_counts(tensor: IntersectionTensor, union):
+    """c_h = sum of p_ij^h over i, j in ``union`` for h = 1, 2, ..., lazily:
+    the coefficient of A_h in A_S^2, A_S the sum of the union's classes."""
+    for table in tensor.p[1:]:
+        yield sum(table[i][j] for i in union for j in union)
+
+
+def srg_fusions(tensor: IntersectionTensor) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every proper union S of non-diagonal classes whose graph is strongly
+    regular, with (v, k_S, lambda, mu), smallest S first.  By the identity
+    A_S^2 = k_S I + sum_h c_h A_h (Brouwer, Cohen & Neumaier, 2.1), that
+    holds exactly when c_h is one value lambda on S and one nonzero value
+    mu off it.  Equality is exact, so on rational functions it holds
+    identically in q.  Past ``_UNION_CAP`` unions raises ScaleGuardError."""
+    classes = range(1, tensor.rank)
+    unions = 2 ** len(classes) - 2
+    if unions > _UNION_CAP:
+        raise ScaleGuardError(
+            f"the class-union search of a rank-{tensor.rank} scheme", unions, _UNION_CAP
+        )
+    fusions = []
+    for size in range(1, len(classes)):
+        for union in combinations(classes, size):
+            value = {}  # True: lambda, on the union; False: mu, off it
+            for h, c in enumerate(_union_counts(tensor, union), 1):
+                if value.setdefault(h in union, c) != c:
+                    break
+            else:
+                if value[False]:
+                    k = sum(tensor.k[i] for i in union)
+                    fusions.append((union, (tensor.v, k, value[True], value[False])))
+    return fusions
 
 
 # ---------------------------------------------------------------------------
@@ -815,26 +820,19 @@ def g2_symbolic() -> G2Symbolic:
     tensor = symbolic_tensor_from_array(b, c, one)
     p = tensor.p
 
-    expected_mu = q**4 * (q - 1)
-    if p[1][3][3] != expected_mu or p[2][3][3] != expected_mu:
-        raise AssertionError("p_33^1 = q^4(q-1) = p_33^2 fails")
     if p[1][2][2] != q**2 * (q - 1):
         raise AssertionError("p_22^1 = q^2(q-1) fails")
     if p[3][2][2] != (q + 1) * (q**2 - 1):
         raise AssertionError("p_22^3 = (q+1)(q^2-1) fails")
-    v = (q**6 - 1) / (q - 1)
-    if tensor.v != v:
-        raise AssertionError("sum of valencies differs from (q^6-1)/(q-1)")
-    params = (v, q**5, p[3][3][3], p[1][3][3])
-    if params[1] != tensor.k[3]:
-        raise AssertionError("k_3 differs from q^5")
-    if params[2] != expected_mu:
-        raise AssertionError("p_33^3 differs from q^4(q-1)")
-
-    gamma3 = srg_union_criterion(tensor, 3)
-    gamma2 = srg_union_criterion(tensor, 2)
-    if not gamma3[0] or gamma2[0]:
-        raise AssertionError("union criterion verdicts are wrong way round")
+    fusions = dict(srg_fusions(tensor))
+    if list(fusions) != [(3,), (1, 2)]:
+        raise AssertionError("the strongly regular unions are not {3} and {1, 2}")
+    params = fusions[(3,)]
+    mu = q**4 * (q - 1)  # p_33^1 = p_33^2 = p_33^3
+    if params != ((q**6 - 1) / (q - 1), q**5, mu, mu):
+        raise AssertionError("Gamma_3 is not ((q^6-1)/(q-1), q^5, q^4(q-1), q^4(q-1))")
+    gamma3 = ((3,) in fusions, tuple(_union_counts(tensor, (3,))))
+    gamma2 = ((2,) in fusions, tuple(_union_counts(tensor, (2,))))
 
     qs = (2, 3, 4, 5)
     for q0 in qs:
@@ -845,8 +843,6 @@ def g2_symbolic() -> G2Symbolic:
         )
         if instantiate_tensor(tensor, q0) != numeric:
             raise AssertionError(f"instantiation at q={q0} disagrees")
-        if numeric.v != sum(numeric.k):
-            raise AssertionError("v is not the sum of valencies")
     return G2Symbolic(
         tensor=tensor,
         params=params,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from srgkit import cli
+from srgkit import cli, schemes
 from srgkit.cli import TABLE1_TARGETS, main
 from srgkit.graphcore import build_graph, from_graph6, to_edgelist
 
@@ -153,6 +153,14 @@ def test_integers_are_ascii_digits_only(capsys, tmp_path, verb, arg, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("spec", ["nu:n=3,q=3,n=4", "johnson:n=7,i=1,n=8"])
+def test_verify_refuses_a_repeated_spec_key(capsys, spec):
+    assert main(["verify", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter n is given twice" in captured.err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -164,11 +172,13 @@ def test_integers_are_ascii_digits_only(capsys, tmp_path, verb, arg, message):
         ("# vertices x\n0 1\n", "header '# vertices x' needs a non-negative"),
         ("# vertices -2\n0 1\n", "header '# vertices -2' needs a non-negative"),
         ("# vertices 258048\n0 1\n", "exceeds the limit of 258047 vertices"),
+        ("# vertices 3\n0 1_0\n", "edge line '0 1_0' needs exactly two integer ids"),
+        ("# vertices \u0663\n0 1\n", "header '# vertices \u0663' needs a non-negative"),
     ],
 )
 def test_verify_rejects_bad_graph_files_by_name(capsys, tmp_path, text, message):
     path = tmp_path / "bad.graph"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
 
@@ -221,30 +231,35 @@ def test_scheme_array_reports_union_criterion(capsys):
     assert code == 0
     assert report["relations"] == "pass"
     assert report["tensor"]["rank"] == 4
-    third = report["union_criterion"]["3"]
-    assert third["constant"] is True
-    assert third["values"] == [16, 16, 16]
-    assert third["params"] == [63, 32, 16, 16]
-    assert report["union_criterion"]["2"]["constant"] is False
+    assert report["fusions"] == [
+        {"classes": [3], "params": [63, 32, 16, 16]},
+        {"classes": [1, 2], "params": [63, 30, 13, 15]},
+    ]
 
 
-def test_scheme_array_constancy_is_not_an_srg_verdict(capsys):
-    # The distance-3 graph of this array is strongly regular with
-    # lambda != mu, so the lambda = mu certificate must come back False
-    # while the off-class values still agree (the mu count).
+def test_scheme_array_reports_a_fusion_with_lambda_unequal_mu(capsys):
     code, report = run(capsys, "scheme", "14,12,8;1,3,7")
     assert code == 0
-    third = report["union_criterion"]["3"]
-    assert third["constant"] is False
-    assert third["values"][0] == third["values"][1]
-    assert third["values"][2] != third["values"][0]
+    assert report["fusions"][0] == {"classes": [3], "params": [135, 64, 28, 32]}
 
 
-def test_scheme_small_rank_skips_union_criterion(capsys):
-    code, report = run(capsys, "scheme", "3,2;1,1")
+def test_scheme_array_reports_fusions_at_every_rank(capsys, monkeypatch):
+    code, report = run(capsys, "scheme", "3,2;1,1")  # Petersen and complement
     assert code == 0
     assert report["tensor"]["rank"] == 3
-    assert report["union_criterion"]["verdict"] == "skipped"
+    assert report["fusions"] == [
+        {"classes": [1], "params": [10, 3, 0, 1]},
+        {"classes": [2], "params": [10, 6, 3, 4]},
+    ]
+    assert run(capsys, "scheme", "2,1,1;1,1,1")[1]["fusions"] == []  # heptagon
+    monkeypatch.setattr(schemes, "_UNION_CAP", 1)
+    code, report = run(capsys, "scheme", "3,2;1,1")
+    assert code == 0
+    assert report["fusions"] == {
+        "verdict": "skipped",
+        "reason": "the class-union search of a rank-3 scheme has size 2, "
+        "over the desk-scale limit of 1",
+    }
 
 
 def test_scheme_exit_codes(capsys):

@@ -82,6 +82,10 @@ def test_family_id_normalizes_and_validates():
         FamilyId.make("NO", m=2, q=15, eps="+")
     with pytest.raises(ValueError, match="needs m >= 2"):
         FamilyId.make("NO", m=1, q=3, eps="+")
+    with pytest.raises(ValueError, match="johnson parameter n needs an int, got 7.0"):
+        FamilyId.make("johnson", n=7.0, i=1)
+    with pytest.raises(ValueError, match="parameter i needs an int, got True"):
+        FamilyId.make("hamming-orbital", d=2, i=True)
 
 
 
@@ -128,6 +132,7 @@ def test_parse_family_spec_round_trips():
         "polarC:O9,q=2",
         "no:m=2,q=4,eps=+",
         "johnson:n=7,i=5",
+        "nu:n=3,q=3,n=4",
     ],
 )
 def test_parse_family_spec_rejects(bad):

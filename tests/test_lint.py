@@ -102,3 +102,38 @@ def test_the_scan_finds_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module does not bind at top
+    level by a definition, an assignment or an import."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_the_scan_finds_a_stale_export():
+    source = (
+        "from .a import kept\n"
+        "__all__ = ['kept', 'gone', 'f', 'C', 'LIMIT']\n"
+        "LIMIT = 3\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+    )
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []

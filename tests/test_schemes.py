@@ -1,12 +1,33 @@
 """Tests for the exact intersection-number calculus."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import oracles
 import pytest
 
-from srgkit.graphcore import Graph, IntersectionArray, build_graph, check_drg
+from srgkit import schemes
+from srgkit.families import (
+    build_dual_polar_sp6,
+    build_flag_orbitals,
+    build_orthogonal_orbitals,
+    build_unitary_orbitals,
+    hamming_classification,
+)
+from srgkit.gf import ScaleGuardError
+from srgkit.graphcore import (
+    Graph,
+    IntersectionArray,
+    RegularityFailure,
+    SrgParams,
+    _class_rows,
+    bits,
+    build_graph,
+    check_drg,
+    check_srg,
+    distance_masks,
+)
 from srgkit.schemes import (
     InfeasibleArrayError,
     IntersectionTensor,
@@ -21,20 +42,18 @@ from srgkit.schemes import (
     poly_gcd,
     poly_str,
     ratfunc_str,
-    srg_union_criterion,
+    srg_fusions,
     tensor_from_array,
     tensor_from_graph,
     tensor_from_orbital_partition,
     tensor_to_json,
 )
-from srgkit.schemes import _euclid_gcd
+from srgkit.schemes import _euclid_gcd, _union_counts
 
 Q = RatFunc.gen()
 
 
 def petersen() -> Graph:
-    import itertools
-
     pairs = list(itertools.combinations(range(5), 2))
     return build_graph(pairs, lambda a, b: not set(a) & set(b))
 
@@ -345,50 +364,36 @@ class TestTensorFromArray:
         t = tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1)))
         rows = [list(map(list, table)) for table in t.p]
         rows[1][2][2] += 1
-        bad = IntersectionTensor(
-            k=t.k,
-            p=tuple(tuple(tuple(r) for r in table) for table in rows),
-            v=t.v,
-            realizable=True,
-        )
         with pytest.raises(InfeasibleArrayError) as info:
-            bad.validate()
+            IntersectionTensor(
+                k=t.k, p=tuple(tuple(tuple(r) for r in table) for table in rows), v=t.v
+            )
         assert info.value.relation
 
     def test_symmetry_violation_named(self):
         t = tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1)))
         rows = [list(map(list, table)) for table in t.p]
         rows[2][1][2] += 1  # break p_ij^h = p_ji^h only
-        bad = IntersectionTensor(
-            k=t.k,
-            p=tuple(tuple(tuple(r) for r in table) for table in rows),
-            v=t.v,
-            realizable=True,
-        )
         with pytest.raises(InfeasibleArrayError):
-            bad.validate()
+            IntersectionTensor(
+                k=t.k, p=tuple(tuple(tuple(r) for r in table) for table in rows), v=t.v
+            )
 
     def test_quadratic_relation_violation_named(self):
         """Relations 1-6 are linear in p: shifting the heptagon tensor by a
         fully symmetric D on classes 1..3 whose line sums vanish keeps
         them (k_1 = k_2 = k_3), so only relation 7 can fail, and its
         first failing tuple is named."""
-        import itertools
-
         t = tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1)))
         shift = {(1, 1, 1): -1, (1, 1, 3): 1, (1, 3, 3): -1, (3, 3, 3): 1}
         rows = [list(map(list, table)) for table in t.p]
         for key, value in shift.items():
             for h, i, j in set(itertools.permutations(key)):
                 rows[h][i][j] += value
-        bad = IntersectionTensor(
-            k=t.k,
-            p=tuple(tuple(tuple(r) for r in table) for table in rows),
-            v=t.v,
-            realizable=True,
-        )
         with pytest.raises(InfeasibleArrayError) as info:
-            bad.validate()
+            IntersectionTensor(
+                k=t.k, p=tuple(tuple(tuple(r) for r in table) for table in rows), v=t.v
+            )
         assert str(info.value) == (
             "infeasible array: relation sum_l p_ij^l p_hl^m = "
             "sum_l p_hj^l p_il^m violated (i=1 j=1 h=2 m=2)"
@@ -422,8 +427,6 @@ class TestTensorFromOrbitals:
             [1, 2, 3, 4, 0],
             [0, 2, 1, 3, 4],
         ]
-        import itertools
-
         pairs = list(itertools.combinations(range(5), 2))
         index = {p: i for i, p in enumerate(pairs)}
         gens = []
@@ -451,30 +454,96 @@ class TestTensorFromOrbitals:
             tensor_from_orbital_partition(part)
 
 
-class TestUnionCriterion:
-    def test_rank_guard(self):
-        t = tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1)))
-        with pytest.raises(ValueError):
-            srg_union_criterion(t, 2)
+def distance_table(g: Graph) -> bytes:
+    """The distance partition of a connected graph as ``class_of`` bytes."""
+    table = bytearray(g.n * g.n)
+    for x in range(g.n):
+        for d, mask in enumerate(distance_masks(g, x)):
+            for y in bits(mask):
+                table[x * g.n + y] = d
+    return bytes(table)
 
-    def test_class_guard(self):
+
+def assert_fusions_match_check_srg(tensor, table: bytes) -> int:
+    """check_srg passes on the graph of a union of the classes in ``table``
+    exactly when srg_fusions lists the union, with equal parameters.
+    Returns the number of fusions."""
+    n = int(tensor.v)
+    fusions = dict(srg_fusions(tensor))
+    for size in range(1, tensor.rank - 1):
+        for union in itertools.combinations(range(1, tensor.rank), size):
+            verdict = check_srg(Graph(_class_rows(n, table, union), validate=False))
+            if union in fusions:
+                assert verdict == SrgParams(*map(int, fusions[union])), union
+            else:
+                assert isinstance(verdict, RegularityFailure), (union, verdict)
+    return len(fusions)
+
+
+class TestUnionCriterion:
+    """srg_fusions: the exact strong-regularity test on class unions."""
+
+    def test_rank_guard(self, monkeypatch):
         t = tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1)))
-        with pytest.raises(ValueError):
-            srg_union_criterion(t, 0)
+        monkeypatch.setattr(schemes, "_UNION_CAP", 5)  # rank 4 has 6 unions
+        with pytest.raises(ScaleGuardError, match="rank-4 scheme has size 6"):
+            srg_fusions(t)
 
     def test_heptagon_values(self):
         t = tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1)))
-        equal, values = srg_union_criterion(t, 1)
-        assert not equal
-        assert values == (0, 1, 0)
+        assert tuple(_union_counts(t, (1,))) == (0, 1, 0)
+        assert srg_fusions(t) == []
 
     def test_small_g2_array(self):
         t = tensor_from_array(IntersectionArray(b=(6, 4, 4), c=(1, 1, 3)))
-        equal3, values3 = srg_union_criterion(t, 3)
-        assert equal3 and values3 == (16, 16, 16)
-        equal2, values2 = srg_union_criterion(t, 2)
-        assert not equal2
-        assert values2[0] == 4 and values2[2] == 9
+        assert srg_fusions(t) == [((3,), (63, 32, 16, 16)), ((1, 2), (63, 30, 13, 15))]
+        assert tuple(_union_counts(t, (2,)))[::2] == (4, 9)
+
+    def test_lambda_unequal_mu(self):
+        t = tensor_from_array(IntersectionArray(b=(14, 12, 8), c=(1, 3, 7)))
+        assert srg_fusions(t)[0] == ((3,), (135, 64, 28, 32))
+
+    def test_symbolic_g2_fusions_hold_identically_in_q(self):
+        """Gamma_3 has lambda = mu = q^4(q - 1); its complement {1, 2} has
+        lambda != mu."""
+        v = (Q**6 - 1) / (Q - 1)
+        lam = Q**4 * (Q - 1)
+        assert srg_fusions(g2_symbolic().tensor) == [
+            ((3,), (v, Q**5, lam, lam)),
+            ((1, 2), (v, v - Q**5 - 1, v - Q**5 - Q**4 - 2, v - Q**5 - Q**4)),
+        ]
+
+    @pytest.mark.parametrize(
+        "graph, count",
+        [
+            (lambda: cycle(12), 4),
+            (lambda: build_graph(range(16), lambda a, b: (a ^ b).bit_count() == 1), 6),
+            (lambda: build_dual_polar_sp6(2), 2),
+        ],
+        ids=["C_12", "Q_4", "Sp6(2) dual polar"],
+    )
+    def test_distance_partitions_agree_with_check_srg(self, graph, count):
+        g = graph()
+        table = distance_table(g)
+        assert assert_fusions_match_check_srg(tensor_from_graph(g), table) == count
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: build_orthogonal_orbitals(2, 3, "+"), 2),
+            (lambda: build_orthogonal_orbitals(2, 5, "-"), 4),
+            (lambda: build_orthogonal_orbitals(2, 7, "+"), 2),
+            (lambda: build_unitary_orbitals(3, 3), 2),
+            (lambda: build_unitary_orbitals(4, 3), 2),
+            (lambda: build_flag_orbitals(4), 2),
+            (lambda: hamming_classification(8), 0),
+        ],
+        ids=["O(2,3,+)", "O(2,5,-)", "O(2,7,+)", "U(3,3)", "U(4,3)", "F(4)", "H(3,8)"],
+    )
+    def test_classifications_agree_with_check_srg(self, build, count):
+        cls = build()
+        table = cls.partition.class_of
+        assert assert_fusions_match_check_srg(cls.tensor, table) == count
 
 
 # ---------------------------------------------------------------------------
