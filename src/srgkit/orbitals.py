@@ -1,15 +1,16 @@
 """Small permutation actions: pair-orbit partitions, orbital graphs, and
 direct intersection-number counting.
 
-Everything here is elementary orbit computation — permutations are plain
-image tuples, groups are never represented beyond their generators, and the
-pair-orbit partition is found by breadth-first closure.  That is all the
-product-action family and the oracle cross-checks need at degree <= 1000.
+Permutations are plain image tuples and groups are never represented beyond
+their generators.  The pair-orbit partition is built a whole row at a time
+by C-level gathers along a breadth-first tree of the points, and certified
+by checking that every generator preserves every row.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,19 @@ __all__ = [
 ]
 
 
+def _search(perms, root: int, via: dict) -> list[int]:
+    """The points newly reached by a breadth-first search from ``root``
+    under ``perms``, in order; via[y] = (parent, perm index), a Schreier
+    vector, is recorded for each (None at the root)."""
+    order, via[root] = [root], None
+    for p in order:
+        for i, g in enumerate(perms):
+            if g[p] not in via:
+                via[g[p]] = p, i
+                order.append(g[p])
+    return order
+
+
 @dataclass(frozen=True)
 class PermGroupAction:
     """A permutation group given by generators acting on {0..degree-1}."""
@@ -42,16 +56,7 @@ class PermGroupAction:
                 raise ValueError("generator is not a bijection on the points")
 
     def orbit(self, point: int) -> set[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return set(_search(self.generators, point, {}))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -82,7 +87,8 @@ class OrbitalPartition:
         return self.paired[c] == c
 
 
-_UNCLASSIFIED = 255  # the byte of a pair the orbit BFS has not reached
+_UNCLASSIFIED = 255  # the byte of every base-row point past the first 255 classes
+_SEEDS = 8  # Schreier generators taken before the first certificate
 
 
 def _partition(n: int, class_of: bytes) -> OrbitalPartition:
@@ -99,35 +105,78 @@ def _partition(n: int, class_of: bytes) -> OrbitalPartition:
     return OrbitalPartition(n, rank, class_of, paired, reps, lengths)
 
 
-def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
-    """Pair-orbit partition of a transitive action, by BFS closure.
+def _gatherer(perm):
+    """The C-level gather row -> (row[perm[0]], row[perm[1]], ...), a tuple
+    even at degree 1, where ``itemgetter`` of one index returns a scalar."""
+    get = operator.itemgetter(*perm)
+    return get if len(perm) > 1 else lambda row: (get(row),)
 
-    Classes are numbered by the first pair (0, y) reached in y order, so
-    the diagonal is always class 0 and the numbering is deterministic.
-    Raises ValueError past 255 classes, ScaleGuardError past 2^26 pairs.
+
+def _invariant_under(table, n, generators) -> tuple[int, int] | None:
+    """The first (x, i), x ascending, at which g = generators[i] moves the
+    n-point pair table (row g x gathered through g is not row x), or None."""
+    gathers = [_gatherer(g) for g in generators]
+    for x in range(n):
+        row = tuple(table[x * n : x * n + n])
+        for i, g in enumerate(generators):
+            if gathers[i](table[g[x] * n : g[x] * n + n]) != row:
+                return x, i
+    return None
+
+
+def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
+    """Pair-orbit partition of a transitive action, filled a row at a time.
+
+    A BFS tree of the points (a Schreier vector) gives each x the word t_x
+    along its path, with t_x(0) = x.  The base row (0, y) numbers the orbits
+    of a few Schreier generators t_{gx}^-1 g t_x, which fix 0, by least
+    point y, as the pair orbits are numbered; row g x is row x gathered
+    through g^-1.  Certificate: every generator g maps every row x onto row
+    g x.  Sound, because (1) the classes are then unions of pair orbits;
+    (2) t_x^-1 takes any pair (x, y) to a base-row pair of its class, and
+    the class meets the base row in one stabilizer orbit, so it is one pair
+    orbit; (3) a table finer than the orbits fails at some (x, g), whose
+    Schreier generator merges base-row classes and is added, and all n|gens|
+    of them generate the stabilizer of 0 (Schreier's lemma), so this ends.
+    Raises ValueError if not transitive, ScaleGuardError past 2^26 pairs,
+    and ValueError past 255 classes, only once the certificate holds.
     """
-    if not action.is_transitive():
+    n, gens, via = action.degree, action.generators, {}
+    order = _search(gens, 0, via)
+    if len(order) != n:
         raise ValueError("action is not transitive")
-    n = action.degree
-    gens = action.generators
-    class_of = _pair_bytes(n, _UNCLASSIFIED)
-    c = 0
-    while (y0 := class_of.find(_UNCLASSIFIED, 0, n)) != -1:  # pair (0, y0)
-        if c == _UNCLASSIFIED:
-            raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
-        class_of[y0] = c
-        frontier = [y0]
-        while frontier:
-            x, y = divmod(frontier.pop(), n)
-            for g in gens:
-                code = g[x] * n + g[y]
-                if class_of[code] == _UNCLASSIFIED:
-                    class_of[code] = c
-                    frontier.append(code)
-        c += 1
-    if class_of.find(_UNCLASSIFIED) != -1:
-        raise AssertionError("pair BFS left pairs unclassified")
-    return _partition(n, bytes(class_of))
+    table = _pair_bytes(n)
+    back = [_gatherer(sorted(range(n), key=g.__getitem__)) for g in gens]
+
+    def word(x):  # t_x with t_x(0) = x: the generators on the tree path
+        t = range(n)
+        while via[x] is not None:
+            x, i = via[x]
+            t = _gatherer(gens[i])(t)
+        return t
+
+    def schreier(x, i):  # t_{g x}^-1 g t_x for g = gens[i]
+        moved = sorted(range(n), key=word(gens[i][x]).__getitem__)
+        return _gatherer(_gatherer(word(x))(gens[i]))(moved)
+
+    edges = [(x, i) for x in reversed(order) for i in range(len(gens))]
+    seeds = [(x, i) for x, i in edges if via[gens[i][x]] != (x, i)][:_SEEDS]
+    stabilizer = [schreier(x, i) for x, i in seeds]  # off-tree, deepest first
+    while True:
+        reached = {}
+        roots = (y for y in range(n) if y not in reached)
+        for c, y in enumerate(roots):  # the stabilizer's orbits, by least point
+            for z in _search(stabilizer, y, reached):
+                table[z] = min(c, _UNCLASSIFIED)  # row 0, the base row
+        for x in order[1:]:
+            p, i = via[x]
+            table[x * n : x * n + n] = back[i](table[p * n : p * n + n])
+        if (failure := _invariant_under(table, n, gens)) is None:
+            break
+        stabilizer.append(schreier(*failure))
+    if _UNCLASSIFIED in table[:n]:
+        raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
+    return _partition(n, bytes(table))
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
@@ -178,11 +227,6 @@ def intersection_number_direct(
     return value
 
 
-# ---------------------------------------------------------------------------
-# Generator file IO
-# ---------------------------------------------------------------------------
-
-
 def save_gens(action: PermGroupAction, path: str | Path) -> None:
     """Write "degree g" then one image line per generator."""
     lines = [f"{action.degree} {len(action.generators)}"]
@@ -229,11 +273,6 @@ def load_gens(path: str | Path) -> PermGroupAction:
     return PermGroupAction(degree, tuple(gens))
 
 
-# ---------------------------------------------------------------------------
-# Group closure (small groups only)
-# ---------------------------------------------------------------------------
-
-
 def mulclose(
     generators: list[tuple[int, ...]], cap: int = 100_000
 ) -> set[tuple[int, ...]]:
@@ -255,50 +294,6 @@ def mulclose(
     return group
 
 
-# ---------------------------------------------------------------------------
-# The degree-28 and degree-784 actions
-# ---------------------------------------------------------------------------
-
-
-def _projective_line_64():
-    """PG(1, 64) as 0..63 (finite, by element index) plus 64 for infinity,
-    the embedded copy of GF(8), and the Frobenius x -> x^8."""
-    field = make_field(2, 6)
-    sub, embed = field.subfield(3)
-    frob3 = [field.pow_index(a, 8) for a in range(64)]
-    return field, set(embed), frob3
-
-
-def _moebius_generators(field, embedded_subfield):
-    """Permutations of PG(1,64) generating PSL_2(8) (coefficients in the
-    embedded GF(8)) plus the squaring field automorphism."""
-    INF = field.q
-    add, mul, inv = field.add_table, field.mul_table, field.inv_table
-
-    def shift(x):  # x + 1
-        return INF if x == INF else add[x][1]
-
-    mult = sorted(a for a in embedded_subfield if a > 1)[0]
-    # least embedded subfield element beyond 0 and 1: a generator of the
-    # order-7 multiplicative group of GF(8)
-
-    def scale(x):  # x * t
-        return INF if x == INF else mul[x][mult]
-
-    def invert(x):  # 1 / x
-        if x == INF:
-            return 0
-        if x == 0:
-            return INF
-        return inv[x]
-
-    def square(x):  # the field automorphism x -> x^2
-        return INF if x == INF else mul[x][x]
-
-    domain = list(range(field.q)) + [INF]
-    return [tuple(f(x) for x in domain) for f in (shift, scale, invert, square)]
-
-
 @functools.lru_cache(maxsize=1)
 def psl28_action() -> tuple[PermGroupAction, PermGroupAction]:
     """The 2-transitive degree-28 action and the rank-4 degree-784 product
@@ -312,25 +307,28 @@ def psl28_action() -> tuple[PermGroupAction, PermGroupAction]:
     diagonal squaring map, and the coordinate swap; it is accepted only
     with pair rank exactly 4.
     """
-    field, embedded, frob3 = _projective_line_64()
-    INF = field.q
-    outside = [x for x in range(field.q) if x not in embedded]
+    field = make_field(2, 6)  # PG(1, 64): 0..63 by element index, 64 for infinity
+    embedded = set(field.subfield(3)[1])  # the GF(8) subline
+    frob3 = [field.pow_index(a, 8) for a in range(64)]
+    add, mul, inv = field.add_table, field.mul_table, field.inv_table
+    t, finite, infinity = min(a for a in embedded if a > 1), range(64), (64,)
+    line_maps = [  # x + 1, x t, 1 / x (t of order 7) and the squaring x -> x^2
+        tuple(add[x][1] for x in finite) + infinity,
+        tuple(mul[x][t] for x in finite) + infinity,
+        infinity + tuple(inv[x] for x in range(1, 64)) + (0,),
+        tuple(mul[x][x] for x in finite) + infinity,
+    ]
+    outside = [x for x in range(64) if x not in embedded]
     points = sorted({(min(x, frob3[x]), max(x, frob3[x])) for x in outside})
     if len(points) != 28:
         raise AssertionError(f"{len(points)} Frobenius pairs, expected 28")
-    point_index = {p: i for i, p in enumerate(points)}
+    point_index = {frozenset(p): i for i, p in enumerate(points)}
 
-    line_maps = _moebius_generators(field, embedded)
-
-    def induced(perm):
-        """Action of a line permutation on the 28 Frobenius pairs."""
-        images = []
-        for a, b in points:
-            ia, ib = perm[a], perm[b]
-            if INF in (ia, ib) or ia in embedded or ib in embedded:
-                raise AssertionError("map does not preserve the point set")
-            images.append(point_index[(min(ia, ib), max(ia, ib))])
-        return tuple(images)
+    def induced(perm):  # the action of a line permutation on the 28 pairs
+        try:
+            return tuple(point_index[frozenset((perm[a], perm[b]))] for a, b in points)
+        except KeyError:
+            raise AssertionError("map does not preserve the point set") from None
 
     moebius = [induced(p) for p in line_maps[:3]]
     squaring = induced(line_maps[3])

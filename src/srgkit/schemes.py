@@ -641,10 +641,19 @@ def _tensor_recursion(b: list, c: list, one):
     return tuple(k), tuple(p), sum(k, zero)
 
 
+_ARRAY_RANK_CAP = 15  # tensor_from_array: rank 15 takes about 3 s, rank 21 18 s
+
+
 def tensor_from_array(array: IntersectionArray) -> IntersectionTensor:
     """Numeric tensor from an intersection array, validated against every
     relation; ``realizable`` records whether all entries are nonnegative
-    integers."""
+    integers.  Past rank ``_ARRAY_RANK_CAP`` raises ScaleGuardError before
+    building: the recursion and the audit grow about as rank^5."""
+    rank = array.diameter + 1
+    if rank > _ARRAY_RANK_CAP:
+        raise ScaleGuardError(
+            f"the intersection tensor of a rank-{rank} array", rank, _ARRAY_RANK_CAP
+        )
     b = [Fraction(x) for x in array.b]
     c = [Fraction(x) for x in array.c]
     return IntersectionTensor(*_tensor_recursion(b, c, Fraction(1)))

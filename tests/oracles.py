@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from srgkit.geometry import line_tangency_count, rref
 from srgkit.gf import FieldElement, field_of_order
-from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph, complement
+from srgkit.graphcore import (
+    Graph,
+    IntersectionArray,
+    _pair_bytes,
+    bits,
+    build_graph,
+    complement,
+)
 from srgkit.orbitals import mulclose
 
 
@@ -116,6 +123,37 @@ def pair_orbit_classes(action) -> list[int]:
                 class_of[g[0] * n + g[y0]] = rank
             rank += 1
     return class_of
+
+
+_UNCLASSIFIED = 255  # the byte of a pair the orbit BFS has not reached
+
+
+def pair_orbits_bfs(action) -> bytes:
+    """The pair-orbit class of every ordered pair, row-major, by closing
+    each orbit pair by pair under the generators: one Python step per pair.
+    Classes are numbered by the first pair (0, y) reached in y order."""
+    if not action.is_transitive():
+        raise ValueError("action is not transitive")
+    n = action.degree
+    gens = action.generators
+    class_of = _pair_bytes(n, _UNCLASSIFIED)
+    c = 0
+    while (y0 := class_of.find(_UNCLASSIFIED, 0, n)) != -1:  # pair (0, y0)
+        if c == _UNCLASSIFIED:
+            raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
+        class_of[y0] = c
+        frontier = [y0]
+        while frontier:
+            x, y = divmod(frontier.pop(), n)
+            for g in gens:
+                code = g[x] * n + g[y]
+                if class_of[code] == _UNCLASSIFIED:
+                    class_of[code] = c
+                    frontier.append(code)
+        c += 1
+    if class_of.find(_UNCLASSIFIED) != -1:
+        raise AssertionError("pair BFS left pairs unclassified")
+    return bytes(class_of)
 
 
 def orbital_graph_rows(partition, cls: int) -> list[int]:

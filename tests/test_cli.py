@@ -262,6 +262,21 @@ def test_scheme_array_reports_fusions_at_every_rank(capsys, monkeypatch):
     }
 
 
+def test_scheme_refuses_the_c40_tensor_before_building_it(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the recursion ran past the rank cap")
+
+    monkeypatch.setattr(schemes, "_tensor_recursion", never)
+    c40 = ",".join(["2"] + ["1"] * 19) + ";" + ",".join(["1"] * 19 + ["2"])
+    assert main(["scheme", c40]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        "the intersection tensor of a rank-21 array has size 21, "
+        "over the desk-scale limit of 15" in captured.err
+    )
+
+
 def test_scheme_exit_codes(capsys):
     assert main(["scheme", "not an array"]) == 2
     assert "array needs the form 'b0,b1,...;c1,c2,...'" in capsys.readouterr().err
@@ -448,6 +463,24 @@ def test_orbitals_rejects_bad_generator_files(capsys, tmp_path, text, code, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_orbitals_payload_does_not_depend_on_the_generator_list(capsys, tmp_path):
+    """Reversed generators, plus the identity and a repeated generator,
+    generate the same group, so the payload is the same bytes."""
+    from srgkit.orbitals import PermGroupAction, load_gens, save_gens
+
+    source = ROOT / "src/srgkit/data/psl2_8_sq6.gens"
+    action = load_gens(source)
+    gens = action.generators
+    listed = gens[::-1] + (tuple(range(action.degree)), gens[1])
+    save_gens(PermGroupAction(action.degree, listed), tmp_path / "listed.gens")
+    outputs = []
+    for path in (source, tmp_path / "listed.gens"):
+        assert main(["orbitals", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rank"] == 4
 
 
 # ---------------------------------------------------------------------------

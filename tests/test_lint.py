@@ -137,3 +137,51 @@ def test_the_scan_finds_a_stale_export():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_every_export_is_defined(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def clock_and_chance_imports(source: str) -> list[str]:
+    """Imports of ``time`` or ``random`` that run when the module loads:
+    at top level or in a top-level block, not inside a function."""
+    found, nodes = [], list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+            continue
+        for name in names:
+            if name.partition(".")[0] in ("time", "random"):
+                found.append((node.lineno, f"line {node.lineno}: {name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_the_scan_finds_a_clock_or_chance_import():
+    source = (
+        "import os, time as clock\n"
+        "from random import shuffle\n"
+        "from .random import local\n"
+        "import timeit\n"
+        "if clock:\n"
+        "    import random.seed\n"
+        "def f():\n"
+        "    import time\n"
+    )
+    assert clock_and_chance_imports(source) == [
+        "line 1: time",
+        "line 2: random",
+        "line 6: random.seed",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "cli.py"], ids=lambda path: path.name
+)
+def test_only_the_cli_imports_the_clock_or_chance(path):
+    """Payloads come from the library, so they stay byte-identical from
+    run to run; the CLI alone reads the clock, to report timings."""
+    assert clock_and_chance_imports(path.read_text()) == []

@@ -1,15 +1,19 @@
 """Pair-orbit partitions, orbital graphs, and direct p_ij^h counting."""
 
+import functools
 import itertools
 import re
+from pathlib import Path
 
 import oracles
 import pytest
 
+from srgkit import orbitals
 from srgkit.families import flag_action
 from srgkit.graphcore import SrgParams, check_srg, complement
 from srgkit.orbitals import (
     PermGroupAction,
+    _invariant_under,
     _partition,
     compute_orbitals,
     intersection_number_direct,
@@ -146,6 +150,67 @@ def test_byte_partition_matches_the_group_oracles(make):
     for c in range(1, partition.rank):
         expected = oracles.orbital_graph_rows(partition, c)
         assert list(orbital_graph(partition, c).rows) == expected
+
+
+SQ6 = Path(__file__).resolve().parent.parent / "src/srgkit/data/psl2_8_sq6.gens"
+
+ORACLE_CORPUS = {
+    "s3": s3_action,
+    "a5_on_pairs": a5_on_pairs,
+    "z5_translation": z5_translation,
+    "cyclic_255": functools.partial(cyclic, 255),
+    **{f"flag_action_{q}": functools.partial(flag_action, q) for q in (2, 3, 4, 7)},
+    "psl28_degree_28": lambda: psl28_action()[0],
+    "psl28_degree_784": lambda: psl28_action()[1],
+    "psl2_8_sq6": functools.partial(load_gens, SQ6),
+    "degree_1_no_generator": lambda: PermGroupAction(1, ()),
+    "degree_1_identity": lambda: PermGroupAction(1, ((0,),)),
+    "degree_2": lambda: PermGroupAction(2, ((1, 0),)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CORPUS)
+def test_row_gathers_equal_the_pair_bfs(name):
+    """class_of, rank, reps, pairing and suborbit lengths equal those of
+    the pair-by-pair BFS, byte for byte."""
+    action = ORACLE_CORPUS[name]()
+    expected = oracles.pair_orbits_bfs(action)
+    partition = compute_orbitals(action)
+    assert partition.class_of == expected
+    assert partition == _partition(action.degree, expected)
+
+
+@pytest.mark.parametrize("name", ["psl2_8_sq6", "flag_action_7", "a5_on_pairs"])
+def test_certificate_failures_alone_reach_the_orbits(monkeypatch, name):
+    """With no seeded Schreier generators the first base row is the finest
+    one; each generator added comes from a certificate failure."""
+    action = ORACLE_CORPUS[name]()
+    verdicts = []
+
+    def recorded(table, n, generators, check=_invariant_under):
+        verdicts.append(check(table, n, generators))
+        return verdicts[-1]
+
+    monkeypatch.setattr(orbitals, "_SEEDS", 0)
+    monkeypatch.setattr(orbitals, "_invariant_under", recorded)
+    assert compute_orbitals(action).class_of == oracles.pair_orbits_bfs(action)
+    assert len(verdicts) > 1 and verdicts[-1] is None
+
+
+def test_the_certificate_names_the_first_moved_row():
+    action = load_gens(SQ6)
+    n, gens = action.degree, action.generators
+    table = bytearray(compute_orbitals(action).class_of)
+    assert _invariant_under(table, n, gens) is None
+    assert _invariant_under(bytes(table), n, gens) is None
+    x = next(z for z in range(100, n) if all(g[z] != z for g in gens))
+    row = table[x * n : x * n + n]
+    y1, y2 = 0, next(y for y in range(n) if row[y] != row[0])
+    table[x * n + y1], table[x * n + y2] = row[y2], row[y1]
+    # each generator fails at x, and at every z that it maps onto x
+    moved = [(z, i) for z in range(n) for i, g in enumerate(gens) if x in (z, g[z])]
+    assert _invariant_under(table, n, gens) == min(moved)
+    assert min(moved)[0] < x  # a generator maps an earlier row onto row x
 
 
 def test_more_than_255_pair_orbits_is_a_named_error():

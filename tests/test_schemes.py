@@ -354,6 +354,17 @@ class TestTensorFromArray:
         assert t.k == (1, 2, 2, 2)
         assert t.v == 7
 
+    def test_rank_guard_comes_before_the_recursion(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the recursion ran past the rank cap")
+
+        monkeypatch.setattr(schemes, "_ARRAY_RANK_CAP", 3)
+        monkeypatch.setattr(schemes, "_tensor_recursion", never)
+        with pytest.raises(ScaleGuardError, match="rank-4 array has size 4, over"):
+            tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1)))
+        monkeypatch.undo()
+        assert tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1))).rank == 3
+
     def test_negative_entries_flagged_not_fatal(self):
         t = tensor_from_array(IntersectionArray(b=(3, 1, 1), c=(1, 1, 1)))
         assert t.realizable is False
