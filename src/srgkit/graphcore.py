@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import ScaleGuardError
 
@@ -410,13 +410,20 @@ def distance_masks(g: Graph, root: int) -> list[int]:
 def check_srg(g: Graph) -> SrgParams | RegularityFailure:
     """Verify strong regularity by counting common neighbours of every
     vertex pair.  Returns the parameters, or the first violating pair."""
+    return _srg_scan(g, range(g.n))
+
+
+def _srg_scan(g: Graph, roots: Iterable[int]) -> SrgParams | RegularityFailure:
+    """The preconditions, then the common-neighbour counts of the pairs
+    (u, v), v > u, for each u in ``roots`` in order: the parameters, or the
+    first pair whose count disagrees with the first of its kind."""
     basic = _basic_failure(g)
     if basic is not None:
         return basic
     n, rows = g.n, g.rows
     k = g.degree(0)
     lam = mu = -1
-    for u in range(n):
+    for u in roots:
         ru = rows[u]
         for v in range(u + 1, n):
             common = (ru & rows[v]).bit_count()

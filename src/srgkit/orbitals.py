@@ -4,18 +4,27 @@ direct intersection-number counting.
 Permutations are plain image tuples and groups are never represented beyond
 their generators.  The pair-orbit partition is built a whole row at a time
 by C-level gathers along a breadth-first tree of the points, and certified
-by checking that every generator preserves every row.
+by checking that every generator preserves every row.  That certificate
+lets strong regularity of an orbital graph be counted on the base row alone.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .gf import make_field
-from .graphcore import Graph, _class_rows, _pair_bytes, _strict_int
+from .graphcore import (
+    Graph,
+    RegularityFailure,
+    SrgParams,
+    _class_rows,
+    _pair_bytes,
+    _srg_scan,
+    _strict_int,
+)
 
 __all__ = [
     "OrbitalPartition",
@@ -25,6 +34,7 @@ __all__ = [
     "load_gens",
     "mulclose",
     "orbital_graph",
+    "orbital_srg",
     "psl28_action",
     "save_gens",
 ]
@@ -71,6 +81,11 @@ class OrbitalPartition:
     class_of[x * degree + y]; so there are at most 255 classes.  Class 0 is
     the diagonal.  paired[c] is the class of the transposed pairs of class
     c; reps[c] is a representative pair with first coordinate 0.
+
+    certificate is ``"group-orbitals"`` when :func:`compute_orbitals` has
+    certified the classes as the pair orbits of a transitive group, and
+    None for a pair invariant that no group has been checked to preserve.
+    It is not compared: equal partitions are equal classes.
     """
 
     degree: int
@@ -79,6 +94,7 @@ class OrbitalPartition:
     paired: tuple[int, ...]
     reps: tuple[tuple[int, int], ...]
     suborbit_lengths: tuple[int, ...]
+    certificate: str | None = field(default=None, compare=False)
 
     def pair_class(self, x: int, y: int) -> int:
         return self.class_of[x * self.degree + y]
@@ -91,7 +107,7 @@ _UNCLASSIFIED = 255  # the byte of every base-row point past the first 255 class
 _SEEDS = 8  # Schreier generators taken before the first certificate
 
 
-def _partition(n: int, class_of: bytes) -> OrbitalPartition:
+def _partition(n: int, class_of: bytes, certificate=None) -> OrbitalPartition:
     """The partition with pair classes ``class_of``.  Reps, suborbit lengths
     and pairing are read off the base row (0, y) and the first column
     (y, 0), so every class needs a representative in the base row."""
@@ -102,7 +118,7 @@ def _partition(n: int, class_of: bytes) -> OrbitalPartition:
         raise AssertionError("a pair class has no representative in the base row")
     reps = tuple((0, base_row.index(c)) for c in range(rank))
     paired = tuple(class_of[y * n] for _, y in reps)
-    return OrbitalPartition(n, rank, class_of, paired, reps, lengths)
+    return OrbitalPartition(n, rank, class_of, paired, reps, lengths, certificate)
 
 
 def _gatherer(perm):
@@ -139,7 +155,8 @@ def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
     Schreier generator merges base-row classes and is added, and all n|gens|
     of them generate the stabilizer of 0 (Schreier's lemma), so this ends.
     Raises ValueError if not transitive, ScaleGuardError past 2^26 pairs,
-    and ValueError past 255 classes, only once the certificate holds.
+    and ValueError past 255 classes, only once the certificate holds.  The
+    result carries the certificate ``"group-orbitals"``.
     """
     n, gens, via = action.degree, action.generators, {}
     order = _search(gens, 0, via)
@@ -176,7 +193,7 @@ def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
         stabilizer.append(schreier(*failure))
     if _UNCLASSIFIED in table[:n]:
         raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
-    return _partition(n, bytes(table))
+    return _partition(n, bytes(table), certificate="group-orbitals")
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
@@ -188,6 +205,26 @@ def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
     wanted = (cls, partition.paired[cls])
     rows = _class_rows(partition.degree, partition.class_of, wanted)
     return Graph(rows, validate=False)
+
+
+def orbital_srg(
+    partition: OrbitalPartition, cls: int
+) -> SrgParams | RegularityFailure:
+    """``check_srg(orbital_graph(partition, cls))``, counted on the base
+    row (0, y) alone when the partition is certified group orbitals.
+
+    The certified group is transitive and preserves every class, so it
+    preserves the graph, and some element takes each pair (u, v) to a pair
+    (0, y) with the same adjacency and common-neighbour count.  The counts
+    are therefore constant on all pairs exactly when they are constant on
+    row 0: the count is exhaustive over orbit representatives, not
+    sampled.  The full scan reads row 0 first, so its first witness lies in
+    row 0 too, and the result is the full count's in every field, witness
+    included.  Any other partition gets the full count.
+    """
+    graph = orbital_graph(partition, cls)
+    group = partition.certificate == "group-orbitals"
+    return _srg_scan(graph, range(1) if group else range(graph.n))
 
 
 def intersection_number_direct(

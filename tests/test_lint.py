@@ -185,3 +185,65 @@ def test_only_the_cli_imports_the_clock_or_chance(path):
     """Payloads come from the library, so they stay byte-identical from
     run to run; the CLI alone reads the clock, to report timings."""
     assert clock_and_chance_imports(path.read_text()) == []
+
+
+def certificate_misuses(source: str) -> list[str]:
+    """Uses of the ``"group-orbitals"`` certificate outside its two owners.
+    It may be written (passed as the ``certificate`` keyword) only in
+    ``compute_orbitals``, which earns it, and read (compared, or through
+    the ``certificate`` attribute) only in ``orbital_srg``, which acts on
+    it.  Any other use of the literal, a named copy of it for one, is
+    flagged too.  So a count that scans the base row alone cannot run on a
+    partition that no group certifies."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "module level")
+        for node in ast.walk(top):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Constant) and child.value == "group-orbitals":
+                    if isinstance(node, ast.keyword) and node.arg == "certificate":
+                        use, allowed = "written", "compute_orbitals"
+                    elif isinstance(node, ast.Compare):
+                        use, allowed = "compared", "orbital_srg"
+                    else:
+                        use, allowed = "used", None
+                elif (
+                    isinstance(child, ast.Attribute)
+                    and child.attr == "certificate"
+                    and isinstance(child.ctx, ast.Load)
+                ):
+                    use, allowed = "read", "orbital_srg"
+                else:
+                    continue
+                if owner != allowed:
+                    line = child.lineno
+                    found.append((line, f"line {line}: {use} in {owner}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_the_scan_finds_a_misused_certificate():
+    source = (
+        "def compute_orbitals(action):\n"
+        "    return _partition(n, table, certificate='group-orbitals')\n"
+        "def orbital_srg(partition, cls):\n"
+        "    return partition.certificate == 'group-orbitals'\n"
+        "def classify(points):\n"
+        "    return _partition(n, table, certificate='group-orbitals')\n"
+        "def sampled(partition):\n"
+        "    if 'group-orbitals' in {partition.certificate}:\n"
+        "        return 1\n"
+        "_GROUP = 'group-orbitals'\n"
+    )
+    assert certificate_misuses(source) == [
+        "line 6: written in classify",
+        "line 8: compared in sampled",
+        "line 8: read in sampled",
+        "line 10: used in module level",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_the_orbit_count_reads_the_group_certificate(path):
+    """A sampled count must never pass for an exhaustive one: the
+    base-row count of strong regularity runs only on certified orbits."""
+    assert certificate_misuses(path.read_text()) == []

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 import re
 from pathlib import Path
 
@@ -9,8 +10,20 @@ import oracles
 import pytest
 
 from srgkit import orbitals
-from srgkit.families import flag_action
-from srgkit.graphcore import SrgParams, check_srg, complement
+from srgkit.families import (
+    build_flag_orbitals,
+    build_orthogonal_orbitals,
+    build_unitary_orbitals,
+    flag_action,
+    hamming_classification,
+)
+from srgkit.graphcore import (
+    RegularityFailure,
+    SrgParams,
+    _srg_scan,
+    check_srg,
+    complement,
+)
 from srgkit.orbitals import (
     PermGroupAction,
     _invariant_under,
@@ -20,6 +33,7 @@ from srgkit.orbitals import (
     load_gens,
     mulclose,
     orbital_graph,
+    orbital_srg,
     psl28_action,
     save_gens,
 )
@@ -50,6 +64,12 @@ def z5_translation():
 
 def cyclic(n: int) -> PermGroupAction:
     return PermGroupAction(n, (tuple((x + 1) % n for x in range(n)),))
+
+
+def dihedral(n: int) -> PermGroupAction:
+    """The symmetries of the n-cycle: the rotation and the reflection."""
+    reflection = tuple(-x % n for x in range(n))
+    return PermGroupAction(n, cyclic(n).generators + (reflection,))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +197,7 @@ def test_row_gathers_equal_the_pair_bfs(name):
     expected = oracles.pair_orbits_bfs(action)
     partition = compute_orbitals(action)
     assert partition.class_of == expected
-    assert partition == _partition(action.degree, expected)
+    assert partition == _partition(action.degree, expected)  # the certificate aside
 
 
 @pytest.mark.parametrize("name", ["psl2_8_sq6", "flag_action_7", "a5_on_pairs"])
@@ -260,6 +280,96 @@ def test_self_paired_valency_matches_suborbit_length():
     for c in range(1, 3):
         g = orbital_graph(partition, c)
         assert set(g.degrees()) == {partition.suborbit_lengths[c]}
+
+
+# ---------------------------------------------------------------------------
+# strong regularity of orbital graphs
+# ---------------------------------------------------------------------------
+
+SRG_CORPUS = {
+    **ORACLE_CORPUS,
+    "dihedral_6": functools.partial(dihedral, 6),
+    "cyclic_4": functools.partial(cyclic, 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def srg_verdicts(name):
+    """(class, orbital_srg, check_srg) for every self-paired class."""
+    partition = compute_orbitals(SRG_CORPUS[name]())
+    assert partition.certificate == "group-orbitals"
+    return [
+        (c, orbital_srg(partition, c), check_srg(orbital_graph(partition, c)))
+        for c in range(1, partition.rank)
+        if partition.is_self_paired(c)
+    ]
+
+
+@pytest.mark.parametrize("name", SRG_CORPUS)
+def test_base_row_count_equals_the_full_count(name):
+    """On certified group orbitals the base-row count gives the full
+    count's result in every field: parameters, or reason, witness,
+    expected and found."""
+    for c, counted, full in srg_verdicts(name):
+        assert counted == full, c
+
+
+def test_the_srg_corpus_reaches_every_kind_of_verdict():
+    verdicts = [full for name in SRG_CORPUS for _, _, full in srg_verdicts(name)]
+    reasons = {v.reason for v in verdicts if isinstance(v, RegularityFailure)}
+    assert {
+        "non-adjacent pairs disagree on common neighbours",
+        "disconnected",
+        "complete graph",
+    } <= reasons
+    assert any(isinstance(v, SrgParams) for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_flag_orbitals(2),
+        lambda: build_unitary_orbitals(3, 3),
+        lambda: build_orthogonal_orbitals(2, 5, "+"),
+        lambda: hamming_classification(4),
+    ],
+    ids=["flags_2", "unitary_3_3", "orthogonal_2_5_plus", "hamming_4"],
+)
+def test_pair_invariant_classifications_carry_no_certificate(build):
+    assert build().partition.certificate is None
+
+
+def test_an_uncertified_partition_gets_the_full_count():
+    """A 2-switch of the Petersen graph away from vertex 0 that keeps row
+    0's adjacency and counts: the graph is clean on row 0 and fails later,
+    and without a certificate the full count must find that."""
+    partition = compute_orbitals(a5_on_pairs())
+    cls = partition.suborbit_lengths.index(3)
+    petersen = orbital_graph(partition, cls)
+    n, adjacent = petersen.n, petersen.adjacent
+    edges = [(u, v) for u in range(1, n) for v in range(1, n) if adjacent(u, v)]
+    switches = [
+        (a, b, c, d)
+        for (a, b), (c, d) in itertools.product(edges, edges)
+        if len({a, b, c, d}) == 4
+        and not adjacent(a, c)
+        and not adjacent(b, d)
+        and adjacent(0, b) == adjacent(0, c)
+        and adjacent(0, a) == adjacent(0, d)
+    ]
+    a, b, c, d = random.Random(15).choice(switches)
+    table = bytearray(
+        0 if x == y else 1 if adjacent(x, y) else 2 for x in range(n) for y in range(n)
+    )
+    for (x, y), label in {(a, b): 2, (c, d): 2, (a, c): 1, (b, d): 1}.items():
+        table[x * n + y] = table[y * n + x] = label
+    switched = _partition(n, bytes(table))
+    graph = orbital_graph(switched, 1)
+    assert switched.certificate is None
+    assert _srg_scan(graph, range(1)) == SrgParams(10, 3, 0, 1)
+    full = check_srg(graph)
+    assert isinstance(full, RegularityFailure) and full.witness[0] > 0
+    assert orbital_srg(switched, 1) == full
 
 
 # ---------------------------------------------------------------------------
