@@ -42,6 +42,7 @@ from .graphcore import (
     RegularityFailure,
     SrgParams,
     _array_entries,
+    _strict_int,
     check_drg,
     check_srg,
     from_edgelist,
@@ -411,6 +412,14 @@ def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
 # ---------------------------------------------------------------------------
 
 
+def _vertex_budget(text: str) -> int:
+    """A ``--max-v`` value: an integer of at least 1, else argparse exits 2."""
+    value = _strict_int(text)  # a ValueError exits 2 as well
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs a budget of at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srgkit",
@@ -425,14 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--format", choices=("graph6", "edgelist"), default="graph6"
     )
-    gen.add_argument("--max-v", type=int, default=DEFAULT_MAX_V)
+    gen.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser(
         "verify", help="brute-force check a family spec or graph file"
     )
     verify.add_argument("target", help="family spec or path to a graph file")
-    verify.add_argument("--max-v", type=int, default=DEFAULT_MAX_V)
+    verify.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     verify.set_defaults(func=cmd_verify)
 
     scheme = sub.add_parser(
@@ -446,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser(
         "table1", help="regression run over all desk-scale targets"
     )
-    table1.add_argument("--max-v", type=int, default=DEFAULT_MAX_V)
+    table1.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     table1.set_defaults(func=cmd_table1)
 
     orbitals = sub.add_parser(

@@ -12,20 +12,21 @@ its tag, its spec head (``nu`` in ``nu:n=3,q=3``), its parameter names and
 its builder.  :class:`FamilyId`, :func:`parse_family_spec` and
 :func:`build_family` all read that table.
 
-Every family graph and pair classification is read off one label table
-checked on every ordered pair (:func:`srgkit.graphcore._label_table`).  Its
-rows come from a table-lookup inner product (unitary, orthogonal, polar),
-packed incidence sums (Grassmann, dual polar) or one call per ordered pair
-(flags and Hamming words).  Only Johnson graphs use ``build_graph``.
+Every family graph and pair classification but the flag classes is read
+off one label table checked on every ordered pair
+(:func:`srgkit.graphcore._label_table`).  Its rows come from a table-lookup
+inner product (unitary, orthogonal, polar), packed incidence sums
+(Grassmann, dual polar) or one call per ordered pair (Hamming words).
+Only Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
 :func:`hamming_classification`) partition the ordered vertex pairs by an
 algebraic invariant, return one graph per class, and compute the full
 intersection-number tensor of the partition by direct counting.  They have
-no family tag; call them directly.  Where a small matrix-group action is
-available (flags of a projective plane) the set-theoretic classes are
-cross-checked against genuine group orbitals.
+no family tag; call them directly.  The flag classes of a projective plane
+are the pair orbits of its extended projective group, named by the flag
+relation on the base row alone.
 
 Every constructor predicts its vertex count from a formula first and
 refuses to enumerate past a configurable budget (:class:`ScaleGuardError`),
@@ -296,21 +297,14 @@ class OrbitalClassification:
     tensor: IntersectionTensor
     eps: str | None = None
 
-    def class_index(self, label: int) -> int:
-        """Partition class index of a non-diagonal label."""
-        return 1 + self.labels.index(label)
-
 
 def _classify_pairs(
-    points, row_of, vertex_label, eps: str | None = None
+    points, class_of: bytes, labels, vertex_label, eps: str | None = None
 ) -> OrbitalClassification:
-    """Build an :class:`OrbitalClassification` from the label table of a
-    symmetric pair invariant: ``row_of(i)`` labels the pairs (i, j) for
-    every j (see :func:`srgkit.graphcore._label_table`)."""
-    n = len(points)
-    class_of, labels = _label_table(n, row_of)
-    partition = _partition(n, bytes(class_of))
-    del class_of  # the partition holds its own copy
+    """Build an :class:`OrbitalClassification` from symmetric pair classes:
+    ``class_of`` is one byte per ordered pair, row-major, the diagonal class
+    0 and class c >= 1 labelled ``labels[c - 1]``."""
+    partition = _partition(len(points), class_of)
     names = [vertex_label(p) for p in points]
     return OrbitalClassification(
         points=tuple(points),
@@ -324,6 +318,15 @@ def _classify_pairs(
         tensor=tensor_from_orbital_partition(partition),
         eps=eps,
     )
+
+
+def _invariant_classes(n: int, row_of) -> tuple[bytes, tuple[int, ...]]:
+    """The class bytes and labels of the label table of a symmetric pair
+    invariant: ``row_of(i)`` labels the pairs (i, j) for every j (see
+    :func:`srgkit.graphcore._label_table`).  The table is freed on return,
+    before :func:`_classify_pairs` builds graphs and tensor from its bytes."""
+    table, labels = _label_table(n, row_of)
+    return bytes(table), labels
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +435,7 @@ def build_unitary_orbitals(
     vectors multiplies h(x, y) by an element of norm 1.
     """
     points, row_of = _unitary_pairs(n, q, f"NU_{n}({q}) pair classes", max_v)
-    return _classify_pairs(points, row_of, str)
+    return _classify_pairs(points, *_invariant_classes(len(points), row_of), str)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,7 @@ def build_orthogonal_orbitals(
         max_v,
     )
     row_of = _orthogonal_pair_label(space, points, c_value)
-    return _classify_pairs(points, row_of, str, eps=eps)
+    return _classify_pairs(points, *_invariant_classes(len(points), row_of), str, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +713,7 @@ def hamming_classification(
     if d < 2:
         raise ValueError("need an alphabet of at least two letters")
     words, row_of = _hamming_pairs(d, f"H(3,{d}) pair classes", max_v)
-    return _classify_pairs(words, row_of, str)
+    return _classify_pairs(words, *_invariant_classes(len(words), row_of), str)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +804,24 @@ def flag_action(q: int) -> PermGroupAction:
     return PermGroupAction(len(flags), tuple(generators))
 
 
+def _flag_pair_label(field, flag, other) -> int:
+    """Label of a pair of distinct flags of PG(2, q): 1 when they share a
+    point or a line, else 3 less the number of cross-incidences between one
+    flag's point and the other's line (at most one)."""
+    if flag.point == other.point or flag.line == other.line:
+        return 1
+    add, mul = field.add_table, field.mul_table
+    crossings = 0
+    for point, line in ((flag.point, other.line), (other.point, flag.line)):
+        acc = 0
+        for a, b in zip(point, line):
+            acc = add[acc][mul[a][b]]
+        crossings += acc == 0
+    if crossings == 2:
+        raise AssertionError("flags in general position share both cross-incidences")
+    return 3 - crossings
+
+
 def build_flag_orbitals(
     q: int, max_v: int = DEFAULT_MAX_V
 ) -> OrbitalClassification:
@@ -809,62 +830,31 @@ def build_flag_orbitals(
     exactly one cross-incidence between one flag's point and the other's
     line (label 2), and no relation at all (label 3).
 
-    The classes are cross-checked against the orbitals of the flag action
-    of the extended projective group, and the direct-count tensor against
-    the closed-form matrix :func:`flag_M`.
+    The classes are the pair orbits of :func:`flag_action`, named on the
+    base row, where labels 1, 2, 3 must name one orbit each (so the rank is
+    4); the direct-count tensor is checked against :func:`flag_M`.
     """
     predicted = (q * q + q + 1) * (q + 1)
     _guard(f"flags of PG(2,{q})", predicted, max_v)
-    field = field_of_order(q)
     flags = enumerate_flags(q)
-    add, mul = field.add_table, field.mul_table
-
-    def incident(point, line) -> bool:
-        acc = 0
-        for a, b in zip(point, line):
-            acc = add[acc][mul[a][b]]
-        return acc == 0
-
-    def pair_label(flag, other) -> int:
-        point, line = flag
-        other_point, other_line = other
-        if point == other_point or line == other_line:
-            return 1
-        first = incident(point, other_line)
-        second = incident(other_point, line)
-        if first and second:
-            raise AssertionError(
-                "two flags in general position share both cross-incidences"
-            )
-        return 2 if first or second else 3
-
+    orbits = compute_orbitals(flag_action(q)).class_of
+    base = map(partial(_flag_pair_label, field_of_order(q), flags[0]), flags[1:])
+    named = set(zip(orbits[1:predicted], base))  # (orbit, label) on the base row
+    label_of = dict(named)
+    if len(named) != 3 or sorted(label_of.values()) != [1, 2, 3]:
+        raise AssertionError(f"flag labels name the pair orbits as {sorted(named)}")
+    rename = bytes(label_of.get(orbit, 0) for orbit in range(256))
     classification = _classify_pairs(
-        flags, lambda i: bytes(map(pair_label, itertools.repeat(flags[i]), flags)),
+        flags, orbits.translate(rename), (1, 2, 3),
         lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
     )
     lengths = classification.suborbit_lengths
-    if (lengths[1], lengths[2], lengths[3]) != (2 * q, 2 * q * q, q**3):
+    if tuple(lengths.values()) != (2 * q, 2 * q * q, q**3):
         raise AssertionError(f"unexpected suborbit lengths {lengths}")
-    m = flag_M(q)
-    counted = [
-        [int(classification.tensor.p[i][j][j]) for j in (1, 2, 3)]
-        for i in (1, 2, 3)
-    ]
-    if tuple(tuple(row) for row in counted) != m:
-        raise AssertionError(
-            f"direct-count matrix {counted} differs from closed form {m}"
-        )
-    group = compute_orbitals(flag_action(q))
-    classes = classification.partition
-    if group.rank != classes.rank:
-        raise AssertionError(
-            f"group action has rank {group.rank}, classes give {classes.rank}"
-        )
-    relabel = bytes(classes.pair_class(*rep) for rep in group.reps)
-    if sorted(relabel) != list(range(group.rank)):
-        raise AssertionError("group orbitals do not map onto the classes")
-    if group.class_of.translate(relabel.ljust(256, b"\0")) != classes.class_of:
-        raise AssertionError("group orbitals differ from the set-theoretic classes")
+    p, m = classification.tensor.p, flag_M(q)
+    counted = tuple(tuple(int(p[i][j][j]) for j in (1, 2, 3)) for i in (1, 2, 3))
+    if counted != m:
+        raise AssertionError(f"direct-count matrix {counted} is not flag_M {m}")
     return classification
 
 

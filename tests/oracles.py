@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from srgkit.geometry import line_tangency_count, rref
+from srgkit.geometry import enumerate_flags, line_tangency_count, rref
 from srgkit.gf import FieldElement, field_of_order
 from srgkit.graphcore import (
     Graph,
@@ -107,6 +107,34 @@ def polar_complement_by_form(space, points):
         labels=str,
     )
     return complement(polar)
+
+
+def flag_pair_classes(q: int) -> bytes:
+    """The class of every ordered pair of flags of PG(2, q), row-major, by
+    the flag relation evaluated on each pair: 0 on the diagonal, 1 for a
+    shared point or line, 2 for exactly one cross-incidence between one
+    flag's point and the other's line, 3 for none."""
+    field = field_of_order(q)
+    add, mul = field.add_table, field.mul_table
+
+    def incident(point, line) -> bool:
+        acc = 0
+        for a, b in zip(point, line):
+            acc = add[acc][mul[a][b]]
+        return acc == 0
+
+    def pair_class(flag, other) -> int:
+        if flag == other:
+            return 0
+        if flag.point == other.point or flag.line == other.line:
+            return 1
+        first = incident(flag.point, other.line)
+        second = incident(other.point, flag.line)
+        assert not (first and second), "two flags share both cross-incidences"
+        return 2 if first or second else 3
+
+    flags = enumerate_flags(q)
+    return bytes(pair_class(f, g) for f in flags for g in flags)
 
 
 def pair_orbit_classes(action) -> list[int]:

@@ -71,6 +71,17 @@ def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "nu:n=4,q=3", "--max-v", "600")[0] == 0
 
 
+@pytest.mark.parametrize("budget", ["-1", "0", "x"])
+@pytest.mark.parametrize(
+    "argv", [["gen", "nu:n=3,q=3", "-o", "never.g6"], ["verify", "nu:n=3,q=3"], ["table1"]]
+)
+def test_max_v_must_be_a_positive_integer(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-v", budget])
+    assert exc.value.code == 2
+    assert "argument --max-v" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec", ["nu:n=3,q=6", "flags:q=6", "grassmann:n=6,q=6", "no:m=2,q=15,eps=+"]
 )

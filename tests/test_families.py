@@ -8,7 +8,6 @@ from srgkit.families import (
     _FAMILIES,
     FamilyId,
     ScaleGuardError,
-    _classify_pairs,
     build_NO,
     build_NU,
     build_dual_polar_sp6,
@@ -44,6 +43,7 @@ from srgkit.graphcore import (
     IntersectionArray,
     RegularityFailure,
     SrgParams,
+    _label_table,
     check_drg,
     check_srg,
 )
@@ -316,8 +316,9 @@ def test_flag_matrix_closed_form_values():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_flag_classification_structure(q):
-    # the builder itself cross-checks set classes against group orbitals
-    # and the direct-count tensor against the closed-form matrix
+    # the builder itself checks that the base-row labels name the group
+    # orbitals one to one and the direct-count tensor against the
+    # closed-form matrix
     cls = build_flag_orbitals(q)
     assert len(cls.points) == (q * q + q + 1) * (q + 1)
     assert cls.labels == (1, 2, 3)
@@ -326,6 +327,38 @@ def test_flag_classification_structure(q):
         cls.suborbit_lengths[2],
         cls.suborbit_lengths[3],
     ) == (2 * q, 2 * q * q, q**3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_flag_classes_match_the_pair_by_pair_oracle(q):
+    cls = build_flag_orbitals(q)
+    assert cls.partition.class_of == oracles.flag_pair_classes(q)
+
+
+def test_flag_relation_is_evaluated_on_the_base_row_only(monkeypatch):
+    calls = []
+    label = families._flag_pair_label
+
+    def counted(*args):
+        calls.append(args)
+        return label(*args)
+
+    monkeypatch.setattr(families, "_flag_pair_label", counted)
+    cls = build_flag_orbitals(7)
+    n = len(cls.points)
+    assert n == 456 and len(calls) == n - 1
+    assert [other for _, flag, other in calls] == list(cls.points[1:])
+    assert {flag for _, flag, _ in calls} == {cls.points[0]}
+
+
+def test_flag_labels_must_name_the_orbits_one_to_one(monkeypatch):
+    # labels 2 and 3 merged: two orbits carry label 2, none carries 3
+    label = families._flag_pair_label
+    monkeypatch.setattr(
+        families, "_flag_pair_label", lambda *args: min(label(*args), 2)
+    )
+    with pytest.raises(AssertionError, match="flag labels name the pair orbits"):
+        build_flag_orbitals(3)
 
 
 def test_flag_action_names_a_generator_that_leaves_the_flags(monkeypatch):
@@ -641,16 +674,14 @@ def test_pair_classes_reject_an_invariant_asymmetric_at_one_pair():
         return 3 if (i, j) == (5, 7) else 1 + (i + j) % 2
 
     with pytest.raises(AssertionError, match=r"asymmetric at \(5, 7\)"):
-        _classify_pairs(range(48), lambda i: [pair_label(i, j) for j in range(48)], str)
+        _label_table(48, lambda i: [pair_label(i, j) for j in range(48)])
 
 
 def test_pair_classes_are_bytes_and_reject_over_255_labels():
     cls = hamming_classification(3)
     assert isinstance(cls.partition.class_of, bytes)
     with pytest.raises(ValueError, match="more than 255 labels"):
-        _classify_pairs(
-            range(24), lambda i: [min(i, j) * 24 + max(i, j) for j in range(24)], str
-        )
+        _label_table(24, lambda i: [min(i, j) * 24 + max(i, j) for j in range(24)])
 
 
 def test_classification_tensors_validate():

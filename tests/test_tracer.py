@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -30,9 +32,11 @@ def test_every_traced_target_resolves(monkeypatch):
         assert callable(owner), target
 
 
-def test_traced_table1_reaches_every_table1_target(monkeypatch, tmp_path):
-    """The benchmark's traced table1 run must reach every wrap target that
-    lists table1, as its self-test demands."""
+@pytest.mark.parametrize("job", [("cli", "table1"), ("classes",)], ids=lambda j: j[-1])
+def test_traced_workload_reaches_every_listed_target(monkeypatch, tmp_path, job):
+    """A traced workload run must reach every wrap target that lists the
+    workload, as the benchmark's self-test demands."""
+    workload = job[-1]
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -40,12 +44,12 @@ def test_traced_table1_reaches_every_table1_target(monkeypatch, tmp_path):
     out = tmp_path / "t.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(
-        [sys.executable, str(TRACER), str(out), "cli", "table1"],
+        [sys.executable, str(TRACER), str(out), *job],
         cwd=ROOT, env=env, check=True, capture_output=True, timeout=120,
     )
     reached = json.loads(out.read_text())["reached"]
     unreached = [
         target for target, _, _, workloads in tracer.WRAPS
-        if "table1" in workloads and not reached.get(target)
+        if workload in workloads and not reached.get(target)
     ]
     assert not unreached
