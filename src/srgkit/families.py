@@ -12,21 +12,23 @@ its tag, its spec head (``nu`` in ``nu:n=3,q=3``), its parameter names and
 its builder.  :class:`FamilyId`, :func:`parse_family_spec` and
 :func:`build_family` all read that table.
 
-Every family graph and pair classification but the flag classes is read
-off one label table checked on every ordered pair
-(:func:`srgkit.graphcore._label_table`).  Its rows come from a table-lookup
-inner product (unitary, orthogonal, polar), packed incidence sums
-(Grassmann, dual polar) or one call per ordered pair (Hamming words).
-Only Johnson graphs use ``build_graph``.
+Every pair structure built from a form, words or flags takes one path: a
+transitive isometry action (the form's reflection group,
+:func:`srgkit.geometry.reflection_action`; S_d wr S_3 on words; the
+extended projective group on flags), an invariant evaluated on the base row
+(0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`, which certifies
+the pair orbits and checks that the invariant names them one to one.  The
+unitary, orthogonal, polar-complement and Hamming graphs are classes of
+such a partition.  Grassmann and dual polar graphs are read off a label
+table of incidence sums checked on every ordered pair
+(:func:`srgkit.graphcore._label_table`); only Johnson graphs use
+``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
-:func:`hamming_classification`) partition the ordered vertex pairs by an
-algebraic invariant, return one graph per class, and compute the full
-intersection-number tensor of the partition by direct counting.  They have
-no family tag; call them directly.  The flag classes of a projective plane
-are the pair orbits of its extended projective group, named by the flag
-relation on the base row alone.
+:func:`hamming_classification`) return those certified orbits, one graph
+per class, and the full intersection-number tensor of the partition by
+direct counting.  They have no family tag; call them directly.
 
 Every constructor predicts its vertex count from a formula first and
 refuses to enumerate past a configurable budget (:class:`ScaleGuardError`),
@@ -38,20 +40,23 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from math import comb
 from typing import Mapping
 
 from .geometry import (
     FormedSpace,
+    _dot,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
+    lead_one,
     line_tangency_count,
     perp_type,
     projective_reps,
+    reflection_action,
 )
 from .gf import (
     FieldElement,
@@ -62,9 +67,8 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import _label_graph, _label_table, _strict_int
+from .graphcore import _label_graph, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
-from .orbitals import _partition
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
 __all__ = [
@@ -299,12 +303,14 @@ class OrbitalClassification:
 
 
 def _classify_pairs(
-    points, class_of: bytes, labels, vertex_label, eps: str | None = None
+    points, partition: OrbitalPartition, labels, vertex_label, eps: str | None = None
 ) -> OrbitalClassification:
-    """Build an :class:`OrbitalClassification` from symmetric pair classes:
-    ``class_of`` is one byte per ordered pair, row-major, the diagonal class
-    0 and class c >= 1 labelled ``labels[c - 1]``."""
-    partition = _partition(len(points), class_of)
+    """Build an :class:`OrbitalClassification` from pair orbits named by a
+    symmetric invariant, ``labels`` ascending (see
+    :func:`srgkit.orbitals.compute_orbitals`): class c >= 1 carries
+    ``labels[c - 1]``."""
+    if partition.paired != tuple(range(partition.rank)):
+        raise AssertionError("a named pair class is not symmetric")
     names = [vertex_label(p) for p in points]
     return OrbitalClassification(
         points=tuple(points),
@@ -320,74 +326,24 @@ def _classify_pairs(
     )
 
 
-def _invariant_classes(n: int, row_of) -> tuple[bytes, tuple[int, ...]]:
-    """The class bytes and labels of the label table of a symmetric pair
-    invariant: ``row_of(i)`` labels the pairs (i, j) for every j (see
-    :func:`srgkit.graphcore._label_table`).  The table is freed on return,
-    before :func:`_classify_pairs` builds graphs and tensor from its bytes."""
-    table, labels = _label_table(n, row_of)
-    return bytes(table), labels
+def _class_graph(points, partition: OrbitalPartition, labels, label) -> Graph:
+    """The graph of the pair class named ``label``, on the named points."""
+    graph = orbital_graph(partition, 1 + labels.index(label))
+    return graph.relabel(list(map(str, points)))
 
 
-# ---------------------------------------------------------------------------
-# Pair-invariant kernel: a table-lookup inner product on point representatives
-# ---------------------------------------------------------------------------
-
-
-def _pair_kernel(space: FormedSpace, points, label_of, reference=None, tangency=False):
-    """``row_of(i)``: the labels ``label_of[inner(x_i, x_j)]`` of point i
-    with every point j, as bytes.
-
-    Each point's row functional x.G (G = ``space.gram()``) is one product
-    lookup per coordinate, mapped over that coordinate of every column
-    ``space.conjugate(x_j)``.  Products are spread: base-p digit t sits at
-    radix^t, radix > dim (p - 1), so they add as ints without carries.  On
-    the base row the expansion is checked against ``space.inner``, the
-    label against ``reference(x_0, x_j)`` where given, and with
-    ``tangency`` label 1 against a joining line with one singular point.
-    """
-    field = space.field
-    add, mul = field.add_table, field.mul_table
-    gram = space.gram()
-    reps = [p.rep for p in points]
-    radix = space.dim * (field.p - 1) + 1
-    place = [radix**t for t in range(field.k)]
-    spread = [sum(map(operator.mul, field.coeffs_of(e), place)) for e in range(field.q)]
-    element_of = [
-        field.index_of([s // r % radix for r in place]) for s in range(radix**field.k)
-    ]
-    products = [[spread[m] for m in mul_row] for mul_row in mul]
-    functionals = []
-    for x in reps:
-        row = []
-        for j in range(space.dim):
-            acc = 0
-            for xi, gram_row in zip(x, gram):
-                acc = add[acc][mul[xi][gram_row[j]]]
-            row.append(products[acc].__getitem__)
-        functionals.append(row)
-    columns = list(zip(*map(space.conjugate, reps)))
-    label_of_sum = bytes(label_of[e] for e in element_of)
-
-    def sums(i: int):  # the spread inner values of point i with every point
-        return reduce(partial(map, operator.add), map(map, functionals[i], columns))
-
-    x = reps[0]
-    base_row = list(map(element_of.__getitem__, sums(0)))
-    for j in range(1, len(reps)):
-        value, label = base_row[j], label_of[base_row[j]]
-        if value != space.inner(x, reps[j]):
-            raise AssertionError(f"Gram expansion differs from the form at (0, {j})")
-        if reference is not None and label != reference(x, reps[j]):
-            raise AssertionError(f"pair label differs from its reference at (0, {j})")
-        tangent = tangency and line_tangency_count(space, points[0], points[j]) == 1
-        if tangent != (tangency and label == 1):
+def _form_orbits(space: FormedSpace, points, label, tangency=False):
+    """The pair orbits of the reflection group of ``space`` on ``points``,
+    named by the form invariant ``label(x, y)`` of representatives on the
+    base row.  With ``tangency``, label 1 there must be exactly a joining
+    line with one singular point; the certified isometry group carries
+    that, like the label, to every pair."""
+    base = [label(points[0].rep, y.rep) for y in points[1:]]
+    for j, value in enumerate(base if tangency else (), 1):
+        if (line_tangency_count(space, points[0], points[j]) == 1) != (value == 1):
             raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
-
-    def row_of(i: int) -> bytes:
-        return bytes(map(label_of_sum.__getitem__, sums(i)))
-
-    return row_of
+    partition = compute_orbitals(reflection_action(space, points), base)
+    return partition, tuple(sorted(set(base)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +351,23 @@ def _pair_kernel(space: FormedSpace, points, label_of, reference=None, tangency=
 # ---------------------------------------------------------------------------
 
 
-def _unitary_pairs(n: int, q: int, family: str, max_v: int, tangency=False):
+def _unitary_classes(n: int, q: int, family: str, max_v: int, tangency=False):
     """The nonsingular points of the n-dimensional hermitian space over
-    F_{q^2} at unit representatives, with the rows of the relative norm of
-    h(x, y) as pair label (see :func:`_pair_kernel` for ``tangency``)."""
+    F_{q^2} at unit representatives, and their pair orbits under the
+    unitary reflection group, named by the relative norm of h(x, y).
+    With ``tangency``, label 1 is checked against line tangency."""
     predicted = params_closed_form(FamilyId.make("NU", n=n, q=q)).v
     _guard(family, predicted, max_v)
     space = FormedSpace("hermitian", field_of_order(q * q), n)
-    field = space.field
     points = enumerate_points(space, "nonsingular")
     if len(points) != predicted:
         raise AssertionError(
             f"enumerated {len(points)} nonsingular points, expected {predicted}"
         )
-    norm_index = [norm(FieldElement(field, a)).index for a in range(field.q)]
-    return points, _pair_kernel(space, points, norm_index, tangency=tangency)
+    norms = [norm(FieldElement(space.field, a)).index for a in range(space.field.q)]
+    return points, *_form_orbits(
+        space, points, lambda x, y: norms[space.inner(x, y)], tangency
+    )
 
 
 def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -419,8 +377,7 @@ def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 
     For unit representatives the line is tangent exactly when its Gram
     determinant 1 - N(h(x, y)) vanishes, so adjacency is norm label 1."""
-    points, row_of = _unitary_pairs(n, q, f"NU_{n}({q})", max_v, tangency=True)
-    return _label_graph(len(points), row_of, 1, list(map(str, points)))
+    return _class_graph(*_unitary_classes(n, q, f"NU_{n}({q})", max_v, True), 1)
 
 
 def build_unitary_orbitals(
@@ -432,10 +389,12 @@ def build_unitary_orbitals(
     Labels are indices in the norm's value field: 0 for perpendicular
     pairs, 1 for the tangency class, and one label per further norm value.
     The labeling is representative-independent because rescaling unit
-    vectors multiplies h(x, y) by an element of norm 1.
+    vectors multiplies h(x, y) by an element of norm 1.  The classes are
+    the pair orbits of the unitary reflection group.
     """
-    points, row_of = _unitary_pairs(n, q, f"NU_{n}({q}) pair classes", max_v)
-    return _classify_pairs(points, *_invariant_classes(len(points), row_of), str)
+    return _classify_pairs(
+        *_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v), str
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +405,16 @@ def build_unitary_orbitals(
 def _least_nonsquare(field) -> int:
     """Index of the least non-square element of an odd-order field."""
     return next(
-        s
-        for s in range(2, field.q)
-        if quadratic_character(FieldElement(field, s)) == -1
+        s for s in range(2, field.q) if quadratic_character(field.from_index(s)) == -1
     )
 
 
 def _orthogonal_point_classes(m: int, q: int):
     """The two square-classes of nonsingular points of the (2m+1)-dimensional
-    quadratic space over F_q, each tagged with its perpendicular-space type.
+    quadratic space over F_q, each tagged with its perpendicular-space type,
+    read at its first point.  Perpendicular type is an isometry invariant,
+    so for the class that is built, the certified transitive reflection
+    group carries that type to every point.
 
     Returns (space, {eps: (points, form_value_index)}).
     """
@@ -463,13 +423,8 @@ def _orthogonal_point_classes(m: int, q: int):
     by_eps = {}
     for value in (1, zeta):
         points = enumerate_points(space, "norm-class", value)
-        eps_samples = {perp_type(space, p) for p in points[:3]}
-        if len(eps_samples) != 1:
-            raise AssertionError("mixed perpendicular types in a square class")
-        eps = eps_samples.pop()
-        expected = params_closed_form(
-            FamilyId.make("NO", m=m, q=q, eps=eps)
-        ).v
+        eps = perp_type(space, points[0])
+        expected = params_closed_form(FamilyId.make("NO", m=m, q=q, eps=eps)).v
         if len(points) != expected:
             raise AssertionError(
                 f"square class has {len(points)} points, expected {expected} "
@@ -481,25 +436,19 @@ def _orthogonal_point_classes(m: int, q: int):
     return space, by_eps
 
 
-def _orthogonal_pair_label(space: FormedSpace, points, c_value: int, tangency=False):
-    """Label rows of one square class with form value c: the halved
-    bilinear form divided by c, read up to sign, min(t, -t) for
-    t = B(x, y) (2c)^-1; checked against ``space.half_inner`` on the base
-    row (see :func:`_pair_kernel` for ``tangency``)."""
-    field = space.field
-    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
-    two_c_inv = inv[mul[c_value][field.add_table[1][1]]]
-    inv_c = inv[c_value]
+def _orthogonal_orbits(space: FormedSpace, points, c_value: int, tangency=False):
+    """The pair orbits of one square class (form value c) under the
+    orthogonal reflection group, and their labels: the halved bilinear
+    form divided by c, read up to sign, min(t, -t) for t = (x, y) c^-1.
+    With ``tangency``, label 1 is checked against line tangency."""
+    mul, neg = space.field.mul_table, space.field.neg_table
+    inv_c = space.field.inv_table[c_value]
 
-    def up_to_sign(t: int) -> int:
+    def label(x, y) -> int:
+        t = mul[space.half_inner(x, y)][inv_c]
         return min(t, neg[t])
 
-    def reference(x, y) -> int:
-        return up_to_sign(mul[space.half_inner(x, y)][inv_c])
-
-    label_of = [up_to_sign(mul[b][two_c_inv]) for b in range(field.q)]
-
-    return _pair_kernel(space, points, label_of, reference, tangency)
+    return _form_orbits(space, points, label, tangency)
 
 
 def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -514,8 +463,7 @@ def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
     _guard(f"NO_{2 * m + 1}^{eps}({q})", params_closed_form(fid).v, max_v)
     space, by_eps = _orthogonal_point_classes(m, q)
     points, c_value = by_eps[eps]
-    row_of = _orthogonal_pair_label(space, points, c_value, tangency=True)
-    return _label_graph(len(points), row_of, 1, list(map(str, points)))
+    return _class_graph(points, *_orthogonal_orbits(space, points, c_value, True), 1)
 
 
 def build_orthogonal_orbitals(
@@ -528,20 +476,17 @@ def build_orthogonal_orbitals(
     Labels are 0 (perpendicular), 1 (the tangency class), and one label per
     further plus-minus pair of field values.  ``eps`` selects the vertex
     class by perpendicular-space type; the default takes the class whose
-    representatives have form value 1.
+    representatives have form value 1.  The classes are the pair orbits of
+    the orthogonal reflection group.
     """
     space, by_eps = _orthogonal_point_classes(m, q)
     if eps is None:
         eps = next(e for e, (_, value) in by_eps.items() if value == 1)
     points, c_value = by_eps[eps]
     fid = FamilyId.make("NO", m=m, q=q, eps=eps)
-    _guard(
-        f"NO_{2 * m + 1}^{eps}({q}) pair classes",
-        params_closed_form(fid).v,
-        max_v,
-    )
-    row_of = _orthogonal_pair_label(space, points, c_value)
-    return _classify_pairs(points, *_invariant_classes(len(points), row_of), str, eps)
+    _guard(f"NO_{2 * m + 1}^{eps}({q}) pair classes", params_closed_form(fid).v, max_v)
+    partition, labels = _orthogonal_orbits(space, points, c_value)
+    return _classify_pairs(points, partition, labels, str, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +500,8 @@ def build_polar_complement(
     """Complement of the perpendicularity graph on the singular points of a
     quadratic space: ``kind`` is "O7" (dimension 7) or "O8+" (dimension 8,
     plus type).  Two distinct points are adjacent exactly when their polar
-    form value is nonzero."""
+    form value is nonzero: label 1 on the pair orbits of the orthogonal
+    reflection group."""
     kind = kind.replace("_", "")
     if kind == "O7":
         fid = FamilyId.make("polar-complement-O7", q=q)
@@ -572,9 +518,8 @@ def build_polar_complement(
         raise AssertionError(
             f"enumerated {len(points)} singular points, expected {predicted}"
         )
-    nonzero = [0] + [1] * (space.field.q - 1)  # label 1: not perpendicular
-    row_of = _pair_kernel(space, points, nonzero)
-    return _label_graph(len(points), row_of, 1, list(map(str, points)))
+    nonzero = _form_orbits(space, points, lambda x, y: int(space.inner(x, y) != 0))
+    return _class_graph(points, *nonzero, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -685,24 +630,32 @@ def hamming_srg_criterion(d: int) -> bool:
     return m[0][1] == m[2][1]
 
 
-def _hamming_pairs(d: int, family: str, max_v: int):
-    """The length-3 words over a d-letter alphabet, with the rows of the
-    number of coordinates in which two words disagree as pair label."""
+def _hamming_classes(d: int, family: str, max_v: int):
+    """The length-3 words over a d-letter alphabet, and their pair orbits
+    under S_d wr S_3, named by the number of coordinates in which two words
+    disagree.  Generators: a letter swap and a letter d-cycle on
+    coordinate 0, a coordinate 3-cycle and a coordinate swap."""
     _guard(family, d**3, max_v)
     words = list(itertools.product(range(d), repeat=3))
-
-    def row_of(i: int) -> bytes:
-        return bytes(sum(map(operator.ne, words[i], w)) for w in words)
-
-    return words, row_of
+    index = {w: i for i, w in enumerate(words)}
+    maps = (
+        lambda w: ((1, 0)[w[0]] if w[0] < 2 else w[0], w[1], w[2]),
+        lambda w: ((w[0] + 1) % d, w[1], w[2]),
+        lambda w: (w[1], w[2], w[0]),
+        lambda w: (w[1], w[0], w[2]),
+    )
+    action = PermGroupAction(
+        len(words), tuple(tuple(index[g(w)] for w in words) for g in maps)
+    )
+    base = [sum(map(operator.ne, words[0], w)) for w in words[1:]]
+    return words, compute_orbitals(action, base), (1, 2, 3)
 
 
 def build_hamming_orbital(d: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     """Graph on the length-3 words over a d-letter alphabet, two words
     adjacent exactly when they disagree in ``i`` coordinates."""
     FamilyId.make("hamming-orbital", d=d, i=i)
-    words, row_of = _hamming_pairs(d, f"H(3,{d}) class {i}", max_v)
-    return _label_graph(len(words), row_of, i, list(map(str, words)))
+    return _class_graph(*_hamming_classes(d, f"H(3,{d}) class {i}", max_v), i)
 
 
 def hamming_classification(
@@ -712,8 +665,7 @@ def hamming_classification(
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
     if d < 2:
         raise ValueError("need an alphabet of at least two letters")
-    words, row_of = _hamming_pairs(d, f"H(3,{d}) pair classes", max_v)
-    return _classify_pairs(words, *_invariant_classes(len(words), row_of), str)
+    return _classify_pairs(*_hamming_classes(d, f"H(3,{d}) pair classes", max_v), str)
 
 
 # ---------------------------------------------------------------------------
@@ -740,23 +692,6 @@ def flag_M(q: int) -> tuple[tuple[int, ...], ...]:
         off = sum(k[h] * m[h][j] for h in range(3) if h != j)
         m[j][j] = _exact_div(k[j] ** 2 - k[j] - off, k[j])
     return tuple(tuple(row) for row in m)
-
-
-def _apply_row(field, vec, a):
-    add, mul = field.add_table, field.mul_table
-    out = []
-    for j in range(3):
-        acc = 0
-        for i in range(3):
-            acc = add[acc][mul[vec[i]][a[i][j]]]
-        out.append(acc)
-    return tuple(out)
-
-
-def _canon_point(field, vec):
-    lead = next(c for c in vec if c)
-    s = field.inv_table[lead]
-    return tuple(field.mul_table[s][c] for c in vec)
 
 
 def flag_action(q: int) -> PermGroupAction:
@@ -788,18 +723,18 @@ def flag_action(q: int) -> PermGroupAction:
         ),
         "3-cycle": (cycle, cycle),
     }
+
+    def image(vec, a):  # the row vector vec A, by its lead-1 representative
+        return lead_one(field, tuple(_dot(field, vec, column) for column in zip(*a)))
+
     generators = []
     for name, (a, b) in pairs.items():
-        perm = []
-        for point, line in flags:
-            image = (
-                _canon_point(field, _apply_row(field, point, a)),
-                _canon_point(field, _apply_row(field, line, b)),
-            )
-            if image not in index:
-                raise AssertionError(f"the {name} generator maps a flag to a non-flag")
-            perm.append(index[image])
-        generators.append(tuple(perm))
+        try:
+            perm = tuple(index[image(p, a), image(line, b)] for p, line in flags)
+        except KeyError:
+            message = f"the {name} generator maps a flag to a non-flag"
+            raise AssertionError(message) from None
+        generators.append(perm)
     generators.append(tuple(index[(line, point)] for point, line in flags))
     return PermGroupAction(len(flags), tuple(generators))
 
@@ -810,13 +745,9 @@ def _flag_pair_label(field, flag, other) -> int:
     flag's point and the other's line (at most one)."""
     if flag.point == other.point or flag.line == other.line:
         return 1
-    add, mul = field.add_table, field.mul_table
-    crossings = 0
-    for point, line in ((flag.point, other.line), (other.point, flag.line)):
-        acc = 0
-        for a, b in zip(point, line):
-            acc = add[acc][mul[a][b]]
-        crossings += acc == 0
+    crossings = (_dot(field, flag.point, other.line) == 0) + (
+        _dot(field, other.point, flag.line) == 0
+    )
     if crossings == 2:
         raise AssertionError("flags in general position share both cross-incidences")
     return 3 - crossings
@@ -837,19 +768,13 @@ def build_flag_orbitals(
     predicted = (q * q + q + 1) * (q + 1)
     _guard(f"flags of PG(2,{q})", predicted, max_v)
     flags = enumerate_flags(q)
-    orbits = compute_orbitals(flag_action(q)).class_of
     base = map(partial(_flag_pair_label, field_of_order(q), flags[0]), flags[1:])
-    named = set(zip(orbits[1:predicted], base))  # (orbit, label) on the base row
-    label_of = dict(named)
-    if len(named) != 3 or sorted(label_of.values()) != [1, 2, 3]:
-        raise AssertionError(f"flag labels name the pair orbits as {sorted(named)}")
-    rename = bytes(label_of.get(orbit, 0) for orbit in range(256))
     classification = _classify_pairs(
-        flags, orbits.translate(rename), (1, 2, 3),
+        flags, compute_orbitals(flag_action(q), base), (1, 2, 3),
         lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
     )
     lengths = classification.suborbit_lengths
-    if tuple(lengths.values()) != (2 * q, 2 * q * q, q**3):
+    if lengths != {1: 2 * q, 2: 2 * q * q, 3: q**3}:
         raise AssertionError(f"unexpected suborbit lengths {lengths}")
     p, m = classification.tensor.p, flag_M(q)
     counted = tuple(tuple(int(p[i][j][j]) for j in (1, 2, 3)) for i in (1, 2, 3))

@@ -1,5 +1,6 @@
-"""Formed vector spaces over finite fields and exact enumeration of the
-point sets and subspaces that underlie the graph families.
+"""Formed vector spaces over finite fields, exact enumeration of the
+point sets and subspaces that underlie the graph families, and the
+reflection groups of the forms as permutations of point sets.
 
 A :class:`FormedSpace` is F_q^n (or F_{q^2}^n) equipped with exactly one of
 
@@ -20,10 +21,12 @@ index order, so every listing is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .gf import Field, FieldElement, ScaleGuardError, field_of_order
+from .orbitals import PermGroupAction
 
 __all__ = [
     "Flag",
@@ -35,10 +38,12 @@ __all__ = [
     "enumerate_points",
     "enumerate_subspaces",
     "gaussian_binomial",
+    "lead_one",
     "least_zeta",
     "line_tangency_count",
     "perp_type",
     "projective_reps",
+    "reflection_action",
     "scale_to_value",
 ]
 
@@ -111,15 +116,7 @@ class Subspace:
     def point_reps(self, field: Field) -> tuple[tuple[int, ...], ...]:
         """Canonical first-nonzero-is-1 representatives of the projective
         points in the span, sorted."""
-        reps = set()
-        inv = field.inv_table
-        mul = field.mul_table
-        for vec in self.vectors(field):
-            lead = next((c for c in vec if c), 0)
-            if lead == 0:
-                continue
-            s = inv[lead]
-            reps.add(tuple(mul[s][c] for c in vec))
+        reps = {lead_one(field, v) for v in self.vectors(field) if any(v)}
         return tuple(sorted(reps))
 
     def __str__(self) -> str:
@@ -215,21 +212,13 @@ class FormedSpace:
         for quadratic kinds; B(x, y) for symplectic.  Index in the
         coordinate field."""
         field = self.field
-        add, mul, neg = field.add_table, field.mul_table, field.neg_table
+        add, neg = field.add_table, field.neg_table
         kind = self.kind
         if kind == "hermitian":
-            conj = self._conj
-            acc = 0
-            for a, b in zip(x, y):
-                acc = add[acc][mul[a][conj[b]]]
-            return acc
-        if kind == "symplectic":
+            return _dot(field, x, self.conjugate(y))
+        if kind == "symplectic":  # x . (b', -a') for y = (a', b')
             m = self.dim // 2
-            acc = 0
-            for i in range(m):
-                acc = add[acc][mul[x[i]][y[m + i]]]
-                acc = add[acc][neg[mul[x[m + i]][y[i]]]]
-            return acc
+            return _dot(field, x, y[m:] + tuple(neg[c] for c in y[:m]))
         # polar form of the quadratic kinds
         xy = tuple(add[a][b] for a, b in zip(x, y))
         qx = self.form_value(x)
@@ -261,23 +250,18 @@ class FormedSpace:
 
     # -- structural checks ---------------------------------------------------
 
+    def basis(self) -> list[tuple[int, ...]]:
+        """The standard basis vectors."""
+        return [tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)]
+
     def gram(self) -> list[list[int]]:
         """Gram matrix of inner() on the standard basis."""
-        basis = [
-            tuple(1 if j == i else 0 for j in range(self.dim))
-            for i in range(self.dim)
-        ]
+        basis = self.basis()
         return [[self.inner(bi, bj) for bj in basis] for bi in basis]
 
     def _check_nondegenerate(self) -> None:
-        if self.kind == "hermitian":
-            # orthonormal Gram is the identity
-            gram = self.gram()
-            expected = [
-                [1 if i == j else 0 for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-            if gram != expected:
+        if self.kind == "hermitian":  # orthonormal: the Gram matrix is the identity
+            if self.gram() != list(map(list, self.basis())):
                 raise AssertionError("hermitian Gram matrix is not the identity")
             return
         radical = kernel_basis(self.field, self.gram())
@@ -361,6 +345,22 @@ def kernel_basis(field: Field, matrix: list[list[int]]) -> list[tuple[int, ...]]
             vec[p] = neg[row[j]]
         basis.append(tuple(vec))
     return basis
+
+
+def _dot(field: Field, x, y) -> int:
+    """sum x_i y_i over the field."""
+    add, mul = field.add_table, field.mul_table
+    acc = 0
+    for a, b in zip(x, y):
+        acc = add[acc][mul[a][b]]
+    return acc
+
+
+def lead_one(field: Field, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The multiple of a nonzero vector whose first nonzero coordinate is 1:
+    the canonical representative of its projective point."""
+    s = field.inv_table[next(c for c in vec if c)]
+    return tuple(field.mul_table[s][c] for c in vec)
 
 
 def projective_reps(field: Field, n: int) -> list[tuple[int, ...]]:
@@ -447,13 +447,9 @@ def line_tangency_count(
     """Number of singular projective points on the line through p and q,
     by direct enumeration of all its points."""
     field = space.field
-    add, mul, inv = field.add_table, field.mul_table, field.inv_table
+    add, mul = field.add_table, field.mul_table
     x, y = p.rep, q.rep
-    lead_x = next(i for i, c in enumerate(x) if c)
-    lead_y = next(i for i, c in enumerate(y) if c)
-    norm_x = tuple(mul[inv[x[lead_x]]][c] for c in x)
-    norm_y = tuple(mul[inv[y[lead_y]]][c] for c in y)
-    if norm_x == norm_y:
+    if lead_one(field, x) == lead_one(field, y):
         raise ValueError("tangency needs two distinct points")
     count = 1 if space.form_value(y) == 0 else 0
     for t in range(field.q):
@@ -461,6 +457,67 @@ def line_tangency_count(
         if space.form_value(vec) == 0:
             count += 1
     return count
+
+
+def reflection_action(space: FormedSpace, points) -> PermGroupAction:
+    """The isometry group of ``space`` generated by reflections, acting on
+    ``points``, each image found by its :func:`lead_one` representative.
+
+    A quadratic space reflects in a nonsingular v by x -> x - B(x, v)
+    Q(v)^-1 v (the orthogonal transvection in characteristic 2), a
+    hermitian one by x -> x + (a - 1) h(x, v) h(v, v)^-1 v, a generating
+    the norm-1 group.  The N nonsingular projective points v are taken in
+    the fixed order k s mod N (s the least integer from 0.618 N up that is
+    prime to N, so picks lie far apart) until they span the space and act
+    transitively.  Each map must preserve the form and Q on the basis, and
+    the point set; a failure names the reflection.
+    """
+    if space.kind == "symplectic":
+        raise ValueError("a symplectic space has no reflections")
+    field, dim = space.field, space.dim
+    add, mul, inv = field.add_table, field.mul_table, field.inv_table
+    neg = field.neg_table
+    scale, square = neg[1], lambda v, _: space.form_value(v)  # -1 and Q(v)
+    if space.kind == "hermitian":  # a - 1 and h(v, v), a of order q0 + 1
+        order = field.p ** (field.k // 2) + 1  # a^0..a^order take order values
+        square, scale = space.inner, next(
+            add[a][neg[1]] for a in range(2, field.q)
+            if len({field.pow_index(a, e) for e in range(order + 1)}) == order
+        )
+    gram, basis = space.gram(), space.basis()
+    values = list(map(space.form_value, basis))
+    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
+    candidates = [v for v in projective_reps(field, dim) if space.form_value(v)]
+    step = max(1, round(0.618 * len(candidates)))
+    while math.gcd(step, len(candidates)) != 1:
+        step += 1
+    chosen, generators = [], []
+    for k in range(len(candidates)):
+        v = candidates[k * step % len(candidates)]
+        c = mul[scale][inv[square(v, v)]]  # x -> x + (x . u) v, u_i = c h(e_i, v)
+        u = [mul[c][_dot(field, row, space.conjugate(v))] for row in gram]
+
+        def reflect(x):
+            t = _dot(field, x, u)
+            return tuple(add[a][mul[t][b]] for a, b in zip(x, v))
+
+        images, name = list(map(reflect, basis)), ":".join(map(str, v))
+        if [[space.inner(a, b) for b in images] for a in images] != gram or list(
+            map(space.form_value, images)
+        ) != values:
+            raise AssertionError(f"the reflection in {name} is not an isometry")
+        try:
+            perm = tuple(index[lead_one(field, reflect(p.rep))] for p in points)
+        except KeyError:
+            raise AssertionError(
+                f"the reflection in {name} maps a point outside the point set"
+            ) from None
+        chosen.append(v)
+        generators.append(perm)
+        action = PermGroupAction(len(points), tuple(generators))
+        if len(rref(field, chosen)) == dim and action.is_transitive():
+            return action
+    raise AssertionError("the reflections do not act transitively on the points")
 
 
 def _singular_point_counts(m: int, q: int) -> dict[str, int]:
@@ -592,16 +649,8 @@ def enumerate_flags(q: int) -> list[Flag]:
     """All incident (point, line) pairs of PG(2, q), ordered by point then
     line representative; the count is (q^2+q+1)(q+1)."""
     field = field_of_order(q)
-    add, mul = field.add_table, field.mul_table
     reps = projective_reps(field, 3)
-    flags = []
-    for point in reps:
-        for line in reps:
-            acc = 0
-            for a, b in zip(point, line):
-                acc = add[acc][mul[a][b]]
-            if acc == 0:
-                flags.append(Flag(point, line))
+    flags = [Flag(p, line) for p in reps for line in reps if _dot(field, p, line) == 0]
     expected = (q**2 + q + 1) * (q + 1)
     if len(flags) != expected:
         raise AssertionError(f"{len(flags)} flags found, expected {expected}")

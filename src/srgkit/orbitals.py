@@ -11,6 +11,7 @@ lets strong regularity of an orbital graph be counted on the base row alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,8 +75,8 @@ class PermGroupAction:
 
 @dataclass(frozen=True)
 class OrbitalPartition:
-    """Orbits of a transitive action on ordered pairs, or the classes of a
-    symmetric pair invariant.
+    """Orbits of a transitive action on ordered pairs, or pair classes
+    built by hand.
 
     class_of is ``bytes``, one byte per pair, row-major:
     class_of[x * degree + y]; so there are at most 255 classes.  Class 0 is
@@ -83,9 +84,10 @@ class OrbitalPartition:
     c; reps[c] is a representative pair with first coordinate 0.
 
     certificate is ``"group-orbitals"`` when :func:`compute_orbitals` has
-    certified the classes as the pair orbits of a transitive group, and
-    None for a pair invariant that no group has been checked to preserve.
-    It is not compared: equal partitions are equal classes.
+    certified the classes as the pair orbits of a transitive group, as for
+    every partition the package builds.  It is None only for a partition
+    built by hand from class bytes, which no group has been checked to
+    preserve.  It is not compared: equal partitions are equal classes.
     """
 
     degree: int
@@ -114,7 +116,8 @@ def _partition(n: int, class_of: bytes, certificate=None) -> OrbitalPartition:
     base_row = class_of[:n]
     rank = max(base_row) + 1
     lengths = tuple(map(base_row.count, range(rank)))
-    if 0 in lengths or class_of.translate(None, bytes(range(rank))):
+    rows = (class_of[x : x + n] for x in range(0, n * n, n))  # no n² temporary
+    if 0 in lengths or any(row.translate(None, bytes(range(rank))) for row in rows):
         raise AssertionError("a pair class has no representative in the base row")
     reps = tuple((0, base_row.index(c)) for c in range(rank))
     paired = tuple(class_of[y * n] for _, y in reps)
@@ -140,7 +143,7 @@ def _invariant_under(table, n, generators) -> tuple[int, int] | None:
     return None
 
 
-def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
+def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     """Pair-orbit partition of a transitive action, filled a row at a time.
 
     A BFS tree of the points (a Schreier vector) gives each x the word t_x
@@ -157,6 +160,12 @@ def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
     Raises ValueError if not transitive, ScaleGuardError past 2^26 pairs,
     and ValueError past 255 classes, only once the certificate holds.  The
     result carries the certificate ``"group-orbitals"``.
+
+    ``labels``, when given, are the values of a pair invariant of the group
+    on the base-row pairs (0, 1), ..., (0, n - 1).  They must name the
+    certified orbits one to one (else ValueError: too few generators, or a
+    value the group moves); class c >= 1 becomes the orbit of the c-th
+    smallest label, which the invariant then takes on every pair of it.
     """
     n, gens, via = action.degree, action.generators, {}
     order = _search(gens, 0, via)
@@ -176,9 +185,9 @@ def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
         moved = sorted(range(n), key=word(gens[i][x]).__getitem__)
         return _gatherer(_gatherer(word(x))(gens[i]))(moved)
 
-    edges = [(x, i) for x in reversed(order) for i in range(len(gens))]
-    seeds = [(x, i) for x, i in edges if via[gens[i][x]] != (x, i)][:_SEEDS]
-    stabilizer = [schreier(x, i) for x, i in seeds]  # off-tree, deepest first
+    edges = ((x, i) for x in reversed(order) for i in range(len(gens)))  # deepest first
+    seeds = ((x, i) for x, i in edges if via[gens[i][x]] != (x, i))  # off the tree
+    stabilizer = [schreier(*e) for e in itertools.islice(seeds, _SEEDS)]
     while True:
         reached = {}
         roots = (y for y in range(n) if y not in reached)
@@ -193,7 +202,23 @@ def compute_orbitals(action: PermGroupAction) -> OrbitalPartition:
         stabilizer.append(schreier(*failure))
     if _UNCLASSIFIED in table[:n]:
         raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
-    return _partition(n, bytes(table), certificate="group-orbitals")
+    if labels is not None:
+        if len(labels := tuple(labels)) != n - 1:
+            raise ValueError(f"{len(labels)} labels for {n - 1} base-row pairs")
+        named = set(zip(table[1:n], labels))  # (orbit, label) pairs
+        label_of, ascending = dict(named), sorted(set(labels))
+        if not len(label_of) == len(ascending) == len(named):
+            raise ValueError(
+                f"labels do not name the pair orbits one to one: {sorted(named)}"
+            )
+        rename = bytearray(256)
+        for orbit, label in named:
+            rename[orbit] = 1 + ascending.index(label)
+        for x in range(0, n * n, n):  # in place, a row at a time
+            table[x : x + n] = table[x : x + n].translate(rename)
+    class_of = bytes(table)
+    del table  # one n² copy at a time
+    return _partition(n, class_of, certificate="group-orbitals")
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:

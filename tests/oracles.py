@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from srgkit.geometry import enumerate_flags, line_tangency_count, rref
-from srgkit.gf import FieldElement, field_of_order
+from srgkit.gf import FieldElement, field_of_order, norm
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -135,6 +135,52 @@ def flag_pair_classes(q: int) -> bytes:
 
     flags = enumerate_flags(q)
     return bytes(pair_class(f, g) for f in flags for g in flags)
+
+
+def _symmetric_pair_classes(n: int, label) -> bytes:
+    """The class of every ordered pair of n points, row-major, from a
+    symmetric label evaluated once per unordered pair: 0 on the diagonal,
+    else 1 + the rank of the pair's label among all labels found."""
+    labels = [None] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            labels[i * n + j] = labels[j * n + i] = label(i, j)
+    rank = {value: r for r, value in enumerate(sorted(set(labels) - {None}), 1)}
+    rank[None] = 0
+    return bytes(map(rank.__getitem__, labels))
+
+
+def form_pair_classes(space, points) -> bytes:
+    """The class of every ordered pair of nonsingular points by the form:
+    the relative norm of h(x, y) at hermitian unit representatives, or, on
+    one square class of a quadratic space, the halved form (x, y) divided
+    by Q(x) and read up to sign."""
+    field = space.field
+    reps = [p.rep for p in points]
+    if space.kind == "hermitian":
+        norms = [norm(FieldElement(field, a)).index for a in range(field.q)]
+
+        def label(i, j):
+            return norms[space.inner(reps[i], reps[j])]
+
+    else:
+        mul, neg = field.mul_table, field.neg_table
+        inverse_q = [field.inv_table[space.form_value(x)] for x in reps]
+
+        def label(i, j):
+            t = mul[space.half_inner(reps[i], reps[j])][inverse_q[i]]
+            return min(t, neg[t])
+
+    return _symmetric_pair_classes(len(reps), label)
+
+
+def word_pair_classes(d: int) -> bytes:
+    """The class of every ordered pair of length-3 words over d letters,
+    row-major: the number of coordinates in which the two words differ."""
+    words = list(itertools.product(range(d), repeat=3))
+    return _symmetric_pair_classes(
+        len(words), lambda i, j: sum(a != b for a, b in zip(words[i], words[j]))
+    )
 
 
 def pair_orbit_classes(action) -> list[int]:

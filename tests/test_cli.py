@@ -1,8 +1,10 @@
 """Command-line verbs: payload shapes, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -581,4 +583,17 @@ def test_payload_matches_the_benchmark_expectation(
     else:
         code, got = run(capsys, *argv)
         assert code == 0
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_classes_payload_matches_the_benchmark_expectation(monkeypatch):
+    """The ``classes`` workload's recorded payload is exactly what its job
+    computes through the public API, byte for byte once serialised."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = ROOT / "perfbench" / "classes_job.py"
+    spec = importlib.util.spec_from_file_location("perfbench_classes_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    expected = json.loads((EXPECTED / "classes.json").read_text())["classes"]
+    got = json.loads(json.dumps(job.run()))
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -296,6 +296,11 @@ def test_hamming_srg_criterion_singles_out_d_four():
     assert "disconnected" in failure.reason
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_hamming_classes_match_the_pair_by_pair_oracle(d):
+    assert hamming_classification(d).partition.class_of == oracles.word_pair_classes(d)
+
+
 def test_hamming_distance_two_graph_at_four_letters():
     assert check_srg(build_hamming_orbital(4, 2)) == SrgParams(64, 27, 10, 12)
 
@@ -357,13 +362,13 @@ def test_flag_labels_must_name_the_orbits_one_to_one(monkeypatch):
     monkeypatch.setattr(
         families, "_flag_pair_label", lambda *args: min(label(*args), 2)
     )
-    with pytest.raises(AssertionError, match="flag labels name the pair orbits"):
+    with pytest.raises(ValueError, match="labels do not name the pair orbits one to one"):
         build_flag_orbitals(3)
 
 
 def test_flag_action_names_a_generator_that_leaves_the_flags(monkeypatch):
     # every image becomes the point (0:0:1) on the line (0:0:1): not a flag
-    monkeypatch.setattr(families, "_canon_point", lambda field, vec: (0, 0, 1))
+    monkeypatch.setattr(families, "lead_one", lambda field, vec: (0, 0, 1))
     with pytest.raises(AssertionError, match="the scaling generator maps a flag"):
         flag_action(3)
 
@@ -434,6 +439,13 @@ def test_unitary_four_dimensional():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n, q", [(3, 3), (3, 4), (4, 3)])
+def test_unitary_classes_match_the_pair_by_pair_oracle(n, q):
+    cls = build_unitary_orbitals(n, q, max_v=600)
+    space = FormedSpace("hermitian", field_of_order(q * q), n)
+    assert cls.partition.class_of == oracles.form_pair_classes(space, cls.points)
+
+
 def test_orthogonal_tangency_graphs_match_closed_forms():
     assert check_srg(build_NO(2, 5, "+")) == SrgParams(325, 144, 68, 60)
     assert check_srg(build_NO(2, 5, "-")) == SrgParams(300, 104, 28, 40)
@@ -476,6 +488,15 @@ def test_orthogonal_classification_both_types():
     assert minus.graphs[1] == build_NO(2, 5, "-")
     # the default class is the one whose points have form value one
     assert build_orthogonal_orbitals(2, 5).eps == "+"
+
+
+@pytest.mark.parametrize(
+    "q, eps", [(3, "+"), (3, "-"), (5, "+"), (5, "-"), (7, "+")]
+)
+def test_orthogonal_classes_match_the_pair_by_pair_oracle(q, eps):
+    cls = build_orthogonal_orbitals(2, q, eps)
+    space = FormedSpace("quadratic-odd", field_of_order(q), 5)
+    assert cls.partition.class_of == oracles.form_pair_classes(space, cls.points)
 
 
 def test_orthogonal_perpendicularity_is_strongly_regular_at_q5():

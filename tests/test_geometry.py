@@ -13,14 +13,17 @@ from srgkit.geometry import (
     enumerate_max_isotropic,
     enumerate_points,
     kernel_basis,
+    lead_one,
     least_zeta,
     line_tangency_count,
     perp_type,
     projective_reps,
+    reflection_action,
     rref,
     scale_to_value,
 )
 from srgkit.gf import count_hermitian_norm_solutions, field_of_order, make_field
+from srgkit.orbitals import PermGroupAction, compute_orbitals
 
 
 def hermitian(n, q):
@@ -481,3 +484,45 @@ def test_point_str_and_subspace_str():
     s = Subspace(((1, 0, 0), (0, 1, 2)))
     assert str(s) == "1:0:0; 0:1:2"
     assert s.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# lead-1 representatives and reflection groups
+# ---------------------------------------------------------------------------
+
+
+def test_lead_one_scales_the_first_nonzero_coordinate_to_one():
+    field = field_of_order(3)
+    assert lead_one(field, (0, 2, 1)) == (0, 1, 2)
+    assert lead_one(field, (1, 0, 2)) == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "space, points",
+    [
+        (hermitian(3, 3), "nonsingular"),
+        (FormedSpace("quadratic-odd", field_of_order(5), 5), "singular"),
+        (FormedSpace("quadratic-plus", field_of_order(2), 8), "singular"),
+    ],
+    ids=["hermitian_3_3", "odd_5_5", "plus_8_2"],
+)
+def test_reflections_act_transitively_and_one_alone_does_not(space, points):
+    points = enumerate_points(space, points)
+    action = reflection_action(space, points)
+    assert action.is_transitive()
+    single = PermGroupAction(len(points), action.generators[:1])
+    with pytest.raises(ValueError, match="not transitive"):
+        compute_orbitals(single)
+
+
+def test_a_reflection_leaving_the_points_is_named():
+    space = hermitian(3, 3)
+    points = enumerate_points(space, "nonsingular")[1:]
+    with pytest.raises(AssertionError, match=r"the reflection in \S+ maps a point outside"):
+        reflection_action(space, points)
+
+
+def test_a_symplectic_space_has_no_reflections():
+    space = FormedSpace("symplectic", field_of_order(3), 4)
+    with pytest.raises(ValueError, match="no reflections"):
+        reflection_action(space, enumerate_points(space, "singular"))

@@ -325,18 +325,46 @@ def test_the_srg_corpus_reaches_every_kind_of_verdict():
     assert any(isinstance(v, SrgParams) for v in verdicts)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_flag_orbitals(2),
-        lambda: build_unitary_orbitals(3, 3),
-        lambda: build_orthogonal_orbitals(2, 5, "+"),
-        lambda: hamming_classification(4),
-    ],
-    ids=["flags_2", "unitary_3_3", "orthogonal_2_5_plus", "hamming_4"],
-)
-def test_pair_invariant_classifications_carry_no_certificate(build):
-    assert build().partition.certificate is None
+CLASSIFICATIONS = {
+    "flags_2": lambda: build_flag_orbitals(2),
+    "unitary_3_3": lambda: build_unitary_orbitals(3, 3),
+    "orthogonal_2_5_plus": lambda: build_orthogonal_orbitals(2, 5, "+"),
+    "hamming_4": lambda: hamming_classification(4),
+}
+
+
+@pytest.mark.parametrize("build", CLASSIFICATIONS.values(), ids=CLASSIFICATIONS)
+def test_pair_classifications_carry_the_group_certificate(build):
+    assert build().partition.certificate == "group-orbitals"
+
+
+@pytest.mark.parametrize("build", CLASSIFICATIONS.values(), ids=CLASSIFICATIONS)
+def test_classification_base_row_counts_equal_the_full_counts(build):
+    cls = build()
+    for c, label in enumerate(cls.labels, 1):
+        assert orbital_srg(cls.partition, c) == check_srg(cls.graphs[label]), label
+
+
+def test_labels_number_the_classes_in_label_order():
+    action = a5_on_pairs()
+    plain = compute_orbitals(action)
+    # name class 1 by 20 and class 2 by 10, so the two swap numbers
+    labels = [10 * (3 - c) for c in plain.class_of[1:10]]
+    named = compute_orbitals(action, labels)
+    assert named.class_of == plain.class_of.translate(bytes([0, 2, 1]) + bytes(253))
+    assert (plain.suborbit_lengths, named.suborbit_lengths) == ((1, 6, 3), (1, 3, 6))
+    assert named.certificate == "group-orbitals"
+
+
+def test_labels_must_name_the_orbits_one_to_one():
+    action = a5_on_pairs()
+    base = compute_orbitals(action).class_of[1:10]
+    with pytest.raises(ValueError, match="one to one"):  # one label, two orbits
+        compute_orbitals(action, [7] * 9)
+    with pytest.raises(ValueError, match="one to one"):  # one orbit, two labels
+        compute_orbitals(action, [5] + list(base[1:]))
+    with pytest.raises(ValueError, match="8 labels for 9 base-row pairs"):
+        compute_orbitals(action, base[1:])
 
 
 def test_an_uncertified_partition_gets_the_full_count():
