@@ -4,7 +4,7 @@ from finite geometry and small permutation actions.
 Layers, bottom up:
 
 - :mod:`srgkit.gf` — finite fields as dense lookup tables, with norms,
-  traces, characters, and exact solution-counting for standard forms.
+  traces, characters, and closed-form solution counts for standard forms.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,
   hermitian) over those fields: point/subspace enumeration, tangency and
   perpendicularity tests, flags of projective planes.

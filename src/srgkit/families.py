@@ -19,10 +19,9 @@ extended projective group on flags), an invariant evaluated on the base row
 (0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`, which certifies
 the pair orbits and checks that the invariant names them one to one.  The
 unitary, orthogonal, polar-complement and Hamming graphs are classes of
-such a partition.  Grassmann and dual polar graphs are read off a label
-table of incidence sums checked on every ordered pair
-(:func:`srgkit.graphcore._label_table`); only Johnson graphs use
-``build_graph``.
+such a partition.  Grassmann and dual polar graphs are read off packed
+incidence sums, one byte row per subspace and symmetric by construction;
+only Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
@@ -67,7 +66,7 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import _label_graph, _strict_int
+from .graphcore import _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
@@ -531,8 +530,12 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
     """Graph on 3-subspaces of F_q^ambient_dim, two adjacent exactly when
     they meet in a 2-space (q+1 common projective points).  A projective
     point is one int with byte v set when subspace v contains it, so the
-    sum over a subspace's points is its row of intersection sizes.  A size
-    fits a byte: q >= 16 gives more than 8192 subspaces, past the pair cap."""
+    sum over a subspace's points is its row of intersection sizes, q^2+q+1
+    on the diagonal.  Size (v, w) counts the points v and w share, so the
+    graph is symmetric by construction.  A size fits its byte while
+    q^2 + q + 1 <= 255, that is q < 16, and two guards hold that: the
+    vector cap refuses F_16^6 (2^24 vectors) before any enumeration, and
+    the pair cap refuses more than 8192 subspaces before any row is summed."""
     q = field.q
     point_index = {
         rep: i for i, rep in enumerate(projective_reps(field, ambient_dim))
@@ -547,11 +550,11 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
         for i in ids:
             incidence[i] |= 1 << 8 * v
         points_of.append(ids)
-
-    def row_of(v: int) -> bytes:
-        return sum(map(incidence.__getitem__, points_of[v])).to_bytes(n, "little")
-
-    return _label_graph(n, row_of, q + 1, [str(s) for s in subspaces])
+    sizes = (
+        sum(map(incidence.__getitem__, ids)).to_bytes(n, "little") for ids in points_of
+    )
+    rows = _class_rows(n, sizes, {q + 1})
+    return Graph(rows, [str(s) for s in subspaces], validate=False)
 
 
 def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:

@@ -8,9 +8,8 @@ dense index-based arithmetic tables; :class:`FieldElement` wraps an index
 for ergonomic exact arithmetic.
 
 Beyond field arithmetic, the module provides the relative norm and absolute
-trace, the quadratic character, and exact solution counts for hermitian
-norm equations and hyperbolic bilinear equations, together with the root
-character sums used by the orthogonal tangency constructions.
+trace, the quadratic character, and the closed-form solution counts of
+hermitian norm equations and hyperbolic bilinear equations.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ __all__ = [
     "CharacterValue",
     "Field",
     "FieldElement",
-    "char_sum_c",
-    "count_hermitian_norm_solutions",
-    "count_hyperbolic_solutions",
     "field_of_order",
     "hermitian_count_closed",
     "hyperbolic_count_closed",
@@ -528,25 +524,17 @@ def quadratic_character(a: FieldElement) -> CharacterValue:
 
 
 # ---------------------------------------------------------------------------
-# Exact counting (dynamic programming over value distributions)
+# Closed-form solution counts
 # ---------------------------------------------------------------------------
 
 
-def _convolve_counts(dist: list[int], single: list[int], field: Field) -> list[int]:
-    """Additive convolution of two index-aligned value-count vectors."""
-    out = [0] * field.q
-    add = field.add_table
-    for i, ci in enumerate(dist):
-        if ci:
-            row = add[i]
-            for j, cj in enumerate(single):
-                if cj:
-                    out[row[j]] += ci * cj
-    return out
-
-
 def hermitian_count_closed(n: int, q: int, zero: bool) -> int:
-    """Closed form for :func:`count_hermitian_norm_solutions` (c=0 vs c!=0)."""
+    """#{(a_1..a_n) in (F_{q^2})^n : sum of a_i^(q+1) = c}, for c = 0 when
+    ``zero`` and for any c != 0 otherwise (n >= 1):
+
+        c = 0:   q^(2n-1) + (-1)^n (q-1) q^(n-1)
+        c != 0:  q^(2n-1) - (-1)^n q^(n-1)
+    """
     if n == 0:
         return 1 if zero else 0
     s = (-1) ** n
@@ -555,108 +543,15 @@ def hermitian_count_closed(n: int, q: int, zero: bool) -> int:
     return q ** (2 * n - 1) - s * q ** (n - 1)
 
 
-def count_hermitian_norm_solutions(n: int, q: int, c=0) -> int:
-    """#{(a_1..a_n) in (F_{q^2})^n : sum of a_i^(q+1) = c}.
-
-    Dynamic programming over norm-value distributions: one coordinate
-    contributes norm 0 once and each nonzero norm value q+1 times.  The
-    count depends only on whether c = 0, with validated closed forms
-    (n >= 1):
-
-        c = 0:   q^(2n-1) + (-1)^n (q-1) q^(n-1)
-        c != 0:  q^(2n-1) - (-1)^n q^(n-1)
-
-    ``c`` may be a FieldElement of F_q or an element index (0 = zero).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    field = field_of_order(q)
-    c_index = c.index if isinstance(c, FieldElement) else int(c)
-    if not 0 <= c_index < q:
-        raise ValueError(f"c index {c_index} out of range for GF({q})")
-    single = [q + 1] * q
-    single[0] = 1
-    dist = [0] * q
-    dist[0] = 1
-    for _ in range(n):
-        dist = _convolve_counts(dist, single, field)
-    if dist[0] != hermitian_count_closed(n, q, zero=True):
-        raise AssertionError("hermitian count disagrees with its closed form")
-    if n and set(dist[1:]) != {hermitian_count_closed(n, q, zero=False)}:
-        raise AssertionError("hermitian count not constant on nonzero targets")
-    return dist[c_index]
-
-
 def hyperbolic_count_closed(k: int, q: int, zero: bool) -> int:
-    """Closed form for :func:`count_hyperbolic_solutions` (c=0 vs c!=0)."""
+    """#{(a_1,b_1,..,a_k,b_k) in F_q^(2k) : sum of a_i b_i = c}, for c = 0
+    when ``zero`` and for any c != 0 otherwise (k >= 1):
+
+        c = 0:   q^(2k-1) + q^k - q^(k-1)
+        c != 0:  q^(2k-1) - q^(k-1)
+    """
     if k == 0:
         return 1 if zero else 0
     if zero:
         return q ** (2 * k - 1) + q**k - q ** (k - 1)
     return q ** (2 * k - 1) - q ** (k - 1)
-
-
-def count_hyperbolic_solutions(k: int, q: int, zero_target: bool) -> int:
-    """#{(a_1,b_1,..,a_k,b_k) in F_q^(2k) : sum of a_i b_i = c}.
-
-    ``zero_target`` selects c = 0; otherwise any fixed c != 0 (the count is
-    independent of the choice, which is asserted).  One hyperbolic pair
-    realises 0 in 2q-1 ways and each nonzero value in q-1 ways; the k-pair
-    distribution is the k-fold additive convolution.  Validated closed
-    forms (k >= 1, including the all-zero vector in the c = 0 count):
-
-        c = 0:   q^(2k-1) + q^k - q^(k-1)
-        c != 0:  q^(2k-1) - q^(k-1)
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    field = field_of_order(q)
-    single = [q - 1] * q
-    single[0] = 2 * q - 1
-    dist = [0] * q
-    dist[0] = 1
-    for _ in range(k):
-        dist = _convolve_counts(dist, single, field)
-    if dist[0] != hyperbolic_count_closed(k, q, zero=True):
-        raise AssertionError("hyperbolic count disagrees with its closed form")
-    if k and set(dist[1:]) != {hyperbolic_count_closed(k, q, zero=False)}:
-        raise AssertionError("hyperbolic count not constant on nonzero targets")
-    return dist[0] if zero_target else dist[1 % q]
-
-
-def char_sum_c(gamma1, gamma2, lam, q: int | None = None) -> int:
-    """sum over x in F_q of the number of roots of
-    T^2 - (gamma2 - lam*x) T + m(x), where m(x) = 1 - x*gamma1 + x^2.
-
-    Odd q counts roots of a monic quadratic as 1 + chi(discriminant).  Even
-    q writes the quadratic as T^2 + k T + m with k = gamma2 + lam*x: exactly
-    one root when k = 0 (squaring is bijective), otherwise two roots exactly
-    when the absolute trace of m / k^2 vanishes.
-
-    Arguments may be FieldElements of one field, or element indices together
-    with an explicit prime power ``q``.
-    """
-    if q is not None:
-        field = field_of_order(q)
-        gamma1, gamma2, lam = (
-            x if isinstance(x, FieldElement) else field.from_index(int(x))
-            for x in (gamma1, gamma2, lam)
-        )
-    field = gamma1.field
-    if gamma2.field is not field or lam.field is not field:
-        raise ValueError("gamma1, gamma2, lam must lie in one field")
-    one = field.one
-    total = 0
-    for xi in range(field.q):
-        x = field.from_index(xi)
-        m = one - x * gamma1 + x * x
-        kx = gamma2 - lam * x
-        if field.p == 2:
-            if not kx:
-                total += 1
-            elif trace_to_prime(m * (kx * kx).inverse()) == 0:
-                total += 2
-        else:
-            disc = kx * kx - 4 * m
-            total += 1 + quadratic_character(disc)
-    return total

@@ -6,10 +6,11 @@ that sit exhaustive verifiers: strong regularity (every vertex pair is
 checked), BFS distance computation, distance-i graphs, complements, and
 full distance-regularity checking with intersection-array extraction (by
 the three-term identity on packed counter rows, or a BFS from every root).
-The graph6 codec runs through binascii.  Graphs read off pair labels
-share one label table, in which every pair is compared with its mirror.
-Failures carry a witness (the first offending vertex or pair) rather than
-a bare boolean.
+The graph6 codec runs through binascii.  Every graph built from byte rows
+(a predicate's truth values, a pair partition's classes, incidence sums)
+becomes bitset rows through one reader, which refuses more than 2^26
+pairs before it reads a row.  Failures carry a witness (the first
+offending vertex or pair) rather than a bare boolean.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ __all__ = [
 _PAIR_CAP = 1 << 26
 
 
-def _pair_bytes(n: int, fill: int = 0) -> bytearray:
-    """One ``fill`` byte per ordered pair of n points; the cap is checked first."""
+def _check_pair_cap(n: int) -> None:
     if n * n > _PAIR_CAP:
         raise ScaleGuardError(f"the pair partition of {n} points", n * n, _PAIR_CAP)
-    return bytearray([fill]) * (n * n)
 
 
 def bits(x: int) -> Iterator[int]:
@@ -301,73 +300,23 @@ def build_graph(
     """Build a graph from a vertex list and a symmetric, irreflexive
     adjacency predicate.
 
-    The predicate is evaluated on every ordered pair into one label table
-    (:func:`_label_table`), which compares every pair with its mirror, so a
-    reflexive vertex and the first asymmetric pair are refused by name.
-    The table holds one byte per ordered pair: more than 2^26 pairs (8192
-    vertices) raise ScaleGuardError.
+    The predicate is evaluated on every ordered pair, one byte row per
+    vertex, and Graph's validation refuses a loop and names the first
+    asymmetric pair.  More than 2^26 pairs (8192 vertices) raise
+    ScaleGuardError before the predicate is called.
     """
-
-    def row_of(i: int) -> bytes:
-        row = bytes(map(bool, map(adjacent, repeat(vertices[i]), vertices)))
-        if row[i]:
-            raise ValueError(f"predicate is reflexive at vertex {i}")
-        return row
-
-    names = list(map(labels or str, vertices))
-    return _label_graph(len(vertices), row_of, 1, names, "predicate", ValueError)
+    byte_rows = (bytes(map(bool, map(adjacent, repeat(v), vertices))) for v in vertices)
+    rows = _class_rows(len(vertices), byte_rows, {1})
+    return Graph(rows, list(map(labels or str, vertices)))
 
 
-def _label_table(n: int, row_of, subject="pair invariant", error=AssertionError):
-    """The class of every ordered pair of n points, one byte each, row-major,
-    and the labels found off the diagonal, ascending.
-
-    ``row_of(i)`` gives the labels of the pairs (i, 0), ..., (i, n - 1),
-    ints in range(256); the label of (i, i) is ignored.  The diagonal is
-    class 0 and label l is class 1 + its rank.  Every pair (i, j) is
-    compared with (j, i), and the first asymmetric pair in row-major order
-    is named by ``error``.  More than 255 labels raise ValueError.
-    """
-    table = _pair_bytes(n)
-    unseen = bytes(range(256))  # the labels not yet found off the diagonal
-    for i in range(n):
-        row, start = row_of(i), i * n
-        try:
-            table[start : start + n] = row
-        except ValueError:  # a label beyond one byte: count the labels to say why
-            found = {x for h in range(n) for j, x in enumerate(row_of(h)) if j != h}
-            why = "has more than 255" if len(found) > 255 else "needs byte"
-            raise ValueError(f"{subject} {why} labels") from None
-        unseen = unseen.translate(None, table[start : start + i])
-        unseen = unseen.translate(None, table[start + i + 1 : start + n])
-    if not unseen:
-        raise ValueError(f"{subject} has more than 255 labels")
-    labels = bytes(range(256)).translate(None, unseen)
-    rank = bytes(labels.find(b) + 1 for b in range(256))
-    for i in range(n):  # (i, j) against (j, i) for j > i, then row i to classes
-        start = i * n
-        row, column = table[start + i + 1 : start + n], table[start + n + i :: n]
-        if row != column:
-            j = next(j for j, (a, b) in enumerate(zip(row, column), i + 1) if a != b)
-            raise error(f"{subject} is asymmetric at ({i}, {j})")
-        table[start : start + n] = table[start : start + n].translate(rank)
-        table[start + i] = 0
-    return table, tuple(labels)
-
-
-def _class_rows(n: int, table: bytes | bytearray, classes) -> list[int]:
-    """Row x is the bitset of the pairs (x, y) whose class is in ``classes``:
-    the reversed row, translated to binary digits, puts (x, y) at bit y."""
+def _class_rows(n: int, rows: Iterable[bytes], classes) -> list[int]:
+    """Bitset x has bit y set when byte y of row x is in ``classes``: the
+    reversed row, translated to binary digits.  ``rows`` are the n byte
+    rows of n points, read only after more than 2^26 pairs are refused."""
+    _check_pair_cap(n)
     digits = bytes(ord("1") if b in classes else ord("0") for b in range(256))
-    return [int(table[x * n : (x + 1) * n][::-1].translate(digits), 2) for x in range(n)]
-
-
-def _label_graph(n, row_of, label, names, subject="pair invariant", error=AssertionError):
-    """The graph joining the pairs labelled ``label`` in the label table of
-    ``row_of`` (see :func:`_label_table`)."""
-    table, labels = _label_table(n, row_of, subject, error)
-    classes = {1 + labels.index(label)} if label in labels else ()
-    return Graph(_class_rows(n, table, classes), names, validate=False)
+    return [int(row[::-1].translate(digits), 2) for row in rows]
 
 
 def _basic_failure(g: Graph) -> RegularityFailure | None:

@@ -21,8 +21,8 @@ from .graphcore import (
     Graph,
     RegularityFailure,
     SrgParams,
+    _check_pair_cap,
     _class_rows,
-    _pair_bytes,
     _srg_scan,
     _strict_int,
 )
@@ -143,6 +143,12 @@ def _invariant_under(table, n, generators) -> tuple[int, int] | None:
     return None
 
 
+def _pair_bytes(n: int, fill: int = 0) -> bytearray:
+    """One ``fill`` byte per ordered pair of n points; the cap is checked first."""
+    _check_pair_cap(n)
+    return bytearray([fill]) * (n * n)
+
+
 def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     """Pair-orbit partition of a transitive action, filled a row at a time.
 
@@ -227,9 +233,9 @@ def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
         raise ValueError(f"no class {cls}")
     if cls == 0:
         raise ValueError("the diagonal class has no graph")
-    wanted = (cls, partition.paired[cls])
-    rows = _class_rows(partition.degree, partition.class_of, wanted)
-    return Graph(rows, validate=False)
+    n, class_of = partition.degree, partition.class_of
+    rows = (class_of[x : x + n] for x in range(0, n * n, n))
+    return Graph(_class_rows(n, rows, (cls, partition.paired[cls])), validate=False)
 
 
 def orbital_srg(

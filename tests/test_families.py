@@ -40,10 +40,10 @@ from srgkit.geometry import (
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
 from srgkit import families
 from srgkit.graphcore import (
+    Graph,
     IntersectionArray,
     RegularityFailure,
     SrgParams,
-    _label_table,
     check_drg,
     check_srg,
 )
@@ -628,6 +628,22 @@ def test_scale_guard_reports_prediction():
     assert (info.value.predicted_v, info.value.max_v) == (8**7, 1 << 20)
 
 
+def test_meet_graph_sizes_stay_in_their_byte():
+    # q^2 + q + 1 = 273 would carry out of a byte: the vector cap refuses
+    # F_16^6 whatever the vertex budget
+    with pytest.raises(ScaleGuardError, match="F_16\\^6"):
+        build_grassmann(6, 16, max_v=10**12)
+    with pytest.raises(ScaleGuardError, match="F_16\\^6"):
+        build_dual_polar_sp6(16, max_v=10**12)
+
+
+def test_meet_graphs_pass_graph_validation():
+    # the meet graphs skip Graph's per-edge check; run it here on every
+    # ordered pair
+    for g in (build_grassmann(6, 2), build_dual_polar_sp6(2), build_dual_polar_sp6(3)):
+        assert Graph(g.rows) == g
+
+
 def test_build_family_dispatches_every_graph_tag():
     cases = [
         ("johnson:n=7,i=1", 35),
@@ -688,21 +704,8 @@ def test_build_family_rejects_classification_tags():
 # ---------------------------------------------------------------------------
 
 
-def test_pair_classes_reject_an_invariant_asymmetric_at_one_pair():
-    # (5, 7) lies outside the base row and outside every 1/16 sample
-    # (step 3 at 48 points), so only an exhaustive check sees it.
-    def pair_label(i, j):
-        return 3 if (i, j) == (5, 7) else 1 + (i + j) % 2
-
-    with pytest.raises(AssertionError, match=r"asymmetric at \(5, 7\)"):
-        _label_table(48, lambda i: [pair_label(i, j) for j in range(48)])
-
-
-def test_pair_classes_are_bytes_and_reject_over_255_labels():
-    cls = hamming_classification(3)
-    assert isinstance(cls.partition.class_of, bytes)
-    with pytest.raises(ValueError, match="more than 255 labels"):
-        _label_table(24, lambda i: [min(i, j) * 24 + max(i, j) for j in range(24)])
+def test_pair_classes_are_bytes():
+    assert isinstance(hamming_classification(3).partition.class_of, bytes)
 
 
 def test_classification_tensors_validate():

@@ -5,10 +5,12 @@ import random
 import pytest
 
 import oracles
-from srgkit.gf import (
+from oracles import (
     char_sum_c,
     count_hermitian_norm_solutions,
     count_hyperbolic_solutions,
+)
+from srgkit.gf import (
     field_of_order,
     hermitian_count_closed,
     hyperbolic_count_closed,

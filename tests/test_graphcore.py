@@ -15,6 +15,7 @@ from srgkit.families import (
     build_johnson,
     parse_family_spec,
 )
+from srgkit.gf import ScaleGuardError
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -84,8 +85,19 @@ class TestGraphType:
             build_graph(list(range(40)), lambda u, v: u < v)
         # (5, 7) lies off the base row and off every 1/16 sample (step 3),
         # so only a check of every ordered pair sees it
-        with pytest.raises(ValueError, match=r"predicate is asymmetric at \(5, 7\)"):
+        with pytest.raises(ValueError, match=r"asymmetric adjacency at \(5, 7\)"):
             build_graph(range(48), lambda u, v: (u, v) == (5, 7))
+
+    def test_pair_cap_refuses_before_the_predicate(self):
+        calls = []
+
+        def counting(u, v):
+            calls.append((u, v))
+            return False
+
+        with pytest.raises(ScaleGuardError, match="8193 points"):
+            build_graph(range(8193), counting)
+        assert calls == []
 
 
 class TestSrgParams:

@@ -247,3 +247,43 @@ def test_only_the_orbit_count_reads_the_group_certificate(path):
     """A sampled count must never pass for an exhaustive one: the
     base-row count of strong regularity runs only on certified orbits."""
     assert certificate_misuses(path.read_text()) == []
+
+
+def pair_table_allocations(source: str) -> list[str]:
+    """Reads of ``_pair_bytes`` (a call, or a name bound to it) outside
+    ``compute_orbitals``.  Every pair table in the package is the one that
+    :func:`compute_orbitals` fills and certifies; a graph built from byte
+    rows goes through ``_class_rows`` and holds no n² table."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "module level")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if (
+                name == "_pair_bytes"
+                and isinstance(node.ctx, ast.Load)
+                and owner != "compute_orbitals"
+            ):
+                found.append(f"line {node.lineno}: in {owner}")
+    return found
+
+
+def test_the_scan_finds_a_stray_pair_table():
+    source = (
+        "def _pair_bytes(n, fill=0):\n"
+        "    return bytearray([fill]) * (n * n)\n"
+        "def compute_orbitals(action):\n"
+        "    table = _pair_bytes(action.degree)\n"
+        "def build_graph(vertices, adjacent):\n"
+        "    table = orbitals._pair_bytes(len(vertices))\n"
+        "_ALLOCATE = _pair_bytes\n"
+    )
+    assert pair_table_allocations(source) == [
+        "line 6: in build_graph",
+        "line 7: in module level",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_only_compute_orbitals_allocates_a_pair_table(path):
+    assert pair_table_allocations(path.read_text()) == []

@@ -483,7 +483,8 @@ def assert_fusions_match_check_srg(tensor, table: bytes) -> int:
     fusions = dict(srg_fusions(tensor))
     for size in range(1, tensor.rank - 1):
         for union in itertools.combinations(range(1, tensor.rank), size):
-            verdict = check_srg(Graph(_class_rows(n, table, union), validate=False))
+            rows = (table[x : x + n] for x in range(0, n * n, n))
+            verdict = check_srg(Graph(_class_rows(n, rows, union), validate=False))
             if union in fusions:
                 assert verdict == SrgParams(*map(int, fusions[union])), union
             else:
