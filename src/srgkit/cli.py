@@ -50,7 +50,7 @@ from .graphcore import (
     to_edgelist,
     to_graph6,
 )
-from .orbitals import compute_orbitals, load_gens, orbital_srg
+from .orbitals import compute_orbitals, load_gens, orbital_graph
 from .schemes import (
     _DUAL_POLAR_EXPONENTS,
     InfeasibleArrayError,
@@ -389,7 +389,7 @@ def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
             "self_paired": partition.is_self_paired(c),
         }
         if partition.is_self_paired(c):
-            entry["srg"] = _srg_verdict(orbital_srg(partition, c))
+            entry["srg"] = _srg_verdict(check_srg(orbital_graph(partition, c)))
         else:
             entry["srg"] = {
                 "verdict": "skipped",

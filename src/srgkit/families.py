@@ -45,6 +45,7 @@ from typing import Mapping
 
 from .geometry import (
     FormedSpace,
+    _check_vector_cap,
     _dot,
     enumerate_flags,
     enumerate_max_isotropic,
@@ -66,7 +67,7 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import _class_rows, _strict_int
+from .graphcore import _check_pair_cap, _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
@@ -534,8 +535,8 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
     on the diagonal.  Size (v, w) counts the points v and w share, so the
     graph is symmetric by construction.  A size fits its byte while
     q^2 + q + 1 <= 255, that is q < 16, and two guards hold that: the
-    vector cap refuses F_16^6 (2^24 vectors) before any enumeration, and
-    the pair cap refuses more than 8192 subspaces before any row is summed."""
+    vector cap refuses F_16^6 (2^24 vectors), and the pair cap more than
+    8192 subspaces; each builder applies both before any enumeration."""
     q = field.q
     point_index = {
         rep: i for i, rep in enumerate(projective_reps(field, ambient_dim))
@@ -564,6 +565,8 @@ def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     predicted = (q**3 + 1) * (q**2 + 1) * (q + 1)
     _guard(f"dual polar Sp6({q})", predicted, max_v)
     field = field_of_order(q)
+    _check_vector_cap(field, 6)  # first, so F_16^6 is refused by name
+    _check_pair_cap(predicted)
     subspaces = enumerate_max_isotropic(FormedSpace("symplectic", field, 6))
     if len(subspaces) != predicted:
         raise AssertionError(
@@ -815,6 +818,8 @@ def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     predicted = gaussian_binomial(n, 3, q)
     _guard(f"Grassmann 3-spaces of F_{q}^{n}", predicted, max_v)
     field = field_of_order(q)
+    _check_vector_cap(field, n)  # first, so F_16^6 is refused by name
+    _check_pair_cap(predicted)
     return _meet_graph(field, n, enumerate_subspaces(field, n, 3))
 
 

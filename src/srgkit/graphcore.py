@@ -2,10 +2,11 @@
 
 Graphs store one Python integer per vertex as an adjacency bitset, so
 common-neighbour counting is a word-parallel AND plus popcount.  On top of
-that sit exhaustive verifiers: strong regularity (every vertex pair is
-checked), BFS distance computation, distance-i graphs, complements, and
-full distance-regularity checking with intersection-array extraction (by
-the three-term identity on packed counter rows, or a BFS from every root).
+that sit exhaustive verifiers: strong regularity (every vertex pair, or
+every pair (0, y) of a graph certified as group orbitals), BFS distance
+computation, distance-i graphs, complements, and full distance-regularity
+checking with intersection-array extraction (by the three-term identity
+on packed counter rows, or a BFS from every root).
 The graph6 codec runs through binascii.  Every graph built from byte rows
 (a predicate's truth values, a pair partition's classes, incidence sums)
 becomes bitset rows through one reader, which refuses more than 2^26
@@ -217,9 +218,16 @@ class RegularityFailure:
 
 
 class Graph:
-    """An immutable simple graph: bitset adjacency rows plus vertex labels."""
+    """An immutable simple graph: bitset adjacency rows plus vertex labels.
 
-    __slots__ = ("n", "rows", "labels")
+    certificate is ``"group-orbitals"`` when the graph is a union of pair
+    orbits of a transitive group that :func:`orbitals.compute_orbitals` has
+    certified, as :func:`orbitals.orbital_graph` records; ``relabel`` keeps
+    it, and every other constructor leaves it None.  Equality and hashing
+    compare the rows alone, so they ignore it.
+    """
+
+    __slots__ = ("n", "rows", "labels", "certificate")
 
     def __init__(
         self,
@@ -234,6 +242,7 @@ class Graph:
         else:
             labels = tuple(str(x) for x in labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "certificate", None)
         if len(labels) != self.n:
             raise ValueError("label count differs from vertex count")
         if validate:
@@ -278,7 +287,9 @@ class Graph:
                 yield (u, u + 1 + off)
 
     def relabel(self, labels: Sequence[str]) -> "Graph":
-        return Graph(self.rows, labels, validate=False)
+        graph = Graph(self.rows, labels, validate=False)
+        object.__setattr__(graph, "certificate", self.certificate)  # same rows
+        return graph
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -357,22 +368,27 @@ def distance_masks(g: Graph, root: int) -> list[int]:
 
 
 def check_srg(g: Graph) -> SrgParams | RegularityFailure:
-    """Verify strong regularity by counting common neighbours of every
-    vertex pair.  Returns the parameters, or the first violating pair."""
-    return _srg_scan(g, range(g.n))
+    """Verify strong regularity by counting common neighbours: the
+    parameters, or the first pair (u, v), v > u, in scan order whose count
+    disagrees with the first pair of its kind (adjacent or not).
 
-
-def _srg_scan(g: Graph, roots: Iterable[int]) -> SrgParams | RegularityFailure:
-    """The preconditions, then the common-neighbour counts of the pairs
-    (u, v), v > u, for each u in ``roots`` in order: the parameters, or the
-    first pair whose count disagrees with the first of its kind."""
+    Every pair is counted, except on a graph whose certificate is
+    ``"group-orbitals"``: there the pairs (0, y) alone are counted.  The
+    certified group is transitive and preserves the graph, so some element
+    takes each pair (u, v) to a pair (0, y) with the same adjacency and
+    common-neighbour count.  The counts are therefore constant on all
+    pairs exactly when they are constant on row 0: the count is exhaustive
+    over orbit representatives, not sampled.  The full scan reads row 0
+    first, so its first witness lies in row 0 too, and the result is the
+    full count's in every field, witness included.
+    """
     basic = _basic_failure(g)
     if basic is not None:
         return basic
     n, rows = g.n, g.rows
     k = g.degree(0)
     lam = mu = -1
-    for u in roots:
+    for u in range(1 if g.certificate == "group-orbitals" else n):
         ru = rows[u]
         for v in range(u + 1, n):
             common = (ru & rows[v]).bit_count()

@@ -4,8 +4,9 @@ direct intersection-number counting.
 Permutations are plain image tuples and groups are never represented beyond
 their generators.  The pair-orbit partition is built a whole row at a time
 by C-level gathers along a breadth-first tree of the points, and certified
-by checking that every generator preserves every row.  That certificate
-lets strong regularity of an orbital graph be counted on the base row alone.
+by checking that every generator preserves every row.  An orbital graph
+carries that certificate, so ``check_srg`` counts it on the base row alone,
+and an intersection number is counted at one representative pair.
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .gf import make_field
-from .graphcore import (
-    Graph,
-    RegularityFailure,
-    SrgParams,
-    _check_pair_cap,
-    _class_rows,
-    _srg_scan,
-    _strict_int,
-)
+from .graphcore import Graph, _check_pair_cap, _class_rows, _strict_int
 
 __all__ = [
     "OrbitalPartition",
@@ -35,7 +28,6 @@ __all__ = [
     "load_gens",
     "mulclose",
     "orbital_graph",
-    "orbital_srg",
     "psl28_action",
     "save_gens",
 ]
@@ -228,34 +220,19 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:
-    """Undirected graph whose edges are class ``cls`` united with its pair."""
+    """Undirected graph whose edges are class ``cls`` united with its pair.
+    It carries the partition's ``"group-orbitals"`` certificate, if any: the
+    certified group preserves every class, so it preserves the graph."""
     if not 0 <= cls < partition.rank:
         raise ValueError(f"no class {cls}")
     if cls == 0:
         raise ValueError("the diagonal class has no graph")
     n, class_of = partition.degree, partition.class_of
     rows = (class_of[x : x + n] for x in range(0, n * n, n))
-    return Graph(_class_rows(n, rows, (cls, partition.paired[cls])), validate=False)
-
-
-def orbital_srg(
-    partition: OrbitalPartition, cls: int
-) -> SrgParams | RegularityFailure:
-    """``check_srg(orbital_graph(partition, cls))``, counted on the base
-    row (0, y) alone when the partition is certified group orbitals.
-
-    The certified group is transitive and preserves every class, so it
-    preserves the graph, and some element takes each pair (u, v) to a pair
-    (0, y) with the same adjacency and common-neighbour count.  The counts
-    are therefore constant on all pairs exactly when they are constant on
-    row 0: the count is exhaustive over orbit representatives, not
-    sampled.  The full scan reads row 0 first, so its first witness lies in
-    row 0 too, and the result is the full count's in every field, witness
-    included.  Any other partition gets the full count.
-    """
-    graph = orbital_graph(partition, cls)
-    group = partition.certificate == "group-orbitals"
-    return _srg_scan(graph, range(1) if group else range(graph.n))
+    graph = Graph(_class_rows(n, rows, (cls, partition.paired[cls])), validate=False)
+    if partition.certificate == "group-orbitals":
+        object.__setattr__(graph, "certificate", partition.certificate)
+    return graph
 
 
 def intersection_number_direct(
@@ -264,35 +241,24 @@ def intersection_number_direct(
     """p_ij^h: for a pair (x, y) of class h, the number of z with (x, z)
     in class i and (z, y) in class j.
 
-    Counted at the stored representative and re-counted at a second
-    representative when the class has more than one pair, as insurance
-    against a malformed partition.
+    Counted at the stored representative alone, which is exhaustive on
+    certified group orbitals: the group is transitive on the pairs of
+    class h and preserves every class, so the count is the same at every
+    pair of it.  A partition without the ``"group-orbitals"`` certificate
+    raises ValueError.
     """
     for c in (h, i, j):
         if not 0 <= c < partition.rank:
             raise ValueError(f"no class {c}")
-    n = partition.degree
-    class_of = partition.class_of
-
-    def count_at(pair: int) -> int:
-        x, y = divmod(pair, n)
-        row, column = class_of[x * n : (x + 1) * n], class_of[y::n]
-        return sum(a == i and b == j for a, b in zip(row, column))
-
-    x0, y0 = partition.reps[h]
-    first = x0 * n + y0
-    value = count_at(first)
-    second = class_of.find(h)
-    if second == first:
-        second = class_of.find(h, first + 1)
-    if second != -1:
-        check = count_at(second)
-        if check != value:
-            raise AssertionError(
-                f"p_{i}{j}^{h} differs between representatives: "
-                f"{value} vs {check}"
-            )
-    return value
+    if partition.certificate != "group-orbitals":
+        raise ValueError(
+            "partition is not certified group orbitals: "
+            "one representative per class would not be exhaustive"
+        )
+    n, class_of = partition.degree, partition.class_of
+    x, y = partition.reps[h]
+    row, column = class_of[x * n : (x + 1) * n], class_of[y::n]
+    return sum(a == i and b == j for a, b in zip(row, column))
 
 
 def save_gens(action: PermGroupAction, path: str | Path) -> None:

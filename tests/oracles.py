@@ -9,6 +9,7 @@ directness, not cleverness, so they serve as the ground truth.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from srgkit.geometry import enumerate_flags, line_tangency_count, rref
@@ -355,6 +356,48 @@ def orbital_graph_rows(partition, cls: int) -> list[int]:
                 row |= 1 << y
         rows.append(row)
     return rows
+
+
+def intersection_numbers_every_pair(partition) -> list[list[list[int]]]:
+    """p[h][i][j]: the number of z with (x, z) in class i and (z, y) in
+    class j, counted at the first pair (x, y) of class h and asserted at
+    every pair of class h; AssertionError names the first pair that differs.
+
+    The count at (x, y) is entry (x, y) of the product A_i A_j of the class
+    matrices, so every pair agrees exactly when A_i A_j equals
+    sum_h p_ij^h A_h.  Each row of both sides is one integer with an
+    s-byte counter per column y, 256^s > n, so no count carries."""
+    n, r, class_of = partition.degree, partition.rank, partition.class_of
+    rows = [class_of[x : x + n] for x in range(0, n * n, n)]
+    p = []
+    for h in range(r):
+        x, y = divmod(class_of.index(h), n)
+        counts = Counter(zip(rows[x], class_of[y::n]))
+        p.append([[counts[i, j] for j in range(r)] for i in range(r)])
+    s = (n.bit_length() + 7) // 8
+    buf = bytearray(n * s)
+    indicator = [bytes(b == c for b in range(256)) for c in range(r)]
+
+    def packed(row, c):  # counter y is 1 where row[y] == c
+        buf[::s] = row.translate(indicator[c])
+        return int.from_bytes(buf, "little")
+
+    matrix = [[packed(row, c) for row in rows] for c in range(r)]  # row x of A_c
+    for x, row in enumerate(rows):
+        for i in range(r):
+            zs = list(itertools.compress(range(n), row.translate(indicator[i])))
+            for j in range(r):
+                product = sum(map(matrix[j].__getitem__, zs))  # row x of A_i A_j
+                if product != sum(p[h][i][j] * matrix[h][x] for h in range(r)):
+                    counts = product.to_bytes(n * s, "little")
+                    y = next(
+                        y
+                        for y in range(n)
+                        if int.from_bytes(counts[y * s : y * s + s], "little")
+                        != p[row[y]][i][j]
+                    )
+                    raise AssertionError(f"p_{i}{j}^{row[y]} differs at {(x, y)}")
+    return p
 
 
 def srg_violation(graph):

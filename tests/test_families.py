@@ -637,6 +637,25 @@ def test_meet_graph_sizes_stay_in_their_byte():
         build_dual_polar_sp6(16, max_v=10**12)
 
 
+def test_meet_graphs_refuse_the_pair_cap_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the pair cap")
+
+    monkeypatch.setattr(families, "enumerate_subspaces", refuse)
+    monkeypatch.setattr(families, "enumerate_max_isotropic", refuse)
+    for build, args, n in (
+        (build_grassmann, (6, 3), 33880),
+        (build_grassmann, (7, 2), 11811),
+        (build_dual_polar_sp6, (5,), 19656),
+    ):
+        with pytest.raises(ScaleGuardError) as info:
+            build(*args, max_v=10**6)
+        assert str(info.value) == (
+            f"the pair partition of {n} points has size {n * n}, "
+            "over the desk-scale limit of 67108864"
+        )
+
+
 def test_meet_graphs_pass_graph_validation():
     # the meet graphs skip Graph's per-edge check; run it here on every
     # ordered pair

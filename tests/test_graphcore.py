@@ -440,6 +440,42 @@ def test_check_srg_names_a_single_edge_flip(spec, params):
     assert oracles.srg_violation(flipped) is not None
 
 
+CERTIFIED = [
+    spec
+    for spec, _ in TABLE1_TARGETS
+    if spec.partition(":")[0] in ("flags", "hamming", "nu", "no", "polarC")
+]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED)
+def test_certified_table1_cells_count_as_the_full_scan(spec):
+    """A graph of certified pair orbits is counted on row 0 alone, with
+    the full count's result in every field."""
+    g = build_family(parse_family_spec(spec))
+    assert g.certificate == "group-orbitals"
+    assert check_srg(g) == check_srg(Graph(g.rows, validate=False))
+
+
+def test_only_orbital_graphs_carry_a_certificate():
+    certified = build_family(parse_family_spec("nu:n=3,q=3"))
+    renamed = certified.relabel([f"v{u}" for u in range(certified.n)])
+    assert renamed.certificate == "group-orbitals" and renamed.labels[0] == "v0"
+    plain = Graph(certified.rows)
+    assert plain.certificate is None
+    assert plain == certified and hash(plain) == hash(certified)  # rows alone
+    uncertified = [
+        cycle(7),
+        complement(certified),
+        distance_graph(certified, 2),
+        from_graph6(to_graph6(certified)),
+        from_edgelist(to_edgelist(certified)),
+        build_family(parse_family_spec("johnson:n=7,i=1")),
+        build_family(parse_family_spec("sp6d3:q=2")),
+        build_dual_polar_sp6(2),
+    ]
+    assert [g.certificate for g in uncertified] == [None] * len(uncertified)
+
+
 DRG_SWITCHED = {
     "J(7,3)": lambda: build_johnson(7, 2),
     "J(8,3)": lambda: build_johnson(8, 2),

@@ -187,37 +187,78 @@ def test_only_the_cli_imports_the_clock_or_chance(path):
     assert clock_and_chance_imports(path.read_text()) == []
 
 
+# the owners of the ``"group-orbitals"`` certificate: who may write it, and
+# who may read it
+CERTIFICATE_WRITERS = {"compute_orbitals", "orbital_graph", "Graph.relabel"}
+CERTIFICATE_READERS = {"orbital_graph", "check_srg", "intersection_number_direct"}
+
+
+def owned_statements(tree: ast.Module):
+    """(owner, statement) for each module-level statement, and for each
+    statement of a class body, whose owner is ``Class.method``."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                name = getattr(item, "name", None)
+                yield (f"{top.name}.{name}" if name else top.name), item
+        else:
+            yield getattr(top, "name", "module level"), top
+
+
+def certificate_write(node: ast.AST) -> ast.AST | None:
+    """The value that ``node`` writes to a certificate: a ``certificate``
+    keyword, or a call ``object.__setattr__(graph, "certificate", value)``
+    (``setattr`` alike); else None."""
+    if isinstance(node, ast.keyword) and node.arg == "certificate":
+        return node.value
+    if isinstance(node, ast.Call) and len(node.args) == 3:
+        name = node.args[1]
+        if isinstance(name, ast.Constant) and name.value == "certificate":
+            return node.args[2]
+    return None
+
+
 def certificate_misuses(source: str) -> list[str]:
-    """Uses of the ``"group-orbitals"`` certificate outside its two owners.
-    It may be written (passed as the ``certificate`` keyword) only in
-    ``compute_orbitals``, which earns it, and read (compared, or through
-    the ``certificate`` attribute) only in ``orbital_srg``, which acts on
-    it.  Any other use of the literal, a named copy of it for one, is
-    flagged too.  So a count that scans the base row alone cannot run on a
-    partition that no group certifies."""
+    """Uses of the ``"group-orbitals"`` certificate outside its owners.
+    It may be written only in ``compute_orbitals``, which earns it for a
+    partition, and in ``orbital_graph`` and ``Graph.relabel``, which carry
+    it onto a graph of certified classes or of the same rows; a value
+    copied into such a write is part of it, and writing None anywhere
+    withdraws nothing.  It may be read (compared, or through the
+    ``certificate`` attribute) only in ``orbital_graph``, ``check_srg``
+    and ``intersection_number_direct``, which act on it.  Any other use of
+    the literal, a named copy of it for one, is flagged too.  So a count
+    of one pair per orbit cannot run on pairs that no group certifies."""
     found = []
-    for top in ast.parse(source).body:
-        owner = getattr(top, "name", "module level")
+
+    def flag(node, use, owner, allowed):
+        if owner not in allowed:
+            found.append((node.lineno, f"line {node.lineno}: {use} in {owner}"))
+
+    for owner, top in owned_statements(ast.parse(source)):
+        copied = set()
+        for node in ast.walk(top):
+            value = certificate_write(node)
+            no_write = isinstance(value, ast.Constant) and value.value is None
+            if value is None or no_write:
+                continue
+            flag(node, "written", owner, CERTIFICATE_WRITERS)
+            copied.update(map(id, ast.walk(value)))
         for node in ast.walk(top):
             for child in ast.iter_child_nodes(node):
+                if id(child) in copied:
+                    continue
                 if isinstance(child, ast.Constant) and child.value == "group-orbitals":
-                    if isinstance(node, ast.keyword) and node.arg == "certificate":
-                        use, allowed = "written", "compute_orbitals"
-                    elif isinstance(node, ast.Compare):
-                        use, allowed = "compared", "orbital_srg"
+                    if isinstance(node, ast.Compare):
+                        flag(child, "compared", owner, CERTIFICATE_READERS)
                     else:
-                        use, allowed = "used", None
+                        flag(child, "used", owner, ())
                 elif (
                     isinstance(child, ast.Attribute)
                     and child.attr == "certificate"
                     and isinstance(child.ctx, ast.Load)
                 ):
-                    use, allowed = "read", "orbital_srg"
-                else:
-                    continue
-                if owner != allowed:
-                    line = child.lineno
-                    found.append((line, f"line {line}: {use} in {owner}"))
+                    flag(child, "read", owner, CERTIFICATE_READERS)
     return [text for _, text in sorted(found)]
 
 
@@ -225,27 +266,45 @@ def test_the_scan_finds_a_misused_certificate():
     source = (
         "def compute_orbitals(action):\n"
         "    return _partition(n, table, certificate='group-orbitals')\n"
-        "def orbital_srg(partition, cls):\n"
-        "    return partition.certificate == 'group-orbitals'\n"
+        "def check_srg(g):\n"
+        "    return g.certificate == 'group-orbitals'\n"
         "def classify(points):\n"
         "    return _partition(n, table, certificate='group-orbitals')\n"
         "def sampled(partition):\n"
         "    if 'group-orbitals' in {partition.certificate}:\n"
         "        return 1\n"
         "_GROUP = 'group-orbitals'\n"
+        "class Graph:\n"
+        "    __slots__ = ('rows', 'certificate')\n"
+        "    def __init__(self, rows):\n"
+        "        object.__setattr__(self, 'certificate', None)\n"
+        "    def relabel(self, labels):\n"
+        "        graph = Graph(self.rows)\n"
+        "        object.__setattr__(graph, 'certificate', self.certificate)\n"
+        "    def is_certified(self):\n"
+        "        return self.certificate is not None\n"
+        "def complement(g):\n"
+        "    h = Graph(g.rows)\n"
+        "    object.__setattr__(h, 'certificate', g.certificate)\n"
+        "def forge(g):\n"
+        "    setattr(g, 'certificate', 'group-orbitals')\n"
     )
     assert certificate_misuses(source) == [
         "line 6: written in classify",
         "line 8: compared in sampled",
         "line 8: read in sampled",
         "line 10: used in module level",
+        "line 19: read in Graph.is_certified",
+        "line 22: written in complement",
+        "line 24: written in forge",
     ]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_only_the_orbit_count_reads_the_group_certificate(path):
     """A sampled count must never pass for an exhaustive one: the
-    base-row count of strong regularity runs only on certified orbits."""
+    base-row count of strong regularity and the one-representative count
+    of intersection numbers run only on certified orbits."""
     assert certificate_misuses(path.read_text()) == []
 
 

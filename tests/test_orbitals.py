@@ -18,9 +18,9 @@ from srgkit.families import (
     hamming_classification,
 )
 from srgkit.graphcore import (
+    Graph,
     RegularityFailure,
     SrgParams,
-    _srg_scan,
     check_srg,
     complement,
 )
@@ -33,10 +33,10 @@ from srgkit.orbitals import (
     load_gens,
     mulclose,
     orbital_graph,
-    orbital_srg,
     psl28_action,
     save_gens,
 )
+from srgkit.schemes import tensor_from_orbital_partition
 
 
 def s3_action():
@@ -293,16 +293,22 @@ SRG_CORPUS = {
 }
 
 
+def full_count(graph):
+    """check_srg on the same rows without a certificate: every pair."""
+    return check_srg(Graph(graph.rows, validate=False))
+
+
 @functools.lru_cache(maxsize=None)
 def srg_verdicts(name):
-    """(class, orbital_srg, check_srg) for every self-paired class."""
+    """(class, check_srg, the full count) for every self-paired class."""
     partition = compute_orbitals(SRG_CORPUS[name]())
-    assert partition.certificate == "group-orbitals"
-    return [
-        (c, orbital_srg(partition, c), check_srg(orbital_graph(partition, c)))
-        for c in range(1, partition.rank)
-        if partition.is_self_paired(c)
-    ]
+    verdicts = []
+    for c in range(1, partition.rank):
+        if partition.is_self_paired(c):
+            graph = orbital_graph(partition, c)
+            assert graph.certificate == "group-orbitals"
+            verdicts.append((c, check_srg(graph), full_count(graph)))
+    return verdicts
 
 
 @pytest.mark.parametrize("name", SRG_CORPUS)
@@ -340,9 +346,14 @@ def test_pair_classifications_carry_the_group_certificate(build):
 
 @pytest.mark.parametrize("build", CLASSIFICATIONS.values(), ids=CLASSIFICATIONS)
 def test_classification_base_row_counts_equal_the_full_counts(build):
+    """check_srg on every class graph, and the tensor's one-representative
+    counts, equal the counts over every pair."""
     cls = build()
-    for c, label in enumerate(cls.labels, 1):
-        assert orbital_srg(cls.partition, c) == check_srg(cls.graphs[label]), label
+    for label, graph in cls.graphs.items():
+        assert graph.certificate == "group-orbitals"
+        assert check_srg(graph) == full_count(graph), label
+    every_pair = oracles.intersection_numbers_every_pair(cls.partition)
+    assert [[list(row) for row in table] for table in cls.tensor.p] == every_pair
 
 
 def test_labels_number_the_classes_in_label_order():
@@ -367,10 +378,10 @@ def test_labels_must_name_the_orbits_one_to_one():
         compute_orbitals(action, base[1:])
 
 
-def test_an_uncertified_partition_gets_the_full_count():
+def switched_petersen():
     """A 2-switch of the Petersen graph away from vertex 0 that keeps row
-    0's adjacency and counts: the graph is clean on row 0 and fails later,
-    and without a certificate the full count must find that."""
+    0's adjacency and counts, as a hand-built partition: class 1 the
+    switched edges, class 2 the other pairs.  No group certifies it."""
     partition = compute_orbitals(a5_on_pairs())
     cls = partition.suborbit_lengths.index(3)
     petersen = orbital_graph(partition, cls)
@@ -391,13 +402,33 @@ def test_an_uncertified_partition_gets_the_full_count():
     )
     for (x, y), label in {(a, b): 2, (c, d): 2, (a, c): 1, (b, d): 1}.items():
         table[x * n + y] = table[y * n + x] = label
-    switched = _partition(n, bytes(table))
+    return _partition(n, bytes(table))
+
+
+def test_an_uncertified_partition_gets_the_full_count():
+    """The switched graph is clean on row 0 and fails later, and without a
+    certificate the full count must find that."""
+    switched = switched_petersen()
     graph = orbital_graph(switched, 1)
-    assert switched.certificate is None
-    assert _srg_scan(graph, range(1)) == SrgParams(10, 3, 0, 1)
+    assert switched.certificate is graph.certificate is None
+    forged = Graph(graph.rows, validate=False)  # row 0 alone would pass
+    object.__setattr__(forged, "certificate", "group-orbitals")
+    assert check_srg(forged) == SrgParams(10, 3, 0, 1)
     full = check_srg(graph)
     assert isinstance(full, RegularityFailure) and full.witness[0] > 0
-    assert orbital_srg(switched, 1) == full
+
+
+def test_a_certified_graph_that_is_not_strongly_regular():
+    """Orthogonal (2,7,+): one class graph is strongly regular, the others
+    fail, and the base-row count matches the full count on all of them."""
+    cls = build_orthogonal_orbitals(2, 7, "+")
+    verdicts = {}
+    for label, graph in cls.graphs.items():
+        assert graph.certificate == "group-orbitals"
+        verdicts[label] = check_srg(graph)
+        assert verdicts[label] == full_count(graph), label
+    assert verdicts[1] == SrgParams(1225, 384, 138, 112)
+    assert sum(isinstance(v, RegularityFailure) for v in verdicts.values()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +484,46 @@ def test_lemma_relations_exhaustively():
             lhs = sum(p[l][i][j] * p[m][hh][l] for l in range(r))
             rhs = sum(p[l][hh][j] * p[m][i][l] for l in range(r))
             assert lhs == rhs
+
+
+# the oracle counts A_i A_j row by row, r^2 products a row: rank 255 is
+# out of reach, and tensor_from_orbital_partition refuses it anyway
+TENSOR_CORPUS = {
+    name: build for name, build in ORACLE_CORPUS.items() if name != "cyclic_255"
+}
+
+
+@pytest.mark.parametrize("name", TENSOR_CORPUS)
+def test_direct_counts_equal_the_every_pair_count(name):
+    """One representative per class gives the counts of every pair: the
+    tensor on symmetric partitions, every direct count on the others."""
+    partition = compute_orbitals(TENSOR_CORPUS[name]())
+    every_pair = oracles.intersection_numbers_every_pair(partition)
+    r = partition.rank
+    if all(map(partition.is_self_paired, range(r))):
+        counted = tensor_from_orbital_partition(partition).p
+    else:
+        counted = [
+            [[intersection_number_direct(partition, h, i, j) for j in range(r)]
+             for i in range(r)]
+            for h in range(r)
+        ]
+    assert [[list(row) for row in table] for table in counted] == every_pair
+
+
+def test_the_every_pair_count_names_a_pair_that_differs():
+    with pytest.raises(AssertionError, match=r"differs at \(\d+, \d+\)"):
+        oracles.intersection_numbers_every_pair(switched_petersen())
+
+
+def test_direct_counts_refuse_an_uncertified_partition():
+    certified = compute_orbitals(a5_on_pairs())
+    bare = _partition(certified.degree, certified.class_of)
+    assert bare == certified and bare.certificate is None
+    with pytest.raises(ValueError, match="not certified group orbitals"):
+        intersection_number_direct(bare, 1, 1, 1)
+    with pytest.raises(ValueError, match="not certified group orbitals"):
+        tensor_from_orbital_partition(bare)
 
 
 def test_intersection_number_rejects_bad_class():
