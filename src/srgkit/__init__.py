@@ -16,6 +16,8 @@ Layers, bottom up:
 - :mod:`srgkit.schemes` — the exact intersection-number calculus: numeric
   tensors from arrays, graphs, and partitions; symbolic tensors over
   rational-function fields; coefficient-extraction certificates.
+- :mod:`srgkit.audit` — the seven-relation audit every tensor passes, on
+  integer forms over one common denominator; imported on first use.
 - :mod:`srgkit.families` — named graph families built from the layers
   above, each paired with closed-form parameters where one exists.
 - :mod:`srgkit.cli` — the ``srgkit`` command: gen, verify, scheme,

@@ -518,3 +518,45 @@ def euclid_gcd(a, b) -> list[Fraction]:
             )
         a, b = b, rem
     return [c / a[-1] for c in a] if a else []
+
+
+def audit_by_scalar_arithmetic(tensor) -> None:
+    """The seven defining relations of an intersection tensor, checked in
+    the entries' own arithmetic (a RatFunc or XPoly sum or product reduces
+    by a gcd each time), in the order and with the indices that
+    ``IntersectionTensor.validate`` names; raises its InfeasibleArrayError."""
+    from srgkit.schemes import InfeasibleArrayError
+
+    r = tensor.rank
+    k, p = tensor.k, tensor.p
+    one = k[0]
+    zero = one - one
+    R = range(r)
+    for h, j in itertools.product(R, R):
+        if p[h][0][j] != (one if j == h else zero):
+            raise InfeasibleArrayError("p_0j^h = delta_jh", f"h={h} j={j}")
+    for i, j in itertools.product(R, R):
+        if p[0][i][j] != (k[j] if i == j else zero):
+            raise InfeasibleArrayError("p_ij^0 = delta_ij k_j", f"i={i} j={j}")
+    for h, i, j in itertools.product(R, R, R):
+        if p[h][i][j] != p[h][j][i]:
+            raise InfeasibleArrayError("p_ij^h = p_ji^h", f"h={h} i={i} j={j}")
+    for h, j in itertools.product(R, R):
+        if sum((p[h][i][j] for i in R), zero) != k[j]:
+            raise InfeasibleArrayError("sum_i p_ij^h = k_j", f"h={h} j={j}")
+    if sum(k, zero) != tensor.v:
+        raise InfeasibleArrayError("sum_j k_j = v")
+    for h, i, j in itertools.product(R, R, R):
+        if p[h][i][j] * k[h] != p[j][i][h] * k[j]:
+            raise InfeasibleArrayError("p_ij^h k_h = p_ih^j k_j", f"h={h} i={i} j={j}")
+    # the right side at (i, j, h, m) is left(h, j, i, m), so each sum is
+    # formed once, at i < h: the first failure in this order lies there
+    def left(i, j, h, m):
+        return sum((p[l][i][j] * p[m][h][l] for l in R), zero)
+
+    for i, j, h, m in itertools.product(R, R, R, R):
+        if i < h and left(i, j, h, m) != left(h, j, i, m):
+            raise InfeasibleArrayError(
+                "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
+                f"i={i} j={j} h={h} m={m}",
+            )

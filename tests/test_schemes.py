@@ -1,7 +1,12 @@
 """Tests for the exact intersection-number calculus."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import types
+from pathlib import Path
 from fractions import Fraction
 
 import oracles
@@ -725,3 +730,221 @@ class TestGrassmannF2:
             for row in table:
                 for entry in row:
                     assert entry.evaluate(2, 64).denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer audit against the scalar-arithmetic oracle
+# ---------------------------------------------------------------------------
+
+
+def audit_outcome(audit, tensor) -> str | None:
+    """The InfeasibleArrayError message an audit raises (relation and
+    indices), or None when it accepts."""
+    try:
+        audit(tensor)
+    except InfeasibleArrayError as e:
+        return str(e)
+    return None
+
+
+def unchecked(k, p, v) -> types.SimpleNamespace:
+    """A tensor's fields, not audited on construction, for the oracle."""
+    return types.SimpleNamespace(k=k, p=p, v=v, rank=len(k))
+
+
+def tampered(tensor, d, relation: int):
+    """(k, p, v) of ``tensor`` (rank 4) changed by d so that relation
+    ``relation`` is the first to fail.  Relations 6 and 7 cannot fail
+    alone after one entry changes, because relation 4 or 2 fails first;
+    their copies change a set of entries that keeps the earlier relations:
+    a 2x2 swap in table 1, then a fully symmetric D on classes 1..3 with
+    zero line sums, times the product of the other two valencies."""
+    k, v = list(tensor.k), tensor.v
+    p = [[list(row) for row in table] for table in tensor.p]
+    if relation == 1:
+        p[2][0][1] += d
+    elif relation == 2:
+        p[0][1][2] += d
+    elif relation == 3:
+        p[2][1][3] += d
+    elif relation == 4:
+        p[2][1][1] += d
+    elif relation == 5:
+        v += d
+    elif relation == 6:
+        for i, j, sign in ((2, 2, 1), (3, 3, 1), (2, 3, -1), (3, 2, -1)):
+            p[1][i][j] += sign * d
+    else:
+        shift = {(1, 1, 1): -1, (1, 1, 3): 1, (1, 3, 3): -1, (3, 3, 3): 1}
+        for key, value in shift.items():
+            for h, i, j in set(itertools.permutations(key)):
+                others = [k[g] for g in (1, 2, 3) if g != h]
+                p[h][i][j] += value * others[0] * others[1]
+    return tuple(k), tuple(tuple(tuple(row) for row in table) for table in p), v
+
+
+_RELATIONS = (
+    "p_0j^h = delta_jh",
+    "p_ij^0 = delta_ij k_j",
+    "p_ij^h = p_ji^h",
+    "sum_i p_ij^h = k_j",
+    "sum_j k_j = v",
+    "p_ij^h k_h = p_ih^j k_j",
+    "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
+)
+
+
+def halves_tensor():
+    """A RatFunc tensor whose entries have the denominators 2 and 2q - 2."""
+    one = RatFunc(1)
+    return schemes.symbolic_tensor_from_array([Q, Q, Q], [one, 2 * one, Q - 1], one)
+
+
+@pytest.fixture(scope="module")
+def audit_cases(grassmann_report):
+    """A numeric, a RatFunc and an XPoly tensor of rank 4, each with the
+    change its tampered copies make."""
+    return {
+        "numeric": (
+            tensor_from_array(IntersectionArray(b=(2, 1, 1), c=(1, 1, 1))),
+            Fraction(1, 2),
+        ),
+        "ratfunc": (halves_tensor(), 1 / (2 * Q - 2)),
+        "xpoly": (grassmann_report.tensor, XPoly.gen()),
+    }
+
+
+class TestIntegerAudit:
+    def test_denominators_two_and_2q_minus_2(self):
+        t = halves_tensor()
+        entries = [t.v, *t.k, *(x for table in t.p for row in table for x in row)]
+        assert {x._den.coeffs for x in entries} == {(1,), (2,), (-2, 2)}
+
+    @pytest.mark.parametrize("which", ["numeric", "ratfunc", "xpoly"])
+    def test_the_oracle_accepts_the_untampered_tensors(self, which, audit_cases):
+        tensor, _ = audit_cases[which]
+        assert audit_outcome(oracles.audit_by_scalar_arithmetic, tensor) is None
+
+    @pytest.mark.parametrize("relation", range(1, 8))
+    @pytest.mark.parametrize("which", ["numeric", "ratfunc", "xpoly"])
+    def test_tampered_copies_agree_with_the_oracle(self, which, relation, audit_cases):
+        k, p, v = tampered(*audit_cases[which], relation)
+        with pytest.raises(InfeasibleArrayError) as info:
+            IntersectionTensor(k=k, p=p, v=v)
+        assert info.value.relation == _RELATIONS[relation - 1]
+        oracle = audit_outcome(oracles.audit_by_scalar_arithmetic, unchecked(k, p, v))
+        assert str(info.value) == oracle
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_x_blocks_are_wider_than_twice_the_q_degree(self, width):
+        """Rank-3 XPoly tensors that keep relations 1-5 but not relation 6,
+        b k_1 = d k_2, whose two sides differ yet agree under X = q^width:
+        X^2 against q^4 X, and q^6 against X.  Their largest q-degree is 3,
+        so the audit must take X = q^B with B > 6 to name the failure."""
+        x, q = XPoly.gen(), XPoly((Q,))
+        b, k1, d, k2 = {4: (x, x, q, q**3 * x), 6: (q**3, q**3, 1, x)}[width]
+        k = (XPoly((1,)), k1, k2)
+        p = (
+            ((1, 0, 0), (0, k1, 0), (0, 0, k2)),
+            ((0, 1, 0), (1, -1, b), (0, b, k2 - b)),
+            ((0, 0, 1), (0, d, k1 - d), (1, k1 - d, k2 - 1 - (k1 - d))),
+        )
+        v = k[0] + k[1] + k[2]
+        assert (b * k1).substitute_x(Q**width) == (d * k2).substitute_x(Q**width)
+        with pytest.raises(InfeasibleArrayError) as info:
+            IntersectionTensor(k=k, p=p, v=v)
+        assert str(info.value).endswith(
+            "relation p_ij^h k_h = p_ih^j k_j violated (h=1 i=1 j=2)"
+        )
+        assert str(info.value) == audit_outcome(
+            oracles.audit_by_scalar_arithmetic, unchecked(k, p, v)
+        )
+
+    def test_grassmann_audit_makes_no_ratfunc_and_few_gcds(
+        self, grassmann_report, monkeypatch
+    ):
+        t = grassmann_report.tensor
+        entries = [t.v, *t.k, *(x for table in t.p for row in table for x in row)]
+        denominators = {c.den for x in entries for c in x.coeffs}
+        calls = {"gcd": 0, "ratfunc": 0}
+        gcd, init = schemes.poly_gcd, RatFunc.__init__
+
+        def counted_gcd(a, b):
+            calls["gcd"] += 1
+            return gcd(a, b)
+
+        def counted_init(self, *args):
+            calls["ratfunc"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(schemes, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(RatFunc, "__init__", counted_init)
+        t.validate()
+        monkeypatch.undo()
+        assert calls["ratfunc"] == 0
+        # the 17 denominators share factors, so their lcm needs some gcd
+        assert 0 < calls["gcd"] <= len(denominators)
+
+
+def test_the_audit_is_imported_on_first_use():
+    """Starting the command line compiles no audit; validating a tensor
+    imports it."""
+    code = (
+        "import sys, srgkit.cli, srgkit.schemes as s; "
+        "print('srgkit.audit' in sys.modules); "
+        "s.tensor_from_array(s.IntersectionArray(b=(3, 2), c=(1, 1))); "
+        "print('srgkit.audit' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = [sys.executable, "-c", code]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
+
+
+class TestTensorShapeAndExactness:
+    """validate refuses a p that is not r x r x r, r = len(k), before any
+    relation, and any entry that is not an exact scalar."""
+
+    @staticmethod
+    def petersen_fields():
+        t = tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1)))
+        return t.k, t.p, t.v
+
+    def test_extra_entry_per_row(self):
+        k, p, v = self.petersen_fields()
+        p = tuple(tuple((*row, Fraction(0)) for row in table) for table in p)
+        with pytest.raises(ValueError, match=r"3x3x3 .*: p\[0\]\[0\]\[3\] is extra$"):
+            IntersectionTensor(k=k, p=p, v=v)
+
+    def test_duplicated_table(self):
+        k, p, v = self.petersen_fields()
+        with pytest.raises(ValueError, match=r"shape 3x3x3 .*: p\[3\] is extra$"):
+            IntersectionTensor(k=k, p=(*p, p[-1]), v=v)
+
+    def test_missing_table(self):
+        k, p, v = self.petersen_fields()
+        with pytest.raises(ValueError, match=r"shape 3x3x3 .*: p\[2\] is missing$"):
+            IntersectionTensor(k=k, p=p[:2], v=v)
+
+    def test_empty_k(self):
+        k, p, v = self.petersen_fields()
+        with pytest.raises(ValueError, match=r"^k\[0\] is missing"):
+            IntersectionTensor(k=(), p=p, v=v)
+
+    def test_shape_comes_before_the_relations(self):
+        k, p, v = self.petersen_fields()
+        rows = [list(table) for table in p]
+        rows[1][2] = rows[1][2][:2]
+        short = tuple(map(tuple, rows))
+        with pytest.raises(ValueError, match=r"p\[1\]\[2\]\[2\] is missing$") as info:
+            IntersectionTensor(k=k, p=short, v=v + 1)
+        assert not isinstance(info.value, InfeasibleArrayError)
+
+    def test_float_entries_refused(self):
+        k, p, v = self.petersen_fields()
+        floats = tuple(tuple(tuple(map(float, row)) for row in table) for table in p)
+        with pytest.raises(TypeError, match="^float entry"):
+            IntersectionTensor(k=tuple(map(float, k)), p=floats, v=float(v))
+        with pytest.raises(TypeError, match="^float entry"):
+            IntersectionTensor(k=k, p=p, v=10.0)
