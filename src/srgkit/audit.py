@@ -118,12 +118,11 @@ def audit(k, p, v) -> None:
     if not r:
         raise ValueError("k[0] is missing: a tensor has rank r = len(k) >= 1")
     _check_shape(p, r)
-    entries = [v, *k, *(x for table in p for row in table for x in row)]
-    v, *forms = _integer_forms(entries)
+    entries = [v, 1, *k, *(x for table in p for row in table for x in row)]
+    v, one, *forms = _integer_forms(entries)
     k, flat = forms[:r], forms[r:]
     R = range(r)
     p = [[flat[r * (r * h + i) : r * (r * h + i + 1)] for i in R] for h in R]
-    one = k[0]
     zero = ()
     for h, j in product(R, R):
         if p[h][0][j] != (one if j == h else zero):

@@ -31,7 +31,9 @@ direct counting.  They have no family tag; call them directly.
 
 Every constructor predicts its vertex count from a formula first and
 refuses to enumerate past a configurable budget (:class:`ScaleGuardError`),
-so a typo in parameters fails fast instead of grinding.
+so a typo in parameters fails fast instead of grinding.  The form families
+take their points from :func:`_form_points`, which refuses before its one
+projective scan; the reflection group takes its vectors from those points.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .geometry import (
     gaussian_binomial,
     lead_one,
     line_tangency_count,
-    perp_type,
     projective_reps,
     reflection_action,
 )
@@ -332,6 +333,34 @@ def _class_graph(points, partition: OrbitalPartition, labels, label) -> Graph:
     return graph.relabel(list(map(str, points)))
 
 
+def _form_points(
+    kind: str, q: int, dim: int, value, fid: FamilyId, family: str, max_v: int
+):
+    """The space of ``kind`` over F_q in dimension ``dim`` and its points
+    of form value ``value`` (0: the singular points; a function of the
+    field is called on it) from one projective scan, after the vertex
+    budget and the pair cap refuse the closed-form count of ``fid``.  The
+    scan must find exactly that many points.
+
+    For the odd-dimensional quadratic form, value 1 has plus type: the last
+    basis vector has Q = 1 and a hyperbolic perp, and Witt's theorem
+    carries it to every point of the class.  A non-square class has minus
+    type.  The types differ in size, so the count check confirms the type."""
+    predicted = params_closed_form(fid).v
+    _guard(family, predicted, max_v)
+    space = FormedSpace(kind, field_of_order(q), dim)
+    _check_pair_cap(predicted)
+    if callable(value):
+        value = value(space.field)
+    points = enumerate_points(space, "norm-class", value)
+    if len(points) != predicted:
+        raise AssertionError(
+            f"enumerated {len(points)} points of form value {value}, "
+            f"expected {predicted}"
+        )
+    return space, points
+
+
 def _form_orbits(space: FormedSpace, points, label, tangency=False):
     """The pair orbits of the reflection group of ``space`` on ``points``,
     named by the form invariant ``label(x, y)`` of representatives on the
@@ -356,14 +385,8 @@ def _unitary_classes(n: int, q: int, family: str, max_v: int, tangency=False):
     F_{q^2} at unit representatives, and their pair orbits under the
     unitary reflection group, named by the relative norm of h(x, y).
     With ``tangency``, label 1 is checked against line tangency."""
-    predicted = params_closed_form(FamilyId.make("NU", n=n, q=q)).v
-    _guard(family, predicted, max_v)
-    space = FormedSpace("hermitian", field_of_order(q * q), n)
-    points = enumerate_points(space, "nonsingular")
-    if len(points) != predicted:
-        raise AssertionError(
-            f"enumerated {len(points)} nonsingular points, expected {predicted}"
-        )
+    fid = FamilyId.make("NU", n=n, q=q)
+    space, points = _form_points("hermitian", q * q, n, 1, fid, family, max_v)
     norms = [norm(FieldElement(space.field, a)).index for a in range(space.field.q)]
     return points, *_form_orbits(
         space, points, lambda x, y: norms[space.inner(x, y)], tangency
@@ -409,46 +432,28 @@ def _least_nonsquare(field) -> int:
     )
 
 
-def _orthogonal_point_classes(m: int, q: int):
-    """The two square-classes of nonsingular points of the (2m+1)-dimensional
-    quadratic space over F_q, each tagged with its perpendicular-space type,
-    read at its first point.  Perpendicular type is an isometry invariant,
-    so for the class that is built, the certified transitive reflection
-    group carries that type to every point.
-
-    Returns (space, {eps: (points, form_value_index)}).
-    """
-    space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
-    zeta = _least_nonsquare(space.field)
-    by_eps = {}
-    for value in (1, zeta):
-        points = enumerate_points(space, "norm-class", value)
-        eps = perp_type(space, points[0])
-        expected = params_closed_form(FamilyId.make("NO", m=m, q=q, eps=eps)).v
-        if len(points) != expected:
-            raise AssertionError(
-                f"square class has {len(points)} points, expected {expected} "
-                f"for type {eps}"
-            )
-        by_eps[eps] = (points, value)
-    if set(by_eps) != {"+", "-"}:
-        raise AssertionError("the two square classes share a type")
-    return space, by_eps
-
-
-def _orthogonal_orbits(space: FormedSpace, points, c_value: int, tangency=False):
-    """The pair orbits of one square class (form value c) under the
-    orthogonal reflection group, and their labels: the halved bilinear
-    form divided by c, read up to sign, min(t, -t) for t = (x, y) c^-1.
+def _orthogonal_classes(
+    m: int, q: int, eps: str, family: str, max_v: int, tangency=False
+):
+    """The square class of nonsingular points of the (2m+1)-dimensional
+    quadratic space over F_q whose perp has type ``eps`` (form value 1 for
+    plus, the least non-square for minus), and its pair orbits under the
+    orthogonal reflection group, labelled by the halved bilinear form over
+    the class's form value c, up to sign: min(t, -t) for t = (x, y) c^-1.
     With ``tangency``, label 1 is checked against line tangency."""
+    fid = FamilyId.make("NO", m=m, q=q, eps=eps)
+    value = 1 if eps == "+" else _least_nonsquare
+    space, points = _form_points(
+        "quadratic-odd", q, 2 * m + 1, value, fid, family, max_v
+    )
     mul, neg = space.field.mul_table, space.field.neg_table
-    inv_c = space.field.inv_table[c_value]
+    inv_c = space.field.inv_table[space.form_value(points[0].rep)]
 
     def label(x, y) -> int:
         t = mul[space.half_inner(x, y)][inv_c]
         return min(t, neg[t])
 
-    return _form_orbits(space, points, label, tangency)
+    return points, *_form_orbits(space, points, label, tangency)
 
 
 def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -459,15 +464,12 @@ def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
 
     For representatives of form value c the line is tangent exactly when
     its Gram determinant c^2 - (x, y)^2 vanishes, so adjacency is label 1."""
-    fid = FamilyId.make("NO", m=m, q=q, eps=eps)
-    _guard(f"NO_{2 * m + 1}^{eps}({q})", params_closed_form(fid).v, max_v)
-    space, by_eps = _orthogonal_point_classes(m, q)
-    points, c_value = by_eps[eps]
-    return _class_graph(points, *_orthogonal_orbits(space, points, c_value, True), 1)
+    family = f"NO_{2 * m + 1}^{eps}({q})"
+    return _class_graph(*_orthogonal_classes(m, q, eps, family, max_v, True), 1)
 
 
 def build_orthogonal_orbitals(
-    m: int, q: int, eps: str | None = None, max_v: int = DEFAULT_MAX_V
+    m: int, q: int, eps: str = "+", max_v: int = DEFAULT_MAX_V
 ) -> OrbitalClassification:
     """Partition of the ordered pairs of one square-class of nonsingular
     points by the halved bilinear form of the representatives, divided by
@@ -475,18 +477,14 @@ def build_orthogonal_orbitals(
 
     Labels are 0 (perpendicular), 1 (the tangency class), and one label per
     further plus-minus pair of field values.  ``eps`` selects the vertex
-    class by perpendicular-space type; the default takes the class whose
-    representatives have form value 1.  The classes are the pair orbits of
-    the orthogonal reflection group.
+    class by perpendicular-space type; the default, plus, is the class
+    whose representatives have form value 1.  The classes are the pair
+    orbits of the orthogonal reflection group.
     """
-    space, by_eps = _orthogonal_point_classes(m, q)
-    if eps is None:
-        eps = next(e for e, (_, value) in by_eps.items() if value == 1)
-    points, c_value = by_eps[eps]
-    fid = FamilyId.make("NO", m=m, q=q, eps=eps)
-    _guard(f"NO_{2 * m + 1}^{eps}({q}) pair classes", params_closed_form(fid).v, max_v)
-    partition, labels = _orthogonal_orbits(space, points, c_value)
-    return _classify_pairs(points, partition, labels, str, eps)
+    family = f"NO_{2 * m + 1}^{eps}({q}) pair classes"
+    return _classify_pairs(
+        *_orthogonal_classes(m, q, eps, family, max_v), str, eps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,21 +501,13 @@ def build_polar_complement(
     form value is nonzero: label 1 on the pair orbits of the orthogonal
     reflection group."""
     kind = kind.replace("_", "")
-    if kind == "O7":
-        fid = FamilyId.make("polar-complement-O7", q=q)
-        space = FormedSpace("quadratic-odd", field_of_order(q), 7)
-    elif kind == "O8+":
-        fid = FamilyId.make("polar-complement-O8+", q=q)
-        space = FormedSpace("quadratic-plus", field_of_order(q), 8)
-    else:
+    forms = {"O7": ("quadratic-odd", 7), "O8+": ("quadratic-plus", 8)}
+    if kind not in forms:
         raise ValueError(f"unknown polar-complement kind {kind!r}")
-    predicted = params_closed_form(fid).v
-    _guard(f"polar complement {kind}({q})", predicted, max_v)
-    points = enumerate_points(space, "singular")
-    if len(points) != predicted:
-        raise AssertionError(
-            f"enumerated {len(points)} singular points, expected {predicted}"
-        )
+    form, dim = forms[kind]
+    fid = FamilyId.make(f"polar-complement-{kind}", q=q)
+    family = f"polar complement {kind}({q})"
+    space, points = _form_points(form, q, dim, 0, fid, family, max_v)
     nonzero = _form_orbits(space, points, lambda x, y: int(space.inner(x, y) != 0))
     return _class_graph(points, *nonzero, 1)
 

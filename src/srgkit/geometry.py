@@ -466,11 +466,13 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     A quadratic space reflects in a nonsingular v by x -> x - B(x, v)
     Q(v)^-1 v (the orthogonal transvection in characteristic 2), a
     hermitian one by x -> x + (a - 1) h(x, v) h(v, v)^-1 v, a generating
-    the norm-1 group.  The N nonsingular projective points v are taken in
-    the fixed order k s mod N (s the least integer from 0.618 N up that is
-    prime to N, so picks lie far apart) until they span the space and act
-    transitively.  Each map must preserve the form and Q on the basis, and
-    the point set; a failure names the reflection.
+    the norm-1 group.  The reflection vectors come from ``points``: a
+    nonsingular point set's own representatives, or for a singular one the
+    sums x_0 + x_j with Q(x_0 + x_j) = B(x_0, x_j) nonzero.  The N vectors
+    are taken in the fixed order k s mod N (s the least integer from
+    0.618 N up that is prime to N, so picks lie far apart) until they span
+    the space and act transitively.  Each map must preserve the form and Q
+    on the basis, and the point set; a failure names the reflection.
     """
     if space.kind == "symplectic":
         raise ValueError("a symplectic space has no reflections")
@@ -487,7 +489,12 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     gram, basis = space.gram(), space.basis()
     values = list(map(space.form_value, basis))
     index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
-    candidates = [v for v in projective_reps(field, dim) if space.form_value(v)]
+    x0 = points[0].rep
+    if space.form_value(x0):
+        vectors = [p.rep for p in points]
+    else:
+        vectors = [tuple(add[a][b] for a, b in zip(x0, p.rep)) for p in points[1:]]
+    candidates = [v for v in vectors if space.form_value(v)]
     step = max(1, round(0.618 * len(candidates)))
     while math.gcd(step, len(candidates)) != 1:
         step += 1

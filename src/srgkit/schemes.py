@@ -576,16 +576,16 @@ class IntersectionTensor:
 
         The audit runs on integers.  Every entry times D, the lcm in Z[q] of
         the denominators of v, k and p (of every X-coefficient of an XPoly),
-        is a polynomial in Z[q][X].  Each relation equates sums of entries
-        or sums of products of two entries, so multiplying its sides by D
-        or D^2, nonzero in the domain Z[q][X], keeps it true or false.
-        X = q^B maps Z[q][X] into Z[q], a ring homomorphism; with B greater
-        than twice the largest q-degree of a cleared X-coefficient, every
-        side of a relation has X-coefficients of q-degree below B, so its
-        blocks of B coefficients do not overlap and the images of two sides
-        are equal exactly when the sides are.  Each entry is thus compared
-        as one tuple of integer coefficients, with no gcd after D.
-        :func:`srgkit.audit.audit` runs the audit."""
+        is a polynomial in Z[q][X], and relation 1's constant 1 becomes D.
+        Each relation equates sums of entries or of products of two, so
+        multiplying its sides by D or D^2, nonzero in the domain Z[q][X],
+        keeps it true or false.  X = q^B maps Z[q][X] into Z[q], a ring
+        homomorphism; with B greater than twice the largest q-degree of a
+        cleared X-coefficient, every side of a relation has X-coefficients
+        of q-degree below B, so its blocks of B coefficients do not overlap
+        and the images of two sides are equal exactly when the sides are.
+        Each entry is thus compared as one tuple of integer coefficients,
+        with no gcd after D.  :func:`srgkit.audit.audit` runs the audit."""
         # imported on first use, so a process that audits no tensor (gen,
         # verify, orbitals) does not compile the audit
         from .audit import audit

@@ -529,8 +529,8 @@ def audit_by_scalar_arithmetic(tensor) -> None:
 
     r = tensor.rank
     k, p = tensor.k, tensor.p
-    one = k[0]
-    zero = one - one
+    zero = k[0] - k[0]
+    one = zero + 1
     R = range(r)
     for h, j in itertools.product(R, R):
         if p[h][0][j] != (one if j == h else zero):

@@ -38,7 +38,7 @@ from srgkit.geometry import (
     perp_type,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
-from srgkit import families
+from srgkit import families, geometry
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -451,20 +451,41 @@ def test_orthogonal_tangency_graphs_match_closed_forms():
     assert check_srg(build_NO(2, 5, "-")) == SrgParams(300, 104, 28, 40)
 
 
+def _least_nonsquare(space):
+    return next(
+        s for s in range(2, space.field.q)
+        if quadratic_character(FieldElement(space.field, s)) == -1
+    )
+
+
 def _orthogonal_square_class(m, q, eps):
     """The space and the square class of nonsingular points whose
     perpendicular space has type eps, at representatives of form value 1
     or of the least non-square."""
     space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
-    zeta = next(
-        s for s in range(2, q)
-        if quadratic_character(FieldElement(space.field, s)) == -1
-    )
-    for value in (1, zeta):
+    for value in (1, _least_nonsquare(space)):
         points = enumerate_points(space, "norm-class", value)
         if perp_type(space, points[0]) == eps:
             return space, points
     raise AssertionError(f"no square class of type {eps}")
+
+
+@pytest.mark.parametrize(
+    "m, q", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 3)]
+)
+def test_form_value_one_has_plus_type_and_the_least_nonsquare_minus(m, q):
+    # the orthogonal builders choose their square class by this rule
+    space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
+    for eps, value in (("+", 1), ("-", _least_nonsquare(space))):
+        points = enumerate_points(space, "norm-class", value)
+        assert {perp_type(space, p) for p in points} == {eps}
+
+
+@pytest.mark.parametrize("m, q", [(2, 3), (2, 5), (2, 7), (3, 3)])
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_orthogonal_points_are_the_square_class_of_that_type(m, q, eps):
+    _, points = _orthogonal_square_class(m, q, eps)
+    assert build_orthogonal_orbitals(m, q, eps).points == tuple(points)
 
 
 @pytest.mark.parametrize("q, eps", [(3, "+"), (3, "-"), (5, "+"), (5, "-")])
@@ -491,11 +512,16 @@ def test_orthogonal_classification_both_types():
 
 
 @pytest.mark.parametrize(
-    "q, eps", [(3, "+"), (3, "-"), (5, "+"), (5, "-"), (7, "+")]
+    "m, q, eps",
+    [
+        pytest.param(2, q, eps, id=f"{q}-{eps}")
+        for q, eps in [(3, "+"), (3, "-"), (5, "+"), (5, "-"), (7, "+")]
+    ]
+    + [(3, 3, "+"), (3, 3, "-")],
 )
-def test_orthogonal_classes_match_the_pair_by_pair_oracle(q, eps):
-    cls = build_orthogonal_orbitals(2, q, eps)
-    space = FormedSpace("quadratic-odd", field_of_order(q), 5)
+def test_orthogonal_classes_match_the_pair_by_pair_oracle(m, q, eps):
+    cls = build_orthogonal_orbitals(m, q, eps)
+    space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
     assert cls.partition.class_of == oracles.form_pair_classes(space, cls.points)
 
 
@@ -654,6 +680,55 @@ def test_meet_graphs_refuse_the_pair_cap_before_enumerating(monkeypatch):
             f"the pair partition of {n} points has size {n * n}, "
             "over the desk-scale limit of 67108864"
         )
+
+
+def test_form_builds_refuse_the_scale_caps_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past a scale cap")
+
+    monkeypatch.setattr(families, "enumerate_points", refuse)
+    for build, args, n in (
+        (build_NO, (3, 7, "+"), 58996),
+        (build_NU, (5, 4), 52480),
+        (build_polar_complement, ("O8+", 5), 19656),
+    ):
+        with pytest.raises(ScaleGuardError) as info:
+            build(*args, max_v=10**6)
+        assert str(info.value) == (
+            f"the pair partition of {n} points has size {n * n}, "
+            "over the desk-scale limit of 67108864"
+        )
+    for eps, n in (("+", 58996), ("-", 58653)):
+        with pytest.raises(ScaleGuardError) as info:
+            build_orthogonal_orbitals(3, 7, eps)
+        assert (info.value.predicted_v, info.value.max_v) == (n, DEFAULT_MAX_V)
+
+
+def test_every_form_build_scans_the_projective_space_once(monkeypatch):
+    calls = []
+    reps = geometry.projective_reps
+
+    def counted(field, n):
+        calls.append(n)
+        return reps(field, n)
+
+    monkeypatch.setattr(geometry, "projective_reps", counted)
+    for build in (
+        lambda: build_NU(3, 3),
+        lambda: build_NO(2, 3, "-"),
+        lambda: build_polar_complement("O7", 2),
+        lambda: build_unitary_orbitals(3, 3),
+        lambda: build_orthogonal_orbitals(2, 3, "-"),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    for kind, q, dim, value in (("hermitian", 9, 3, 1), ("quadratic-plus", 2, 8, 0)):
+        space = FormedSpace(kind, field_of_order(q), dim)
+        points = enumerate_points(space, "norm-class", value)
+        calls.clear()
+        geometry.reflection_action(space, points)
+        assert calls == []
 
 
 def test_meet_graphs_pass_graph_validation():

@@ -835,6 +835,28 @@ class TestIntegerAudit:
         oracle = audit_outcome(oracles.audit_by_scalar_arithmetic, unchecked(k, p, v))
         assert str(info.value) == oracle
 
+    def test_a_scaled_tensor_fails_relation_one(self):
+        """p_0j^h is compared with 1, not with k_0: a tensor scaled by a
+        constant, whose diagonal class has valency 2, is refused."""
+        petersen = tensor_from_array(IntersectionArray(b=(3, 2), c=(1, 1)))
+        doubled = (
+            tuple(2 * x for x in petersen.k),
+            tuple(
+                tuple(tuple(2 * x for x in row) for row in table)
+                for table in petersen.p
+            ),
+            2 * petersen.v,
+        )
+        for k, p, v in (((2,), (((2,),),), 2), doubled):
+            with pytest.raises(InfeasibleArrayError) as info:
+                IntersectionTensor(k=k, p=p, v=v)
+            assert str(info.value).endswith(
+                "relation p_0j^h = delta_jh violated (h=0 j=0)"
+            )
+            assert str(info.value) == audit_outcome(
+                oracles.audit_by_scalar_arithmetic, unchecked(k, p, v)
+            )
+
     @pytest.mark.parametrize("width", [4, 6])
     def test_x_blocks_are_wider_than_twice_the_q_degree(self, width):
         """Rank-3 XPoly tensors that keep relations 1-5 but not relation 6,
