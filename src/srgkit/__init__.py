@@ -23,63 +23,64 @@ Layers, bottom up:
 - :mod:`srgkit.cli` — the ``srgkit`` command: gen, verify, scheme,
   table1, orbitals.
 
+The names in ``__all__`` are re-exported here, each resolved from its
+layer on first access (PEP 562): ``import srgkit`` compiles no layer, and
+a command compiles only the layers it runs.
+
 Everything is exact: integers, fractions, and polynomials over the
 rationals; no floating point is used anywhere.
 """
 
-from .families import (
-    FamilyId,
-    OrbitalClassification,
-    ScaleGuardError,
-    build_NO,
-    build_NU,
-    build_dual_polar_sp6,
-    build_dual_polar_sp6_dist3,
-    build_family,
-    build_flag_orbitals,
-    build_grassmann,
-    build_hamming_orbital,
-    build_johnson,
-    build_orthogonal_orbitals,
-    build_polar_complement,
-    build_unitary_orbitals,
-    params_closed_form,
-    parse_family_spec,
-)
-from .gf import Field, FieldElement, field_of_order
-from .graphcore import (
-    Graph,
-    IntersectionArray,
-    RegularityFailure,
-    SrgParams,
-    build_graph,
-    check_drg,
-    check_srg,
-    complement,
-    distance_graph,
-    from_edgelist,
-    from_graph6,
-    to_edgelist,
-    to_graph6,
-)
-from .orbitals import (
-    OrbitalPartition,
-    PermGroupAction,
-    compute_orbitals,
-    orbital_graph,
-    psl28_action,
-)
-from .schemes import (
-    IntersectionTensor,
-    dual_polar_symbolic,
-    g2_symbolic,
-    grassmann_f2,
-    instantiate_tensor,
-    srg_fusions,
-    tensor_from_array,
-    tensor_from_graph,
-    tensor_from_orbital_partition,
-)
+# each public name and the submodule that binds it at top level
+_EXPORTS = {
+    "Field": "gf",
+    "FieldElement": "gf",
+    "ScaleGuardError": "gf",
+    "field_of_order": "gf",
+    "Graph": "graphcore",
+    "IntersectionArray": "graphcore",
+    "RegularityFailure": "graphcore",
+    "SrgParams": "graphcore",
+    "build_graph": "graphcore",
+    "check_drg": "graphcore",
+    "check_srg": "graphcore",
+    "complement": "graphcore",
+    "distance_graph": "graphcore",
+    "from_edgelist": "graphcore",
+    "from_graph6": "graphcore",
+    "to_edgelist": "graphcore",
+    "to_graph6": "graphcore",
+    "OrbitalPartition": "orbitals",
+    "PermGroupAction": "orbitals",
+    "compute_orbitals": "orbitals",
+    "orbital_graph": "orbitals",
+    "psl28_action": "orbitals",
+    "IntersectionTensor": "schemes",
+    "dual_polar_symbolic": "schemes",
+    "g2_symbolic": "schemes",
+    "grassmann_f2": "schemes",
+    "instantiate_tensor": "schemes",
+    "srg_fusions": "schemes",
+    "tensor_from_array": "schemes",
+    "tensor_from_graph": "schemes",
+    "tensor_from_orbital_partition": "schemes",
+    "FamilyId": "families",
+    "OrbitalClassification": "families",
+    "build_NO": "families",
+    "build_NU": "families",
+    "build_dual_polar_sp6": "families",
+    "build_dual_polar_sp6_dist3": "families",
+    "build_family": "families",
+    "build_flag_orbitals": "families",
+    "build_grassmann": "families",
+    "build_hamming_orbital": "families",
+    "build_johnson": "families",
+    "build_orthogonal_orbitals": "families",
+    "build_polar_complement": "families",
+    "build_unitary_orbitals": "families",
+    "params_closed_form": "families",
+    "parse_family_spec": "families",
+}
 
 __version__ = "0.1.0"
 
@@ -133,3 +134,18 @@ __all__ = [
     "to_graph6",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

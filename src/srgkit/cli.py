@@ -21,22 +21,14 @@ detects the fault; ``main`` prints that message, a ``ScaleGuardError`` or an
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from fractions import Fraction
-from pathlib import Path
-
-from .families import (
-    DEFAULT_MAX_V,
-    FamilyId,
-    ScaleGuardError,
-    build_family,
-    params_closed_form,
-    parse_family_spec,
-)
+# The srgkit layers come before the standard modules: without cached
+# bytecode each layer is compiled at every start, and compiling it while
+# the heap is still small keeps a command's peak memory lower.  Each verb
+# imports the other layers (families, orbitals) where it runs them, so a
+# command compiles only the layers it uses.
+from .gf import ScaleGuardError
 from .graphcore import (
+    DEFAULT_MAX_V,
     Graph,
     IntersectionArray,
     RegularityFailure,
@@ -50,7 +42,6 @@ from .graphcore import (
     to_edgelist,
     to_graph6,
 )
-from .orbitals import compute_orbitals, load_gens, orbital_graph
 from .schemes import (
     _DUAL_POLAR_EXPONENTS,
     InfeasibleArrayError,
@@ -63,6 +54,17 @@ from .schemes import (
     tensor_from_array,
     tensor_to_json,
 )
+
+import argparse
+import json
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .families import FamilyId
 
 __all__ = ["main"]
 
@@ -82,6 +84,8 @@ class _Refusal(Exception):
 
 
 def _family(spec: str) -> FamilyId:
+    from .families import parse_family_spec
+
     try:
         return parse_family_spec(spec)
     except ValueError as e:
@@ -116,6 +120,8 @@ def _drg_verdict(result: IntersectionArray | RegularityFailure) -> dict:
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, None, str]:
+    from .families import build_family
+
     fid = _family(args.family)
     graph = build_family(fid, max_v=args.max_v)
     text = to_graph6(graph) + "\n" if args.format == "graph6" else to_edgelist(graph)
@@ -147,6 +153,8 @@ def _closed_form_verdict(
 ) -> dict:
     if fid is None:
         return {"verdict": "skipped", "reason": "input was a graph file"}
+    from .families import params_closed_form
+
     try:
         expected = params_closed_form(fid)
     except ValueError:
@@ -176,6 +184,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
         graph = _load_graph_file(args.target)
         name = args.target
     else:
+        from .families import build_family
+
         fid = _family(args.target)
         graph = build_family(fid, max_v=args.max_v)
         name = str(fid)
@@ -337,6 +347,8 @@ TABLE1_TARGETS: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
 
 
 def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .families import build_family, parse_family_spec
+
     rows = []
     for spec, expected in TABLE1_TARGETS:
         row: dict = {"family": spec, "expected": list(expected)}
@@ -369,6 +381,8 @@ def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .orbitals import compute_orbitals, load_gens, orbital_graph
+
     try:
         action = load_gens(args.gens)
     except (OSError, ValueError) as e:
@@ -420,6 +434,15 @@ def _vertex_budget(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """A path argument: a non-empty string, else argparse exits 2.  An
+    empty path would name the working directory, since ``Path("")`` is
+    ``.``."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a path, got an empty string")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srgkit",
@@ -430,7 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="build a family graph and write it to a file")
     gen.add_argument("family", help="family spec, e.g. 'nu:n=3,q=3'")
-    gen.add_argument("-o", "--output", required=True, help="output path")
+    gen.add_argument(
+        "-o", "--output", type=_path, required=True, help="output path"
+    )
     gen.add_argument(
         "--format", choices=("graph6", "edgelist"), default="graph6"
     )
@@ -440,7 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="brute-force check a family spec or graph file"
     )
-    verify.add_argument("target", help="family spec or path to a graph file")
+    verify.add_argument(
+        "target", type=_path, help="family spec or path to a graph file"
+    )
     verify.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     verify.set_defaults(func=cmd_verify)
 
@@ -461,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orbitals = sub.add_parser(
         "orbitals", help="pair classes of a permutation-generator file"
     )
-    orbitals.add_argument("gens", help="path to a .gens file")
+    orbitals.add_argument("gens", type=_path, help="path to a .gens file")
     orbitals.set_defaults(func=cmd_orbitals)
 
     return parser

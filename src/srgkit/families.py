@@ -68,7 +68,7 @@ from .gf import (
     quadratic_character,
 )
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import _check_pair_cap, _class_rows, _strict_int
+from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 
@@ -99,10 +99,6 @@ __all__ = [
     "params_closed_form",
     "parse_family_spec",
 ]
-
-# Constructions refuse to enumerate more vertices than this unless the
-# caller raises the budget explicitly.
-DEFAULT_MAX_V = 2000
 
 
 def _guard(family: str, predicted_v: int, max_v: int) -> None:

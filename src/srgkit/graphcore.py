@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .gf import ScaleGuardError
 
 __all__ = [
+    "DEFAULT_MAX_V",
     "Graph",
     "IntersectionArray",
     "RegularityFailure",
@@ -47,6 +48,10 @@ __all__ = [
 
 # most ordered pairs, one byte each, that a pair table may hold: degree 8192
 _PAIR_CAP = 1 << 26
+
+# Family constructions refuse to enumerate more vertices than this unless
+# the caller raises the budget explicitly.
+DEFAULT_MAX_V = 2000
 
 
 def _check_pair_cap(n: int) -> None:

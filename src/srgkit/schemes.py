@@ -885,6 +885,13 @@ def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
     e = Fraction(e)
     if e not in _DUAL_POLAR_EXPONENTS:
         raise ValueError("e must be 1/2, 1 or 3/2")
+    if graph_qs:
+        if e != 1:
+            raise ValueError("graph validation is defined for e = 1 only")
+        # the graph layers are compiled only for a graph check, and before
+        # the algebra grows the heap
+        from .families import build_dual_polar_sp6
+        from .graphcore import check_drg
     r = RatFunc.gen()
     if e.denominator == 2:
         q = r**2
@@ -935,11 +942,6 @@ def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
 
     checked = []
     for q0 in graph_qs:
-        if e != 1:
-            raise ValueError("graph validation is defined for e = 1 only")
-        from .families import build_dual_polar_sp6
-        from .graphcore import check_drg
-
         graph = build_dual_polar_sp6(q0)
         array = check_drg(graph)
         if not isinstance(array, IntersectionArray):

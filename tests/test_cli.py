@@ -2,8 +2,11 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 from srgkit import cli, schemes
 from srgkit.cli import TABLE1_TARGETS, main
-from srgkit.graphcore import build_graph, from_graph6, to_edgelist
+from srgkit.graphcore import build_graph, from_graph6, to_edgelist, to_graph6
 
 
 def run(capsys, *argv):
@@ -82,6 +85,26 @@ def test_max_v_must_be_a_positive_integer(capsys, argv, budget):
         main([*argv, "--max-v", budget])
     assert exc.value.code == 2
     assert "argument --max-v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [
+        (["verify", ""], "argument target"),
+        (["orbitals", ""], "argument gens"),
+        (["gen", "johnson:n=7,i=1", "-o", ""], "argument -o/--output"),
+    ],
+    ids=["verify", "orbitals", "gen"],
+)
+def test_an_empty_path_is_refused_by_name(capsys, argv, argument):
+    """``Path("")`` is the working directory; an empty path argument is
+    refused as such, not read or written as a directory."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argument}: needs a path, got an empty string" in err
+    assert "Is a directory" not in err
 
 
 @pytest.mark.parametrize(
@@ -412,8 +435,6 @@ def test_orbitals_verb_on_saved_generators(capsys, tmp_path):
 
 
 def test_orbitals_verb_reports_srg_classes(capsys, tmp_path):
-    import itertools
-
     from srgkit.orbitals import PermGroupAction, save_gens
 
     pairs = list(itertools.combinations(range(5), 2))
@@ -544,10 +565,54 @@ def test_stdout_is_byte_identical_across_runs(capsys, tmp_path, argv):
 
 
 # ---------------------------------------------------------------------------
-# payloads recorded by the benchmark
+# modules each verb compiles
 # ---------------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def modules_loaded(*argv: str) -> list[str]:
+    """The srgkit submodules a fresh interpreter holds after ``main(argv)``,
+    which must exit 0."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from srgkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('srgkit.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", code]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
+@pytest.mark.parametrize("job", ["g2", "grassmann", "3,2;1,1"])
+def test_a_scheme_job_compiles_no_geometry(job):
+    loaded = modules_loaded("scheme", job)
+    assert "srgkit.schemes" in loaded
+    for module in ("srgkit.families", "srgkit.geometry", "srgkit.orbitals"):
+        assert module not in loaded
+
+
+def test_verify_and_orbitals_compile_no_family(tmp_path):
+    petersen = build_graph(
+        [frozenset(pair) for pair in itertools.combinations(range(5), 2)],
+        lambda a, b: not a & b,
+    )
+    path = tmp_path / "petersen.g6"
+    path.write_text(to_graph6(petersen) + "\n")
+    gens = str(ROOT / "src/srgkit/data/psl2_8_sq6.gens")
+    for argv in (["verify", str(path)], ["orbitals", gens]):
+        loaded = modules_loaded(*argv)
+        assert "srgkit.graphcore" in loaded
+        assert "srgkit.families" not in loaded and "srgkit.geometry" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# payloads recorded by the benchmark
+# ---------------------------------------------------------------------------
+
 EXPECTED = ROOT / "perfbench" / "expected"
 
 PAYLOAD_CASES = [

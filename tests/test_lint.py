@@ -104,11 +104,10 @@ def test_no_unused_private_names():
     assert unused_private_names({path.name: path.read_text() for path in PACKAGE}) == []
 
 
-def undefined_exports(source: str) -> list[str]:
-    """Names listed in ``__all__`` that the module does not bind at top
-    level by a definition, an assignment or an import."""
-    tree = ast.parse(source)
-    bound, exported = set(), []
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by a definition, an assignment or
+    an import."""
+    bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.add(node.name)
@@ -116,11 +115,44 @@ def undefined_exports(source: str) -> list[str]:
             bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            bound.update(names)
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
-    return [name for name in exported if name not in bound]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+def top_level_literal(tree: ast.Module, name: str, default):
+    """The literal value assigned to ``name`` at top level, else ``default``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return default
+
+
+def undefined_exports(source: str, siblings: dict[str, str] | None = None) -> list[str]:
+    """Names listed in ``__all__`` that the module does not bind at top
+    level, then stale entries of its lazy export table.
+
+    A package may leave an exported name unbound and list it in
+    ``_EXPORTS`` (name -> submodule), which its ``__getattr__`` imports on
+    first access.  Such a name passes only if that submodule, whose source
+    ``siblings`` maps by name, binds it at top level; every other entry of
+    the table must pass the same test."""
+    tree = ast.parse(source)
+    bound = top_level_names(tree)
+    exported = top_level_literal(tree, "__all__", [])
+    table = top_level_literal(tree, "_EXPORTS", {})
+    siblings = siblings or {}
+    found = []
+    for name in [*exported, *(name for name in table if name not in exported)]:
+        if name in table:
+            module = siblings.get(table[name], "")
+            defined = name in top_level_names(ast.parse(module))
+        else:
+            defined = name in bound
+        if not defined:
+            found.append(name)
+    return found
 
 
 def test_the_scan_finds_a_stale_export():
@@ -134,9 +166,27 @@ def test_the_scan_finds_a_stale_export():
     assert undefined_exports(source) == ["gone"]
 
 
+def test_the_scan_finds_a_stale_lazy_export():
+    package = (
+        "_EXPORTS = {\n"
+        "    'kept': 'a', 'moved': 'a', 'lost': 'c', 'extra': 'b', 'old': 'b',\n"
+        "}\n"
+        "__all__ = ['kept', 'moved', 'lost', 'unlisted', '__version__']\n"
+        "__version__ = '1'\n"
+    )
+    siblings = {
+        "a": "from .b import extra\ndef kept(): pass\n",
+        "b": "def extra(): pass\ndef moved(): pass\n",
+    }
+    assert undefined_exports(package, siblings) == ["moved", "lost", "unlisted", "old"]
+
+
+SIBLINGS = {path.stem: path.read_text() for path in PACKAGE}
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_every_export_is_defined(path):
-    assert undefined_exports(path.read_text()) == []
+    assert undefined_exports(path.read_text(), SIBLINGS) == []
 
 
 def clock_and_chance_imports(source: str) -> list[str]:

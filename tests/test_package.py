@@ -1,0 +1,48 @@
+"""The package namespace: the layers' public names, resolved on first access."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import srgkit
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_package_compiles_no_layer():
+    code = "import sys, srgkit; print([m for m in sys.modules if 'srgkit.' in m])"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", code]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from srgkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(srgkit.__all__)
+
+
+@pytest.mark.parametrize("name, module", sorted(srgkit._EXPORTS.items()))
+def test_each_export_is_its_layers_object(name, module):
+    layer = importlib.import_module(f"srgkit.{module}")
+    assert getattr(srgkit, name) is getattr(layer, name)
+    assert vars(srgkit)[name] is getattr(layer, name)  # cached after first access
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'srgkit' has no attribute 'nope'"):
+        srgkit.nope
+    assert "nope" not in vars(srgkit)
+
+
+def test_dir_lists_every_export():
+    listed = dir(srgkit)
+    assert "__all__" in listed
+    assert set(srgkit.__all__) <= set(listed)
+    assert set(srgkit.__all__) == {*srgkit._EXPORTS, "__version__"}

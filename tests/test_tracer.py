@@ -53,3 +53,18 @@ def test_traced_workload_reaches_every_listed_target(monkeypatch, tmp_path, job)
         if workload in workloads and not reached.get(target)
     ]
     assert not unreached
+
+
+def test_traced_dual_polar_job_reaches_its_graph_check(tmp_path):
+    """``scheme dualpolar:1`` imports the graph layers inside
+    ``dual_polar_symbolic``; those imports must bind the tracer's wrappers,
+    so its graph check is traced."""
+    out = tmp_path / "t.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run(
+        [sys.executable, str(TRACER), str(out), "cli", "scheme", "dualpolar:1"],
+        cwd=ROOT, env=env, check=True, capture_output=True, timeout=120,
+    )
+    reached = json.loads(out.read_text())["reached"]
+    assert reached["graphcore:check_drg"] == 1
+    assert reached["schemes:tensor_from_graph"] == 1
