@@ -3,9 +3,10 @@
 Each family is built from first principles on top of :mod:`srgkit.geometry`
 (formed spaces, point and subspace enumeration) or plain combinatorics, and
 is returned as a :class:`srgkit.graphcore.Graph` ready for brute-force
-verification.  Families whose strongly-regular parameters have a closed form
-get an exact big-integer evaluator (:func:`params_closed_form`), so tests can
-compare a constructed graph against an independently evaluated formula.
+verification.  Each closed form (strongly regular parameters, valencies,
+the Grassmann array) is stated once, as a function of an exact scalar q:
+:func:`params_closed_form` and the vertex budgets evaluate it at a
+``Fraction`` and insist on integers, and the tests check it identically in q.
 
 Each graph family is stated once, in the private table ``_FAMILIES``:
 its tag, its spec head (``nu`` in ``nu:n=3,q=3``), its parameter names and
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from math import comb
 from typing import Mapping
@@ -59,18 +61,12 @@ from .geometry import (
     projective_reps,
     reflection_action,
 )
-from .gf import (
-    FieldElement,
-    ScaleGuardError,
-    field_of_order,
-    is_prime_power,
-    norm,
-    quadratic_character,
-)
+from .gf import ScaleGuardError, field_of_order, is_prime_power, quadratic_character
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
 from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
+from .schemes import _grassmann_array, _integer, _integer_array
 
 __all__ = [
     "DEFAULT_MAX_V",
@@ -104,12 +100,6 @@ __all__ = [
 def _guard(family: str, predicted_v: int, max_v: int) -> None:
     if predicted_v > max_v:
         raise ScaleGuardError(family, predicted_v, max_v)
-
-
-def _exact_div(num: int, den: int) -> int:
-    if num % den:
-        raise AssertionError(f"{num} is not divisible by {den}")
-    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -233,45 +223,46 @@ def parse_family_spec(text: str) -> FamilyId:
 # ---------------------------------------------------------------------------
 
 
-def params_closed_form(fid: FamilyId) -> SrgParams:
-    """Exact big-integer evaluation of the family's closed-form strongly
-    regular parameters.  Raises ValueError for families without one."""
-    p = dict(fid.params)
-    if fid.tag == "NU":
-        n, q = p["n"], p["q"]
+def _srg_closed_form(tag: str, q, **params) -> tuple:
+    """(v, k, lambda, mu) of family ``tag`` with other parameters ``params``
+    at an exact scalar ``q``: a Fraction, or RatFunc.gen() for the forms
+    identically in q.  Raises ValueError for families without one."""
+    if tag == "NU":
+        n = params["n"]
         s = (-1) ** n
-        return SrgParams(
-            _exact_div(q ** (n - 1) * (q**n - s), q + 1),
+        return (
+            q ** (n - 1) * (q**n - s) / (q + 1),
             (q ** (n - 1) + s) * (q ** (n - 2) - s),
             q ** (2 * n - 5) * (q + 1) - s * q ** (n - 2) * (q - 1) - 2,
             q ** (n - 3) * (q + 1) * (q ** (n - 2) - s),
         )
-    if fid.tag == "NO":
-        m, q = p["m"], p["q"]
-        e = 1 if p["eps"] == "+" else -1
-        return SrgParams(
-            _exact_div(q**m * (q**m + e), 2),
+    if tag == "NO":
+        m = params["m"]
+        e = 1 if params["eps"] == "+" else -1
+        return (
+            q**m * (q**m + e) / 2,
             (q ** (m - 1) + e) * (q**m - e),
             2 * (q ** (2 * m - 2) - 1) + e * q ** (m - 1) * (q - 1),
             2 * q ** (m - 1) * (q ** (m - 1) + e),
         )
-    if fid.tag in ("polar-complement-O8+", "dual-polar-sp6-dist3"):
-        q = p["q"]
-        return SrgParams(
+    if tag in ("polar-complement-O8+", "dual-polar-sp6-dist3"):
+        return (
             (q**3 + 1) * (q**2 + 1) * (q + 1),
             q**6,
             q**2 * (q - 1) * (q**3 - 1),
             q**5 * (q - 1),
         )
-    if fid.tag == "polar-complement-O7":
-        q = p["q"]
-        return SrgParams(
-            _exact_div(q**6 - 1, q - 1),
-            q**5,
-            q**4 * (q - 1),
-            q**4 * (q - 1),
-        )
-    raise ValueError(f"{fid.tag} has no closed-form parameters")
+    if tag == "polar-complement-O7":
+        return (q**6 - 1) / (q - 1), q**5, q**4 * (q - 1), q**4 * (q - 1)
+    raise ValueError(f"{tag} has no closed-form parameters")
+
+
+def params_closed_form(fid: FamilyId) -> SrgParams:
+    """Exact big-integer evaluation of the family's closed-form strongly
+    regular parameters.  Raises ValueError for families without one."""
+    p = dict(fid.params)
+    q = Fraction(p.pop("q")) if "q" in p else None
+    return SrgParams(*map(_integer, _srg_closed_form(fid.tag, q, **p)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +374,8 @@ def _unitary_classes(n: int, q: int, family: str, max_v: int, tangency=False):
     With ``tangency``, label 1 is checked against line tangency."""
     fid = FamilyId.make("NU", n=n, q=q)
     space, points = _form_points("hermitian", q * q, n, 1, fid, family, max_v)
-    norms = [norm(FieldElement(space.field, a)).index for a in range(space.field.q)]
     return points, *_form_orbits(
-        space, points, lambda x, y: norms[space.inner(x, y)], tangency
+        space, points, lambda x, y: space._norm[space.inner(x, y)], tangency
     )
 
 
@@ -548,7 +538,7 @@ def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     """Graph on the maximal (3-dimensional) totally isotropic subspaces of
     the 6-dimensional symplectic space over F_q, two subspaces adjacent
     exactly when they meet in a 2-space (q+1 common projective points)."""
-    predicted = (q**3 + 1) * (q**2 + 1) * (q + 1)
+    predicted = _integer(_srg_closed_form("dual-polar-sp6-dist3", Fraction(q))[0])
     _guard(f"dual polar Sp6({q})", predicted, max_v)
     field = field_of_order(q)
     _check_vector_cap(field, 6)  # first, so F_16^6 is refused by name
@@ -590,27 +580,36 @@ def build_johnson(n: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _complete_diagonal(k: tuple, m: list) -> tuple[tuple[int, ...], ...]:
+    """``m`` with its diagonal filled in from the valencies ``k`` by the
+    row-sum identity sum_h k_h p^h_{jj} = k_j^2 (h = 0..3)."""
+    for j in range(3):
+        off = sum(k[h] * m[h][j] for h in range(3) if h != j)
+        m[j][j] = _integer(Fraction(k[j] ** 2 - k[j] - off, k[j]))
+    return tuple(tuple(row) for row in m)
+
+
+def _hamming_valencies(d: int) -> tuple[int, int, int]:
+    """Words at distance 1, 2 and 3 from one length-3 word over d letters."""
+    if d < 2:
+        raise ValueError("need an alphabet of at least two letters")
+    return 3 * (d - 1), 3 * (d - 1) ** 2, (d - 1) ** 3
+
+
 def hamming_M(d: int) -> tuple[tuple[int, ...], ...]:
     """The 3x3 matrix with entry (i, j) equal to the intersection number
     p^i_{jj} of the distance classification of length-3 words over a
     d-letter alphabet (rows and columns indexed by distances 1..3).
 
     Off-diagonal entries use the closed forms 2(d-1)(d-2), (d-2)(d-1)^2, 2,
-    (d-1)(d-2)^2, 0, 6(d-2); diagonal entries follow from the row-sum
-    identity sum_h k_h p^h_{jj} = k_j^2.
+    (d-1)(d-2)^2, 0, 6(d-2); diagonal entries follow from the valencies.
     """
-    if d < 2:
-        raise ValueError("need an alphabet of at least two letters")
-    k = (3 * (d - 1), 3 * (d - 1) ** 2, (d - 1) ** 3)
     m = [
         [0, 2 * (d - 1) * (d - 2), (d - 2) * (d - 1) ** 2],
         [2, 0, (d - 1) * (d - 2) ** 2],
         [0, 6 * (d - 2), 0],
     ]
-    for j in range(3):
-        off = sum(k[h] * m[h][j] for h in range(3) if h != j)
-        m[j][j] = _exact_div(k[j] ** 2 - k[j] - off, k[j])
-    return tuple(tuple(row) for row in m)
+    return _complete_diagonal(_hamming_valencies(d), m)
 
 
 def hamming_srg_criterion(d: int) -> bool:
@@ -627,7 +626,7 @@ def _hamming_classes(d: int, family: str, max_v: int):
     under S_d wr S_3, named by the number of coordinates in which two words
     disagree.  Generators: a letter swap and a letter d-cycle on
     coordinate 0, a coordinate 3-cycle and a coordinate swap."""
-    _guard(family, d**3, max_v)
+    _guard(family, 1 + sum(_hamming_valencies(d)), max_v)
     words = list(itertools.product(range(d), repeat=3))
     index = {w: i for i, w in enumerate(words)}
     maps = (
@@ -655,8 +654,6 @@ def hamming_classification(
 ) -> OrbitalClassification:
     """Partition of ordered pairs of length-3 words by the number of
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
-    if d < 2:
-        raise ValueError("need an alphabet of at least two letters")
     return _classify_pairs(*_hamming_classes(d, f"H(3,{d}) pair classes", max_v), str)
 
 
@@ -665,25 +662,25 @@ def hamming_classification(
 # ---------------------------------------------------------------------------
 
 
+def _flag_valencies(q: int) -> tuple[int, int, int]:
+    """Flags of PG(2, q) in each pair class 1, 2, 3 of one flag."""
+    return 2 * q, 2 * q * q, q**3
+
+
 def flag_M(q: int) -> tuple[tuple[int, ...], ...]:
     """The 3x3 matrix with entry (i, j) equal to the intersection number
     p^i_{jj} of the flag pair classification of PG(2, q) (rows and columns
     indexed by the non-diagonal classes 1..3).
 
     Off-diagonal entries use the closed forms q(q-1), q^2(q-1), 1,
-    q(q-1)^2, 0, 4(q-1); diagonal entries follow from the row-sum identity
-    sum_h k_h p^h_{jj} = k_j^2.
+    q(q-1)^2, 0, 4(q-1); diagonal entries follow from the valencies.
     """
-    k = (2 * q, 2 * q * q, q**3)
     m = [
         [0, q * (q - 1), q * q * (q - 1)],
         [1, 0, q * (q - 1) ** 2],
         [0, 4 * (q - 1), 0],
     ]
-    for j in range(3):
-        off = sum(k[h] * m[h][j] for h in range(3) if h != j)
-        m[j][j] = _exact_div(k[j] ** 2 - k[j] - off, k[j])
-    return tuple(tuple(row) for row in m)
+    return _complete_diagonal(_flag_valencies(q), m)
 
 
 def flag_action(q: int) -> PermGroupAction:
@@ -757,8 +754,7 @@ def build_flag_orbitals(
     base row, where labels 1, 2, 3 must name one orbit each (so the rank is
     4); the direct-count tensor is checked against :func:`flag_M`.
     """
-    predicted = (q * q + q + 1) * (q + 1)
-    _guard(f"flags of PG(2,{q})", predicted, max_v)
+    _guard(f"flags of PG(2,{q})", 1 + sum(_flag_valencies(q)), max_v)
     flags = enumerate_flags(q)
     base = map(partial(_flag_pair_label, field_of_order(q), flags[0]), flags[1:])
     classification = _classify_pairs(
@@ -766,7 +762,7 @@ def build_flag_orbitals(
         lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
     )
     lengths = classification.suborbit_lengths
-    if lengths != {1: 2 * q, 2: 2 * q * q, 3: q**3}:
+    if lengths != dict(zip((1, 2, 3), _flag_valencies(q))):
         raise AssertionError(f"unexpected suborbit lengths {lengths}")
     p, m = classification.tensor.p, flag_M(q)
     counted = tuple(tuple(int(p[i][j][j]) for j in (1, 2, 3)) for i in (1, 2, 3))
@@ -786,15 +782,7 @@ def grassmann_intersection_array(n: int, q: int) -> IntersectionArray:
     [j]_q is the Gaussian [j choose 1]_q."""
     if n < 6:
         raise ValueError("the 3-subspace Grassmann graph needs n >= 6")
-
-    def gauss1(j: int) -> int:
-        return gaussian_binomial(j, 1, q)
-
-    b = tuple(
-        q ** (2 * i + 1) * gauss1(3 - i) * gauss1(n - 3 - i) for i in range(3)
-    )
-    c = tuple(gauss1(i) ** 2 for i in range(1, 4))
-    return IntersectionArray(b, c)
+    return _integer_array(*_grassmann_array(Fraction(q), Fraction(q) ** n))
 
 
 def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:

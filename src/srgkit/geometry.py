@@ -380,16 +380,16 @@ def scale_to_value(
 ) -> tuple[int, ...] | None:
     """The lexicographically least scalar multiple of rep whose form value
     is ``target`` (an index in space.value_field), or None if no scaling
-    achieves it."""
+    achieves it.  The multiples of the :func:`lead_one` representative sort
+    as their scalars do, so the first hit is the least."""
     field = space.field
     mul = field.mul_table
-    best = None
+    rep = lead_one(field, rep)
     for s in range(1, field.q):
         candidate = tuple(mul[s][c] for c in rep)
         if space.form_value(candidate) == target:
-            if best is None or candidate < best:
-                best = candidate
-    return best
+            return candidate
+    return None
 
 
 # ---------------------------------------------------------------------------

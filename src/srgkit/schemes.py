@@ -89,6 +89,13 @@ def _rational(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
+def _integer(x: Fraction) -> int:
+    """An exact rational that a closed form makes integral, as an ``int``."""
+    if x.denominator != 1:
+        raise AssertionError(f"{x} is not an integer")
+    return x.numerator
+
+
 def _convolve(a: Sequence, b: Sequence, zero) -> list:
     """The coefficients of the product of two nonempty coefficient lists
     over a ring whose zero is ``zero``."""
@@ -793,10 +800,30 @@ def tensor_to_json(tensor: IntersectionTensor) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_1(q: RatFunc, i: int) -> RatFunc:
-    """[i]_q = (q^i - 1)/(q - 1) as a rational function (a polynomial)."""
-    out = q**i - 1
-    return out / (q - 1) if i else RatFunc(0)
+def _gaussian_1(q, i: int):
+    """[i]_q = (q^i - 1)/(q - 1) at an exact scalar q."""
+    return (q**i - 1) / (q - 1)
+
+
+def _integer_array(b, c) -> IntersectionArray:
+    """The intersection array of closed-form entries at a Fraction q."""
+    return IntersectionArray(tuple(map(_integer, b)), tuple(map(_integer, c)))
+
+
+def _g2_array(q) -> tuple[tuple, tuple]:
+    """{q(q+1), q^2, q^2; 1, 1, q+1} at an exact scalar q (q**0: its one)."""
+    return (q * (q + 1), q**2, q**2), (q**0, q**0, q + 1)
+
+
+def _grassmann_array(q, x) -> tuple[tuple, tuple]:
+    """The 3-subspace Grassmann array b_i = q^(2i+1) [3-i]_q [n-3-i]_q,
+    c_i = [i]_q^2 at exact scalars q and x = q^n (Fractions, or a RatFunc
+    and an XPoly), with [n-3-i]_q = (x / q^(3+i) - 1)/(q - 1)."""
+    b = tuple(
+        q ** (2 * i + 1) * _gaussian_1(q, 3 - i) * (x / q ** (3 + i) - 1) / (q - 1)
+        for i in range(3)
+    )
+    return b, tuple(_gaussian_1(q, i) ** 2 for i in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -817,10 +844,7 @@ def g2_symbolic() -> G2Symbolic:
     induced parameters of its distance-3 graph, cross-checked numerically
     at q in {2, 3, 4, 5}."""
     q = RatFunc.gen()
-    one = RatFunc(1)
-    b = [q * (q + 1), q**2, q**2]
-    c = [one, one, q + 1]
-    tensor = symbolic_tensor_from_array(b, c, one)
+    tensor = symbolic_tensor_from_array(*_g2_array(q), RatFunc(1))
     p = tensor.p
 
     if p[1][2][2] != q**2 * (q - 1):
@@ -839,11 +863,7 @@ def g2_symbolic() -> G2Symbolic:
 
     qs = (2, 3, 4, 5)
     for q0 in qs:
-        numeric = tensor_from_array(
-            IntersectionArray(
-                b=(q0 * (q0 + 1), q0**2, q0**2), c=(1, 1, q0 + 1)
-            )
-        )
+        numeric = tensor_from_array(_integer_array(*_g2_array(Fraction(q0))))
         if instantiate_tensor(tensor, q0) != numeric:
             raise AssertionError(f"instantiation at q={q0} disagrees")
     return G2Symbolic(
@@ -995,19 +1015,9 @@ def grassmann_f2(
     hence f_2 > 0 for all X >= q^6 at each scanned q.
     """
     q = RatFunc.gen()
-    x = XPoly.gen()
-    alphas = []
-    betas = []
-    b = []
-    for i in range(3):
-        # [n-3-i]_q = (X - q^(3+i)) / (q^(3+i) (q-1)) with X = q^n
-        alpha = q ** (2 * i + 1) * _gaussian_1(q, 3 - i) / (
-            q ** (3 + i) * (q - 1)
-        )
-        beta = -alpha * q ** (3 + i)
-        alphas.append(alpha)
-        betas.append(beta)
-        b.append(alpha * x + beta)
+    b, c = _grassmann_array(q, XPoly.gen())
+    alphas = tuple(b_i.coefficient(1) for b_i in b)
+    betas = tuple(b_i.coefficient(0) for b_i in b)
     displayed_alphas = (
         (q**2 + q + 1) / (q**2 * (q - 1)),
         (q + 1) / (q * (q - 1)),
@@ -1022,7 +1032,7 @@ def grassmann_f2(
         if alphas[i] != displayed_alphas[i] or betas[i] != displayed_betas[i]:
             raise AssertionError(f"alpha_{i}/beta_{i} differ from the display")
 
-    c = [XPoly((_gaussian_1(q, i) ** 2,)) for i in (1, 2, 3)]
+    c = [XPoly((c_i,)) for c_i in c]
     tensor = symbolic_tensor_from_array(b, c, XPoly((RatFunc(1),)))
     f2 = tensor.p[1][2][2] - tensor.p[3][2][2]
     if f2.degree != 2:
@@ -1064,8 +1074,8 @@ def grassmann_f2(
     if not all(all(flags) for flags in positivity.values()):
         raise AssertionError("positivity certificate failed")
     return GrassmannF2(
-        alphas=tuple(alphas),
-        betas=tuple(betas),
+        alphas=alphas,
+        betas=betas,
         A=A,
         B=B,
         C=C,

@@ -1,5 +1,9 @@
 """Family constructors: closed forms, graphs, and pair classifications."""
 
+import math
+from fractions import Fraction
+from functools import partial
+
 import oracles
 import pytest
 
@@ -48,6 +52,7 @@ from srgkit.graphcore import (
     check_srg,
 )
 from srgkit.orbitals import compute_orbitals
+from srgkit.schemes import RatFunc, RatPoly, XPoly, _grassmann_array
 
 # ---------------------------------------------------------------------------
 # identifiers and parsing
@@ -188,6 +193,55 @@ def test_closed_forms_are_feasible_across_a_range():
     for q in (2, 3, 4, 5, 7):
         params_closed_form(FamilyId.make("polar-complement-O8+", q=q))
         params_closed_form(FamilyId.make("polar-complement-O7", q=q))
+
+
+def _poly_sqrt(p: RatPoly) -> RatPoly | None:
+    """The square root of p in Q[q] with positive leading coefficient, or
+    None: coefficients from the top down, then one exact check."""
+    if p.is_zero() or p.degree % 2 or p.coeffs[-1] < 0:
+        return None
+    lead = Fraction(p.coeffs[-1])
+    d = p.degree // 2
+    root = [Fraction(0)] * (d + 1)
+    root[d] = Fraction(math.isqrt(lead.numerator), math.isqrt(lead.denominator))
+    for j in range(d - 1, -1, -1):
+        # q^(d+j) in root^2: 2 root[d] root[j] plus products of known terms
+        rest = sum(root[a] * root[d + j - a] for a in range(j + 1, d))
+        root[j] = (p.coeffs[d + j] - rest) / (2 * root[d])
+    root = RatPoly(root)
+    return root if root * root == p else None
+
+
+_CLOSED_FORMS = (
+    [("NU", {"n": n}) for n in range(3, 9)]
+    + [("NO", {"m": m, "eps": eps}) for m in range(2, 6) for eps in "+-"]
+    + [("polar-complement-O8+", {}), ("polar-complement-O7", {})]
+)
+
+
+@pytest.mark.parametrize(
+    "tag, params", _CLOSED_FORMS,
+    ids=[tag + "".join(map(str, p.values())) for tag, p in _CLOSED_FORMS],
+)
+def test_closed_forms_are_feasible_identically_in_q(tag, params):
+    # the standard feasibility conditions (Brouwer and Van Maldeghem 2022,
+    # ch. 1), as identities of rational functions of q
+    v, k, lam, mu = families._srg_closed_form(tag, RatFunc.gen(), **params)
+    assert all(x.is_polynomial for x in (v, k, lam, mu))
+    assert k * (k - lam - 1) == (v - k - 1) * mu
+    root = _poly_sqrt(((lam - mu) ** 2 + 4 * (k - mu)).as_poly())
+    assert root is not None
+    for sign in (1, -1):
+        multiplicity = ((v - 1) - sign * (2 * k + (v - 1) * (lam - mu)) / root) / 2
+        assert multiplicity.is_polynomial
+
+
+def test_poly_sqrt_refuses_non_squares():
+    q = RatPoly.gen()
+    assert _poly_sqrt((2 * q - 3) ** 2) == 2 * q - 3
+    assert _poly_sqrt(q**2 + 1) is None
+    assert _poly_sqrt(2 * q**2) is None
+    assert _poly_sqrt(-(q**2)) is None
 
 
 def test_families_without_closed_form_are_rejected():
@@ -626,6 +680,24 @@ def test_grassmann_array_formula_small():
         grassmann_intersection_array(5, 2)
 
 
+def test_grassmann_array_function_matches_gaussian_binomials():
+    # the one statement, read at Fractions and in X = q^n, against the array
+    # written out with Gaussian binomials
+    b_sym, c_sym = _grassmann_array(RatFunc.gen(), XPoly.gen())
+    for n in range(6, 10):
+        for q in range(2, 6):
+            def gauss1(j):
+                return gaussian_binomial(j, 1, q)
+
+            expected = IntersectionArray(
+                tuple(q ** (2 * i + 1) * gauss1(3 - i) * gauss1(n - 3 - i) for i in range(3)),
+                tuple(gauss1(i) ** 2 for i in (1, 2, 3)),
+            )
+            assert grassmann_intersection_array(n, q) == expected
+            assert tuple(b.evaluate(q, q**n) for b in b_sym) == expected.b
+            assert tuple(c.evaluate(q) for c in c_sym) == expected.c
+
+
 def test_grassmann_graph_matches_formula():
     g = build_grassmann(6, 2)
     assert g.n == gaussian_binomial(6, 3, 2) == 1395
@@ -645,6 +717,17 @@ def test_scale_guard_reports_prediction():
     with pytest.raises(ScaleGuardError):
         build_NU(4, 3, max_v=500)  # 540 vertices over a tight budget
     build_NU(3, 3, max_v=63)  # exactly at the budget is allowed
+    # budgets read from the shared closed forms: v from the sp6-dist3 form,
+    # 1 + the sum of the flag and of the Hamming valencies
+    for build, v in (
+        (partial(build_dual_polar_sp6, 2), 135),
+        (partial(build_flag_orbitals, 3), 52),
+        (partial(hamming_classification, 4), 64),
+    ):
+        build(max_v=v)
+        with pytest.raises(ScaleGuardError) as info:
+            build(max_v=v - 1)
+        assert info.value.predicted_v == v
     # the field-table and vector caps raise the same type
     with pytest.raises(ScaleGuardError) as info:
         field_of_order(1031)
