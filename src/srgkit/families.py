@@ -19,10 +19,12 @@ transitive isometry action (the form's reflection group,
 extended projective group on flags), an invariant evaluated on the base row
 (0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`, which certifies
 the pair orbits and checks that the invariant names them one to one.  The
-unitary, orthogonal, polar-complement and Hamming graphs are classes of
-such a partition.  Grassmann and dual polar graphs are read off packed
-incidence sums, one byte row per subspace and symmetric by construction;
-only Johnson graphs use ``build_graph``.
+certificate runs on two products of the generators when they generate a
+transitive subgroup whose pair orbits the invariant names, and on every
+generator otherwise.  The unitary, orthogonal, polar-complement and Hamming
+graphs are classes of such a partition.  Grassmann and dual polar graphs
+are read off packed incidence sums, one byte row per subspace and symmetric
+by construction; only Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
@@ -64,7 +66,8 @@ from .geometry import (
 from .gf import ScaleGuardError, field_of_order, is_prime_power, quadratic_character
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
 from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
-from .orbitals import OrbitalPartition, PermGroupAction, compute_orbitals, orbital_graph
+from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
+from .orbitals import _two_generator_orbitals
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 from .schemes import _grassmann_array, _integer, _integer_array
 
@@ -349,16 +352,21 @@ def _form_points(
 
 
 def _form_orbits(space: FormedSpace, points, label, tangency=False):
-    """The pair orbits of the reflection group of ``space`` on ``points``,
+    """The pair orbits of the reflection group G of ``space`` on ``points``,
     named by the form invariant ``label(x, y)`` of representatives on the
     base row.  With ``tangency``, label 1 there must be exactly a joining
     line with one singular point; the certified isometry group carries
-    that, like the label, to every pair."""
+    that, like the label, to every pair.
+
+    They are certified on two products of the reflections, which generate
+    a transitive H <= G: G preserves the label, so once the label names
+    H's pair orbits one to one, H-orbits <= G-orbits <= label classes =
+    H-orbits, and the classes are G's pair orbits."""
     base = [label(points[0].rep, y.rep) for y in points[1:]]
     for j, value in enumerate(base if tangency else (), 1):
         if (line_tangency_count(space, points[0], points[j]) == 1) != (value == 1):
             raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
-    partition = compute_orbitals(reflection_action(space, points), base)
+    partition = _two_generator_orbitals(reflection_action(space, points), base)
     return partition, tuple(sorted(set(base)))
 
 
@@ -625,7 +633,10 @@ def _hamming_classes(d: int, family: str, max_v: int):
     """The length-3 words over a d-letter alphabet, and their pair orbits
     under S_d wr S_3, named by the number of coordinates in which two words
     disagree.  Generators: a letter swap and a letter d-cycle on
-    coordinate 0, a coordinate 3-cycle and a coordinate swap."""
+    coordinate 0, a coordinate 3-cycle and a coordinate swap; the orbits
+    are certified on two products of them, which generate a transitive
+    H <= S_d wr S_3.  The distance is invariant under the whole group, so
+    naming H's pair orbits one to one makes them the whole group's."""
     _guard(family, 1 + sum(_hamming_valencies(d)), max_v)
     words = list(itertools.product(range(d), repeat=3))
     index = {w: i for i, w in enumerate(words)}
@@ -639,7 +650,7 @@ def _hamming_classes(d: int, family: str, max_v: int):
         len(words), tuple(tuple(index[g(w)] for w in words) for g in maps)
     )
     base = [sum(map(operator.ne, words[0], w)) for w in words[1:]]
-    return words, compute_orbitals(action, base), (1, 2, 3)
+    return words, _two_generator_orbitals(action, base), (1, 2, 3)
 
 
 def build_hamming_orbital(d: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -752,13 +763,17 @@ def build_flag_orbitals(
 
     The classes are the pair orbits of :func:`flag_action`, named on the
     base row, where labels 1, 2, 3 must name one orbit each (so the rank is
-    4); the direct-count tensor is checked against :func:`flag_M`.
+    4); the direct-count tensor is checked against :func:`flag_M`.  They
+    are certified on two products of the generators, which generate a
+    transitive subgroup H: the labels are invariant under the whole group
+    G, so naming H's pair orbits one to one makes them G's (H-orbits <=
+    G-orbits <= label classes = H-orbits).
     """
     _guard(f"flags of PG(2,{q})", 1 + sum(_flag_valencies(q)), max_v)
     flags = enumerate_flags(q)
     base = map(partial(_flag_pair_label, field_of_order(q), flags[0]), flags[1:])
     classification = _classify_pairs(
-        flags, compute_orbitals(flag_action(q), base), (1, 2, 3),
+        flags, _two_generator_orbitals(flag_action(q), base), (1, 2, 3),
         lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
     )
     lengths = classification.suborbit_lengths

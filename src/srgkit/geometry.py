@@ -472,7 +472,9 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     are taken in the fixed order k s mod N (s the least integer from
     0.618 N up that is prime to N, so picks lie far apart) until they span
     the space and act transitively.  Each map must preserve the form and Q
-    on the basis, and the point set; a failure names the reflection.
+    on the basis, and the point set; a failure names the reflection.  The
+    form builders certify the pair orbits on two products of the chosen
+    reflections (``orbitals._two_generator_orbitals``), not on all of them.
     """
     if space.kind == "symplectic":
         raise ValueError("a symplectic space has no reflections")

@@ -4,7 +4,9 @@ direct intersection-number counting.
 Permutations are plain image tuples and groups are never represented beyond
 their generators.  The pair-orbit partition is built a whole row at a time
 by C-level gathers along a breadth-first tree of the points, and certified
-by checking that every generator preserves every row.  An orbital graph
+by checking that every generator preserves every row; the family builders
+hand it two generators of a transitive subgroup when an invariant of the
+whole group names that subgroup's pair orbits.  An orbital graph
 carries that certificate, so ``check_srg`` counts it on the base row alone,
 and an intersection number is counted at one representative pair.
 """
@@ -217,6 +219,32 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     class_of = bytes(table)
     del table  # one n² copy at a time
     return _partition(n, class_of, certificate="group-orbitals")
+
+
+def _two_generator_orbitals(action: PermGroupAction, labels) -> OrbitalPartition:
+    """:func:`compute_orbitals` of ``action`` named by ``labels``, a pair
+    invariant of the whole group, certified on two generators when they
+    suffice: the product P of all generators in index order, and the first
+    partner in the order g_i, then g_i g_j (i < j), with <P, partner>
+    transitive.  The certificate costs n² comparisons per generator.
+
+    Sound, because the pair generates a transitive H <= G: if the labels,
+    which G preserves, name the pair orbits of H one to one, then H-orbits
+    <= G-orbits <= label classes = H-orbits, so the certified classes are
+    G's.  If no partner is transitive, or the pair's orbits are finer than
+    the labels (or more than 255), every generator is checked, which
+    raises what :func:`compute_orbitals` on ``action`` raises."""
+    gens, labels = action.generators, tuple(labels)
+    product = functools.reduce(lambda a, b: _gatherer(a)(b), gens)  # a, then b
+    products = (_gatherer(a)(b) for a, b in itertools.combinations(gens, 2))
+    for partner in itertools.chain(gens, products):
+        pair = PermGroupAction(action.degree, (product, partner))
+        if pair.is_transitive():
+            try:
+                return compute_orbitals(pair, labels)
+            except ValueError:
+                break
+    return compute_orbitals(action, labels)
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:

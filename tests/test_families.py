@@ -42,7 +42,7 @@ from srgkit.geometry import (
     perp_type,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
-from srgkit import families, geometry
+from srgkit import families, geometry, orbitals
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -812,6 +812,52 @@ def test_every_form_build_scans_the_projective_space_once(monkeypatch):
         calls.clear()
         geometry.reflection_action(space, points)
         assert calls == []
+
+
+TWO_GENERATOR_BUILDS = {
+    **{
+        f"NU({n},{q})": partial(build_unitary_orbitals, n, q)
+        for n, q in ((3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2))
+    },
+    **{
+        f"NO({m},{q},{eps})": partial(build_orthogonal_orbitals, m, q, eps)
+        for m, q in ((2, 3), (2, 5), (2, 7), (3, 3))
+        for eps in "+-"
+    },
+    **{
+        f"polar {kind}({q})": partial(build_polar_complement, kind, q)
+        for kind in ("O7", "O8+")
+        for q in (2, 3)
+    },
+    **{f"flags({q})": partial(build_flag_orbitals, q) for q in (2, 3, 4, 5, 7)},
+    **{f"H(3,{d})": partial(hamming_classification, d) for d in (2, 3, 4, 5, 8)},
+}
+
+
+@pytest.mark.parametrize(
+    "build", TWO_GENERATOR_BUILDS.values(), ids=TWO_GENERATOR_BUILDS
+)
+def test_family_orbits_are_certified_on_two_generators(monkeypatch, build):
+    """Each builder runs compute_orbitals once, on two generators, and the
+    partition equals the one certified on every generator of the group."""
+    named, runs = [], []
+
+    def recorded(action, labels, run=families._two_generator_orbitals):
+        named.append((action, tuple(labels)))
+        return run(*named[-1])
+
+    def counted(action, labels=None, run=compute_orbitals):
+        runs.append((len(action.generators), run(action, labels)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(families, "_two_generator_orbitals", recorded)
+    monkeypatch.setattr(orbitals, "compute_orbitals", counted)
+    build()
+    [(action, labels)], [(generators, partition)] = named, runs
+    every_generator = compute_orbitals(action, labels)
+    assert generators == 2 < len(action.generators)
+    assert partition == every_generator
+    assert partition.certificate == every_generator.certificate == "group-orbitals"
 
 
 def test_meet_graphs_pass_graph_validation():

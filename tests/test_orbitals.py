@@ -378,6 +378,72 @@ def test_labels_must_name_the_orbits_one_to_one():
         compute_orbitals(action, base[1:])
 
 
+def generator_counts_of_runs(monkeypatch) -> list[int]:
+    """The generator count of each compute_orbitals run from here on."""
+    runs = []
+
+    def counted(action, labels=None, run=compute_orbitals):
+        runs.append(len(action.generators))
+        return run(action, labels)
+
+    monkeypatch.setattr(orbitals, "compute_orbitals", counted)
+    return runs
+
+
+def test_a_pair_finer_than_the_labels_falls_back_to_every_generator(monkeypatch):
+    """S_5 on 5 points, generated as (c, t, t) so that the product of the
+    generators is the 5-cycle c and the first partner, c itself, makes a
+    transitive pair.  Its five pair orbits are finer than the one label of
+    the 2-transitive group, so the pair's run refuses and every generator
+    is checked."""
+    cycle, swap = (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)
+    action = PermGroupAction(5, (cycle, swap, swap))
+    runs = generator_counts_of_runs(monkeypatch)
+    partition = orbitals._two_generator_orbitals(action, iter([1] * 4))
+    assert runs == [2, 3]
+    assert partition == compute_orbitals(action, [1] * 4)
+    assert partition.rank == 2 and partition.certificate == "group-orbitals"
+
+
+def test_no_transitive_pair_falls_back_to_every_generator(monkeypatch):
+    """The regular action of Z_2^3: every pair of its elements generates a
+    subgroup of order at most 4, so no partner is transitive."""
+    flips = (tuple(x ^ 1 << i for x in range(8)) for i in range(3))
+    action = PermGroupAction(8, tuple(flips))
+    runs = generator_counts_of_runs(monkeypatch)
+    partition = orbitals._two_generator_orbitals(action, range(1, 8))
+    assert runs == [3]
+    assert partition == compute_orbitals(action, range(1, 8))
+    assert partition.rank == 8 and partition.certificate == "group-orbitals"
+
+
+def test_a_labelling_the_group_moves_raises_as_on_every_generator(monkeypatch):
+    action = flag_action(2)
+    moved = [y % 2 for y in range(1, action.degree)]
+    with pytest.raises(ValueError, match="one to one") as every_generator:
+        compute_orbitals(action, moved)
+    runs = generator_counts_of_runs(monkeypatch)
+    message = "labels do not name the pair orbits one to one"
+    with pytest.raises(ValueError, match=message) as pair:
+        orbitals._two_generator_orbitals(action, moved)
+    assert runs == [2, 4]
+    assert str(pair.value) == str(every_generator.value)
+
+
+def test_compute_orbitals_certifies_on_every_given_generator(monkeypatch):
+    action = flag_action(2)
+    labels = compute_orbitals(action).class_of[1 : action.degree]
+    checked = []
+
+    def recorded(table, n, generators, check=_invariant_under):
+        checked.append(len(generators))
+        return check(table, n, generators)
+
+    monkeypatch.setattr(orbitals, "_invariant_under", recorded)
+    assert compute_orbitals(action, labels).rank == 4
+    assert len(action.generators) == 4 and checked and set(checked) == {4}
+
+
 def switched_petersen():
     """A 2-switch of the Petersen graph away from vertex 0 that keeps row
     0's adjacency and counts, as a hand-built partition: class 1 the
