@@ -21,15 +21,8 @@ from itertools import product, zip_longest
 from operator import floordiv
 
 from . import schemes
-from .schemes import (
-    InfeasibleArrayError,
-    RatFunc,
-    RatPoly,
-    XPoly,
-    _convolve,
-    _long_division,
-    _primitive,
-)
+from .gf import _convolve, _long_division
+from .schemes import InfeasibleArrayError, RatFunc, RatPoly, XPoly, _primitive
 
 __all__ = ["audit"]
 

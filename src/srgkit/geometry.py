@@ -14,6 +14,11 @@ A :class:`FormedSpace` is F_q^n (or F_{q^2}^n) equipped with exactly one of
   form has a nucleus that the nondegeneracy check accounts for),
 * ``symplectic``       B(x, y) = sum (a_i b'_i - b_i a'_i).
 
+A quadratic form is held as terms (i, j, c) with Q(x) = sum c x_i x_j,
+which give Q and its polar form in one pass each.  Q(s x) = s^2 Q(x) and
+h(s x, s x) = N(s) h(x, x), so rescaling a point to a form value is one
+lookup in the space's table of least roots of s^2 (or N(s)).
+
 Vectors are tuples of element indices; all enumeration is in lexicographic
 index order, so every listing is deterministic.
 """
@@ -145,27 +150,40 @@ class FormedSpace:
         self.field = field
         self.dim = dim
         self.zeta: int | None = None
+        # Q(x) = sum of c x_i x_j over the terms (i, j, c); none for the
+        # hermitian and symplectic kinds
+        self._terms: list[tuple[int, int, int]] = []
+        # Q(s x) = factor[s] Q(x): s^2, or N(s) for the hermitian form
+        factor = [field.mul_table[s][s] for s in range(field.q)]
         if kind == "hermitian":
             if field.k % 2:
                 raise ValueError("hermitian forms need a field of square order")
             sub, embed = field.subfield(field.k // 2)
             self.value_field = sub
-            self._retract = {e: i for i, e in enumerate(embed)}
+            retract = {e: i for i, e in enumerate(embed)}
             q0 = field.p ** (field.k // 2)
             self._conj = [field.pow_index(a, q0) for a in range(field.q)]
-            self._norm = [
-                self._retract[field.pow_index(a, q0 + 1)] for a in range(field.q)
+            self._norm = factor = [
+                retract[field.pow_index(a, q0 + 1)] for a in range(field.q)
             ]
         else:
             self.value_field = field
-            if kind in ("quadratic-plus", "quadratic-minus", "symplectic"):
-                if dim % 2:
-                    raise ValueError(f"{kind} forms need even dimension")
+            if (dim % 2 == 1) != (kind == "quadratic-odd"):
+                parity = "odd" if kind == "quadratic-odd" else "even"
+                raise ValueError(f"{kind} forms need {parity} dimension")
+            h = _witt_index(self)
+            if kind != "symplectic":
+                self._terms = [(i, h + i, 1) for i in range(h)]
             if kind == "quadratic-odd":
-                if dim % 2 == 0:
-                    raise ValueError("quadratic-odd forms need odd dimension")
+                self._terms.append((dim - 1, dim - 1, 1))
             if kind == "quadratic-minus":
                 self.zeta = least_zeta(field)
+                a, b = dim - 2, dim - 1
+                self._terms += [(a, a, 1), (a, b, 1), (b, b, self.zeta)]
+        # _root[r]: the least nonzero scalar s with factor[s] = r, 0 if none
+        self._root = [0] * self.value_field.q
+        for s in range(field.q - 1, 0, -1):
+            self._root[factor[s]] = s
         self._singular_points: list[ProjectivePoint] | None = None
         self._check_nondegenerate()
 
@@ -176,54 +194,36 @@ class FormedSpace:
         return itertools.product(range(self.field.q), repeat=self.dim)
 
     def form_value(self, vec: tuple[int, ...]) -> int:
-        """h(x,x) (as an index in the subfield) or Q(x); 0 for symplectic."""
+        """h(x,x) = sum N(x_i) (as an index in the subfield), or Q(x) = sum
+        c x_i x_j over the terms; 0 for symplectic, which has none."""
+        if self.kind == "hermitian":
+            sub_add, norm = self.value_field.add_table, self._norm
+            acc = 0
+            for c in vec:
+                acc = sub_add[acc][norm[c]]
+            return acc
+        add, mul = self.field.add_table, self.field.mul_table
+        acc = 0
+        for i, j, c in self._terms:
+            acc = add[acc][mul[c][mul[vec[i]][vec[j]]]]
+        return acc
+
+    def inner(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        """h(x, y) for hermitian; the polar form B(x, y) = Q(x+y)-Q(x)-Q(y)
+        = sum c (x_i y_j + x_j y_i) over the terms for quadratic kinds;
+        B(x, y) for symplectic.  Index in the coordinate field."""
         field = self.field
         add, mul = field.add_table, field.mul_table
         kind = self.kind
         if kind == "hermitian":
-            sub_add = self.value_field.add_table
-            acc = 0
-            for c in vec:
-                acc = sub_add[acc][self._norm[c]]
-            return acc
-        if kind == "symplectic":
-            return 0
-        m = self.dim // 2
-        acc = 0
-        if kind == "quadratic-odd":
-            for i in range(m):
-                acc = add[acc][mul[vec[i]][vec[m + i]]]
-            gamma = vec[2 * m]
-            return add[acc][mul[gamma][gamma]]
-        if kind == "quadratic-plus":
-            for i in range(m):
-                acc = add[acc][mul[vec[i]][vec[m + i]]]
-            return acc
-        # quadratic-minus: m-1 hyperbolic pairs then (a, b)
-        for i in range(m - 1):
-            acc = add[acc][mul[vec[i]][vec[m - 1 + i]]]
-        a, b = vec[-2], vec[-1]
-        acc = add[acc][mul[a][a]]
-        acc = add[acc][mul[a][b]]
-        return add[acc][mul[self.zeta][mul[b][b]]]
-
-    def inner(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        """h(x, y) for hermitian; the polar form B(x, y) = Q(x+y)-Q(x)-Q(y)
-        for quadratic kinds; B(x, y) for symplectic.  Index in the
-        coordinate field."""
-        field = self.field
-        add, neg = field.add_table, field.neg_table
-        kind = self.kind
-        if kind == "hermitian":
             return _dot(field, x, self.conjugate(y))
         if kind == "symplectic":  # x . (b', -a') for y = (a', b')
-            m = self.dim // 2
+            m, neg = self.dim // 2, field.neg_table
             return _dot(field, x, y[m:] + tuple(neg[c] for c in y[:m]))
-        # polar form of the quadratic kinds
-        xy = tuple(add[a][b] for a, b in zip(x, y))
-        qx = self.form_value(x)
-        qy = self.form_value(y)
-        return add[self.form_value(xy)][neg[add[qx][qy]]]
+        acc = 0
+        for i, j, c in self._terms:
+            acc = add[acc][mul[c][add[mul[x[i]][y[j]]][mul[x[j]][y[i]]]]]
+        return acc
 
     def half_inner(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """(x, y) = B(x, y)/2 for quadratic kinds in odd characteristic,
@@ -359,37 +359,61 @@ def _dot(field: Field, x, y) -> int:
 def lead_one(field: Field, vec: tuple[int, ...]) -> tuple[int, ...]:
     """The multiple of a nonzero vector whose first nonzero coordinate is 1:
     the canonical representative of its projective point."""
-    s = field.inv_table[next(c for c in vec if c)]
-    return tuple(field.mul_table[s][c] for c in vec)
+    lead = next((c for c in vec if c), 0)
+    if not lead:
+        raise ValueError("the zero vector spans no projective point")
+    row = field.mul_table[field.inv_table[lead]]
+    return tuple(row[c] for c in vec)
 
 
 def projective_reps(field: Field, n: int) -> list[tuple[int, ...]]:
     """Canonical representatives (first nonzero coordinate = 1) of all
-    projective points of F_q^n, in lexicographic order."""
+    projective points of F_q^n, in lexicographic order: those with k
+    leading zeros, for k from n - 1 down to 0."""
     _check_vector_cap(field, n)
-    reps = []
-    for vec in itertools.product(range(field.q), repeat=n):
-        lead = next((c for c in vec if c), 0)
-        if lead == 1:
-            reps.append(vec)
-    return reps
+    return [
+        (0,) * k + (1,) + rest
+        for k in range(n - 1, -1, -1)
+        for rest in itertools.product(range(field.q), repeat=n - 1 - k)
+    ]
+
+
+def _value_index(space: FormedSpace, value: int | FieldElement) -> int:
+    """The index of a form value in space.value_field, which must hold it."""
+    if isinstance(value, FieldElement):
+        if value.field is space.value_field:
+            return value.index
+    elif 0 <= value < space.value_field.q:
+        return int(value)
+    raise ValueError(f"form value {value!r} is not in {space.value_field!r}")
+
+
+def _rescale(space: FormedSpace, rep, value: int, target: int):
+    """The multiple s rep of least nonzero s with form value ``target``,
+    given ``value``, the form value of rep; None if there is none.  Q(s x)
+    = factor(s) Q(x), so s is the least root of factor(s) = target / value,
+    read from the space's root table."""
+    if not value:
+        return None if target else rep
+    sub = space.value_field
+    s = space._root[sub.mul_table[target][sub.inv_table[value]]]
+    if not s:
+        return None
+    row = space.field.mul_table[s]
+    return tuple(row[c] for c in rep)
 
 
 def scale_to_value(
-    space: FormedSpace, rep: tuple[int, ...], target: int
+    space: FormedSpace, rep: tuple[int, ...], target: int | FieldElement
 ) -> tuple[int, ...] | None:
     """The lexicographically least scalar multiple of rep whose form value
-    is ``target`` (an index in space.value_field), or None if no scaling
-    achieves it.  The multiples of the :func:`lead_one` representative sort
-    as their scalars do, so the first hit is the least."""
-    field = space.field
-    mul = field.mul_table
-    rep = lead_one(field, rep)
-    for s in range(1, field.q):
-        candidate = tuple(mul[s][c] for c in rep)
-        if space.form_value(candidate) == target:
-            return candidate
-    return None
+    is ``target`` (an element of space.value_field or its index), or None
+    if no scaling achieves it.  The multiples of the :func:`lead_one`
+    representative sort as their scalars do, so the least scalar with that
+    value gives the least multiple."""
+    target = _value_index(space, target)
+    rep = lead_one(space.field, rep)
+    return _rescale(space, rep, space.form_value(rep), target)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +431,17 @@ def enumerate_points(
                             form value 1 where a scaling exists;
     filter = "norm-class":  points scalable to the given nonzero ``value``
                             (re-scaled to exactly that value); value 0 is
-                            the singular filter.
+                            the singular filter.  ``value`` must be an
+                            element of space.value_field or its index.
 
     Points are listed in the lexicographic order of the underlying
     1-spaces' canonical representatives.
     """
+    target = 1
     if filter == "norm-class":
         if value is None:
             raise ValueError("norm-class filter needs a value")
-        target = value.index if isinstance(value, FieldElement) else int(value)
+        target = _value_index(space, value)
         if target == 0:
             filter = "singular"
     elif filter not in ("singular", "nonsingular"):
@@ -423,21 +449,15 @@ def enumerate_points(
     if filter == "nonsingular" and space.kind == "symplectic":
         raise ValueError("a symplectic space has no nonsingular points")
     points = []
-    one = 1
     for rep in projective_reps(space.field, space.dim):
         val = space.form_value(rep)
-        if filter == "singular":
-            if val == 0:
+        if not val:
+            if filter == "singular":
                 points.append(ProjectivePoint(rep))
-        elif filter == "nonsingular":
-            if val != 0:
-                scaled = scale_to_value(space, rep, one)
-                points.append(ProjectivePoint(scaled if scaled else rep))
-        else:  # norm-class with nonzero target
-            if val != 0:
-                scaled = scale_to_value(space, rep, target)
-                if scaled is not None:
-                    points.append(ProjectivePoint(scaled))
+        elif filter != "singular":
+            scaled = _rescale(space, rep, val, target)
+            if scaled is not None or filter == "nonsingular":
+                points.append(ProjectivePoint(scaled or rep))
     return points
 
 
@@ -500,7 +520,7 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     step = max(1, round(0.618 * len(candidates)))
     while math.gcd(step, len(candidates)) != 1:
         step += 1
-    chosen, generators = [], []
+    span, generators = [], []
     for k in range(len(candidates)):
         v = candidates[k * step % len(candidates)]
         c = mul[scale][inv[square(v, v)]]  # x -> x + (x . u) v, u_i = c h(e_i, v)
@@ -521,11 +541,12 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
             raise AssertionError(
                 f"the reflection in {name} maps a point outside the point set"
             ) from None
-        chosen.append(v)
         generators.append(perm)
-        action = PermGroupAction(len(points), tuple(generators))
-        if len(rref(field, chosen)) == dim and action.is_transitive():
-            return action
+        span = rref(field, [*span, v])
+        if len(span) == dim:
+            action = PermGroupAction(len(points), tuple(generators))
+            if action.is_transitive():
+                return action
     raise AssertionError("the reflections do not act transitively on the points")
 
 
@@ -562,15 +583,10 @@ def perp_type(space: FormedSpace, p: ProjectivePoint) -> str:
 
 
 def _witt_index(space: FormedSpace) -> int:
-    if space.kind == "symplectic":
-        return space.dim // 2
-    if space.kind == "quadratic-plus":
-        return space.dim // 2
-    if space.kind == "quadratic-odd":
-        return (space.dim - 1) // 2
-    if space.kind == "quadratic-minus":
-        return space.dim // 2 - 1
-    raise ValueError(f"no isotropic subspace enumeration for {space.kind}")
+    """The number of hyperbolic pairs in the standard basis."""
+    if space.kind == "hermitian":
+        raise ValueError(f"no isotropic subspace enumeration for {space.kind}")
+    return space.dim // 2 - (space.kind == "quadratic-minus")
 
 
 def _rref_bases(field: Field, n: int, dim: int, admits=None) -> list[Subspace]:

@@ -9,13 +9,18 @@ for ergonomic exact arithmetic.
 
 Beyond field arithmetic, the module provides the relative norm and absolute
 trace, the quadratic character, and the closed-form solution counts of
-hermitian norm equations and hyperbolic bilinear equations.
+hermitian norm equations and hyperbolic bilinear equations.  It also holds
+the package's one dense polynomial product and long division: over F_p for
+the moduli, as integer arithmetic reduced mod p, and over Z and Q for
+:mod:`srgkit.schemes`.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import floordiv
+from typing import Sequence
 
 __all__ = [
     "CharacterValue",
@@ -85,8 +90,38 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p (coefficient lists, constant first).
+# Dense polynomial arithmetic on coefficient lists, constant term first: one
+# product and one long division over any ring (Z[q] and Q[q] in
+# srgkit.schemes), and over F_p as integer arithmetic reduced mod p.
 # ---------------------------------------------------------------------------
+
+
+def _convolve(a: Sequence, b: Sequence, zero) -> list:
+    """The coefficients of the product of two nonempty coefficient lists
+    over a ring whose zero is ``zero``."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] = out[j] + x * y
+    return out
+
+
+def _long_division(a: Sequence, b: Sequence, div) -> tuple[list, list]:
+    """Quotient and remainder of the coefficient lists a by b, each
+    quotient term being div(leading remainder term, leading term of b).
+    With div = floordiv on integers, b divides a in Z[q] exactly when the
+    remainder is zero: a term floordiv cannot divide stays in it."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - db - 1, -1, -1):
+        factor = div(rem[i + db], b[-1])
+        if factor:
+            quot[i] = factor
+            for j, c in enumerate(b):
+                rem[i + j] -= factor * c
+    return quot, rem
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -95,29 +130,10 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    r = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    return _poly_trim(r)
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo a monic polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for i in range(dm):
-                a[off + i] = (a[off + i] - c * m[i]) % p
-        a.pop()
-    return _poly_trim(a)
+def _poly_mod(a: Sequence, m: Sequence, p: int) -> list[int]:
+    """Remainder of a modulo a monic polynomial m over F_p: the remainder
+    in Z[t], which a monic divisor leaves unique, reduced mod p."""
+    return _poly_trim([c % p for c in _long_division(a, m, floordiv)[1]])
 
 
 def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
@@ -125,8 +141,8 @@ def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     base = _poly_mod(base, m, p)
     while e:
         if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
+            result = _poly_mod(_convolve(result, base, 0), m, p)
+        base = _poly_mod(_convolve(base, base, 0), m, p)
         e >>= 1
     return result
 
@@ -237,7 +253,7 @@ class Field:
                 s = self.index_of([(x + y) % p for x, y in zip(ca, cb)])
                 row_add[b] = s
                 add[b][a] = s
-                m = self.index_of(_poly_mod(_poly_mul(ca, cb, p), mod, p))
+                m = self.index_of(_poly_mod(_convolve(ca, cb, 0), mod, p))
                 row_mul[b] = m
                 mul[b][a] = m
         self.add_table = add

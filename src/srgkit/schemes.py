@@ -6,7 +6,8 @@ Three layers:
   rings: polynomials over Q (:class:`RatPoly`, integral coefficients held
   as ``int``) and polynomials in a second variable X over their quotients
   (:class:`XPoly` over :class:`RatFunc`), sharing one implementation of
-  the ring operations and of Horner evaluation.  A :class:`RatFunc` is a
+  the ring operations and of Horner evaluation, on the product and long
+  division of :mod:`srgkit.gf`.  A :class:`RatFunc` is a
   pair of coprime integer polynomials, reduced by one gcd (:func:`poly_gcd`,
   GCDHEU certified by exact division, with Euclid over Q as fallback);
 * the recursion that rebuilds the full tensor p_ij^h from an intersection
@@ -30,7 +31,7 @@ from itertools import combinations
 from operator import floordiv
 from typing import Sequence
 
-from .gf import ScaleGuardError
+from .gf import ScaleGuardError, _convolve, _long_division
 from .graphcore import Graph, IntersectionArray, distance_masks
 
 __all__ = [
@@ -94,17 +95,6 @@ def _integer(x: Fraction) -> int:
     if x.denominator != 1:
         raise AssertionError(f"{x} is not an integer")
     return x.numerator
-
-
-def _convolve(a: Sequence, b: Sequence, zero) -> list:
-    """The coefficients of the product of two nonempty coefficient lists
-    over a ring whose zero is ``zero``."""
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] = out[j] + x * y
-    return out
 
 
 class _DensePoly:
@@ -264,23 +254,6 @@ def _primitive(*polys: RatPoly) -> list[list[int]]:
     if content > 1:
         lists = [[c // content for c in cs] for cs in lists]
     return lists
-
-
-def _long_division(a: Sequence, b: Sequence, div) -> tuple[list, list]:
-    """Quotient and remainder of the coefficient lists a by b, each
-    quotient term being div(leading remainder term, leading term of b).
-    With div = floordiv on integers, b divides a in Z[q] exactly when the
-    remainder is zero: a term floordiv cannot divide stays in it."""
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        factor = div(rem[i + db], b[-1])
-        if factor:
-            quot[i] = factor
-            for j, c in enumerate(b):
-                rem[i + j] -= factor * c
-    return quot, rem
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

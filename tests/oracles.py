@@ -190,6 +190,103 @@ def char_sum_c(gamma1, gamma2, lam, q: int | None = None) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# Reference forms of the field and formed-space primitives, each written out
+# directly per kind or by trial, for the package's term lists, root table and
+# shared polynomial arithmetic to be compared against
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_tables(field: Field) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of F_{p^k} on element
+    indices: coefficient lists added mod p, and multiplied by schoolbook
+    products mod p reduced term by term with the modulus."""
+    p, k, modulus = field.p, field.k, field.modulus
+    coeffs = [field.coeffs_of(a) for a in range(field.q)]
+    add = [
+        [field.index_of([(x + y) % p for x, y in zip(ca, cb)]) for cb in coeffs]
+        for ca in coeffs
+    ]
+    mul = []
+    for ca in coeffs:
+        row = []
+        for cb in coeffs:
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(ca):
+                for j, y in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            for top in range(2 * k - 2, k - 1, -1):  # minus c t^(top-k) modulus
+                c = prod[top]
+                for i, m in enumerate(modulus, top - k):
+                    prod[i] = (prod[i] - c * m) % p
+            row.append(field.index_of(prod[:k]))
+        mul.append(row)
+    return add, mul
+
+
+def form_value_by_kind(space, vec) -> int:
+    """h(x, x) as an index in the value field, or Q(x), written out for
+    each kind of the standard bases in srgkit.geometry."""
+    field = space.field
+    add, mul = field.add_table, field.mul_table
+    if space.kind == "hermitian":
+        total = space.value_field.zero
+        for c in vec:
+            total = total + norm(FieldElement(field, c))
+        return total.index
+    if space.kind == "symplectic":
+        return 0
+    m = space.dim // 2
+    if space.kind == "quadratic-minus":
+        m -= 1
+    acc = 0
+    for i in range(m):
+        acc = add[acc][mul[vec[i]][vec[m + i]]]
+    if space.kind == "quadratic-odd":
+        gamma = vec[-1]
+        acc = add[acc][mul[gamma][gamma]]
+    if space.kind == "quadratic-minus":
+        a, b = vec[-2], vec[-1]
+        acc = add[acc][mul[a][a]]
+        acc = add[acc][mul[a][b]]
+        acc = add[acc][mul[space.zeta][mul[b][b]]]
+    return acc
+
+
+def polar_by_difference(space, x, y) -> int:
+    """The polar form B(x, y) = Q(x + y) - Q(x) - Q(y) of a quadratic
+    space, from :func:`form_value_by_kind`."""
+    add, neg = space.field.add_table, space.field.neg_table
+    xy = tuple(add[a][b] for a, b in zip(x, y))
+    q = [form_value_by_kind(space, v) for v in (xy, x, y)]
+    return add[q[0]][neg[add[q[1]][q[2]]]]
+
+
+def scale_by_trial(space, vec, target: int):
+    """The least multiple of the nonzero ``vec`` with form value
+    ``target``, or None: every multiple of its first-nonzero-is-1
+    representative tried in scalar order."""
+    field = space.field
+    mul, inv = field.mul_table, field.inv_table
+    lead = inv[next(c for c in vec if c)]
+    rep = tuple(mul[lead][c] for c in vec)
+    for s in range(1, field.q):
+        candidate = tuple(mul[s][c] for c in rep)
+        if form_value_by_kind(space, candidate) == target:
+            return candidate
+    return None
+
+
+def projective_reps_by_filter(field: Field, n: int) -> list[tuple[int, ...]]:
+    """The vectors of F_q^n whose first nonzero coordinate is 1, kept from
+    all q^n vectors in lexicographic order."""
+    return [
+        vec
+        for vec in itertools.product(range(field.q), repeat=n)
+        if next((c for c in vec if c), 0) == 1
+    ]
+
+
 def tangency_graph(space, points):
     """Graph on the given projective points, two points adjacent exactly
     when the line joining them has one singular point, found by evaluating

@@ -23,12 +23,28 @@ from srgkit.geometry import (
     rref,
     scale_to_value,
 )
+import srgkit.geometry as geometry
 from srgkit.gf import field_of_order, make_field
 from srgkit.orbitals import PermGroupAction, compute_orbitals
 
 
 def hermitian(n, q):
     return FormedSpace("hermitian", field_of_order(q * q), n)
+
+
+# small spaces of all five kinds, characteristic 2 included: every vector
+# and every point of each is compared with the reference oracles
+SMALL_SPACES = [
+    (kind, q, dim)
+    for q in (2, 3, 4, 5)
+    for kind, dim in (
+        ("quadratic-plus", 4),
+        ("quadratic-minus", 4),
+        ("quadratic-odd", 3),
+        ("symplectic", 4),
+    )
+] + [("hermitian", 4, 3), ("hermitian", 9, 3)]
+SMALL_SPACE_IDS = [f"{kind}-{dim}-GF{q}" for kind, q, dim in SMALL_SPACES]
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +127,13 @@ def test_kernel_of_invertible_matrix_is_empty():
 
 
 def test_projective_rep_counts():
-    for q, n in [(2, 3), (3, 3), (4, 3), (3, 4), (9, 3)]:
+    for q, n in [(2, 3), (3, 3), (4, 3), (3, 4), (9, 3), (2, 1), (5, 2)]:
         field = field_of_order(q)
         reps = projective_reps(field, n)
         assert len(reps) == (q**n - 1) // (q - 1)
         assert all(next(c for c in r if c) == 1 for r in reps)
         assert reps == sorted(reps)
+        assert reps == oracles.projective_reps_by_filter(field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +227,21 @@ def test_enumerate_points_rejects_bad_filter():
         enumerate_points(space, "positive")
     with pytest.raises(ValueError):
         enumerate_points(space, "norm-class")
+    # a form value outside the value field is refused by name, not matched
+    # by no point
+    odd = FormedSpace("quadratic-odd", field_of_order(3), 5)
+    for value in (7, 3, -1, field_of_order(9).one):
+        with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
+            enumerate_points(odd, "norm-class", value)
+        with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
+            scale_to_value(odd, (1, 0, 0, 0, 0), value)
+    two = field_of_order(3)(2)
+    assert enumerate_points(odd, "norm-class", two) == enumerate_points(
+        odd, "norm-class", 2
+    )
+    assert scale_to_value(odd, (0, 0, 0, 0, 1), two) is None
+    with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
+        enumerate_points(hermitian(3, 3), "norm-class", field_of_order(9).one)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +257,20 @@ def test_symplectic_form_is_alternating_and_nondegenerate():
     f0 = (0, 0, 1, 0)
     assert space.inner(e0, f0) == 1
     assert space.inner(f0, e0) == space.field.neg_table[1]
+
+
+@pytest.mark.parametrize("kind, q, dim", SMALL_SPACES, ids=SMALL_SPACE_IDS)
+def test_form_primitives_match_the_reference_oracles(kind, q, dim):
+    """The form as terms and its polarization agree with the form written
+    out per kind and with Q(x + y) - Q(x) - Q(y), on every vector against
+    every point."""
+    space = FormedSpace(kind, field_of_order(q), dim)
+    reps = projective_reps(space.field, dim)
+    for x in space.vectors():
+        assert space.form_value(x) == oracles.form_value_by_kind(space, x), x
+        if kind.startswith("quadratic"):
+            expected = [oracles.polar_by_difference(space, x, y) for y in reps]
+            assert [space.inner(x, y) for y in reps] == expected, x
 
 
 def test_polar_form_matches_quadratic_difference():
@@ -262,17 +308,21 @@ def test_minus_type_tail_is_anisotropic():
 
 
 def test_scale_to_value_returns_lex_least():
-    space = FormedSpace("quadratic-odd", field_of_order(5), 3)
-    field = space.field
-    rep = (1, 2, 3)
-    target = 2
-    got = scale_to_value(space, rep, target)
-    all_hits = sorted(
-        tuple(field.mul_table[s][c] for c in rep)
-        for s in range(1, 5)
-        if space.form_value(tuple(field.mul_table[s][c] for c in rep)) == target
-    )
-    assert got == (all_hits[0] if all_hits else None)
+    """On every point of the small spaces, handed in as its last multiple,
+    and for every target value: the root table finds the multiple that
+    trying every scalar finds, and the norm classes are the points that
+    have one."""
+    for kind, q, dim in SMALL_SPACES:
+        space = FormedSpace(kind, field_of_order(q), dim)
+        last = space.field.mul_table[q - 1]
+        reps = projective_reps(space.field, dim)
+        multiples = [tuple(last[c] for c in rep) for rep in reps]
+        for target in range(space.value_field.q):
+            expected = [oracles.scale_by_trial(space, r, target) for r in reps]
+            got = [scale_to_value(space, vec, target) for vec in multiples]
+            assert got == expected, (space, target)
+            points = enumerate_points(space, "norm-class", target)
+            assert [p.rep for p in points] == [s for s in expected if s], space
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +548,21 @@ def test_lead_one_scales_the_first_nonzero_coordinate_to_one():
     assert lead_one(field, (1, 0, 2)) == (1, 0, 2)
 
 
+def test_the_zero_vector_is_refused_by_name():
+    space = FormedSpace("quadratic-odd", field_of_order(3), 5)
+    zero = ProjectivePoint((0,) * 5)
+    point = enumerate_points(space, "singular")[0]
+    calls = [
+        lambda: lead_one(space.field, (0, 0, 0)),
+        lambda: scale_to_value(space, zero.rep, 1),
+        lambda: line_tangency_count(space, zero, point),
+        lambda: line_tangency_count(space, point, zero),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="zero vector spans no projective point"):
+            call()
+
+
 @pytest.mark.parametrize(
     "space, points",
     [
@@ -514,6 +579,22 @@ def test_reflections_act_transitively_and_one_alone_does_not(space, points):
     single = PermGroupAction(len(points), action.generators[:1])
     with pytest.raises(ValueError, match="not transitive"):
         compute_orbitals(single)
+
+
+def test_reflections_build_their_action_once_they_span(monkeypatch):
+    """The action is built, and tested for transitivity, only from the
+    first reflection whose vector completes a spanning set."""
+    built = []
+
+    def counted(degree, generators):
+        built.append(len(generators))
+        return PermGroupAction(degree, generators)
+
+    monkeypatch.setattr(geometry, "PermGroupAction", counted)
+    space = FormedSpace("quadratic-plus", field_of_order(2), 8)
+    action = reflection_action(space, enumerate_points(space, "singular"))
+    assert built[0] >= space.dim
+    assert built == list(range(built[0], len(action.generators) + 1))
 
 
 def test_a_reflection_leaving_the_points_is_named():

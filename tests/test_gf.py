@@ -70,6 +70,13 @@ class TestMakeField:
 
 
 class TestFieldArithmetic:
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 64])
+    def test_tables_match_schoolbook_arithmetic(self, q):
+        field = field_of_order(q)
+        add, mul = oracles.schoolbook_tables(field)
+        assert field.add_table == add
+        assert field.mul_table == mul
+
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2), (2, 4)])
     def test_ring_laws_on_random_triples(self, p, k):
         field = make_field(p, k)

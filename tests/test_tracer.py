@@ -32,13 +32,19 @@ def test_every_traced_target_resolves(monkeypatch):
         assert callable(owner), target
 
 
-# workload -> its commands, as perfbench/run.py lists them
+# workload -> its commands, as perfbench/run.py lists them; {tmp} is the
+# test's temporary directory
 _TRACED_WORKLOADS = {
     "table1": [("cli", "table1")],
     "classes": [("classes",)],
     "symbolic": [
         ("cli", "scheme", job)
         for job in ("grassmann", "g2", "dualpolar:1/2", "dualpolar:1", "dualpolar:3/2")
+    ],
+    "verify": [
+        ("cli", "gen", "grassmann:n=6,q=2", "-o", "{tmp}/grassmann-6-2.g6"),
+        ("cli", "verify", "{tmp}/grassmann-6-2.g6"),
+        ("cli", "orbitals", "src/srgkit/data/psl2_8_sq6.gens"),
     ],
 }
 
@@ -56,8 +62,9 @@ def test_traced_workload_reaches_every_listed_target(monkeypatch, tmp_path, work
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     reached = set()
     for job in _TRACED_WORKLOADS[workload]:
+        args = [arg.format(tmp=tmp_path) for arg in job]
         subprocess.run(
-            [sys.executable, str(TRACER), str(out), *job],
+            [sys.executable, str(TRACER), str(out), *args],
             cwd=ROOT, env=env, check=True, capture_output=True, timeout=120,
         )
         counts = json.loads(out.read_text())["reached"]
