@@ -34,6 +34,7 @@ from .graphcore import (
     RegularityFailure,
     SrgParams,
     _array_entries,
+    _check_pair_cap,
     _strict_int,
     check_drg,
     check_srg,
@@ -183,6 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     if Path(args.target).exists() or ":" not in args.target:  # specs have a colon
         graph = _load_graph_file(args.target)
         name = args.target
+        _check_pair_cap(graph.n)  # a file carries no certificate: every pair counts
     else:
         from .families import build_family
 

@@ -21,10 +21,11 @@ extended projective group on flags), an invariant evaluated on the base row
 the pair orbits and checks that the invariant names them one to one.  The
 certificate runs on two products of the generators when they generate a
 transitive subgroup whose pair orbits the invariant names, and on every
-generator otherwise.  The unitary, orthogonal, polar-complement and Hamming
-graphs are classes of such a partition.  Grassmann and dual polar graphs
-are read off packed incidence sums, one byte row per subspace and symmetric
-by construction; only Johnson graphs use ``build_graph``.
+generator otherwise; a form build makes only the reflection permutations
+that those two products read.  The unitary, orthogonal, polar-complement
+and Hamming graphs are classes of such a partition.  Grassmann and dual
+polar graphs are read off packed incidence sums, one byte row per subspace
+and symmetric by construction; only Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
@@ -53,6 +54,7 @@ from .geometry import (
     FormedSpace,
     _check_vector_cap,
     _dot,
+    _spanning_reflections,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
@@ -67,7 +69,7 @@ from .gf import ScaleGuardError, field_of_order, is_prime_power, quadratic_chara
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
 from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
-from .orbitals import _two_generator_orbitals
+from .orbitals import _pair_orbitals, _transitive_pair, _two_generator_orbitals
 from .schemes import IntersectionTensor, tensor_from_orbital_partition
 from .schemes import _grassmann_array, _integer, _integer_array
 
@@ -366,8 +368,23 @@ def _form_orbits(space: FormedSpace, points, label, tangency=False):
     for j, value in enumerate(base if tangency else (), 1):
         if (line_tangency_count(space, points[0], points[j]) == 1) != (value == 1):
             raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
-    partition = _two_generator_orbitals(reflection_action(space, points), base)
-    return partition, tuple(sorted(set(base)))
+    return _reflection_orbitals(space, points, base), tuple(sorted(set(base)))
+
+
+def _reflection_orbitals(space: FormedSpace, points, labels) -> OrbitalPartition:
+    """``_two_generator_orbitals(reflection_action(space, points), labels)``,
+    making only the permutations its certificate reads: P from the
+    composed linear map of the reflections up to the span, and each
+    reflection's permutation when the partner search tries it.  A
+    transitive <P, partner> proves those reflections transitive, so they,
+    P and the partner are the ones that :func:`reflection_action` would
+    give.  Every permutation is made only where every generator is
+    checked: when no partner is transitive (the spanning reflections may
+    not be), or the pair's orbits are finer than the labels."""
+    pair = _transitive_pair(*_spanning_reflections(space, points))
+    if pair is None:  # the spanning reflections may not act transitively
+        return _two_generator_orbitals(reflection_action(space, points), labels)
+    return _pair_orbitals(pair, tuple(labels), lambda: reflection_action(space, points))
 
 
 # ---------------------------------------------------------------------------

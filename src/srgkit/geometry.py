@@ -25,10 +25,11 @@ index order, so every listing is deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .gf import Field, FieldElement, ScaleGuardError, field_of_order
 from .orbitals import PermGroupAction
@@ -408,12 +409,21 @@ def scale_to_value(
 ) -> tuple[int, ...] | None:
     """The lexicographically least scalar multiple of rep whose form value
     is ``target`` (an element of space.value_field or its index), or None
-    if no scaling achieves it.  The multiples of the :func:`lead_one`
-    representative sort as their scalars do, so the least scalar with that
-    value gives the least multiple."""
+    if no scaling achieves it; a nonzero target on a symplectic space, where
+    every point is singular, raises ValueError.  The multiples of the
+    :func:`lead_one` representative sort as their scalars do, so the least
+    scalar with that value gives the least multiple."""
     target = _value_index(space, target)
+    if target:
+        _check_nonsingular_points(space)
     rep = lead_one(space.field, rep)
     return _rescale(space, rep, space.form_value(rep), target)
+
+
+def _check_nonsingular_points(space: FormedSpace) -> None:
+    """Refuse a request for points of nonzero form value where none exist."""
+    if space.kind == "symplectic":
+        raise ValueError("a symplectic space has no nonsingular points")
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +444,9 @@ def enumerate_points(
                             the singular filter.  ``value`` must be an
                             element of space.value_field or its index.
 
+    Both filters for nonzero values raise ValueError on a symplectic space,
+    whose points are all singular.
+
     Points are listed in the lexicographic order of the underlying
     1-spaces' canonical representatives.
     """
@@ -446,8 +459,8 @@ def enumerate_points(
             filter = "singular"
     elif filter not in ("singular", "nonsingular"):
         raise ValueError(f"unknown point filter {filter!r}")
-    if filter == "nonsingular" and space.kind == "symplectic":
-        raise ValueError("a symplectic space has no nonsingular points")
+    if filter != "singular":
+        _check_nonsingular_points(space)
     points = []
     for rep in projective_reps(space.field, space.dim):
         val = space.form_value(rep)
@@ -479,9 +492,12 @@ def line_tangency_count(
     return count
 
 
-def reflection_action(space: FormedSpace, points) -> PermGroupAction:
-    """The isometry group of ``space`` generated by reflections, acting on
-    ``points``, each image found by its :func:`lead_one` representative.
+def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, Callable, bool]]:
+    """The reflections of ``space`` that :func:`reflection_action` picks
+    from ``points``, in its order, each as (name, reflect, spans): the name
+    of its vector, its linear map on vectors, checked to preserve the form
+    and Q on the basis, and whether its vector completes a spanning set
+    with the vectors before it.
 
     A quadratic space reflects in a nonsingular v by x -> x - B(x, v)
     Q(v)^-1 v (the orthogonal transvection in characteristic 2), a
@@ -490,11 +506,7 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     nonsingular point set's own representatives, or for a singular one the
     sums x_0 + x_j with Q(x_0 + x_j) = B(x_0, x_j) nonzero.  The N vectors
     are taken in the fixed order k s mod N (s the least integer from
-    0.618 N up that is prime to N, so picks lie far apart) until they span
-    the space and act transitively.  Each map must preserve the form and Q
-    on the basis, and the point set; a failure names the reflection.  The
-    form builders certify the pair orbits on two products of the chosen
-    reflections (``orbitals._two_generator_orbitals``), not on all of them.
+    0.618 N up that is prime to N, so picks lie far apart).
     """
     if space.kind == "symplectic":
         raise ValueError("a symplectic space has no reflections")
@@ -510,7 +522,6 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
         )
     gram, basis = space.gram(), space.basis()
     values = list(map(space.form_value, basis))
-    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
     x0 = points[0].rep
     if space.form_value(x0):
         vectors = [p.rep for p in points]
@@ -520,34 +531,101 @@ def reflection_action(space: FormedSpace, points) -> PermGroupAction:
     step = max(1, round(0.618 * len(candidates)))
     while math.gcd(step, len(candidates)) != 1:
         step += 1
-    span, generators = [], []
+    span = []
     for k in range(len(candidates)):
         v = candidates[k * step % len(candidates)]
         c = mul[scale][inv[square(v, v)]]  # x -> x + (x . u) v, u_i = c h(e_i, v)
         u = [mul[c][_dot(field, row, space.conjugate(v))] for row in gram]
-
-        def reflect(x):
-            t = _dot(field, x, u)
-            return tuple(add[a][mul[t][b]] for a, b in zip(x, v))
-
+        reflect = _rank_one_map(field, u, v)
         images, name = list(map(reflect, basis)), ":".join(map(str, v))
         if [[space.inner(a, b) for b in images] for a in images] != gram or list(
             map(space.form_value, images)
         ) != values:
             raise AssertionError(f"the reflection in {name} is not an isometry")
+        span = rref(field, [*span, v])
+        yield name, reflect, len(span) == dim
+
+
+def _rank_one_map(field: Field, u, v) -> Callable:
+    """The linear map x -> x + (x . u) v."""
+    add, mul = field.add_table, field.mul_table
+
+    def apply(x):
+        t = _dot(field, x, u)
+        return tuple(add[a][mul[t][b]] for a, b in zip(x, v))
+
+    return apply
+
+
+def _permuter(space: FormedSpace, points) -> Callable:
+    """The function (apply, name) -> the permutation of ``points`` by the
+    linear map ``apply``, each image found by its :func:`lead_one`
+    representative; a map that leaves the point set raises AssertionError,
+    naming it."""
+    field = space.field
+    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
+
+    def permutation(apply, name: str) -> tuple[int, ...]:
         try:
-            perm = tuple(index[lead_one(field, reflect(p.rep))] for p in points)
+            return tuple(index[lead_one(field, apply(p.rep))] for p in points)
         except KeyError:
             raise AssertionError(
-                f"the reflection in {name} maps a point outside the point set"
+                f"the {name} maps a point outside the point set"
             ) from None
-        generators.append(perm)
-        span = rref(field, [*span, v])
-        if len(span) == dim:
+
+    return permutation
+
+
+def reflection_action(space: FormedSpace, points) -> PermGroupAction:
+    """The isometry group of ``space`` generated by reflections, acting on
+    ``points``: the permutations of the reflections of ``_reflections``,
+    taken until they span the space and act transitively.  Each reflection
+    must preserve the form and Q on the basis, and the point set; a failure
+    names the reflection.  The form builders make only the permutations
+    that their two-generator certificate reads
+    (:func:`_spanning_reflections`); this makes every one.
+    """
+    permutation, generators = _permuter(space, points), []
+    for name, reflect, spans in _reflections(space, points):
+        generators.append(permutation(reflect, f"reflection in {name}"))
+        if spans:
             action = PermGroupAction(len(points), tuple(generators))
             if action.is_transitive():
                 return action
     raise AssertionError("the reflections do not act transitively on the points")
+
+
+def _spanning_reflections(space: FormedSpace, points):
+    """(P, reflection, k) for the k reflections of ``_reflections`` up to
+    the first that completes a spanning set: P is the permutation of their
+    product in pick order (the first applied first), made in one pass over
+    the points from the composed linear map, and ``reflection(i)`` the
+    permutation of the i-th, made when first asked.  When these act
+    transitively they are :func:`reflection_action`'s generators, and P is
+    the gather product of their permutations."""
+    maps = []
+    for name, reflect, spans in _reflections(space, points):
+        maps.append((reflect, f"reflection in {name}"))
+        if spans:
+            break
+    else:
+        raise AssertionError("the reflections do not act transitively on the points")
+    add, mul = space.field.add_table, space.field.mul_table
+    images = space.basis()  # of the basis vectors under the product
+    for reflect, _ in maps:
+        images = list(map(reflect, images))
+
+    def composed(x):  # the sum of x_j images[j]
+        acc = [0] * len(x)
+        for c, row in zip(x, images):
+            if c:
+                scaled = mul[c]
+                acc = [add[a][scaled[b]] for a, b in zip(acc, row)]
+        return tuple(acc)
+
+    permutation = _permuter(space, points)
+    product = permutation(composed, "product of the reflections")
+    return product, functools.cache(lambda i: permutation(*maps[i])), len(maps)
 
 
 def _singular_point_counts(m: int, q: int) -> dict[str, int]:

@@ -4,9 +4,10 @@ direct intersection-number counting.
 Permutations are plain image tuples and groups are never represented beyond
 their generators.  The pair-orbit partition is built a whole row at a time
 by C-level gathers along a breadth-first tree of the points, and certified
-by checking that every generator preserves every row; the family builders
-hand it two generators of a transitive subgroup when an invariant of the
-whole group names that subgroup's pair orbits.  An orbital graph
+by checking that every generator preserves every row off that tree (the
+rows on it agree by construction); the family builders hand it two
+generators of a transitive subgroup when an invariant of the whole group
+names that subgroup's pair orbits.  An orbital graph
 carries that certificate, so ``check_srg`` counts it on the base row alone,
 and an intersection number is counted at one representative pair.
 """
@@ -125,13 +126,20 @@ def _gatherer(perm):
     return get if len(perm) > 1 else lambda row: (get(row),)
 
 
-def _invariant_under(table, n, generators) -> tuple[int, int] | None:
+def _invariant_under(table, n, generators, tree=None) -> tuple[int, int] | None:
     """The first (x, i), x ascending, at which g = generators[i] moves the
-    n-point pair table (row g x gathered through g is not row x), or None."""
+    n-point pair table (row g x gathered through g is not row x), or None.
+
+    ``tree``, when given, is the Schreier vector the table was filled
+    along: tree[y] = (x, i) means row y is row x gathered through g^-1, so
+    that edge cannot fail and is skipped.  The n - 1 tree edges leave
+    (|gens| - 1) n + 1 row gathers, and the verdict is the full check's."""
     gathers = [_gatherer(g) for g in generators]
     for x in range(n):
         row = tuple(table[x * n : x * n + n])
         for i, g in enumerate(generators):
+            if tree is not None and tree[g[x]] == (x, i):
+                continue
             if gathers[i](table[g[x] * n : g[x] * n + n]) != row:
                 return x, i
     return None
@@ -151,7 +159,11 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     of a few Schreier generators t_{gx}^-1 g t_x, which fix 0, by least
     point y, as the pair orbits are numbered; row g x is row x gathered
     through g^-1.  Certificate: every generator g maps every row x onto row
-    g x.  Sound, because (1) the classes are then unions of pair orbits;
+    g x.  A tree edge (x, g) holds by construction, since row g x was
+    filled from row x through that g (its Schreier generator is trivial:
+    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+    section 4.1), so only the other (|gens| - 1) n + 1 rows are gathered.
+    Sound, because (1) the classes are then unions of pair orbits;
     (2) t_x^-1 takes any pair (x, y) to a base-row pair of its class, and
     the class meets the base row in one stabilizer orbit, so it is one pair
     orbit; (3) a table finer than the orbits fails at some (x, g), whose
@@ -197,7 +209,7 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
         for x in order[1:]:
             p, i = via[x]
             table[x * n : x * n + n] = back[i](table[p * n : p * n + n])
-        if (failure := _invariant_under(table, n, gens)) is None:
+        if (failure := _invariant_under(table, n, gens, via)) is None:
             break
         stabilizer.append(schreier(*failure))
     if _UNCLASSIFIED in table[:n]:
@@ -221,30 +233,54 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     return _partition(n, class_of, certificate="group-orbitals")
 
 
+def _transitive_pair(product, generator, count: int) -> PermGroupAction | None:
+    """<P, partner> for ``product`` P and the first partner, in the order
+    g_i, then g_i g_j (i < j), that makes it transitive; None if none.
+    g_i is ``generator(i)`` for i < ``count``, which may make the i-th
+    permutation when first asked, so that only the partners tried are
+    made."""
+    products = (
+        _gatherer(generator(i))(generator(j))
+        for i, j in itertools.combinations(range(count), 2)
+    )
+    for partner in itertools.chain(map(generator, range(count)), products):
+        pair = PermGroupAction(len(product), (product, partner))
+        if pair.is_transitive():
+            return pair
+    return None
+
+
+def _pair_orbitals(pair, labels, every) -> OrbitalPartition:
+    """:func:`compute_orbitals` of ``pair``, two generators of a subgroup
+    of G, named by ``labels``, a pair invariant of G; of ``every()``, G's
+    action on all of its generators, when ``pair`` is None or its orbits
+    are finer than the labels (or more than 255), which raises what
+    :func:`compute_orbitals` on that action raises.  A certificate round
+    gathers n + 1 rows on the pair, against (|gens| - 1) n + 1 on every
+    generator.
+
+    Sound, because a transitive pair generates a transitive H <= G: if the
+    labels, which G preserves, name the pair orbits of H one to one, then
+    H-orbits <= G-orbits <= label classes = H-orbits, so the certified
+    classes are G's."""
+    if pair is not None:
+        try:
+            return compute_orbitals(pair, labels)
+        except ValueError:
+            pass
+    return compute_orbitals(every(), labels)
+
+
 def _two_generator_orbitals(action: PermGroupAction, labels) -> OrbitalPartition:
     """:func:`compute_orbitals` of ``action`` named by ``labels``, a pair
-    invariant of the whole group, certified on two generators when they
-    suffice: the product P of all generators in index order, and the first
-    partner in the order g_i, then g_i g_j (i < j), with <P, partner>
-    transitive.  The certificate costs n² comparisons per generator.
-
-    Sound, because the pair generates a transitive H <= G: if the labels,
-    which G preserves, name the pair orbits of H one to one, then H-orbits
-    <= G-orbits <= label classes = H-orbits, so the certified classes are
-    G's.  If no partner is transitive, or the pair's orbits are finer than
-    the labels (or more than 255), every generator is checked, which
-    raises what :func:`compute_orbitals` on ``action`` raises."""
-    gens, labels = action.generators, tuple(labels)
+    invariant of the whole group, certified by :func:`_pair_orbitals` on
+    the product P of all generators in index order and the partner of
+    :func:`_transitive_pair`, and on every generator when no partner is
+    transitive."""
+    gens = action.generators
     product = functools.reduce(lambda a, b: _gatherer(a)(b), gens)  # a, then b
-    products = (_gatherer(a)(b) for a, b in itertools.combinations(gens, 2))
-    for partner in itertools.chain(gens, products):
-        pair = PermGroupAction(action.degree, (product, partner))
-        if pair.is_transitive():
-            try:
-                return compute_orbitals(pair, labels)
-            except ValueError:
-                break
-    return compute_orbitals(action, labels)
+    pair = _transitive_pair(product, gens.__getitem__, len(gens))
+    return _pair_orbitals(pair, tuple(labels), lambda: action)
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:

@@ -68,6 +68,26 @@ def test_verify_graph_file(capsys, tmp_path):
     assert report["srg"]["params"] == [5, 2, 0, 1]
 
 
+def test_verify_refuses_an_uncertified_graph_file_past_the_pair_cap(
+    capsys, tmp_path, monkeypatch
+):
+    """A graph file carries no certificate, so every pair would be counted:
+    past the pair cap it is refused with exit 3 before any count, as a
+    family spec past its budget is."""
+
+    def never(graph):
+        raise AssertionError("check_srg ran past the pair cap")
+
+    monkeypatch.setattr(cli, "check_srg", never)
+    n = 8193  # one past the cap's 8,192 vertices
+    path = tmp_path / "cycle.el"
+    edges = "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
+    path.write_text(f"# vertices {n}\n{edges}")
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: the pair partition of 8193 points" in err
+
+
 def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "nonsense:q=2")[0] == 2
     assert run(capsys, "verify", "grassmann:n=7,q=2")[0] == 3

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 import oracles
 import pytest
@@ -40,6 +40,7 @@ from srgkit.geometry import (
     enumerate_points,
     enumerate_subspaces,
     perp_type,
+    reflection_action,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
 from srgkit import families, geometry, orbitals
@@ -51,7 +52,7 @@ from srgkit.graphcore import (
     check_drg,
     check_srg,
 )
-from srgkit.orbitals import compute_orbitals
+from srgkit.orbitals import PermGroupAction, compute_orbitals
 from srgkit.schemes import RatFunc, RatPoly, XPoly, _grassmann_array
 
 # ---------------------------------------------------------------------------
@@ -834,12 +835,32 @@ TWO_GENERATOR_BUILDS = {
 }
 
 
+FORM_BUILDS = {
+    name: build
+    for name, build in TWO_GENERATOR_BUILDS.items()
+    if not name.startswith(("flags", "H("))
+}
+
+
+def record_form_spaces(monkeypatch) -> list[tuple]:
+    """(space, points, labels) of each form build's pair orbits from here on."""
+    spaces = []
+
+    def recorded(space, points, labels, run=families._reflection_orbitals):
+        spaces.append((space, points, tuple(labels)))
+        return run(*spaces[-1])
+
+    monkeypatch.setattr(families, "_reflection_orbitals", recorded)
+    return spaces
+
+
 @pytest.mark.parametrize(
     "build", TWO_GENERATOR_BUILDS.values(), ids=TWO_GENERATOR_BUILDS
 )
 def test_family_orbits_are_certified_on_two_generators(monkeypatch, build):
     """Each builder runs compute_orbitals once, on two generators, and the
-    partition equals the one certified on every generator of the group."""
+    partition equals the one certified on every generator of the group:
+    reflection_action's, for a form build."""
     named, runs = [], []
 
     def recorded(action, labels, run=families._two_generator_orbitals):
@@ -850,14 +871,38 @@ def test_family_orbits_are_certified_on_two_generators(monkeypatch, build):
         runs.append((len(action.generators), run(action, labels)))
         return runs[-1][1]
 
+    spaces = record_form_spaces(monkeypatch)
     monkeypatch.setattr(families, "_two_generator_orbitals", recorded)
     monkeypatch.setattr(orbitals, "compute_orbitals", counted)
     build()
+    if spaces:  # a form build, whose group is reflection_action's
+        [(space, points, labels)] = spaces
+        named = [(reflection_action(space, points), labels)]
     [(action, labels)], [(generators, partition)] = named, runs
     every_generator = compute_orbitals(action, labels)
     assert generators == 2 < len(action.generators)
     assert partition == every_generator
     assert partition.certificate == every_generator.certificate == "group-orbitals"
+
+
+@pytest.mark.parametrize("build", FORM_BUILDS.values(), ids=FORM_BUILDS)
+def test_spanning_reflections_are_the_reflection_action(monkeypatch, build):
+    """On every desk-scale form space the spanning reflections are the
+    first of reflection_action's: each permutation made on demand is that
+    reflection's, and P made from the composed linear map is the gather
+    product of their permutations.  They are all of reflection_action's
+    exactly when they act transitively (not at NO(2,3,-), whose build
+    falls back to reflection_action)."""
+    spaces = record_form_spaces(monkeypatch)
+    build()
+    [(space, points, _)] = spaces
+    product, reflection, count = geometry._spanning_reflections(space, points)
+    generators = reflection_action(space, points).generators
+    spanning = generators[:count]
+    assert tuple(map(reflection, range(count))) == spanning
+    assert product == reduce(lambda a, b: tuple(b[x] for x in a), spanning)
+    transitive = PermGroupAction(len(points), spanning).is_transitive()
+    assert transitive == (spanning == generators)
 
 
 def test_meet_graphs_pass_graph_validation():

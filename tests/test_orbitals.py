@@ -207,14 +207,69 @@ def test_certificate_failures_alone_reach_the_orbits(monkeypatch, name):
     action = ORACLE_CORPUS[name]()
     verdicts = []
 
-    def recorded(table, n, generators, check=_invariant_under):
-        verdicts.append(check(table, n, generators))
+    def recorded(table, n, generators, tree=None, check=_invariant_under):
+        verdicts.append(check(table, n, generators, tree))
         return verdicts[-1]
 
     monkeypatch.setattr(orbitals, "_SEEDS", 0)
     monkeypatch.setattr(orbitals, "_invariant_under", recorded)
     assert compute_orbitals(action).class_of == oracles.pair_orbits_bfs(action)
     assert len(verdicts) > 1 and verdicts[-1] is None
+
+
+def certificate_rounds(monkeypatch) -> list[tuple]:
+    """(rows gathered, verdict, verdict of the full check) for each
+    certificate round that compute_orbitals runs from here on: the rows
+    are counted by wrapping every gather the certificate makes, and the
+    full check is the same table checked with no tree."""
+    rounds, gathered = [], []
+
+    def counting(perm, make=orbitals._gatherer):
+        gather = make(perm)
+
+        def counted(row):
+            gathered.append(1)
+            return gather(row)
+
+        return counted
+
+    def recorded(table, n, generators, tree=None, check=_invariant_under):
+        gathered.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orbitals, "_gatherer", counting)
+            verdict = check(table, n, generators, tree)
+        rounds.append((len(gathered), verdict, check(table, n, generators)))
+        return verdict
+
+    monkeypatch.setattr(orbitals, "_invariant_under", recorded)
+    return rounds
+
+
+@pytest.mark.parametrize("seeds", [0, orbitals._SEEDS])
+@pytest.mark.parametrize("name", ORACLE_CORPUS)
+def test_the_certificate_skips_the_tree_edges_alone(monkeypatch, name, seeds):
+    """A passing round gathers (|gens| - 1) n + 1 rows, one per edge off
+    the BFS tree; every round's verdict, failing ones included (no seeds),
+    is the full check's."""
+    action = ORACLE_CORPUS[name]()
+    off_tree = (len(action.generators) - 1) * action.degree + 1
+    monkeypatch.setattr(orbitals, "_SEEDS", seeds)
+    rounds = certificate_rounds(monkeypatch)
+    compute_orbitals(action)
+    assert rounds[-1][1] is None
+    for gathered, verdict, full in rounds:
+        assert verdict == full
+        assert gathered == off_tree if verdict is None else gathered <= off_tree
+
+
+def test_a_form_build_certificate_gathers_n_plus_one_rows(monkeypatch):
+    """On two generators a passing round gathers n + 1 rows: the 2n
+    edges less the n - 1 of the tree."""
+    rounds = certificate_rounds(monkeypatch)
+    n = len(build_unitary_orbitals(3, 3).points)
+    assert rounds and rounds[-1][1] is None
+    assert all(verdict == full for _, verdict, full in rounds)
+    assert [g for g, verdict, _ in rounds if verdict is None] == [n + 1]
 
 
 def test_the_certificate_names_the_first_moved_row():
@@ -435,9 +490,9 @@ def test_compute_orbitals_certifies_on_every_given_generator(monkeypatch):
     labels = compute_orbitals(action).class_of[1 : action.degree]
     checked = []
 
-    def recorded(table, n, generators, check=_invariant_under):
+    def recorded(table, n, generators, tree=None, check=_invariant_under):
         checked.append(len(generators))
-        return check(table, n, generators)
+        return check(table, n, generators, tree)
 
     monkeypatch.setattr(orbitals, "_invariant_under", recorded)
     assert compute_orbitals(action, labels).rank == 4

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ import pytest
 
 import srgkit
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 
 
 def test_importing_the_package_compiles_no_layer():
@@ -46,3 +50,17 @@ def test_dir_lists_every_export():
     assert "__all__" in listed
     assert set(srgkit.__all__) <= set(listed)
     assert set(srgkit.__all__) == {*srgkit._EXPORTS, "__version__"}
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 4
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=range(len(README_BLOCKS)))
+def test_each_readme_python_block_runs_alone(block):
+    """Each fenced python block of README.md runs in a fresh interpreter,
+    with nothing imported that the block does not import itself."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", block]
+    run = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
