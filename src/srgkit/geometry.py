@@ -108,22 +108,30 @@ class Subspace:
     def vectors(self, field: Field) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the span, deterministically ordered by
         coefficient tuples."""
-        n = len(self.rows[0]) if self.rows else 0
-        add, mul = field.add_table, field.mul_table
-        for coeffs in itertools.product(range(field.q), repeat=self.dim):
-            vec = [0] * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for j, r in enumerate(row):
-                        if r:
-                            vec[j] = add[vec[j]][mul[c][r]]
-            yield tuple(vec)
+        return self._combinations(
+            field, itertools.product(range(field.q), repeat=self.dim)
+        )
 
     def point_reps(self, field: Field) -> tuple[tuple[int, ...], ...]:
         """Canonical first-nonzero-is-1 representatives of the projective
-        points in the span, sorted."""
-        reps = {lead_one(field, v) for v in self.vectors(field) if any(v)}
+        points in the span, sorted.  The basis is reduced echelon, so
+        sum c_i r_i has coordinate c_i at the pivot of r_i and zeros before
+        the first pivot with c_i nonzero: it is canonical exactly when the
+        coefficient vector c is."""
+        reps = self._combinations(field, projective_reps(field, self.dim))
         return tuple(sorted(reps))
+
+    def _combinations(self, field: Field, coefficients) -> Iterator[tuple[int, ...]]:
+        """sum c_i r_i over the basis rows r_i, for each coefficient tuple c."""
+        n = len(self.rows[0]) if self.rows else 0
+        add, mul = field.add_table, field.mul_table
+        for coeffs in coefficients:
+            vec = [0] * n
+            for c, row in zip(coeffs, self.rows):
+                if c:
+                    scaled = mul[c]
+                    vec = [add[a][scaled[r]] for a, r in zip(vec, row)]
+            yield tuple(vec)
 
     def __str__(self) -> str:
         return "; ".join(":".join(map(str, row)) for row in self.rows)

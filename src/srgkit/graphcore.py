@@ -5,8 +5,9 @@ common-neighbour counting is a word-parallel AND plus popcount.  On top of
 that sit exhaustive verifiers: strong regularity (every vertex pair, or
 every pair (0, y) of a graph certified as group orbitals), BFS distance
 computation, distance-i graphs, complements, and full distance-regularity
-checking with intersection-array extraction (by the three-term identity
-on packed counter rows, or a BFS from every root).
+checking with intersection-array extraction (by the three-term identity,
+its counts added into bit planes by carry-save adders, or a BFS from
+every root).
 The graph6 codec runs through binascii.  Every graph built from byte rows
 (a predicate's truth values, a pair partition's classes, incidence sums)
 becomes bitset rows through one reader, which refuses more than 2^26
@@ -48,6 +49,9 @@ __all__ = [
 
 # most ordered pairs, one byte each, that a pair table may hold: degree 8192
 _PAIR_CAP = 1 << 26
+
+# most neighbour-list entries check_drg's three-term identity may hold
+_NEIGHBOUR_CAP = 1 << 21
 
 # Family constructions refuse to enumerate more vertices than this unless
 # the caller raises the budget explicitly.
@@ -440,80 +444,136 @@ def check_drg(g: Graph) -> IntersectionArray | RegularityFailure:
     k_{j+1} = k_j b_j / c_{j+1} the same from every root; from vertex 0
     they sum to n by level l, so every eccentricity is l.
 
-    Each identity row is compared whole.  The distance rows of all roots
-    come from the recurrence D_{j+1}(x) = (union of D_j(z), z in N(x))
-    minus D_{j-1}(x) and D_j(x), and a level is packed as one s-byte
-    counter per vertex with 256^s > k, so no count carries into the next.
+    Each identity row is compared whole, as bit planes: the k rows
+    D_j(z), z in N(v), are added by carry-save adders, so plane i holds
+    bit i of every count, and it must equal the union of the distance
+    rows whose constant has bit i set.  The union of the planes gives
+    D_{j+1}(v) by the recurrence D_{j+1}(x) = (union of D_j(z), z in N(x))
+    minus D_{j-1}(x) and D_j(x), so the count builds the next level.
 
     The per-root scan (a BFS from every root, counting c_d and b_d at every
     vertex) runs when the identity fails, to name the first witness in
-    root, distance, vertex order.  It also certifies on its own when its
-    estimated cost from n, k and l is below the identity's (long cycles),
-    or when one packed level would exceed 2^26 bytes.
+    root, distance, vertex order.  It also certifies on its own when
+    :func:`_picks_identity` says so from n, k and l: when its estimated
+    cost is lower (long cycles), or the neighbour lists would pass their
+    cap.
     """
     basic = _basic_failure(g)
     if basic is not None:
         return basic
-    n, k = g.n, g.degree(0)
     masks = distance_masks(g, 0)
-    l = len(masks) - 1
-    s = (k.bit_length() + 7) // 8
-    # Estimated nanoseconds of each certificate, fitted with CPython 3.11 on
-    # a 2-CPU host over cycles, cubes, Hamming, Grassmann and orbital
-    # graphs: per level and vertex the identity adds k packed rows of n*s
-    # bytes, per root and vertex the scan makes two popcounts.
-    width = n * s  # bytes of one packed row
-    identity_ns = n * ((l - 1) * (k * (110 + width // 2) + 7000 + 6 * width) + 65 * n)
-    scan_ns = n * (n * (600 + n // 2) + 1500 * l)
-    if n * width <= _PAIR_CAP and identity_ns < scan_ns:
-        array = _three_term_array(g, masks, s)
+    if _picks_identity(g.n, g.degree(0), len(masks) - 1):
+        array = _three_term_array(g, masks)
         if array is not None:
             return array
     return _scan_drg(g)
 
 
-def _three_term_array(
-    g: Graph, masks: list[int], s: int
-) -> IntersectionArray | None:
+def _picks_identity(n: int, k: int, l: int) -> bool:
+    """Whether check_drg tries the three-term identity before the scan on
+    a k-regular graph of n vertices whose vertex 0 has eccentricity l.
+
+    The identity's working set is three levels of n bitsets (3n^2/8
+    bytes), one vertex's bit planes and the neighbour lists, n k entries.
+    These stay below 2^21 entries (16 MiB of pointers), so at the
+    8192-vertex cap k is at most 255 and the whole set stays near 40 MiB.
+    Otherwise it runs when its estimated cost is below the scan's."""
+    # Estimated nanoseconds, fitted with CPython 3.11 on a 2-CPU host over
+    # cycles, cubes, Hamming, Johnson, Grassmann and complete multipartite
+    # graphs: per level and vertex the identity adds k rows of n bits into
+    # bit planes, and per vertex it lists the neighbours; per root and
+    # vertex the scan makes two popcounts.
+    identity_ns = n * ((l - 1) * (k * (270 + n // 260) + 2300) + 19 * n)
+    scan_ns = n * (n * (540 + n // 5) + 960 * l)
+    return n * k < _NEIGHBOUR_CAP and identity_ns < scan_ns
+
+
+def _three_term_array(g: Graph, masks: list[int]) -> IntersectionArray | None:
     """The intersection array if the three-term identity holds on every
-    row, else None.  ``masks`` are the distance classes of vertex 0."""
+    row, else None.  ``masks`` are the distance classes of vertex 0.
+
+    Row v of A A_j is compared as the bit planes of :func:`_bit_planes`,
+    and D_{j+1}(v) is read off them by the recurrence of
+    :func:`_distance_levels` (see :func:`check_drg`).  The working set is
+    three levels of n bitsets, one vertex's planes and the neighbour
+    lists."""
     n, k = g.n, g.degree(0)
     l = len(masks) - 1
     nbrs = _neighbour_lists(g)
-    digits = bytes.maketrans(b"01", b"\0\1")
-    field = 8 * s
-    buf = bytearray(n * s)
+    lower = [1 << x for x in range(n)]
+    middle = [row & ~bit for row, bit in zip(g.rows, lower)]
 
-    def packed(row: int) -> int:
-        # Counter y, bytes s*y .. s*y+s-1 little-endian, is bit y of row:
-        # orbital_graph's reading of a row, reversed.
-        buf[::s] = format(row, f"0{n}b").encode().translate(digits)[::-1]
-        return int.from_bytes(buf, "little")
-
-    def counter(total: int, mask: int) -> int:
+    def count(planes: list[int], mask: int) -> int:
+        """Entry y of a row held as bit planes, y the least vertex of mask."""
         y = (mask & -mask).bit_length() - 1
-        return (total >> (field * y)) & ((1 << field) - 1)
+        return sum(((plane >> y) & 1) << i for i, plane in enumerate(planes))
 
-    levels = _distance_levels(nbrs)
-    lower, middle = next(levels), next(levels)
     b, c = [], [1]
     for j in range(1, l):
-        upper = next(levels)
-        counts = list(map(packed, middle))
-        row0 = sum(map(counts.__getitem__, nbrs[0]))
-        b.append(counter(row0, masks[j - 1]))
+        row0 = _bit_planes(list(map(middle.__getitem__, nbrs[0])))
+        b.append(count(row0, masks[j - 1]))
         if b[0] != k:  # an edge of vertex 0 is one-way: c_1 is not 1
             return None
-        a, c_next = counter(row0, masks[j]), counter(row0, masks[j + 1])
-        for v, nv in enumerate(nbrs):
-            if sum(map(counts.__getitem__, nv)) != (
-                b[-1] * packed(lower[v]) + a * counts[v] + c_next * packed(upper[v])
-            ):
+        a, c_next = count(row0, masks[j]), count(row0, masks[j + 1])
+        # plane i is the union of the levels whose constant has bit i set:
+        # bit 0 of its selector for D_{j-1}, 1 for D_j and 2 for D_{j+1}
+        select = [
+            (b[-1] >> i & 1) | (a >> i & 1) << 1 | (c_next >> i & 1) << 2
+            for i in range(len(row0))
+        ]
+        upper = []
+        for lo, mid, nv in zip(lower, middle, nbrs):
+            planes = _bit_planes(list(map(middle.__getitem__, nv)))
+            up = reduce(or_, planes) & ~(lo | mid)
+            unions = (0, lo, mid, lo | mid, up, lo | up, mid | up, lo | mid | up)
+            if planes != list(map(unions.__getitem__, select)):
                 return None
+            upper.append(up)
         c.append(c_next)
         lower, middle = middle, upper
     b.append(k - a - c[-2])
     return IntersectionArray(tuple(b), tuple(c))
+
+
+def _bit_planes(rows: list[int]) -> list[int]:
+    """The positionwise count of ``rows`` as bit planes, one per bit of
+    len(rows): bit y of plane i is bit i of the number of rows with bit y
+    set.  Carry-save adders (Harley-Seal) add eight rows at a time into
+    the planes ones, twos and fours, and each group's eights ripple up
+    into the planes above; the last rows ripple in one at a time.  No
+    count exceeds len(rows), so no carry leaves the top plane."""
+    planes = [0] * len(rows).bit_length()
+    top = len(rows) - len(rows) % 8
+    if top:
+        ones = twos = fours = 0
+        for r0, r1, r2, r3, r4, r5, r6, r7 in zip(*[iter(rows)] * 8):
+            # full adders: x + y + z = sum + 2 carry at every bit; the sum
+            # stays in its plane and the carry goes up one
+            t = ones ^ r0
+            ones, twos_a = t ^ r1, (ones & r0) | (t & r1)
+            t = ones ^ r2
+            ones, twos_b = t ^ r3, (ones & r2) | (t & r3)
+            t = twos ^ twos_a
+            twos, fours_a = t ^ twos_b, (twos & twos_a) | (t & twos_b)
+            t = ones ^ r4
+            ones, twos_a = t ^ r5, (ones & r4) | (t & r5)
+            t = ones ^ r6
+            ones, twos_b = t ^ r7, (ones & r6) | (t & r7)
+            t = twos ^ twos_a
+            twos, fours_b = t ^ twos_b, (twos & twos_a) | (t & twos_b)
+            t = fours ^ fours_a
+            fours, carry = t ^ fours_b, (fours & fours_a) | (t & fours_b)
+            i = 3
+            while carry:
+                planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                i += 1
+        planes[:3] = ones, twos, fours
+    for carry in rows[top:]:
+        i = 0
+        while carry:
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+    return planes
 
 
 def _scan_drg(g: Graph) -> IntersectionArray | RegularityFailure:

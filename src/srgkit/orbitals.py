@@ -238,13 +238,18 @@ def _transitive_pair(product, generator, count: int) -> PermGroupAction | None:
     g_i, then g_i g_j (i < j), that makes it transitive; None if none.
     g_i is ``generator(i)`` for i < ``count``, which may make the i-th
     permutation when first asked, so that only the partners tried are
-    made."""
-    products = (
-        _gatherer(generator(i))(generator(j))
-        for i, j in itertools.combinations(range(count), 2)
-    )
-    for partner in itertools.chain(map(generator, range(count)), products):
-        pair = PermGroupAction(len(product), (product, partner))
+    made.  P is a product of the g_i, so every pair lies in <g_1..g_k>:
+    after the single partners, that group is searched once, and when it
+    is not transitive no product partner is tried."""
+    n = len(product)
+    for i in range(count):
+        pair = PermGroupAction(n, (product, generator(i)))
+        if pair.is_transitive():
+            return pair
+    if not PermGroupAction(n, tuple(map(generator, range(count)))).is_transitive():
+        return None
+    for i, j in itertools.combinations(range(count), 2):
+        pair = PermGroupAction(n, (product, _gatherer(generator(i))(generator(j))))
         if pair.is_transitive():
             return pair
     return None

@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from srgkit.geometry import enumerate_flags, line_tangency_count, rref
+from srgkit.geometry import enumerate_flags, lead_one, line_tangency_count, rref
 from srgkit.gf import (
     Field,
     FieldElement,
@@ -285,6 +285,14 @@ def projective_reps_by_filter(field: Field, n: int) -> list[tuple[int, ...]]:
         for vec in itertools.product(range(field.q), repeat=n)
         if next((c for c in vec if c), 0) == 1
     ]
+
+
+def point_reps_by_normalising(field: Field, subspace) -> tuple[tuple[int, ...], ...]:
+    """The projective points of a subspace's span, sorted: every nonzero
+    vector of the span scaled to a leading 1, duplicates dropped."""
+    return tuple(
+        sorted({lead_one(field, v) for v in subspace.vectors(field) if any(v)})
+    )
 
 
 def tangency_graph(space, points):

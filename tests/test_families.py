@@ -905,6 +905,30 @@ def test_spanning_reflections_are_the_reflection_action(monkeypatch, build):
     assert transitive == (spanning == generators)
 
 
+def test_the_partner_search_stops_when_the_generators_are_not_transitive(
+    monkeypatch,
+):
+    """At NO(2,3,-) the six spanning reflections are not transitive
+    together, so no partner can make a transitive pair with their product:
+    the search tries the six single partners, then the six reflections
+    once, and none of the 15 products."""
+    searches, calls = [], []
+
+    def counted(action, run=PermGroupAction.is_transitive):
+        searches.append(len(action.generators))
+        return run(action)
+
+    def recorded(product, generator, count, run=families._transitive_pair):
+        searches.clear()
+        calls.append((count, run(product, generator, count), list(searches)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(PermGroupAction, "is_transitive", counted)
+    monkeypatch.setattr(families, "_transitive_pair", recorded)
+    build_orthogonal_orbitals(2, 3, "-")
+    assert calls == [(6, None, [2] * 6 + [6])]
+
+
 def test_meet_graphs_pass_graph_validation():
     # the meet graphs skip Graph's per-edge check; run it here on every
     # ordered pair

@@ -13,6 +13,7 @@ from srgkit.geometry import (
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
+    enumerate_subspaces,
     kernel_basis,
     lead_one,
     least_zeta,
@@ -476,6 +477,29 @@ def test_max_isotropic_minus_type_are_singular_points():
 def test_max_isotropic_rejects_hermitian():
     with pytest.raises(ValueError):
         enumerate_max_isotropic(hermitian(3, 3))
+
+
+SUBSPACE_FAMILIES = {
+    "3-spaces of F_2^6": (2, lambda field: enumerate_subspaces(field, 6, 3)),
+    "3-spaces of F_2^7": (2, lambda field: enumerate_subspaces(field, 7, 3)),
+    **{
+        f"Sp6({q})": (
+            q,
+            lambda field: enumerate_max_isotropic(FormedSpace("symplectic", field, 6)),
+        )
+        for q in (2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", SUBSPACE_FAMILIES)
+def test_point_reps_equal_the_normalised_span(name):
+    """The points read off the coefficient vectors through the echelon
+    basis are the span's nonzero vectors, normalised and deduplicated."""
+    q, subspaces = SUBSPACE_FAMILIES[name]
+    field = field_of_order(q)
+    for s in subspaces(field):
+        assert s.point_reps(field) == oracles.point_reps_by_normalising(field, s)
 
 
 def test_subspace_point_reps():
