@@ -2,8 +2,9 @@
 direct intersection-number counting.
 
 Permutations are plain image tuples and groups are never represented beyond
-their generators.  The pair-orbit partition is built a whole row at a time
-by C-level gathers along a breadth-first tree of the points, and certified
+their generators.  The pair-orbit partition is built a block of rows at a
+time along a breadth-first tree of the points, each block's columns
+permuted at once by a strided byte transpose, and certified the same way
 by checking that every generator preserves every row off that tree (the
 rows on it agree by construction); the family builders hand it two
 generators of a transitive subgroup when an invariant of the whole group
@@ -102,6 +103,7 @@ class OrbitalPartition:
 
 _UNCLASSIFIED = 255  # the byte of every base-row point past the first 255 classes
 _SEEDS = 8  # Schreier generators taken before the first certificate
+_FEW = 8  # a fill group of fewer rows is gathered a row at a time
 
 
 def _partition(n: int, class_of: bytes, certificate=None) -> OrbitalPartition:
@@ -126,23 +128,59 @@ def _gatherer(perm):
     return get if len(perm) > 1 else lambda row: (get(row),)
 
 
+def _band(n: int) -> int:
+    """The most rows one block moves: min(256, n // 8), at least 1, so
+    that a block and its transpose stay a small part of the n² table."""
+    return max(1, min(256, n // 8))
+
+
+def _block(table, n: int, points) -> bytes:
+    """Rows ``points`` of the n-point pair table, joined in that order."""
+    return b"".join([table[x * n : x * n + n] for x in points])
+
+
+def _permuted(block: bytes, n: int, perm) -> bytes:
+    """The k n-byte rows of ``block`` with their columns permuted, row r
+    becoming (row_r[perm[0]], row_r[perm[1]], ...), returned column-major:
+    row r is ``result[r::k]``.  The strided slice ``block[j::n]`` is column
+    j of every row, so joining the n of them in ``perm``'s order is the
+    whole permutation: O(n + k) Python steps and O(k n) byte copies, where
+    k row gathers box k n elements.  The columns are joined 64 at a time:
+    all n small slices alive at once would leave about n (k + 33) bytes of
+    small-object pools resident after they are freed, and raise the
+    process's peak memory by that much."""
+    chunks = (perm[a : a + 64] for a in range(0, n, 64))
+    return b"".join([b"".join([block[j::n] for j in chunk]) for chunk in chunks])
+
+
 def _invariant_under(table, n, generators, tree=None) -> tuple[int, int] | None:
     """The first (x, i), x ascending, at which g = generators[i] moves the
-    n-point pair table (row g x gathered through g is not row x), or None.
+    n-point pair table (row g x permuted through g is not row x), or None.
 
-    ``tree``, when given, is the Schreier vector the table was filled
-    along: tree[y] = (x, i) means row y is row x gathered through g^-1, so
-    that edge cannot fail and is skipped.  The n - 1 tree edges leave
-    (|gens| - 1) n + 1 row gathers, and the verdict is the full check's."""
-    gathers = [_gatherer(g) for g in generators]
-    for x in range(n):
-        row = tuple(table[x * n : x * n + n])
-        for i, g in enumerate(generators):
-            if tree is not None and tree[g[x]] == (x, i):
-                continue
-            if gathers[i](table[g[x] * n : g[x] * n + n]) != row:
-                return x, i
-    return None
+    For each generator the rows x are taken in ascending bands of at most
+    :func:`_band` rows; rows g x are joined, permuted through g at once by
+    :func:`_permuted`, and compared with rows x byte for byte.  ``tree``,
+    when given, is the Schreier vector the table was filled along:
+    tree[y] = (x, i) means row y is row x permuted through g^-1, so that
+    edge cannot fail and is skipped.  The n - 1 tree edges leave
+    (|gens| - 1) n + 1 rows to compare, and the verdict is the full
+    check's."""
+    band, first = _band(n), None
+    for i, g in enumerate(generators):
+        rows = [x for x in range(n) if tree is None or tree[g[x]] != (x, i)]
+        for start in range(0, len(rows), band):
+            xs = rows[start : start + band]
+            if first is not None and xs[0] >= first[0]:
+                break  # (x, i) follows the failure found on an earlier generator
+            moved, k = _permuted(_block(table, n, (g[x] for x in xs)), n, g), len(xs)
+            moves = (
+                x for r, x in enumerate(xs) if moved[r::k] != table[x * n : x * n + n]
+            )
+            if (x := next(moves, None)) is not None:
+                if first is None or x < first[0]:
+                    first = x, i
+                break
+    return first
 
 
 def _pair_bytes(n: int, fill: int = 0) -> bytearray:
@@ -151,18 +189,40 @@ def _pair_bytes(n: int, fill: int = 0) -> bytearray:
     return bytearray([fill]) * (n * n)
 
 
+def _fill_blocks(order, via, band: int) -> list[tuple[int, list, list]]:
+    """(i, rows, parents) for the rows below the root of the BFS tree
+    ``via`` (in its search ``order``): the rows at one depth whose edge is
+    generator i, at most ``band`` at a time, with their parents' rows;
+    shallowest first, so every parent is filled before its block."""
+    depth, groups = {order[0]: 0}, {}
+    for x in order[1:]:
+        p, i = via[x]
+        depth[x] = depth[p] + 1
+        groups.setdefault((depth[x], i), []).append(x)
+    return [
+        (i, xs[s : s + band], [via[x][0] for x in xs[s : s + band]])
+        for (_, i), xs in groups.items()
+        for s in range(0, len(xs), band)
+    ]
+
+
 def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
-    """Pair-orbit partition of a transitive action, filled a row at a time.
+    """Pair-orbit partition of a transitive action, filled a block of rows
+    at a time.
 
     A BFS tree of the points (a Schreier vector) gives each x the word t_x
     along its path, with t_x(0) = x.  The base row (0, y) numbers the orbits
     of a few Schreier generators t_{gx}^-1 g t_x, which fix 0, by least
-    point y, as the pair orbits are numbered; row g x is row x gathered
-    through g^-1.  Certificate: every generator g maps every row x onto row
-    g x.  A tree edge (x, g) holds by construction, since row g x was
-    filled from row x through that g (its Schreier generator is trivial:
-    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
-    section 4.1), so only the other (|gens| - 1) n + 1 rows are gathered.
+    point y, as the pair orbits are numbered; row g x is row x permuted
+    through g^-1.  The rows at one depth of the tree whose edge is one
+    generator are filled together, a band of them at a time, by one
+    strided byte transpose (:func:`_permuted`); fewer than eight, as on the
+    deep, thin tree of a cyclic action, are gathered a row at a time.
+    Certificate: every generator g maps every row x onto row g x.  A tree
+    edge (x, g) holds by construction, since row g x was filled from row x
+    through that g (its Schreier generator is trivial: Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1),
+    so only the other (|gens| - 1) n + 1 rows are compared, in bands.
     Sound, because (1) the classes are then unions of pair orbits;
     (2) t_x^-1 takes any pair (x, y) to a base-row pair of its class, and
     the class meets the base row in one stabilizer orbit, so it is one pair
@@ -184,7 +244,9 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     if len(order) != n:
         raise ValueError("action is not transitive")
     table = _pair_bytes(n)
-    back = [_gatherer(sorted(range(n), key=g.__getitem__)) for g in gens]
+    back = [sorted(range(n), key=g.__getitem__) for g in gens]  # g^-1
+    gather = [_gatherer(g) for g in back]
+    blocks = _fill_blocks(order, via, _band(n))
 
     def word(x):  # t_x with t_x(0) = x: the generators on the tree path
         t = range(n)
@@ -206,12 +268,18 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
         for c, y in enumerate(roots):  # the stabilizer's orbits, by least point
             for z in _search(stabilizer, y, reached):
                 table[z] = min(c, _UNCLASSIFIED)  # row 0, the base row
-        for x in order[1:]:
-            p, i = via[x]
-            table[x * n : x * n + n] = back[i](table[p * n : p * n + n])
+        for i, xs, parents in blocks:
+            if len(xs) < _FEW:  # a row gather beats a transpose of so few
+                for x, p in zip(xs, parents):
+                    table[x * n : x * n + n] = gather[i](table[p * n : p * n + n])
+                continue
+            moved, k = _permuted(_block(table, n, parents), n, back[i]), len(xs)
+            for r, x in enumerate(xs):
+                table[x * n : x * n + n] = moved[r::k]
         if (failure := _invariant_under(table, n, gens, via)) is None:
             break
         stabilizer.append(schreier(*failure))
+    del blocks, back, gather  # the n² copy below is the peak
     if _UNCLASSIFIED in table[:n]:
         raise ValueError(f"action has more than {_UNCLASSIFIED} pair orbits")
     if labels is not None:
@@ -261,7 +329,7 @@ def _pair_orbitals(pair, labels, every) -> OrbitalPartition:
     action on all of its generators, when ``pair`` is None or its orbits
     are finer than the labels (or more than 255), which raises what
     :func:`compute_orbitals` on that action raises.  A certificate round
-    gathers n + 1 rows on the pair, against (|gens| - 1) n + 1 on every
+    compares n + 1 rows on the pair, against (|gens| - 1) n + 1 on every
     generator.
 
     Sound, because a transitive pair generates a transitive H <= G: if the

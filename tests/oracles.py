@@ -448,6 +448,43 @@ def pair_orbits_bfs(action) -> bytes:
     return bytes(class_of)
 
 
+def invariant_under_by_rows(table, n, generators, tree=None):
+    """The first (x, i), x ascending, at which g = generators[i] moves the
+    n-point pair table, or None: row g x is gathered through g one row at
+    a time and compared with row x as a tuple.  ``tree``, when given, is
+    the Schreier vector the table was filled along, and its edges
+    tree[g x] = (x, i) are skipped, as the package's certificate skips
+    them."""
+    for x in range(n):
+        row = tuple(table[x * n : x * n + n])
+        for i, g in enumerate(generators):
+            if tree is not None and tree[g[x]] == (x, i):
+                continue
+            if tuple(map(table[g[x] * n : g[x] * n + n].__getitem__, g)) != row:
+                return x, i
+    return None
+
+
+def fill_by_rows(base_row, generators, tree) -> bytes:
+    """The pair table filled from its base row (0, y) along the Schreier
+    vector ``tree`` one pair at a time: tree[y] = (x, i) means that
+    g = generators[i] maps x to y, so the class of (y, g z) is that of
+    (x, z) for every z."""
+    n = len(base_row)
+
+    def depth(y):
+        return 0 if tree[y] is None else 1 + depth(tree[y][0])
+
+    rows = {0: bytes(base_row)}
+    for y in sorted(tree, key=depth)[1:]:  # every parent before its children
+        x, i = tree[y]
+        row = bytearray(n)
+        for z, gz in enumerate(generators[i]):
+            row[gz] = rows[x][z]
+        rows[y] = bytes(row)
+    return b"".join(rows[y] for y in range(n))
+
+
 def orbital_graph_rows(partition, cls: int) -> list[int]:
     """Adjacency rows of class ``cls`` united with its paired class, read
     one pair at a time."""

@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import oracles
@@ -218,27 +219,24 @@ def test_certificate_failures_alone_reach_the_orbits(monkeypatch, name):
 
 
 def certificate_rounds(monkeypatch) -> list[tuple]:
-    """(rows gathered, verdict, verdict of the full check) for each
-    certificate round that compute_orbitals runs from here on: the rows
-    are counted by wrapping every gather the certificate makes, and the
-    full check is the same table checked with no tree."""
-    rounds, gathered = [], []
+    """(rows compared, verdict, the row-gather oracle's verdict on the same
+    tree, the oracle's full check) for each certificate round that
+    compute_orbitals runs from here on.  The rows are counted by wrapping
+    the block transpose, which moves every row the certificate compares."""
+    rounds, compared = [], []
 
-    def counting(perm, make=orbitals._gatherer):
-        gather = make(perm)
-
-        def counted(row):
-            gathered.append(1)
-            return gather(row)
-
-        return counted
+    def counting(block, n, perm, permute=orbitals._permuted):
+        compared.append(len(block) // n)
+        return permute(block, n, perm)
 
     def recorded(table, n, generators, tree=None, check=_invariant_under):
-        gathered.clear()
+        compared.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(orbitals, "_gatherer", counting)
+            patch.setattr(orbitals, "_permuted", counting)
             verdict = check(table, n, generators, tree)
-        rounds.append((len(gathered), verdict, check(table, n, generators)))
+        oracle = oracles.invariant_under_by_rows
+        on_tree, full = oracle(table, n, generators, tree), oracle(table, n, generators)
+        rounds.append((sum(compared), verdict, on_tree, full))
         return verdict
 
     monkeypatch.setattr(orbitals, "_invariant_under", recorded)
@@ -248,28 +246,101 @@ def certificate_rounds(monkeypatch) -> list[tuple]:
 @pytest.mark.parametrize("seeds", [0, orbitals._SEEDS])
 @pytest.mark.parametrize("name", ORACLE_CORPUS)
 def test_the_certificate_skips_the_tree_edges_alone(monkeypatch, name, seeds):
-    """A passing round gathers (|gens| - 1) n + 1 rows, one per edge off
+    """A passing round compares (|gens| - 1) n + 1 rows, one per edge off
     the BFS tree; every round's verdict, failing ones included (no seeds),
-    is the full check's."""
+    is the row-gather oracle's, with the tree and without."""
     action = ORACLE_CORPUS[name]()
     off_tree = (len(action.generators) - 1) * action.degree + 1
     monkeypatch.setattr(orbitals, "_SEEDS", seeds)
     rounds = certificate_rounds(monkeypatch)
     compute_orbitals(action)
     assert rounds[-1][1] is None
-    for gathered, verdict, full in rounds:
-        assert verdict == full
-        assert gathered == off_tree if verdict is None else gathered <= off_tree
+    for compared, verdict, oracle, full in rounds:
+        assert verdict == oracle == full
+        assert compared == off_tree if verdict is None else compared <= off_tree
 
 
 def test_a_form_build_certificate_gathers_n_plus_one_rows(monkeypatch):
-    """On two generators a passing round gathers n + 1 rows: the 2n
+    """On two generators a passing round compares n + 1 rows: the 2n
     edges less the n - 1 of the tree."""
     rounds = certificate_rounds(monkeypatch)
     n = len(build_unitary_orbitals(3, 3).points)
     assert rounds and rounds[-1][1] is None
-    assert all(verdict == full for _, verdict, full in rounds)
-    assert [g for g, verdict, _ in rounds if verdict is None] == [n + 1]
+    assert all(verdict == oracle == full for _, verdict, oracle, full in rounds)
+    assert [c for c, verdict, *_ in rounds if verdict is None] == [n + 1]
+
+
+FILL_CORPUS = {
+    **ORACLE_CORPUS,
+    "dihedral_101": functools.partial(dihedral, 101),
+    "orthogonal_2_5_plus_pair": lambda: recorded_runs(
+        lambda: build_orthogonal_orbitals(2, 5, "+")
+    )[0][0],
+}
+
+
+def recorded_runs(build) -> list[tuple]:
+    """(action, labels) of each compute_orbitals run that ``build()`` makes."""
+    runs = []
+
+    def recorded(action, labels=None, run=compute_orbitals):
+        runs.append((action, labels))
+        return run(action, labels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbitals, "compute_orbitals", recorded)
+        build()
+    return runs
+
+
+@pytest.mark.parametrize("seeds", [0, orbitals._SEEDS])
+@pytest.mark.parametrize("name", FILL_CORPUS)
+def test_the_block_fill_equals_the_row_by_row_fill(monkeypatch, name, seeds):
+    """Every round's table, failing rounds included (no seeds), is the one
+    filled a pair at a time from its base row along the same tree.  Blocks
+    move rows on the wide trees; on the deep, thin trees of the cyclic and
+    dihedral actions every row is gathered alone."""
+    action = FILL_CORPUS[name]()
+    rounds, blocked = [], []
+
+    def counting(block, n, perm, permute=orbitals._permuted):
+        blocked.append(len(block) // n)
+        return permute(block, n, perm)
+
+    def recorded(table, n, generators, tree=None, check=_invariant_under):
+        rounds.append((bytes(table), dict(tree), sum(blocked)))
+        verdict = check(table, n, generators, tree)
+        blocked.clear()  # the certificate's blocks aside
+        return verdict
+
+    monkeypatch.setattr(orbitals, "_SEEDS", seeds)
+    monkeypatch.setattr(orbitals, "_permuted", counting)
+    monkeypatch.setattr(orbitals, "_invariant_under", recorded)
+    compute_orbitals(action)
+    n = action.degree
+    for table, tree, _ in rounds:
+        assert table == oracles.fill_by_rows(table[:n], action.generators, tree)
+    rows_in_blocks = {moved for *_, moved in rounds}
+    if name.startswith(("cyclic", "dihedral")):
+        assert rows_in_blocks == {0}
+    elif name in ("psl28_degree_784", "orthogonal_2_5_plus_pair"):
+        assert min(rows_in_blocks) >= n // 2
+
+
+def test_the_pair_table_and_its_copy_set_the_memory_peak():
+    """The tracemalloc peak of compute_orbitals on the 1,225-point
+    orthogonal (2, 7, +) action is no higher than the row-gather version's
+    3,439 KiB, set where the n² table and its ``bytes`` copy coexist: the
+    band and block temporaries stay below it."""
+    (action, labels), = recorded_runs(lambda: build_orthogonal_orbitals(2, 7, "+"))
+    assert action.degree == 1225
+    tracemalloc.start()
+    try:
+        compute_orbitals(action, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * 1225**2 < peak <= 3_439 * 1024
 
 
 def test_the_certificate_names_the_first_moved_row():
