@@ -15,17 +15,19 @@ stdout carries nothing that varies between runs.  Rationals appear as
 ``num/den`` strings.  Exit codes: 0 pass, 1 verification failure, 2 input
 error, 3 scale guard (or a ``table1`` row skipped by it), 4 infeasible
 array.  A verb refuses its input by raising :class:`_Refusal` where it
-detects the fault; ``main`` prints that message, a ``ScaleGuardError`` or an
-``InfeasibleArrayError`` as one ``error:`` line and writes no payload.
+detects the fault (``scheme`` turns an ``InfeasibleArrayError`` into one);
+``main`` prints that message or a ``ScaleGuardError`` as one ``error:``
+line and writes no payload.
 """
 
 from __future__ import annotations
 
-# The srgkit layers come before the standard modules: without cached
-# bytecode each layer is compiled at every start, and compiling it while
-# the heap is still small keeps a command's peak memory lower.  Each verb
-# imports the other layers (families, orbitals) where it runs them, so a
-# command compiles only the layers it uses.
+# The srgkit layers every verb runs (gf, graphcore) come before the
+# standard modules: without cached bytecode each layer is compiled at every
+# start, and compiling it while the heap is still small keeps a command's
+# peak memory lower.  Each verb imports the other layers (families,
+# orbitals, schemes) where it runs them, so a command compiles only the
+# layers it uses.
 from .gf import ScaleGuardError
 from .graphcore import (
     DEFAULT_MAX_V,
@@ -43,28 +45,17 @@ from .graphcore import (
     to_edgelist,
     to_graph6,
 )
-from .schemes import (
-    _DUAL_POLAR_EXPONENTS,
-    InfeasibleArrayError,
-    dual_polar_symbolic,
-    fraction_json,
-    g2_symbolic,
-    grassmann_f2,
-    ratfunc_str,
-    srg_fusions,
-    tensor_from_array,
-    tensor_to_json,
-)
 
 import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .families import FamilyId
 
 __all__ = ["main"]
@@ -228,6 +219,10 @@ def _parse_array(text: str) -> IntersectionArray:
 
 
 def _dual_polar_exponent(job: str) -> Fraction:
+    from fractions import Fraction
+
+    from .schemes import _DUAL_POLAR_EXPONENTS
+
     try:
         e = Fraction(job.partition(":")[2])
     except (ValueError, ZeroDivisionError):
@@ -239,6 +234,8 @@ def _dual_polar_exponent(job: str) -> Fraction:
 
 
 def _scheme_array_report(array: IntersectionArray) -> dict:
+    from .schemes import fraction_json, srg_fusions, tensor_from_array, tensor_to_json
+
     tensor = tensor_from_array(array)
     report = {
         "job": "array",
@@ -257,6 +254,8 @@ def _scheme_array_report(array: IntersectionArray) -> dict:
 
 
 def _scheme_g2_report() -> dict:
+    from .schemes import g2_symbolic, ratfunc_str
+
     result = g2_symbolic()
     gamma3_srg, gamma3_values = result.gamma3_criterion
     gamma2_srg, gamma2_values = result.gamma2_criterion
@@ -278,11 +277,13 @@ def _scheme_g2_report() -> dict:
 
 
 def _scheme_dual_polar_report(e: Fraction) -> dict:
+    from .schemes import dual_polar_symbolic, fraction_json, ratfunc_str
+
     graph_qs = (2,) if e == 1 else ()
     result = dual_polar_symbolic(e, graph_qs=graph_qs)
     return {
         "job": "dualpolar",
-        "e": fraction_json(Fraction(e)),
+        "e": fraction_json(e),
         "displayed": {
             key: ratfunc_str(value) for key, value in sorted(result.displayed.items())
         },
@@ -295,6 +296,8 @@ def _scheme_dual_polar_report(e: Fraction) -> dict:
 
 
 def _scheme_grassmann_report() -> dict:
+    from .schemes import grassmann_f2, ratfunc_str
+
     result = grassmann_f2()
     return {
         "job": "grassmann",
@@ -315,15 +318,20 @@ def _scheme_grassmann_report() -> dict:
 
 
 def cmd_scheme(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .schemes import InfeasibleArrayError
+
     job = args.job
-    if job == "g2":
-        report = _scheme_g2_report()
-    elif job == "grassmann":
-        report = _scheme_grassmann_report()
-    elif job.startswith("dualpolar:"):
-        report = _scheme_dual_polar_report(_dual_polar_exponent(job))
-    else:
-        report = _scheme_array_report(_parse_array(job))
+    try:
+        if job == "g2":
+            report = _scheme_g2_report()
+        elif job == "grassmann":
+            report = _scheme_grassmann_report()
+        elif job.startswith("dualpolar:"):
+            report = _scheme_dual_polar_report(_dual_polar_exponent(job))
+        else:
+            report = _scheme_array_report(_parse_array(job))
+    except InfeasibleArrayError as e:  # its message begins "infeasible array"
+        raise _Refusal(EXIT_INFEASIBLE, str(e)) from None
     return EXIT_PASS, report, f"scheme {job}: done"
 
 
@@ -505,8 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         code, summary = e.code, f"error: {e}"
     except ScaleGuardError as e:
         code, summary = EXIT_SCALE, f"error: {e}"
-    except InfeasibleArrayError as e:  # its message begins "infeasible array"
-        code, summary = EXIT_INFEASIBLE, f"error: {e}"
     else:
         if payload is not None:
             json.dump(payload, sys.stdout, indent=2, sort_keys=True)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -65,7 +64,8 @@ from .geometry import (
     projective_reps,
     reflection_action,
 )
-from .gf import ScaleGuardError, field_of_order, is_prime_power, quadratic_character
+from .gf import ScaleGuardError, _record, field_of_order, is_prime_power
+from .gf import quadratic_character
 from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
 from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
 from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
@@ -113,7 +113,7 @@ def _guard(family: str, predicted_v: int, max_v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class FamilyId:
     """A graph family tag plus its parameters, normalized and validated."""
 
@@ -275,7 +275,7 @@ def params_closed_form(fid: FamilyId) -> SrgParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitalClassification:
     """A partition of the ordered vertex pairs of a graph family into
     symmetric classes, with one graph per class and the full

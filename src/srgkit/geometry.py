@@ -28,10 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .gf import Field, FieldElement, ScaleGuardError, field_of_order
+from .gf import Field, FieldElement, ScaleGuardError, _record, field_of_order
 from .orbitals import PermGroupAction
 
 __all__ = [
@@ -79,7 +78,7 @@ def least_zeta(field: Field) -> int:
     raise AssertionError("no irreducible t^2 + t + zeta exists")
 
 
-@dataclass(frozen=True)
+@_record
 class ProjectivePoint:
     """A projective 1-space, held by a deterministic representative.
 
@@ -95,7 +94,7 @@ class ProjectivePoint:
         return ":".join(str(c) for c in self.rep)
 
 
-@dataclass(frozen=True)
+@_record
 class Subspace:
     """A linear subspace held by its unique reduced-row-echelon basis."""
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import binascii
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf import ScaleGuardError
+from .gf import ScaleGuardError, _record
 
 __all__ = [
     "DEFAULT_MAX_V",
@@ -71,7 +70,7 @@ def bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-@dataclass(frozen=True)
+@_record
 class SrgParams:
     """Parameters (v, k, lambda, mu) of a strongly regular graph.
 
@@ -104,7 +103,7 @@ class SrgParams:
         return f"({self.v}, {self.k}, {self.lam}, {self.mu})"
 
 
-@dataclass(frozen=True)
+@_record
 class IntersectionArray:
     """Intersection array {b_0,...,b_{l-1}; c_1,...,c_l} of a distance-regular
     graph of diameter l.
@@ -208,7 +207,7 @@ def _array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return sides[0], sides[1]
 
 
-@dataclass(frozen=True)
+@_record
 class RegularityFailure:
     """A verification failure with the first offending witness."""
 
@@ -258,6 +257,9 @@ class Graph:
             self._validate()
 
     def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Graph is immutable")
 
     def _validate(self) -> None:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .gf import make_field
+from .gf import _record, make_field
 from .graphcore import Graph, _check_pair_cap, _class_rows, _strict_int
 
 __all__ = [
@@ -50,7 +49,7 @@ def _search(perms, root: int, via: dict) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
+@_record
 class PermGroupAction:
     """A permutation group given by generators acting on {0..degree-1}."""
 
@@ -69,7 +68,7 @@ class PermGroupAction:
         return len(self.orbit(0)) == self.degree
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitalPartition:
     """Orbits of a transitive action on ordered pairs, or pair classes
     built by hand.
@@ -86,13 +85,15 @@ class OrbitalPartition:
     preserve.  It is not compared: equal partitions are equal classes.
     """
 
+    _uncompared = ("certificate",)
+
     degree: int
     rank: int
     class_of: bytes
     paired: tuple[int, ...]
     reps: tuple[tuple[int, int], ...]
     suborbit_lengths: tuple[int, ...]
-    certificate: str | None = field(default=None, compare=False)
+    certificate: str | None = None
 
     def pair_class(self, x: int, y: int) -> int:
         return self.class_of[x * self.degree + y]

@@ -25,13 +25,12 @@ No floating point is used anywhere; every identity is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import floordiv
 from typing import Sequence
 
-from .gf import ScaleGuardError, _convolve, _long_division
+from .gf import ScaleGuardError, _convolve, _long_division, _record
 from .graphcore import Graph, IntersectionArray, distance_masks
 
 __all__ = [
@@ -116,6 +115,9 @@ class _DensePoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
@@ -363,6 +365,9 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RatFunc is immutable")
+
     @classmethod
     def gen(cls) -> "RatFunc":
         return cls(RatPoly.gen())
@@ -522,7 +527,7 @@ class XPoly(_DensePoly):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class IntersectionTensor:
     """Full intersection-number tensor p[h][i][j] with valencies k and
     degree v = sum of valencies, checked against the seven defining
@@ -530,10 +535,12 @@ class IntersectionTensor:
     (numeric) or symbolic scalars; ``realizable`` is True when every entry
     is a nonnegative integer, and None for symbolic tensors."""
 
+    _derived = ("realizable",)
+
     k: tuple
     p: tuple
     v: object
-    realizable: bool | None = field(init=False)
+    realizable: bool | None
 
     def __post_init__(self):
         self.validate()
@@ -799,7 +806,7 @@ def _grassmann_array(q, x) -> tuple[tuple, tuple]:
     return b, tuple(_gaussian_1(q, i) ** 2 for i in (1, 2, 3))
 
 
-@dataclass(frozen=True)
+@_record
 class G2Symbolic:
     """Report of the symbolic computation on {q(q+1), q^2, q^2; 1, 1, q+1}."""
 
@@ -850,7 +857,7 @@ def g2_symbolic() -> G2Symbolic:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class DualPolarSymbolic:
     """Report for the rank-3 dual polar array with parameter e."""
 
@@ -954,7 +961,7 @@ def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class GrassmannF2:
     """Report for f_2 = p_22^1 - p_22^3 on J(n, 3) as a quadratic in
     X = q^n."""

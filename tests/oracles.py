@@ -8,6 +8,7 @@ directness, not cleverness, so they serve as the ground truth.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -702,3 +703,25 @@ def audit_by_scalar_arithmetic(tensor) -> None:
                 "sum_l p_ij^l p_hl^m = sum_l p_hj^l p_il^m",
                 f"i={i} j={j} h={h} m={m}",
             )
+
+
+# what a twin does not copy: the methods gf._record installs, its two
+# class-level markers, and the descriptors Python gives every class
+_RECORD_MADE = {
+    "__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+    "__dict__", "__weakref__", "_derived", "_uncompared",
+}
+
+
+def dataclass_twin(record: type) -> type:
+    """The frozen dataclass twin of an srgkit record: the same name, fields,
+    defaults, __post_init__ and other methods, with ``_derived`` fields as
+    ``field(init=False)`` and ``_uncompared`` ones as ``field(compare=False)``;
+    so its generated methods are the reference for the record's."""
+    namespace = {k: v for k, v in vars(record).items() if k not in _RECORD_MADE}
+    for name in vars(record).get("_derived", ()):
+        namespace[name] = dataclasses.field(init=False)
+    for name in vars(record).get("_uncompared", ()):
+        default = vars(record).get(name, dataclasses.MISSING)
+        namespace[name] = dataclasses.field(default=default, compare=False)
+    return dataclasses.dataclass(frozen=True)(type(record.__name__, (), namespace))

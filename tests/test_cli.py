@@ -349,6 +349,19 @@ def test_scheme_exit_codes(capsys):
     assert "exponent must be one of 1/2, 1, 3/2" in capsys.readouterr().err
 
 
+def test_an_infeasible_tensor_of_an_array_job_exits_4(capsys, monkeypatch):
+    def infeasible(array):
+        raise schemes.InfeasibleArrayError("sum_j k_j = v")
+
+    monkeypatch.setattr(schemes, "tensor_from_array", infeasible)
+    assert main(["scheme", "3,2;1,1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: infeasible array: relation sum_j k_j = v violated"
+    ]
+
+
 def test_scheme_accepts_the_braced_array_syntax(capsys):
     code, braced = run(capsys, "scheme", "{ 3, 2 ; 1, 1 }")
     assert code == 0
@@ -592,19 +605,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def modules_loaded(*argv: str) -> list[str]:
-    """The srgkit submodules a fresh interpreter holds after ``main(argv)``,
-    which must exit 0."""
+    """The modules a fresh interpreter holds after ``main(argv)``, which
+    must exit 0."""
     code = (
         "import contextlib, io, sys\n"
         "from srgkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({list(argv)!r}) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('srgkit.')))\n"
+        "print(*sorted(sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-c", code]
     run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return run.stdout.split()
+
+
+# dataclasses and the inspect it imports: each start would compile the records'
+# methods
+NEVER_LOADED = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("job", ["g2", "grassmann", "3,2;1,1"])
@@ -613,6 +631,7 @@ def test_a_scheme_job_compiles_no_geometry(job):
     assert "srgkit.schemes" in loaded
     for module in ("srgkit.families", "srgkit.geometry", "srgkit.orbitals"):
         assert module not in loaded
+    assert not set(NEVER_LOADED) & set(loaded)
 
 
 def test_verify_and_orbitals_compile_no_family(tmp_path):
@@ -626,7 +645,24 @@ def test_verify_and_orbitals_compile_no_family(tmp_path):
     for argv in (["verify", str(path)], ["orbitals", gens]):
         loaded = modules_loaded(*argv)
         assert "srgkit.graphcore" in loaded
-        assert "srgkit.families" not in loaded and "srgkit.geometry" not in loaded
+        for module in ("srgkit.families", "srgkit.geometry", "srgkit.schemes"):
+            assert module not in loaded
+        assert not {"fractions", *NEVER_LOADED} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "johnson:n=7,i=1", "-o", "{tmp}/j7.g6"],
+        ["verify", "johnson:n=7,i=1"],
+        ["table1"],
+    ],
+    ids=["gen", "verify-family", "table1"],
+)
+def test_the_family_verbs_load_no_dataclasses(tmp_path, argv):
+    loaded = modules_loaded(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert "srgkit.families" in loaded
+    assert not set(NEVER_LOADED) & set(loaded)
 
 
 # ---------------------------------------------------------------------------

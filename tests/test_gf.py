@@ -11,6 +11,7 @@ from oracles import (
     count_hyperbolic_solutions,
 )
 from srgkit.gf import (
+    FieldElement,
     field_of_order,
     hermitian_count_closed,
     hyperbolic_count_closed,
@@ -109,6 +110,26 @@ class TestFieldArithmetic:
         assert t ** (field.q - 1) == field.one
         assert t ** -1 == t.inverse()
         assert (t / t) == field.one
+
+    def test_elements_are_immutable(self):
+        """An element's hash is that of its index, so the index stays: a
+        dict holding the element finds it again."""
+        x = make_field(3, 2).from_index(2)
+        held = {x: "x"}
+        for name in ("index", "field"):
+            with pytest.raises(AttributeError, match="FieldElement is immutable"):
+                setattr(x, name, 3)
+            with pytest.raises(AttributeError, match="FieldElement is immutable"):
+                delattr(x, name)
+        assert x.index == 2 and held[x] == "x"
+
+    @pytest.mark.parametrize("index", [-1, 3, 7])
+    def test_an_element_index_lies_in_the_field(self, index):
+        field = make_field(3, 1)
+        message = rf"index {index} out of range for GF\(3\)"
+        for make in (FieldElement, type(field).from_index):
+            with pytest.raises(ValueError, match=message):
+                make(field, index)
 
     def test_coeff_roundtrip(self):
         field = make_field(5, 2)

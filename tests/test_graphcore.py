@@ -69,6 +69,10 @@ class TestGraphType:
         g = cycle(4)
         with pytest.raises(AttributeError):
             g.n = 7
+        for name in ("n", "rows", "labels", "certificate"):
+            with pytest.raises(AttributeError, match="Graph is immutable"):
+                delattr(g, name)
+        assert g.degrees() == [2] * 4 and g.certificate is None
 
     def test_validation_rejects_loops_and_asymmetry(self):
         with pytest.raises(ValueError):

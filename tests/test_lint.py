@@ -237,6 +237,41 @@ def test_only_the_cli_imports_the_clock_or_chance(path):
     assert clock_and_chance_imports(path.read_text()) == []
 
 
+def dataclasses_imports(source: str) -> list[str]:
+    """Imports of ``dataclasses`` anywhere in the module, function bodies
+    included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name == "dataclasses"]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scan_finds_a_dataclasses_import():
+    source = (
+        "import os, dataclasses as dc\n"
+        "from .dataclasses import local\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+    )
+    assert dataclasses_imports(source) == [
+        "line 1: dataclasses",
+        "line 4: dataclasses",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    """Records are built by ``gf._record``: ``dataclasses`` imports
+    ``inspect`` and compiles every method of every record at each start."""
+    assert dataclasses_imports(path.read_text()) == []
+
+
 # the owners of the ``"group-orbitals"`` certificate: who may write it, and
 # who may read it
 CERTIFICATE_WRITERS = {"compute_orbitals", "orbital_graph", "Graph.relabel"}

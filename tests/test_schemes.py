@@ -143,8 +143,12 @@ class TestRatPoly:
         assert poly_str(3 * q**3 + 2 * q, var="r") == "3*r^3 + 2*r"
 
     def test_immutable(self):
+        p = RatPoly((1,))
         with pytest.raises(AttributeError):
-            RatPoly((1,)).coeffs = ()
+            p.coeffs = ()
+        with pytest.raises(AttributeError, match="RatPoly is immutable"):
+            del p.coeffs
+        assert p.coeffs == (1,)
 
 
 def random_poly(rng: random.Random, degree: int, bits: int, rational: bool):
@@ -225,6 +229,15 @@ class TestRatFunc:
         with pytest.raises(ValueError):
             (1 / Q).as_poly()
         assert ((Q**2 - 1) / (Q + 1)).as_poly() == RatPoly((-1, 1))
+
+    def test_immutable(self):
+        f = 1 / (Q + 1)
+        for name in ("_num", "_den"):
+            with pytest.raises(AttributeError, match="RatFunc is immutable"):
+                setattr(f, name, RatPoly((1,)))
+            with pytest.raises(AttributeError, match="RatFunc is immutable"):
+                delattr(f, name)
+        assert f * (Q + 1) == 1
 
     def test_str(self):
         assert ratfunc_str(Q + 1) == "q + 1"
@@ -313,8 +326,12 @@ class TestXPoly:
         assert XPoly((1,)) == RatPoly((1,))
 
     def test_immutable(self):
+        x = XPoly.gen()
         with pytest.raises(AttributeError, match="XPoly is immutable"):
-            XPoly.gen().coeffs = ()
+            x.coeffs = ()
+        with pytest.raises(AttributeError, match="XPoly is immutable"):
+            del x.coeffs
+        assert x.degree == 1
 
 
 def test_equal_scalars_hash_alike():
