@@ -3,6 +3,10 @@ from finite geometry and small permutation actions.
 
 Layers, bottom up:
 
+- :mod:`srgkit.base` — what every layer shares: the record decorator,
+  :class:`ScaleGuardError`, the default vertex budget,
+  :class:`IntersectionArray`, and the one dense polynomial product and
+  long division; it imports no other layer.
 - :mod:`srgkit.gf` — finite fields as dense lookup tables, with norms,
   traces, characters, and closed-form solution counts for standard forms.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,
@@ -35,10 +39,10 @@ rationals; no floating point is used anywhere.
 _EXPORTS = {
     "Field": "gf",
     "FieldElement": "gf",
-    "ScaleGuardError": "gf",
+    "ScaleGuardError": "base",
     "field_of_order": "gf",
     "Graph": "graphcore",
-    "IntersectionArray": "graphcore",
+    "IntersectionArray": "base",
     "RegularityFailure": "graphcore",
     "SrgParams": "graphcore",
     "build_graph": "graphcore",

@@ -21,7 +21,7 @@ from itertools import product, zip_longest
 from operator import floordiv
 
 from . import schemes
-from .gf import _convolve, _long_division
+from .base import _convolve, _long_division
 from .schemes import InfeasibleArrayError, RatFunc, RatPoly, XPoly, _primitive
 
 __all__ = ["audit"]

@@ -22,29 +22,14 @@ line and writes no payload.
 
 from __future__ import annotations
 
-# The srgkit layers every verb runs (gf, graphcore) come before the
-# standard modules: without cached bytecode each layer is compiled at every
-# start, and compiling it while the heap is still small keeps a command's
-# peak memory lower.  Each verb imports the other layers (families,
+# The one srgkit layer every verb runs (base) comes before the standard
+# modules: without cached bytecode each layer is compiled at every start,
+# and compiling it while the heap is still small keeps a command's peak
+# memory lower.  Each verb imports the other layers (graphcore, families,
 # orbitals, schemes) where it runs them, so a command compiles only the
-# layers it uses.
-from .gf import ScaleGuardError
-from .graphcore import (
-    DEFAULT_MAX_V,
-    Graph,
-    IntersectionArray,
-    RegularityFailure,
-    SrgParams,
-    _array_entries,
-    _check_pair_cap,
-    _strict_int,
-    check_drg,
-    check_srg,
-    from_edgelist,
-    from_graph6,
-    to_edgelist,
-    to_graph6,
-)
+# layers it uses: a scheme job compiles neither gf nor graphcore.
+from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError
+from .base import _array_entries, _strict_int
 
 import argparse
 import json
@@ -57,6 +42,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .families import FamilyId
+    from .graphcore import Graph, RegularityFailure, SrgParams
 
 __all__ = ["main"]
 
@@ -95,6 +81,8 @@ def _failure_verdict(failure: RegularityFailure) -> dict:
 
 
 def _srg_verdict(result: SrgParams | RegularityFailure) -> dict:
+    from .graphcore import SrgParams
+
     if isinstance(result, SrgParams):
         return {"verdict": "pass", "params": list(result.as_tuple())}
     return _failure_verdict(result)
@@ -113,6 +101,7 @@ def _drg_verdict(result: IntersectionArray | RegularityFailure) -> dict:
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, None, str]:
     from .families import build_family
+    from .graphcore import to_edgelist, to_graph6
 
     fid = _family(args.family)
     graph = build_family(fid, max_v=args.max_v)
@@ -131,6 +120,8 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, None, str]:
 
 
 def _load_graph_file(name: str) -> Graph:
+    from .graphcore import from_edgelist, from_graph6
+
     try:
         text = Path(name).read_text()
         if text.lstrip().startswith("#"):
@@ -146,6 +137,7 @@ def _closed_form_verdict(
     if fid is None:
         return {"verdict": "skipped", "reason": "input was a graph file"}
     from .families import params_closed_form
+    from .graphcore import SrgParams
 
     try:
         expected = params_closed_form(fid)
@@ -171,6 +163,8 @@ def _closed_form_verdict(
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .graphcore import SrgParams, _check_pair_cap, check_drg, check_srg
+
     fid: FamilyId | None = None
     if Path(args.target).exists() or ":" not in args.target:  # specs have a colon
         graph = _load_graph_file(args.target)
@@ -358,6 +352,7 @@ TABLE1_TARGETS: tuple[tuple[str, tuple[int, int, int, int]], ...] = (
 
 def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
     from .families import build_family, parse_family_spec
+    from .graphcore import SrgParams, check_srg
 
     rows = []
     for spec, expected in TABLE1_TARGETS:
@@ -391,6 +386,7 @@ def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .graphcore import check_srg
     from .orbitals import compute_orbitals, load_gens, orbital_graph
 
     try:

@@ -47,8 +47,10 @@ import operator
 from fractions import Fraction
 from functools import partial
 from math import comb
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError, _integer
+from .base import _record, _strict_int
 from .geometry import (
     FormedSpace,
     _check_vector_cap,
@@ -64,14 +66,14 @@ from .geometry import (
     projective_reps,
     reflection_action,
 )
-from .gf import ScaleGuardError, _record, field_of_order, is_prime_power
-from .gf import quadratic_character
-from .graphcore import Graph, IntersectionArray, SrgParams, build_graph, distance_graph
-from .graphcore import DEFAULT_MAX_V, _check_pair_cap, _class_rows, _strict_int
+from .gf import field_of_order, is_prime_power, quadratic_character
+from .graphcore import Graph, SrgParams, _check_pair_cap, _class_rows, build_graph
+from .graphcore import distance_graph
 from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
 from .orbitals import _pair_orbitals, _transitive_pair, _two_generator_orbitals
-from .schemes import IntersectionTensor, tensor_from_orbital_partition
-from .schemes import _grassmann_array, _integer, _integer_array
+
+if TYPE_CHECKING:
+    from .schemes import IntersectionTensor
 
 __all__ = [
     "DEFAULT_MAX_V",
@@ -286,6 +288,8 @@ class OrbitalClassification:
     diagonal is class 0.
     """
 
+    __hash__ = None  # ``graphs`` and ``suborbit_lengths`` are dicts
+
     points: tuple
     labels: tuple[int, ...]
     partition: OrbitalPartition
@@ -302,6 +306,8 @@ def _classify_pairs(
     symmetric invariant, ``labels`` ascending (see
     :func:`srgkit.orbitals.compute_orbitals`): class c >= 1 carries
     ``labels[c - 1]``."""
+    from .schemes import tensor_from_orbital_partition
+
     if partition.paired != tuple(range(partition.rank)):
         raise AssertionError("a named pair class is not symmetric")
     names = [vertex_label(p) for p in points]
@@ -812,6 +818,8 @@ def grassmann_intersection_array(n: int, q: int) -> IntersectionArray:
     """The intersection array of the Grassmann graph of 3-subspaces of
     F_q^n: b_i = q^(2i+1) [3-i]_q [n-3-i]_q and c_i = ([i]_q)^2, where
     [j]_q is the Gaussian [j choose 1]_q."""
+    from .schemes import _grassmann_array, _integer_array
+
     if n < 6:
         raise ValueError("the 3-subspace Grassmann graph needs n >= 6")
     return _integer_array(*_grassmann_array(Fraction(q), Fraction(q) ** n))

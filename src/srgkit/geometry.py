@@ -30,7 +30,8 @@ import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .gf import Field, FieldElement, ScaleGuardError, _record, field_of_order
+from .base import ScaleGuardError, _record
+from .gf import Field, FieldElement, field_of_order
 from .orbitals import PermGroupAction
 
 __all__ = [
@@ -46,10 +47,8 @@ __all__ = [
     "lead_one",
     "least_zeta",
     "line_tangency_count",
-    "perp_type",
     "projective_reps",
     "reflection_action",
-    "scale_to_value",
 ]
 
 _KINDS = (
@@ -411,22 +410,6 @@ def _rescale(space: FormedSpace, rep, value: int, target: int):
     return tuple(row[c] for c in rep)
 
 
-def scale_to_value(
-    space: FormedSpace, rep: tuple[int, ...], target: int | FieldElement
-) -> tuple[int, ...] | None:
-    """The lexicographically least scalar multiple of rep whose form value
-    is ``target`` (an element of space.value_field or its index), or None
-    if no scaling achieves it; a nonzero target on a symplectic space, where
-    every point is singular, raises ValueError.  The multiples of the
-    :func:`lead_one` representative sort as their scalars do, so the least
-    scalar with that value gives the least multiple."""
-    target = _value_index(space, target)
-    if target:
-        _check_nonsingular_points(space)
-    rep = lead_one(space.field, rep)
-    return _rescale(space, rep, space.form_value(rep), target)
-
-
 def _check_nonsingular_points(space: FormedSpace) -> None:
     """Refuse a request for points of nonzero form value where none exist."""
     if space.kind == "symplectic":
@@ -633,38 +616,6 @@ def _spanning_reflections(space: FormedSpace, points):
     permutation = _permuter(space, points)
     product = permutation(composed, "product of the reflections")
     return product, functools.cache(lambda i: permutation(*maps[i])), len(maps)
-
-
-def _singular_point_counts(m: int, q: int) -> dict[str, int]:
-    """Projective singular point counts of the nondegenerate quadratic
-    forms in dimension 2m: plus and minus type."""
-    return {
-        "+": (q ** (m - 1) + 1) * (q**m - 1) // (q - 1),
-        "-": (q ** (m - 1) - 1) * (q**m + 1) // (q - 1),
-    }
-
-
-def perp_type(space: FormedSpace, p: ProjectivePoint) -> str:
-    """Type ("+" or "-") of the restriction of Q to the perp of a
-    nonsingular point of an odd-dimensional quadratic space, recognized by
-    counting singular projective points inside the perp."""
-    if space.kind != "quadratic-odd":
-        raise ValueError("perp_type applies to quadratic-odd spaces")
-    if space.field.p == 2:
-        raise ValueError("perp_type requires odd q")
-    if space.form_value(p.rep) == 0:
-        raise ValueError("perp_type needs a nonsingular point")
-    count = sum(
-        1 for s in space.singular_points() if space.inner(p.rep, s.rep) == 0
-    )
-    m = (space.dim - 1) // 2
-    expected = _singular_point_counts(m, space.field.q)
-    for eps, target in expected.items():
-        if count == target:
-            return eps
-    raise AssertionError(
-        f"singular count {count} matches neither type: {expected}"
-    )
 
 
 def _witt_index(space: FormedSpace) -> int:

@@ -9,18 +9,19 @@ for ergonomic exact arithmetic.
 
 Beyond field arithmetic, the module provides the relative norm and absolute
 trace, the quadratic character, and the closed-form solution counts of
-hermitian norm equations and hyperbolic bilinear equations.  It also holds
-the package's one dense polynomial product and long division: over F_p for
-the moduli, as integer arithmetic reduced mod p, and over Z and Q for
-:mod:`srgkit.schemes`.
+hermitian norm equations and hyperbolic bilinear equations.  The moduli
+are reduced by the dense polynomial product and long division of
+:mod:`srgkit.base`, as integer arithmetic mod p.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import attrgetter, floordiv
+from operator import floordiv
 from typing import Sequence
+
+from .base import ScaleGuardError, _convolve, _long_division, _setattr
 
 __all__ = [
     "CharacterValue",
@@ -41,140 +42,6 @@ CharacterValue = int
 
 # Largest field order for which dense multiplication tables are built.
 _TABLE_CAP = 1024
-
-
-class ScaleGuardError(ValueError):
-    """A construction would exceed a desk-scale limit.
-
-    ``family`` names what was refused, ``predicted_v`` is its size and
-    ``max_v`` the limit it exceeds: the vertex budget a caller passes to a
-    family builder, or a fixed cap on field tables or enumerated vectors.
-    """
-
-    def __init__(self, family: str, predicted_v: int, max_v: int):
-        super().__init__(
-            f"{family} has size {predicted_v}, over the desk-scale limit of {max_v}"
-        )
-        self.family = family
-        self.predicted_v = predicted_v
-        self.max_v = max_v
-
-
-_setattr = object.__setattr__
-
-
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _record(cls):
-    """Make ``cls`` an immutable record of its annotated fields, in order.
-
-    Construction takes the fields positionally or by keyword, with the
-    class attribute of a field as its default, then calls __post_init__
-    when the class has one; only __post_init__ may write a field, through
-    object.__setattr__.  Equality compares two instances of the same class
-    field by field, the hash is that of the tuple of fields, and the repr
-    names every field.  Two class-level markers adjust that: the fields in
-    ``_derived`` are not arguments (__post_init__ sets them), and those in
-    ``_uncompared`` take no part in equality or the hash.  Assignment and
-    deletion raise AttributeError.  The methods are plain functions over
-    one attrgetter, so defining a record compiles no code, where
-    ``dataclasses`` compiles each method of each record at import."""
-    names = tuple(cls.__dict__.get("__annotations__", {}))
-    derived = cls.__dict__.get("_derived", ())
-    params = tuple(name for name in names if name not in derived)
-    arity = len(params)
-    defaults = {name: cls.__dict__[name] for name in params if name in cls.__dict__}
-    required = [name for name in params if name not in defaults]
-    uncompared = cls.__dict__.get("_uncompared", ())
-    compared = [name for name in names if name not in uncompared]
-    key = attrgetter(*compared)  # the tuple of compared fields, or the one
-    post_init = getattr(cls, "__post_init__", None)
-    init_name = f"{cls.__qualname__}.__init__()"
-
-    def bind(args, kwargs) -> list:
-        """The field values of a call other than one positional argument
-        per field, or the TypeError Python raises for such a call to a
-        function whose parameters are the fields."""
-        given = dict(zip(params, args))
-        for name, value in kwargs.items():
-            if name not in params:
-                raise TypeError(
-                    f"{init_name} got an unexpected keyword argument {name!r}"
-                )
-            if name in given:
-                raise TypeError(
-                    f"{init_name} got multiple values for argument {name!r}"
-                )
-            given[name] = value
-        if len(args) > arity:
-            most = arity + 1
-            takes = most if not defaults else f"from {most - len(defaults)} to {most}"
-            raise TypeError(
-                f"{init_name} takes {takes} positional arguments "
-                f"but {len(args) + 1} were given"
-            )
-        missing = [repr(name) for name in required if name not in given]
-        if missing:
-            count = len(missing)
-            if count > 2:  # 'a', 'b', and 'c'
-                missing[:-1] = [", ".join(missing[:-1]) + ","]
-            raise TypeError(
-                f"{init_name} missing {count} required positional "
-                f"argument{'s' * (count > 1)}: {' and '.join(missing)}"
-            )
-        return [given[name] if name in given else defaults[name] for name in params]
-
-    # one store and no loop for the one-field records, points and subspaces,
-    # which are made by the thousand
-    if arity == 1 and post_init is None:
-        (only,) = params
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            _setattr(self, only, args[0])
-
-    else:
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != arity:
-                args = bind(args, kwargs)
-            for name, value in zip(params, args):
-                _setattr(self, name, value)
-            if post_init is not None:
-                post_init(self)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        return NotImplemented
-
-    if len(compared) > 1:
-
-        def __hash__(self):
-            return hash(key(self))
-
-    else:
-
-        def __hash__(self):
-            return hash((key(self),))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    for method in (__init__, __eq__, __hash__, __repr__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    return cls
 
 
 def _is_prime(n: int) -> bool:
@@ -204,41 +71,6 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial arithmetic on coefficient lists, constant term first: one
-# product and one long division over any ring (Z[q] and Q[q] in
-# srgkit.schemes), and over F_p as integer arithmetic reduced mod p.
-# ---------------------------------------------------------------------------
-
-
-def _convolve(a: Sequence, b: Sequence, zero) -> list:
-    """The coefficients of the product of two nonempty coefficient lists
-    over a ring whose zero is ``zero``."""
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] = out[j] + x * y
-    return out
-
-
-def _long_division(a: Sequence, b: Sequence, div) -> tuple[list, list]:
-    """Quotient and remainder of the coefficient lists a by b, each
-    quotient term being div(leading remainder term, leading term of b).
-    With div = floordiv on integers, b divides a in Z[q] exactly when the
-    remainder is zero: a term floordiv cannot divide stays in it."""
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        factor = div(rem[i + db], b[-1])
-        if factor:
-            quot[i] = factor
-            for j, c in enumerate(b):
-                rem[i + j] -= factor * c
-    return quot, rem
 
 
 def _poly_trim(a: list[int]) -> list[int]:

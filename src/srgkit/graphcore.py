@@ -18,13 +18,13 @@ offending vertex or pair) rather than a bare boolean.
 from __future__ import annotations
 
 import binascii
-import re
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf import ScaleGuardError, _record
+from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError, _record
+from .base import _strict_int
 
 __all__ = [
     "DEFAULT_MAX_V",
@@ -51,10 +51,6 @@ _PAIR_CAP = 1 << 26
 
 # most neighbour-list entries check_drg's three-term identity may hold
 _NEIGHBOUR_CAP = 1 << 21
-
-# Family constructions refuse to enumerate more vertices than this unless
-# the caller raises the budget explicitly.
-DEFAULT_MAX_V = 2000
 
 
 def _check_pair_cap(n: int) -> None:
@@ -101,110 +97,6 @@ class SrgParams:
 
     def __str__(self) -> str:
         return f"({self.v}, {self.k}, {self.lam}, {self.mu})"
-
-
-@_record
-class IntersectionArray:
-    """Intersection array {b_0,...,b_{l-1}; c_1,...,c_l} of a distance-regular
-    graph of diameter l.
-
-    Construction validates b_i > 0, c_1 = 1, a_i = k - b_i - c_i >= 0 (with
-    b_l = 0, c_0 = 0), and integrality of the valencies
-    k_{i+1} = k_i b_i / c_{i+1}.
-    """
-
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        b, c = tuple(self.b), tuple(self.c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if len(b) != len(c) or not b:
-            raise ValueError("need equal-length, nonempty b and c sequences")
-        if c[0] != 1:
-            raise ValueError("c_1 must equal 1")
-        if any(x <= 0 for x in b) or any(x <= 0 for x in c):
-            raise ValueError("b_i and c_i must be positive")
-        for i in range(self.diameter + 1):
-            if self.a(i) < 0:
-                raise ValueError(f"a_{i} = {self.a(i)} is negative")
-        self.valencies()  # raises if some k_i is not a nonnegative integer
-
-    @property
-    def diameter(self) -> int:
-        return len(self.b)
-
-    @property
-    def k(self) -> int:
-        return self.b[0]
-
-    def a(self, i: int) -> int:
-        """a_i = k - b_i - c_i with the conventions b_l = 0, c_0 = 0."""
-        l = self.diameter
-        bi = self.b[i] if i < l else 0
-        ci = self.c[i - 1] if i >= 1 else 0
-        return self.k - bi - ci
-
-    def valencies(self) -> tuple[int, ...]:
-        """(k_0, ..., k_l) with k_{i+1} = k_i b_i / c_{i+1}."""
-        ks = [1]
-        for i in range(self.diameter):
-            num = ks[-1] * self.b[i]
-            den = self.c[i]
-            if num % den:
-                raise ValueError(f"k_{i + 1} = {num}/{den} is not an integer")
-            ks.append(num // den)
-        return tuple(ks)
-
-    @property
-    def v(self) -> int:
-        return sum(self.valencies())
-
-    @classmethod
-    def parse(cls, text: str) -> "IntersectionArray":
-        """Parse "b0,b1,...;c1,c2,..." (optional braces/spaces)."""
-        return cls(*_array_entries(text))
-
-    def __str__(self) -> str:
-        return "{%s; %s}" % (
-            ",".join(map(str, self.b)),
-            ",".join(map(str, self.c)),
-        )
-
-
-def _strict_int(text: str) -> int:
-    """The integer spelled by ``text`` with surrounding spaces: an optional
-    sign and ASCII digits only, so ``1_0`` and non-ASCII digits, which
-    ``int`` takes, raise ValueError."""
-    token = text.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+", token):
-        raise ValueError(f"{token!r} is not an integer")
-    return int(token)
-
-
-def _array_entries(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The integer entries (b_0.., c_1..) of "b0,b1,...;c1,c2,...", with
-    optional enclosing braces and spaces.  A ValueError names the first
-    entry that is not an integer; the array's shape is not checked here."""
-    body = text.strip()
-    if body[:1] == "{" and body[-1:] == "}":
-        body = body[1:-1]
-    left, sep, right = body.partition(";")
-    if not sep:
-        raise ValueError("array needs the form 'b0,b1,...;c1,c2,...'")
-    sides = []
-    for side, first, part in (("b", 0, left), ("c", 1, right)):
-        entries = []
-        for i, s in enumerate(part.split(","), first):
-            try:
-                entries.append(_strict_int(s))
-            except ValueError:
-                raise ValueError(
-                    f"array entry {side}{i} = {s.strip()!r} is not an integer"
-                ) from None
-        sides.append(tuple(entries))
-    return sides[0], sides[1]
 
 
 @_record

@@ -20,7 +20,7 @@ import itertools
 import operator
 from pathlib import Path
 
-from .gf import _record, make_field
+from .base import _record
 from .graphcore import Graph, _check_pair_cap, _class_rows, _strict_int
 
 __all__ = [
@@ -479,6 +479,8 @@ def psl28_action() -> tuple[PermGroupAction, PermGroupAction]:
     diagonal squaring map, and the coordinate swap; it is accepted only
     with pair rank exactly 4.
     """
+    from .gf import make_field
+
     field = make_field(2, 6)  # PG(1, 64): 0..63 by element index, 64 for infinity
     embedded = set(field.subfield(3)[1])  # the GF(8) subline
     frob3 = [field.pow_index(a, 8) for a in range(64)]

@@ -7,7 +7,7 @@ Three layers:
   as ``int``) and polynomials in a second variable X over their quotients
   (:class:`XPoly` over :class:`RatFunc`), sharing one implementation of
   the ring operations and of Horner evaluation, on the product and long
-  division of :mod:`srgkit.gf`.  A :class:`RatFunc` is a
+  division of :mod:`srgkit.base`.  A :class:`RatFunc` is a
   pair of coprime integer polynomials, reduced by one gcd (:func:`poly_gcd`,
   GCDHEU certified by exact division, with Euclid over Q as fallback);
 * the recursion that rebuilds the full tensor p_ij^h from an intersection
@@ -28,10 +28,13 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import floordiv
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .gf import ScaleGuardError, _convolve, _long_division, _record
-from .graphcore import Graph, IntersectionArray, distance_masks
+from .base import IntersectionArray, ScaleGuardError, _convolve, _integer
+from .base import _long_division, _record
+
+if TYPE_CHECKING:
+    from .graphcore import Graph
 
 __all__ = [
     "DualPolarSymbolic",
@@ -87,13 +90,6 @@ def _rational(x) -> int | Fraction:
         return x
     x = _as_fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _integer(x: Fraction) -> int:
-    """An exact rational that a closed form makes integral, as an ``int``."""
-    if x.denominator != 1:
-        raise AssertionError(f"{x} is not an integer")
-    return x.numerator
 
 
 class _DensePoly:
@@ -653,6 +649,7 @@ def tensor_from_graph(g: Graph) -> IntersectionTensor:
     the relation audit then guards the rest.  Intended for graphs already
     certified distance-regular.
     """
+    from .graphcore import distance_masks
 
     def tensor_at(root: int):
         base = distance_masks(g, root)
@@ -861,6 +858,8 @@ def g2_symbolic() -> G2Symbolic:
 class DualPolarSymbolic:
     """Report for the rank-3 dual polar array with parameter e."""
 
+    __hash__ = None  # ``displayed`` is a dict
+
     e: Fraction
     tensor: IntersectionTensor
     displayed: dict  # the four displayed polynomials, reproduced exactly
@@ -966,6 +965,8 @@ class GrassmannF2:
     """Report for f_2 = p_22^1 - p_22^3 on J(n, 3) as a quadratic in
     X = q^n."""
 
+    __hash__ = None  # ``positivity`` is a dict
+
     alphas: tuple  # the three X-coefficients of b_0, b_1, b_2
     betas: tuple
     A: RatFunc
@@ -1038,16 +1039,17 @@ def grassmann_f2(
     all_nonzero = True
     positivity = {}
     for q0 in qs:
+        # C, B and A at q0, evaluated once: f2.evaluate(q0, x) for every x
+        values = [c.evaluate(q0) for c in f2.coeffs]
+        _, b0, a0 = values
         for n0 in ns:
-            if f2.evaluate(q0, Fraction(q0) ** n0) == 0:
+            if f2._horner(values, Fraction(q0) ** n0, Fraction(0)) == 0:
                 all_nonzero = False
-        a0 = A.evaluate(q0)
-        b0 = B.evaluate(q0)
         x6 = Fraction(q0) ** 6
         positivity[q0] = (
             a0 > 0,
             2 * a0 * x6 + b0 >= 0,
-            f2.evaluate(q0, x6) > 0,
+            f2._horner(values, x6, Fraction(0)) > 0,
         )
     if not all_nonzero:
         raise AssertionError("f_2 vanished inside the certified range")

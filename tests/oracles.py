@@ -13,7 +13,17 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from srgkit.geometry import enumerate_flags, lead_one, line_tangency_count, rref
+from srgkit.geometry import (
+    FormedSpace,
+    ProjectivePoint,
+    _check_nonsingular_points,
+    _rescale,
+    _value_index,
+    enumerate_flags,
+    lead_one,
+    line_tangency_count,
+    rref,
+)
 from srgkit.gf import (
     Field,
     FieldElement,
@@ -276,6 +286,54 @@ def scale_by_trial(space, vec, target: int):
         if form_value_by_kind(space, candidate) == target:
             return candidate
     return None
+
+
+def scale_to_value(
+    space: FormedSpace, rep: tuple[int, ...], target: int | FieldElement
+) -> tuple[int, ...] | None:
+    """The lexicographically least scalar multiple of rep whose form value
+    is ``target`` (an element of space.value_field or its index), or None
+    if no scaling achieves it; a nonzero target on a symplectic space, where
+    every point is singular, raises ValueError.  The multiples of the
+    :func:`lead_one` representative sort as their scalars do, so the least
+    scalar with that value gives the least multiple."""
+    target = _value_index(space, target)
+    if target:
+        _check_nonsingular_points(space)
+    rep = lead_one(space.field, rep)
+    return _rescale(space, rep, space.form_value(rep), target)
+
+
+def _singular_point_counts(m: int, q: int) -> dict[str, int]:
+    """Projective singular point counts of the nondegenerate quadratic
+    forms in dimension 2m: plus and minus type."""
+    return {
+        "+": (q ** (m - 1) + 1) * (q**m - 1) // (q - 1),
+        "-": (q ** (m - 1) - 1) * (q**m + 1) // (q - 1),
+    }
+
+
+def perp_type(space: FormedSpace, p: ProjectivePoint) -> str:
+    """Type ("+" or "-") of the restriction of Q to the perp of a
+    nonsingular point of an odd-dimensional quadratic space, recognized by
+    counting singular projective points inside the perp."""
+    if space.kind != "quadratic-odd":
+        raise ValueError("perp_type applies to quadratic-odd spaces")
+    if space.field.p == 2:
+        raise ValueError("perp_type requires odd q")
+    if space.form_value(p.rep) == 0:
+        raise ValueError("perp_type needs a nonsingular point")
+    count = sum(
+        1 for s in space.singular_points() if space.inner(p.rep, s.rep) == 0
+    )
+    m = (space.dim - 1) // 2
+    expected = _singular_point_counts(m, space.field.q)
+    for eps, target in expected.items():
+        if count == target:
+            return eps
+    raise AssertionError(
+        f"singular count {count} matches neither type: {expected}"
+    )
 
 
 def projective_reps_by_filter(field: Field, n: int) -> list[tuple[int, ...]]:
@@ -705,8 +763,9 @@ def audit_by_scalar_arithmetic(tensor) -> None:
             )
 
 
-# what a twin does not copy: the methods gf._record installs, its two
-# class-level markers, and the descriptors Python gives every class
+# what a twin does not copy: the methods base._record installs, its two
+# class-level markers, and the descriptors Python gives every class; an
+# explicit ``__hash__ = None`` is copied, and dataclasses keep it
 _RECORD_MADE = {
     "__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
     "__dict__", "__weakref__", "_derived", "_uncompared",
@@ -718,7 +777,9 @@ def dataclass_twin(record: type) -> type:
     defaults, __post_init__ and other methods, with ``_derived`` fields as
     ``field(init=False)`` and ``_uncompared`` ones as ``field(compare=False)``;
     so its generated methods are the reference for the record's."""
-    namespace = {k: v for k, v in vars(record).items() if k not in _RECORD_MADE}
+    namespace = {
+        k: v for k, v in vars(record).items() if k not in _RECORD_MADE or v is None
+    }
     for name in vars(record).get("_derived", ()):
         namespace[name] = dataclasses.field(init=False)
     for name in vars(record).get("_uncompared", ()):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from srgkit import cli, schemes
+from srgkit import cli, graphcore, schemes
 from srgkit.cli import TABLE1_TARGETS, main
 from srgkit.graphcore import build_graph, from_graph6, to_edgelist, to_graph6
 
@@ -78,7 +78,8 @@ def test_verify_refuses_an_uncertified_graph_file_past_the_pair_cap(
     def never(graph):
         raise AssertionError("check_srg ran past the pair cap")
 
-    monkeypatch.setattr(cli, "check_srg", never)
+    # the verb imports check_srg from graphcore when it runs
+    monkeypatch.setattr(graphcore, "check_srg", never)
     n = 8193  # one past the cap's 8,192 vertices
     path = tmp_path / "cycle.el"
     edges = "".join(f"{v} {(v + 1) % n}\n" for v in range(n))
@@ -606,14 +607,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def modules_loaded(*argv: str) -> list[str]:
     """The modules a fresh interpreter holds after ``main(argv)``, which
-    must exit 0."""
-    code = (
-        "import contextlib, io, sys\n"
-        "from srgkit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0\n"
-        "print(*sorted(sys.modules))\n"
-    )
+    must exit 0; with no arguments, after ``import srgkit.cli`` alone."""
+    code = "import sys\nimport srgkit.cli\n"
+    if argv:
+        code += (
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert srgkit.cli.main({list(argv)!r}) == 0\n"
+        )
+    code += "print(*sorted(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-c", code]
     run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
@@ -625,12 +627,32 @@ def modules_loaded(*argv: str) -> list[str]:
 NEVER_LOADED = ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("job", ["g2", "grassmann", "3,2;1,1"])
+# the layers a scheme job compiles, but for dualpolar:1's graph check
+SCHEME_LAYERS = {"srgkit", "srgkit.audit", "srgkit.base", "srgkit.cli", "srgkit.schemes"}
+
+
+def srgkit_modules(loaded: list[str]) -> set[str]:
+    return {name for name in loaded if name.partition(".")[0] == "srgkit"}
+
+
+def test_import_srgkit_cli_compiles_only_the_base_layer():
+    loaded = modules_loaded()
+    assert srgkit_modules(loaded) == {"srgkit", "srgkit.base", "srgkit.cli"}
+    assert not {"fractions", *NEVER_LOADED} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "job", ["g2", "grassmann", "dualpolar:1/2", "dualpolar:3/2", "3,2;1,1"]
+)
 def test_a_scheme_job_compiles_no_geometry(job):
     loaded = modules_loaded("scheme", job)
     assert "srgkit.schemes" in loaded
     for module in ("srgkit.families", "srgkit.geometry", "srgkit.orbitals"):
         assert module not in loaded
+    # nor the field and graph layers: the scheme layer stands on srgkit.base
+    for module in ("srgkit.gf", "srgkit.graphcore"):
+        assert module not in loaded
+    assert srgkit_modules(loaded) == SCHEME_LAYERS
     assert not set(NEVER_LOADED) & set(loaded)
 
 
@@ -642,12 +664,22 @@ def test_verify_and_orbitals_compile_no_family(tmp_path):
     path = tmp_path / "petersen.g6"
     path.write_text(to_graph6(petersen) + "\n")
     gens = str(ROOT / "src/srgkit/data/psl2_8_sq6.gens")
-    for argv in (["verify", str(path)], ["orbitals", gens]):
+    layers = {"srgkit", "srgkit.base", "srgkit.cli", "srgkit.graphcore"}
+    cases = ((["verify", str(path)], set()), (["orbitals", gens], {"srgkit.orbitals"}))
+    for argv, own in cases:
         loaded = modules_loaded(*argv)
         assert "srgkit.graphcore" in loaded
         for module in ("srgkit.families", "srgkit.geometry", "srgkit.schemes"):
             assert module not in loaded
+        assert "srgkit.gf" not in loaded  # psl28_action alone builds a field
+        assert srgkit_modules(loaded) == layers | own
         assert not {"fractions", *NEVER_LOADED} & set(loaded)
+
+
+def test_gen_of_a_grassmann_graph_compiles_no_scheme_layer(tmp_path):
+    loaded = modules_loaded("gen", "grassmann:n=6,q=2", "-o", str(tmp_path / "g.g6"))
+    assert {"srgkit.families", "srgkit.gf", "srgkit.graphcore"} <= set(loaded)
+    assert not {"srgkit.schemes", "srgkit.audit", *NEVER_LOADED} & set(loaded)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from functools import partial, reduce
 
 import oracles
 import pytest
+from oracles import perp_type
 
 from srgkit.families import (
     DEFAULT_MAX_V,
@@ -39,7 +40,6 @@ from srgkit.geometry import (
     enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
-    perp_type,
     reflection_action,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character

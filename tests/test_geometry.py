@@ -4,6 +4,7 @@ import itertools
 
 import oracles
 import pytest
+from oracles import perp_type, scale_to_value
 
 from srgkit.geometry import (
     Flag,
@@ -18,11 +19,9 @@ from srgkit.geometry import (
     lead_one,
     least_zeta,
     line_tangency_count,
-    perp_type,
     projective_reps,
     reflection_action,
     rref,
-    scale_to_value,
 )
 import srgkit.geometry as geometry
 from srgkit.gf import field_of_order, make_field

@@ -267,9 +267,53 @@ def test_the_scan_finds_a_dataclasses_import():
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_no_module_imports_dataclasses(path):
-    """Records are built by ``gf._record``: ``dataclasses`` imports
+    """Records are built by ``base._record``: ``dataclasses`` imports
     ``inspect`` and compiles every method of every record at each start."""
     assert dataclasses_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """Imports of srgkit modules anywhere in the module, function bodies
+    and ``TYPE_CHECKING`` blocks included: relative imports, and absolute
+    ones of ``srgkit`` or a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name[:1] == "." or name.partition(".")[0] == "srgkit"
+        ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_scan_finds_a_package_import():
+    source = (
+        "import re, srgkit.gf\n"
+        "from operator import attrgetter\n"
+        "from . import schemes\n"
+        "def f():\n"
+        "    from .graphcore import Graph\n"
+        "    from srgkit_extra import g\n"
+    )
+    assert package_imports(source) == [
+        "line 1: srgkit.gf",
+        "line 3: .",
+        "line 5: .graphcore",
+    ]
+
+
+def test_the_base_layer_imports_no_other_layer():
+    """Every layer and the command line stand on ``srgkit.base``, so a
+    scheme job and ``import srgkit.cli`` compile neither ``gf`` nor
+    ``graphcore``; that holds only while it imports no srgkit module."""
+    base = next(path for path in PACKAGE if path.name == "base.py")
+    assert package_imports(base.read_text()) == []
 
 
 # the owners of the ``"group-orbitals"`` certificate: who may write it, and

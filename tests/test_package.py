@@ -39,6 +39,24 @@ def test_each_export_is_its_layers_object(name, module):
     assert vars(srgkit)[name] is getattr(layer, name)  # cached after first access
 
 
+# names srgkit.base now defines, and the layers that defined them before
+MOVED = [
+    ("ScaleGuardError", "gf"),
+    ("ScaleGuardError", "graphcore"),
+    ("ScaleGuardError", "families"),
+    ("IntersectionArray", "graphcore"),
+    ("DEFAULT_MAX_V", "graphcore"),
+    ("DEFAULT_MAX_V", "families"),
+]
+
+
+@pytest.mark.parametrize("name, module", MOVED)
+def test_a_moved_name_stays_bound_where_it_lived(name, module):
+    layer = importlib.import_module(f"srgkit.{module}")
+    base = importlib.import_module("srgkit.base")
+    assert getattr(layer, name) is getattr(base, name)
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="module 'srgkit' has no attribute 'nope'"):
         srgkit.nope

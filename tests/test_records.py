@@ -1,7 +1,8 @@
-"""The package's records (``gf._record``) against frozen-dataclass twins:
+"""The package's records (``base._record``) against frozen-dataclass twins:
 construction, equality, hash, repr and immutability agree."""
 
 import dataclasses
+from collections.abc import Hashable
 
 import pytest
 from oracles import dataclass_twin
@@ -77,6 +78,21 @@ def test_a_record_equals_hashes_and_prints_as_its_twin(record, make):
         if not f.compare:  # OrbitalPartition.certificate
             other = record(*(None if n == f.name else a for n, a in zip(names, args)))
             assert other == ours and hash(other) == hash(ours)
+
+
+# the records whose fields hold dicts, and that declare ``__hash__ = None``
+UNHASHABLE = (DualPolarSymbolic, GrassmannF2, OrbitalClassification)
+
+
+@pytest.mark.parametrize("record, make", SAMPLES, ids=IDS)
+def test_a_record_holding_a_dict_is_unhashable(record, make):
+    sample = make()
+    if record in UNHASHABLE:
+        refused = (TypeError, f"unhashable type: {record.__name__!r}")
+        assert outcome(hash, sample) == refused
+        assert not isinstance(sample, Hashable)
+    else:
+        assert isinstance(sample, Hashable) and hash(sample) == hash(make())
 
 
 @pytest.mark.parametrize("record, make", SAMPLES, ids=IDS)
