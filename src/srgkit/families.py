@@ -66,7 +66,7 @@ from .geometry import (
     projective_reps,
     reflection_action,
 )
-from .gf import field_of_order, is_prime_power, quadratic_character
+from .gf import field_of_order, is_prime_power
 from .graphcore import Graph, SrgParams, _check_pair_cap, _class_rows, build_graph
 from .graphcore import distance_graph
 from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
@@ -443,10 +443,9 @@ def build_unitary_orbitals(
 
 
 def _least_nonsquare(field) -> int:
-    """Index of the least non-square element of an odd-order field."""
-    return next(
-        s for s in range(2, field.q) if quadratic_character(field.from_index(s)) == -1
-    )
+    """Index of the least non-square element of an odd-order field: the
+    least one with an odd logarithm."""
+    return min(field.exp_table[1::2])
 
 
 def _orthogonal_classes(
@@ -721,24 +720,21 @@ def flag_action(q: int) -> PermGroupAction:
     """The projective linear group of PG(2, q), extended by the
     point-line duality, acting on the flags of :func:`enumerate_flags`.
 
-    Matrix generators: a diagonal scaling by a primitive element, one
-    transvection, and the coordinate 3-cycle; points transform by the
-    matrix A and lines by its inverse transpose A^-T, so incidence is
-    preserved.  The duality swaps a flag's point and line coordinates.
+    Matrix generators: a diagonal scaling by the field's least primitive
+    element g, one transvection, and the coordinate 3-cycle; points
+    transform by the matrix A and lines by its inverse transpose A^-T, so
+    incidence is preserved.  The duality swaps a flag's point and line
+    coordinates.
     """
     field = field_of_order(q)
     flags = enumerate_flags(q)
     index = {f: i for i, f in enumerate(flags)}
-    primitive = 1 if q == 2 else next(
-        s
-        for s in range(2, q)
-        if all(field.pow_index(s, e) != 1 for e in range(1, q - 1))
-    )
+    g = field.primitive
     cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     pairs = {  # name -> (A, A^-T)
         "scaling": (
-            [[primitive, 0, 0], [0, 1, 0], [0, 0, 1]],
-            [[field.inv_table[primitive], 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[g, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[field.inv_table[g], 0, 0], [0, 1, 0], [0, 0, 1]],
         ),
         "transvection": (
             [[1, 1, 0], [0, 1, 0], [0, 0, 1]],

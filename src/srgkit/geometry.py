@@ -505,10 +505,10 @@ def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, Callable, bo
     neg = field.neg_table
     scale, square = neg[1], lambda v, _: space.form_value(v)  # -1 and Q(v)
     if space.kind == "hermitian":  # a - 1 and h(v, v), a of order q0 + 1
-        order = field.p ** (field.k // 2) + 1  # a^0..a^order take order values
+        order, log = field.p ** (field.k // 2) + 1, field.log_table
         square, scale = space.inner, next(
             add[a][neg[1]] for a in range(2, field.q)
-            if len({field.pow_index(a, e) for e in range(order + 1)}) == order
+            if (field.q - 1) // math.gcd(log[a], field.q - 1) == order
         )
     gram, basis = space.gram(), space.basis()
     values = list(map(space.form_value, basis))

@@ -4,14 +4,16 @@ Fields F_{p^k} use a polynomial basis modulo a deterministic irreducible:
 the lexicographically least monic irreducible of degree k over F_p, where
 coefficient tuples are compared constant term first.  Every element has an
 integer index in [0, p^k) via ``index = sum(c_i * p**i)``, which allows
-dense index-based arithmetic tables; :class:`FieldElement` wraps an index
-for ergonomic exact arithmetic.
+dense index-based arithmetic tables, built by F_p-linearity; one walk of
+the least primitive element g gives the exp and log tables, from which
+inverses, Frobenius images, powers and the quadratic character are read.
+:class:`FieldElement` wraps an index for ergonomic exact arithmetic.
 
 Beyond field arithmetic, the module provides the relative norm and absolute
 trace, the quadratic character, and the closed-form solution counts of
-hermitian norm equations and hyperbolic bilinear equations.  The moduli
-are reduced by the dense polynomial product and long division of
-:mod:`srgkit.base`, as integer arithmetic mod p.
+hermitian norm equations and hyperbolic bilinear equations.  The
+irreducibility test of the moduli reduces by the dense polynomial product
+and long division of :mod:`srgkit.base`, as integer arithmetic mod p.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ CharacterValue = int
 
 # Largest field order for which dense multiplication tables are built.
 _TABLE_CAP = 1024
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -155,7 +142,11 @@ class Field:
 
     Public index tables (lists indexed by element index) are exposed for
     bulk consumers: ``add_table``, ``mul_table``, ``neg_table``,
-    ``inv_table`` (0 maps to 0), and ``frob_table`` (x -> x^p).
+    ``inv_table`` (0 maps to 0), ``frob_table`` (x -> x^p), and the
+    discrete-logarithm pair of ``primitive``, the least index g of
+    multiplicative order q - 1 (g = 1 when q = 2): ``exp_table[e]`` is g^e
+    for 0 <= e < q - 1, and ``log_table`` inverts it (``log_table[0]`` is
+    None: zero has no logarithm).
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -188,48 +179,56 @@ class Field:
         return idx
 
     def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        coeffs = [self.coeffs_of(i) for i in range(q)]
-        mod = list(self.modulus)
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
-            row_add = add[a]
-            row_mul = mul[a]
-            for b in range(a, q):
-                cb = coeffs[b]
-                s = self.index_of([(x + y) % p for x, y in zip(ca, cb)])
-                row_add[b] = s
-                add[b][a] = s
-                m = self.index_of(_poly_mod(_convolve(ca, cb, 0), mod, p))
-                row_mul[b] = m
-                mul[b][a] = m
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = [
-            self.index_of([(-c) % p for c in coeffs[a]]) for a in range(q)
-        ]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow_index(a, q - 2, mul)
-        self.inv_table = inv
-        self.frob_table = [self.pow_index(a, p, mul) for a in range(q)]
+        """Addition digit by digit mod p; multiplication by F_p-linearity;
+        exp and log by one walk of the least primitive element g (F_q^* is
+        cyclic: Lidl and Niederreiter, *Finite Fields*, 1997, ch. 2).
 
-    def pow_index(self, a: int, e: int, _mul=None) -> int:
-        """a**e on element indices (e may be negative for nonzero a)."""
-        mul = _mul if _mul is not None else self.mul_table
-        if e < 0:
-            if a == 0:
+        Index a is a % p + p (a // p).  If p does not divide a, a is
+        (a - 1) + 1: row a is row a - 1 plus 1, or plus the column.  Else a
+        is t (a // p): row a of the sums shifts row a // p up one digit,
+        and row a of the products is t times row a // p, where t x shifts
+        the digits of x up and subtracts the top digit times the modulus.
+        """
+        p, q, k = self.p, self.q, self.k
+        one = [b + 1 if (b + 1) % p else b + 1 - p for b in range(q)]
+        add = [list(range(q))]
+        for a in range(1, q):
+            if a % p:
+                add.append(list(map(one.__getitem__, add[a - 1])))
+            else:
+                row = add[a // p]
+                add.append([b % p + p * row[b // p] for b in range(q)])
+        top = p ** (k - 1)
+        minus = [self.index_of([-d * c for c in self.modulus[:k]]) for d in range(p)]
+        times_t = [add[p * (x % top)][minus[x // top]] for x in range(q)]
+        mul = [[0] * q]
+        for a in range(1, q):
+            if a % p:  # add[b][mul[a - 1][b]] for each column b
+                mul.append(list(map(list.__getitem__, add, mul[a - 1])))
+            else:
+                mul.append(list(map(times_t.__getitem__, mul[a // p])))
+        for g in range(1, q):
+            exp, row = [1], mul[g]
+            while row[exp[-1]] != 1:
+                exp.append(row[exp[-1]])
+            if len(exp) == q - 1:
+                break
+        log = [None] * q
+        for e, x in enumerate(exp):
+            log[x] = e
+        self.add_table, self.mul_table, self.neg_table = add, mul, list(mul[p - 1])
+        self.primitive, self.exp_table, self.log_table = g, exp, log
+        self.inv_table = [0] + [self.pow_index(a, -1) for a in range(1, q)]
+        self.frob_table = [self.pow_index(a, p) for a in range(q)]
+
+    def pow_index(self, a: int, e: int) -> int:
+        """a**e on element indices, read from the logs: 0**0 = 1, and e
+        may be negative for nonzero a."""
+        if a == 0:
+            if e < 0:
                 raise ZeroDivisionError("inverse of zero field element")
-            a, e = self.inv_table[a], -e
-        r = 1
-        while e:
-            if e & 1:
-                r = mul[r][a]
-            a = mul[a][a]
-            e >>= 1
-        return r
+            return 0 if e else 1
+        return self.exp_table[e * self.log_table[a] % (self.q - 1)]
 
     # -- element construction ----------------------------------------------
 
@@ -273,6 +272,8 @@ class Field:
         polynomial generator of S to the least root (in index order) of
         S.modulus in this field; the result is cached.
         """
+        if not isinstance(k_sub, int) or k_sub < 1:
+            raise ValueError(f"k_sub must be a positive integer, not {k_sub!r}")
         if self.k % k_sub:
             raise ValueError(f"{k_sub} does not divide the field degree {self.k}")
         cached = self._subfields.get(k_sub)
@@ -282,19 +283,13 @@ class Field:
         root = next(
             a for a in range(self.q) if self._eval_prime_poly(sub.modulus, a) == 0
         )
-        add, mul = self.add_table, self.mul_table
-        embed = []
-        for i in range(sub.q):
-            acc = 0
-            for c in reversed(sub.coeffs_of(i)):
-                acc = add[mul[acc][root]][c]
-            embed.append(acc)
+        embed = [self._eval_prime_poly(sub.coeffs_of(i), root) for i in range(sub.q)]
         if len(set(embed)) != sub.q:
             raise AssertionError("subfield embedding is not injective")
         self._subfields[k_sub] = (sub, embed)
         return sub, embed
 
-    def _eval_prime_poly(self, coeffs: tuple[int, ...], a: int) -> int:
+    def _eval_prime_poly(self, coeffs: Sequence[int], a: int) -> int:
         """Evaluate a prime-field polynomial at element index a (Horner)."""
         add, mul = self.add_table, self.mul_table
         acc = 0
@@ -418,7 +413,7 @@ def make_field(p: int, k: int) -> Field:
     is itertools.product over the k lower coefficients.  The result is
     cached: repeated calls return the identical Field object.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _prime_divisors(p) != [p]:
         raise ValueError(f"{p!r} is not a prime")
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -486,13 +481,14 @@ def trace_to_prime(a: FieldElement) -> int:
 
 
 def quadratic_character(a: FieldElement) -> CharacterValue:
-    """chi(a) = a^((q-1)/2) read in {-1, 0, +1}; chi(0) = 0.  Odd q only."""
+    """chi(a) = a^((q-1)/2) read in {-1, 0, +1}: +1 when log a is even,
+    -1 when it is odd; chi(0) = 0.  Odd q only."""
     field = a.field
     if field.p == 2:
         raise ValueError("quadratic character requires odd q")
     if a.index == 0:
         return 0
-    return 1 if field.pow_index(a.index, (field.q - 1) // 2) == 1 else -1
+    return -1 if field.log_table[a.index] % 2 else 1
 
 
 # ---------------------------------------------------------------------------

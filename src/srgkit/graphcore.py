@@ -176,9 +176,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
-    def neighbors(self, u: int) -> list[int]:
-        return list(bits(self.rows[u]))
-
     @property
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2

@@ -621,14 +621,17 @@ def drg_violation(graph):
     (reason, witness, expected, found) met scanning roots, then distance,
     then vertex, where c_1 is not 1, or the eccentricity, c_d or b_d
     differs from the first value seen; else the intersection array.
-    Distances by set BFS."""
-    nbrs = [set(bits(row)) for row in graph.rows]
+    Distances by a BFS on int bitsets, one root at a time."""
+    rows = graph.rows
     first: dict[str, int] = {}
     for root in range(graph.n):
-        layers = [{root}]
-        seen = {root}
+        layers = [1 << root]
+        seen = layers[0]
         while True:
-            step = {w for u in layers[-1] for w in nbrs[u]} - seen
+            step = 0
+            for u in bits(layers[-1]):
+                step |= rows[u]
+            step &= ~seen
             if not step:
                 break
             layers.append(step)
@@ -638,19 +641,20 @@ def drg_violation(graph):
         if l != diameter:
             return "eccentricity varies", (0, root), diameter, l
         for d in range(1, l + 1):
-            for v in sorted(layers[d]):
-                counts = [("c", len(nbrs[v] & layers[d - 1]))]
-                if d < l:
-                    counts.append(("b", len(nbrs[v] & layers[d + 1])))
-                if d == 1 and counts[0][1] != 1:  # an edge at v is one-way
-                    return "c_1 is not 1", (root, v), 1, counts[0][1]
-                for side, count in counts:
-                    expected = first.setdefault(f"{side}_{d}", count)
+            sides = [(f"c_{d}", layers[d - 1])]
+            if d < l:
+                sides.append((f"b_{d}", layers[d + 1]))
+            for v in bits(layers[d]):
+                for key, layer in sides:
+                    count = (rows[v] & layer).bit_count()
+                    if key == "c_1" and count != 1:  # an edge at v is one-way
+                        return "c_1 is not 1", (root, v), 1, count
+                    expected = first.setdefault(key, count)
                     if count != expected:
-                        return f"{side}_{d} not constant", (root, v), expected, count
+                        return f"{key} not constant", (root, v), expected, count
     b = tuple(first[f"b_{d}"] for d in range(1, diameter))
     c = tuple(first[f"c_{d}"] for d in range(1, diameter + 1))
-    return IntersectionArray((len(nbrs[0]),) + b, c)
+    return IntersectionArray((rows[0].bit_count(),) + b, c)
 
 
 def graph6_bits(g) -> str:

@@ -15,6 +15,7 @@ from srgkit.gf import (
     field_of_order,
     hermitian_count_closed,
     hyperbolic_count_closed,
+    is_prime_power,
     make_field,
     norm,
     quadratic_character,
@@ -70,13 +71,67 @@ class TestMakeField:
         assert orbit == 6
 
 
+ORDERS_TO_256 = [q for q in range(2, 257) if is_prime_power(q)]
+ORDERS_TO_64 = [q for q in ORDERS_TO_256 if q <= 64]
+
+
+def power_by_products(mul, a: int, e: int) -> int:
+    """a**e for e >= 0, as e products in the table ``mul``."""
+    r = 1
+    for _ in range(e):
+        r = mul[r][a]
+    return r
+
+
 class TestFieldArithmetic:
-    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 64])
+    @pytest.mark.parametrize("q", ORDERS_TO_256)
     def test_tables_match_schoolbook_arithmetic(self, q):
+        """Every table of every field up to order 256 equals the schoolbook
+        one: negatives, inverses and Frobenius images are read off the
+        schoolbook sums and products."""
         field = field_of_order(q)
         add, mul = oracles.schoolbook_tables(field)
         assert field.add_table == add
         assert field.mul_table == mul
+        assert field.neg_table == [row.index(0) for row in add]
+        assert field.inv_table == [0] + [row.index(1) for row in mul[1:]]
+        frob = [power_by_products(mul, a, field.p) for a in range(q)]
+        assert field.frob_table == frob
+
+    @pytest.mark.parametrize("q", ORDERS_TO_64)
+    def test_pow_index_matches_repeated_products(self, q):
+        """a**e for every a and -2q < e < 2q: e schoolbook products of a,
+        or -e of its inverse; 0**0 = 1, 0**e = 0, and 0**-e raises."""
+        field = field_of_order(q)
+        _, mul = oracles.schoolbook_tables(field)
+        for a in range(q):
+            for e in range(2 * q):
+                assert field.pow_index(a, e) == power_by_products(mul, a, e)
+            if a == 0:
+                with pytest.raises(ZeroDivisionError):
+                    field.pow_index(0, -1)
+                continue
+            inverse = mul[a].index(1)
+            for e in range(1, 2 * q):
+                expected = power_by_products(mul, inverse, e)
+                assert field.pow_index(a, -e) == expected
+
+    @pytest.mark.parametrize("q", ORDERS_TO_64)
+    def test_logs_invert_the_powers_of_the_least_primitive_element(self, q):
+        """exp_table lists g^0 .. g^(q-2), every nonzero element once, and
+        log_table inverts it; every element below g has a smaller order."""
+        field = field_of_order(q)
+        mul, g = field.mul_table, field.primitive
+
+        def order(a):
+            return next(e for e in range(1, q) if power_by_products(mul, a, e) == 1)
+
+        assert order(g) == q - 1
+        assert all(order(a) < q - 1 for a in range(1, g))
+        assert field.exp_table == [power_by_products(mul, g, e) for e in range(q - 1)]
+        assert sorted(field.exp_table) == list(range(1, q))
+        assert field.log_table[0] is None
+        assert [field.log_table[x] for x in field.exp_table] == list(range(q - 1))
 
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2), (2, 4)])
     def test_ring_laws_on_random_triples(self, p, k):
@@ -151,6 +206,12 @@ class TestFieldArithmetic:
     def test_subfield_requires_divisor_degree(self):
         with pytest.raises(ValueError):
             make_field(2, 6).subfield(4)
+
+    @pytest.mark.parametrize("k_sub", [0, -2, -6])
+    def test_subfield_refuses_a_degree_below_one_by_name(self, k_sub):
+        message = f"k_sub must be a positive integer, not {k_sub}"
+        with pytest.raises(ValueError, match=message):
+            make_field(2, 6).subfield(k_sub)
 
 
 class TestNormTraceCharacter:

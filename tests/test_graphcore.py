@@ -491,7 +491,7 @@ DRG_SWITCHED = {
 
 @pytest.mark.parametrize("name", DRG_SWITCHED)
 def test_check_drg_catches_degree_preserving_switches(name):
-    """check_drg must agree with a set-based BFS scan after seeded
+    """check_drg must agree with a bitset BFS scan after seeded
     2-switches: the same array while the graph stays distance-regular,
     else the same first failure.  A switch that disconnects the graph is
     redrawn."""
@@ -514,7 +514,7 @@ def test_check_drg_catches_degree_preserving_switches(name):
 
 
 # ---------------------------------------------------------------------------
-# check_drg: the three-term identity against a set-based scan
+# check_drg: the three-term identity against a bitset BFS scan
 # ---------------------------------------------------------------------------
 
 
@@ -677,15 +677,13 @@ WORKLOAD_DRGS = {
 @pytest.mark.parametrize("name", WORKLOAD_DRGS)
 def test_check_drg_matches_the_oracle_on_the_workload_graphs(name):
     """check_drg certifies the verify workload's graph file and the Sp6
-    dual polar graphs with their closed-form arrays, and on a copy with an
-    edge at vertex 0 switched it gives the oracle's first failure, witness
-    included.  The oracle's set-based count of every root takes tens of
-    seconds on the two larger graphs themselves, so the closed form stands
-    for its verdict there; Sp6(2) meets the oracle whole in
-    test_check_drg_catches_degree_preserving_switches."""
+    dual polar graphs with their closed-form arrays, which the oracle's
+    scan of every root finds too; on a copy with an edge at vertex 0
+    switched, which stays regular, it gives the oracle's first failure,
+    witness included."""
     build, array = WORKLOAD_DRGS[name]
     g = build()
-    assert check_drg(g) == array
+    assert check_drg(g) == array == oracles.drg_violation(g)
     switched = switched_at_zero(g)
     expected = drg_outcome(oracles.drg_violation, switched)
     assert isinstance(expected, tuple)

@@ -475,3 +475,62 @@ def test_the_scan_finds_a_stray_pair_table():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_only_compute_orbitals_allocates_a_pair_table(path):
     assert pair_table_allocations(path.read_text()) == []
+
+
+SEARCHES = {"next", "all", "any"}
+POWERS = {"pow_index", "quadratic_character"}
+
+
+def order_searches(source: str) -> list[str]:
+    """Calls of ``pow_index`` or ``quadratic_character`` inside the
+    argument of ``next``, ``all`` or ``any``: a search for an element of
+    some multiplicative order or character by powering it, which the
+    field's ``log_table`` answers by one lookup.  Each call is named once,
+    with the outermost search around it."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in SEARCHES
+        ):
+            continue
+        for arg in node.args:
+            for call in ast.walk(arg):
+                callee = getattr(call, "func", None)
+                name = getattr(callee, "attr", getattr(callee, "id", None))
+                if isinstance(call, ast.Call) and name in POWERS:
+                    text = f"line {call.lineno}: {name} in {node.func.id}"
+                    found.setdefault(id(call), (call.lineno, text))
+    return [text for _, text in sorted(found.values())]
+
+
+def test_the_scan_finds_an_order_search():
+    source = (
+        "from .gf import quadratic_character as chi\n"
+        "def primitive(field, q):\n"
+        "    return next(\n"
+        "        s for s in range(2, q)\n"
+        "        if all(field.pow_index(s, e) != 1 for e in range(1, q - 1))\n"
+        "    )\n"
+        "def nonsquare(field):\n"
+        "    return min(s for s in range(2, field.q) if field.log_table[s] % 2)\n"
+        "def squares(field, xs):\n"
+        "    return [x for x in xs if quadratic_character(x) == 1]\n"
+        "def has_nonsquare(xs):\n"
+        "    return any(quadratic_character(x) == -1 for x in xs)\n"
+    )
+    assert order_searches(source) == [
+        "line 5: pow_index in next",
+        "line 12: quadratic_character in any",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "gf.py"], ids=lambda path: path.name
+)
+def test_no_order_search_outside_the_field(path):
+    """Primitive elements, non-squares and elements of a given order are
+    read from the logs of one walk of the field's least primitive
+    element, not found by powering candidates."""
+    assert order_searches(path.read_text()) == []
