@@ -1,7 +1,8 @@
 """srgkit: exact construction and verification of strongly regular graphs
 from finite geometry and small permutation actions.
 
-Layers, bottom up:
+Layers, bottom up; each imports, at module level, only layers listed
+before it:
 
 - :mod:`srgkit.base` — what every layer shares: the record decorator,
   :class:`ScaleGuardError`, the default vertex budget,
@@ -11,7 +12,8 @@ Layers, bottom up:
   traces, characters, and closed-form solution counts for standard forms.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,
   hermitian) over those fields: point/subspace enumeration, tangency and
-  perpendicularity tests, flags of projective planes.
+  perpendicularity tests, flags of projective planes, and the reflections
+  of a form as linear maps (no permutation action: that is made above).
 - :mod:`srgkit.graphcore` — immutable bitset graphs with brute-force
   strong-regularity and distance-regularity verification, plus graph6 and
   edge-list serialization.
@@ -23,7 +25,8 @@ Layers, bottom up:
 - :mod:`srgkit.audit` — the seven-relation audit every tensor passes, on
   integer forms over one common denominator; imported on first use.
 - :mod:`srgkit.families` — named graph families built from the layers
-  above, each paired with closed-form parameters where one exists.
+  above, each paired with closed-form parameters where one exists; it
+  turns geometry's reflections into permutations for the pair orbits.
 - :mod:`srgkit.cli` — the ``srgkit`` command: gen, verify, scheme,
   table1, orbitals.
 

@@ -5,9 +5,9 @@ It holds :class:`ScaleGuardError` and the default vertex budget, the
 record decorator that builds every record of the package, the
 :class:`IntersectionArray` of a distance-regular graph with its text
 parser, the integer check of a closed form, and the package's one dense
-polynomial product and long division: over F_p for the moduli of
-:mod:`srgkit.gf`, as integer arithmetic reduced mod p, and over Z and Q
-for :mod:`srgkit.schemes`.  It imports no other srgkit module, so a scheme
+polynomial product and long division: the division over F_p for the
+trial division of :mod:`srgkit.gf`'s moduli, as integer arithmetic
+reduced mod p, and both over Z and Q for :mod:`srgkit.schemes`.  It imports no other srgkit module, so a scheme
 job and ``import srgkit.cli`` compile neither :mod:`srgkit.gf` nor
 :mod:`srgkit.graphcore`.
 """

@@ -14,16 +14,17 @@ its builder.  :class:`FamilyId`, :func:`parse_family_spec` and
 :func:`build_family` all read that table.
 
 Every pair structure built from a form, words or flags takes one path: a
-transitive isometry action (the form's reflection group,
-:func:`srgkit.geometry.reflection_action`; S_d wr S_3 on words; the
-extended projective group on flags), an invariant evaluated on the base row
-(0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`, which certifies
-the pair orbits and checks that the invariant names them one to one.  The
-certificate runs on two products of the generators when they generate a
-transitive subgroup whose pair orbits the invariant names, and on every
-generator otherwise; a form build makes only the reflection permutations
-that those two products read.  The unitary, orthogonal, polar-complement
-and Hamming graphs are classes of such a partition.  Grassmann and dual
+transitive isometry action (the form's reflection group; S_d wr S_3 on
+words; the extended projective group on flags), an invariant evaluated on
+the base row (0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`,
+which certifies the pair orbits and checks that the invariant names them
+one to one.  The certificate runs on two products of the generators when
+they generate a transitive subgroup whose pair orbits the invariant names,
+and on every generator otherwise.  :mod:`srgkit.geometry` gives the
+reflections as linear maps; :func:`_reflection_orbitals` turns them into
+permutations of the points, each once and only when the certificate reads
+it.  The unitary, orthogonal, polar-complement and Hamming graphs are
+classes of such a partition.  Grassmann and dual
 polar graphs are read off packed incidence sums, one byte row per subspace
 and symmetric by construction; only Johnson graphs use ``build_graph``.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import TYPE_CHECKING, Mapping
 
@@ -55,7 +56,7 @@ from .geometry import (
     FormedSpace,
     _check_vector_cap,
     _dot,
-    _spanning_reflections,
+    _reflections,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
@@ -64,13 +65,12 @@ from .geometry import (
     lead_one,
     line_tangency_count,
     projective_reps,
-    reflection_action,
 )
 from .gf import field_of_order, is_prime_power
 from .graphcore import Graph, SrgParams, _check_pair_cap, _class_rows, build_graph
 from .graphcore import distance_graph
 from .orbitals import OrbitalPartition, PermGroupAction, orbital_graph
-from .orbitals import _pair_orbitals, _transitive_pair, _two_generator_orbitals
+from .orbitals import _named_orbitals, _two_generator_orbitals
 
 if TYPE_CHECKING:
     from .schemes import IntersectionTensor
@@ -378,19 +378,48 @@ def _form_orbits(space: FormedSpace, points, label, tangency=False):
 
 
 def _reflection_orbitals(space: FormedSpace, points, labels) -> OrbitalPartition:
-    """``_two_generator_orbitals(reflection_action(space, points), labels)``,
-    making only the permutations its certificate reads: P from the
-    composed linear map of the reflections up to the span, and each
-    reflection's permutation when the partner search tries it.  A
-    transitive <P, partner> proves those reflections transitive, so they,
-    P and the partner are the ones that :func:`reflection_action` would
-    give.  Every permutation is made only where every generator is
-    checked: when no partner is transitive (the spanning reflections may
-    not be), or the pair's orbits are finer than the labels."""
-    pair = _transitive_pair(*_spanning_reflections(space, points))
-    if pair is None:  # the spanning reflections may not act transitively
-        return _two_generator_orbitals(reflection_action(space, points), labels)
-    return _pair_orbitals(pair, tuple(labels), lambda: reflection_action(space, points))
+    """The pair orbits of the group generated by the reflections of
+    :func:`srgkit.geometry._reflections` on ``points``, named by
+    ``labels``.  From the first prefix of the reflections that spans the
+    space on, each prefix goes to :func:`_named_orbitals`, and a prefix
+    that does not act transitively takes one more reflection.  P, the
+    product of a prefix in pick order (the first applied first), is made
+    in one pass over the points from the composed linear map; the i-th
+    reflection's permutation is made when it is first read, and kept for
+    the longer prefixes, so no permutation is made twice.  Each image is
+    found by its :func:`lead_one` representative; a map that leaves the
+    point set raises AssertionError, naming it."""
+    field, labels = space.field, tuple(labels)
+    add, mul = field.add_table, field.mul_table
+    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
+
+    def permutation(apply, name: str) -> tuple[int, ...]:
+        try:
+            return tuple(index[lead_one(field, apply(p.rep))] for p in points)
+        except KeyError:
+            raise AssertionError(
+                f"the {name} maps a point outside the point set"
+            ) from None
+
+    def composed(x):  # the sum of x_j images[j]: the product of the prefix
+        acc = [0] * len(x)
+        for c, row in zip(x, images):
+            if c:
+                scaled = mul[c]
+                acc = [add[a][scaled[b]] for a, b in zip(acc, row)]
+        return tuple(acc)
+
+    maps, images = [], space.basis()  # images: of the basis under the product
+    reflection = cache(lambda i: permutation(*maps[i]))
+    for name, reflect, spans in _reflections(space, points):
+        maps.append((reflect, f"reflection in {name}"))
+        images = list(map(reflect, images))
+        if spans:
+            product = permutation(composed, "product of the reflections")
+            partition = _named_orbitals(product, reflection, len(maps), labels)
+            if partition is not None:
+                return partition
+    raise AssertionError("the reflections do not act transitively on the points")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Formed vector spaces over finite fields, exact enumeration of the
 point sets and subspaces that underlie the graph families, and the
-reflection groups of the forms as permutations of point sets.
+reflections of the forms as linear maps.  This layer makes no permutation
+action: :mod:`srgkit.families` turns the reflections into permutations of
+a point set for :mod:`srgkit.orbitals`, which lies above it.
 
 A :class:`FormedSpace` is F_q^n (or F_{q^2}^n) equipped with exactly one of
 
@@ -25,14 +27,12 @@ index order, so every listing is deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Callable, Iterator, NamedTuple
 
 from .base import ScaleGuardError, _record
 from .gf import Field, FieldElement, field_of_order
-from .orbitals import PermGroupAction
 
 __all__ = [
     "Flag",
@@ -48,7 +48,6 @@ __all__ = [
     "least_zeta",
     "line_tangency_count",
     "projective_reps",
-    "reflection_action",
 ]
 
 _KINDS = (
@@ -483,11 +482,11 @@ def line_tangency_count(
 
 
 def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, Callable, bool]]:
-    """The reflections of ``space`` that :func:`reflection_action` picks
-    from ``points``, in its order, each as (name, reflect, spans): the name
-    of its vector, its linear map on vectors, checked to preserve the form
-    and Q on the basis, and whether its vector completes a spanning set
-    with the vectors before it.
+    """The reflections of ``space`` picked from ``points``, in a fixed
+    order, each as (name, reflect, spans): the name of its vector, its
+    linear map on vectors, checked to preserve the form and Q on the basis,
+    and whether its vector and the vectors before it span the space (once
+    True, True for every later one).
 
     A quadratic space reflects in a nonsingular v by x -> x - B(x, v)
     Q(v)^-1 v (the orthogonal transvection in characteristic 2), a
@@ -545,77 +544,6 @@ def _rank_one_map(field: Field, u, v) -> Callable:
         return tuple(add[a][mul[t][b]] for a, b in zip(x, v))
 
     return apply
-
-
-def _permuter(space: FormedSpace, points) -> Callable:
-    """The function (apply, name) -> the permutation of ``points`` by the
-    linear map ``apply``, each image found by its :func:`lead_one`
-    representative; a map that leaves the point set raises AssertionError,
-    naming it."""
-    field = space.field
-    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
-
-    def permutation(apply, name: str) -> tuple[int, ...]:
-        try:
-            return tuple(index[lead_one(field, apply(p.rep))] for p in points)
-        except KeyError:
-            raise AssertionError(
-                f"the {name} maps a point outside the point set"
-            ) from None
-
-    return permutation
-
-
-def reflection_action(space: FormedSpace, points) -> PermGroupAction:
-    """The isometry group of ``space`` generated by reflections, acting on
-    ``points``: the permutations of the reflections of ``_reflections``,
-    taken until they span the space and act transitively.  Each reflection
-    must preserve the form and Q on the basis, and the point set; a failure
-    names the reflection.  The form builders make only the permutations
-    that their two-generator certificate reads
-    (:func:`_spanning_reflections`); this makes every one.
-    """
-    permutation, generators = _permuter(space, points), []
-    for name, reflect, spans in _reflections(space, points):
-        generators.append(permutation(reflect, f"reflection in {name}"))
-        if spans:
-            action = PermGroupAction(len(points), tuple(generators))
-            if action.is_transitive():
-                return action
-    raise AssertionError("the reflections do not act transitively on the points")
-
-
-def _spanning_reflections(space: FormedSpace, points):
-    """(P, reflection, k) for the k reflections of ``_reflections`` up to
-    the first that completes a spanning set: P is the permutation of their
-    product in pick order (the first applied first), made in one pass over
-    the points from the composed linear map, and ``reflection(i)`` the
-    permutation of the i-th, made when first asked.  When these act
-    transitively they are :func:`reflection_action`'s generators, and P is
-    the gather product of their permutations."""
-    maps = []
-    for name, reflect, spans in _reflections(space, points):
-        maps.append((reflect, f"reflection in {name}"))
-        if spans:
-            break
-    else:
-        raise AssertionError("the reflections do not act transitively on the points")
-    add, mul = space.field.add_table, space.field.mul_table
-    images = space.basis()  # of the basis vectors under the product
-    for reflect, _ in maps:
-        images = list(map(reflect, images))
-
-    def composed(x):  # the sum of x_j images[j]
-        acc = [0] * len(x)
-        for c, row in zip(x, images):
-            if c:
-                scaled = mul[c]
-                acc = [add[a][scaled[b]] for a, b in zip(acc, row)]
-        return tuple(acc)
-
-    permutation = _permuter(space, points)
-    product = permutation(composed, "product of the reflections")
-    return product, functools.cache(lambda i: permutation(*maps[i])), len(maps)
 
 
 def _witt_index(space: FormedSpace) -> int:

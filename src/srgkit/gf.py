@@ -12,18 +12,19 @@ inverses, Frobenius images, powers and the quadratic character are read.
 Beyond field arithmetic, the module provides the relative norm and absolute
 trace, the quadratic character, and the closed-form solution counts of
 hermitian norm equations and hyperbolic bilinear equations.  The
-irreducibility test of the moduli reduces by the dense polynomial product
-and long division of :mod:`srgkit.base`, as integer arithmetic mod p.
+irreducibility test of the moduli is trial division by every monic
+polynomial of at most half the degree, by the long division of
+:mod:`srgkit.base`, as integer arithmetic reduced mod p.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import floordiv
+from operator import floordiv, getitem
 from typing import Sequence
 
-from .base import ScaleGuardError, _convolve, _long_division, _setattr
+from .base import ScaleGuardError, _long_division, _setattr
 
 __all__ = [
     "CharacterValue",
@@ -60,71 +61,21 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: Sequence, m: Sequence, p: int) -> list[int]:
-    """Remainder of a modulo a monic polynomial m over F_p: the remainder
-    in Z[t], which a monic divisor leaves unique, reduced mod p."""
-    return _poly_trim([c % p for c in _long_division(a, m, floordiv)[1]])
-
-
-def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_convolve(result, base, 0), m, p)
-        base = _poly_mod(_convolve(base, base, 0), m, p)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [
-        (x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)
-    ]
-    return _poly_trim(out)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _is_irreducible(modulus: list[int], p: int) -> bool:
-    """Irreducibility test for a monic polynomial over F_p.
-
-    Degree <= 3 reduces to root absence; higher degrees use the
-    gcd-with-Frobenius criterion (x^(p^(k/d)) - x coprime to f for every
-    prime d | k, and x^(p^k) = x mod f).
-    """
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Whether a monic polynomial of degree k over F_p is irreducible: no
+    monic polynomial of degree 1 .. k // 2 divides it, as a reducible one
+    has a factor of at most half its degree.  The remainder by a monic
+    divisor is unique in Z[t], so it is reduced mod p after the division."""
     k = len(modulus) - 1
-    if k == 1:
-        return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    if k <= 3:
-        return True
-    x = [0, 1]
-    if _poly_sub(_poly_powmod(x, p**k, modulus, p), x, p):
-        return False
-    for d in _prime_divisors(k):
-        diff = _poly_sub(_poly_powmod(x, p ** (k // d), modulus, p), x, p)
-        if len(_poly_gcd(modulus, diff, p)) - 1 >= 1:
-            return False
-    return True
+    divisors = (
+        (*lower, 1)
+        for d in range(1, k // 2 + 1)
+        for lower in itertools.product(range(p), repeat=d)
+    )
+    return all(
+        any(c % p for c in _long_division(modulus, divisor, floordiv)[1])
+        for divisor in divisors
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +92,14 @@ class Field:
     that element equality can compare fields by identity.
 
     Public index tables (lists indexed by element index) are exposed for
-    bulk consumers: ``add_table``, ``mul_table``, ``neg_table``,
-    ``inv_table`` (0 maps to 0), ``frob_table`` (x -> x^p), and the
-    discrete-logarithm pair of ``primitive``, the least index g of
+    bulk consumers: ``add_table`` and ``mul_table``, whose rows are tuples,
+    ``neg_table``, ``inv_table`` (0 maps to 0), ``frob_table`` (x -> x^p),
+    and the discrete-logarithm pair of ``primitive``, the least index g of
     multiplicative order q - 1 (g = 1 when q = 2): ``exp_table[e]`` is g^e
     for 0 <= e < q - 1, and ``log_table`` inverts it (``log_table[0]`` is
-    None: zero has no logarithm).
+    None: zero has no logarithm).  Tuple rows hold only ints, so the cyclic
+    garbage collector untracks them: the 2q rows of every field that
+    :func:`make_field` keeps are not traversed at each collection.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -191,22 +144,22 @@ class Field:
         """
         p, q, k = self.p, self.q, self.k
         one = [b + 1 if (b + 1) % p else b + 1 - p for b in range(q)]
-        add = [list(range(q))]
+        add = [tuple(range(q))]
         for a in range(1, q):
             if a % p:
-                add.append(list(map(one.__getitem__, add[a - 1])))
+                add.append(tuple(map(one.__getitem__, add[a - 1])))
             else:
                 row = add[a // p]
-                add.append([b % p + p * row[b // p] for b in range(q)])
+                add.append(tuple([b % p + p * row[b // p] for b in range(q)]))
         top = p ** (k - 1)
         minus = [self.index_of([-d * c for c in self.modulus[:k]]) for d in range(p)]
         times_t = [add[p * (x % top)][minus[x // top]] for x in range(q)]
-        mul = [[0] * q]
+        mul = [(0,) * q]
         for a in range(1, q):
             if a % p:  # add[b][mul[a - 1][b]] for each column b
-                mul.append(list(map(list.__getitem__, add, mul[a - 1])))
+                mul.append(tuple(map(getitem, add, mul[a - 1])))
             else:
-                mul.append(list(map(times_t.__getitem__, mul[a // p])))
+                mul.append(tuple(map(times_t.__getitem__, mul[a // p])))
         for g in range(1, q):
             exp, row = [1], mul[g]
             while row[exp[-1]] != 1:
@@ -419,7 +372,7 @@ def make_field(p: int, k: int) -> Field:
         raise ValueError("k must be a positive integer")
     for lower in itertools.product(range(p), repeat=k):
         modulus = (*lower, 1)
-        if _is_irreducible(list(modulus), p):
+        if _is_irreducible(modulus, p):
             return Field(p, k, modulus)
     raise RuntimeError(
         f"no irreducible of degree {k} over F_{p} (impossible for prime p)"

@@ -302,59 +302,59 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
     return _partition(n, class_of, certificate="group-orbitals")
 
 
-def _transitive_pair(product, generator, count: int) -> PermGroupAction | None:
-    """<P, partner> for ``product`` P and the first partner, in the order
-    g_i, then g_i g_j (i < j), that makes it transitive; None if none.
-    g_i is ``generator(i)`` for i < ``count``, which may make the i-th
-    permutation when first asked, so that only the partners tried are
-    made.  P is a product of the g_i, so every pair lies in <g_1..g_k>:
-    after the single partners, that group is searched once, and when it
-    is not transitive no product partner is tried."""
-    n = len(product)
-    for i in range(count):
-        pair = PermGroupAction(n, (product, generator(i)))
-        if pair.is_transitive():
-            return pair
-    if not PermGroupAction(n, tuple(map(generator, range(count)))).is_transitive():
-        return None
-    for i, j in itertools.combinations(range(count), 2):
-        pair = PermGroupAction(n, (product, _gatherer(generator(i))(generator(j))))
-        if pair.is_transitive():
-            return pair
-    return None
+def _named_orbitals(product, generator, count: int, labels) -> OrbitalPartition | None:
+    """:func:`compute_orbitals` of G = <g_0 .. g_{count-1}>, named by
+    ``labels``, a pair invariant of G; None if G is not transitive.  g_i is
+    ``generator(i)``, which may make the i-th permutation when first asked,
+    so that only the partners tried are made, and ``product`` is a product
+    P of the g_i.
 
-
-def _pair_orbitals(pair, labels, every) -> OrbitalPartition:
-    """:func:`compute_orbitals` of ``pair``, two generators of a subgroup
-    of G, named by ``labels``, a pair invariant of G; of ``every()``, G's
-    action on all of its generators, when ``pair`` is None or its orbits
-    are finer than the labels (or more than 255), which raises what
-    :func:`compute_orbitals` on that action raises.  A certificate round
-    compares n + 1 rows on the pair, against (|gens| - 1) n + 1 on every
+    It certifies on <P, partner> for the first partner, in the order g_i,
+    then g_i g_j (i < j), that makes the pair transitive, when the labels
+    name that pair's orbits one to one; on every g_i otherwise (no partner
+    is transitive, or the pair's orbits are finer than the labels or more
+    than 255), which raises what :func:`compute_orbitals` on G raises.
+    After the single partners G itself is searched once, and when it is
+    not transitive no product partner is tried.  A certificate round
+    compares n + 1 rows on the pair, against (count - 1) n + 1 on every
     generator.
 
     Sound, because a transitive pair generates a transitive H <= G: if the
     labels, which G preserves, name the pair orbits of H one to one, then
     H-orbits <= G-orbits <= label classes = H-orbits, so the certified
     classes are G's."""
+    n, labels = len(product), tuple(labels)
+
+    def transitive(partners):  # the first transitive <P, partner>, or None
+        pairs = (PermGroupAction(n, (product, g)) for g in partners)
+        return next(filter(PermGroupAction.is_transitive, pairs), None)
+
+    pair = transitive(map(generator, range(count)))
+    if pair is None:
+        group = PermGroupAction(n, tuple(map(generator, range(count))))
+        if not group.is_transitive():
+            return None
+        products = itertools.combinations(group.generators, 2)
+        pair = transitive(_gatherer(a)(b) for a, b in products)
     if pair is not None:
         try:
             return compute_orbitals(pair, labels)
         except ValueError:
             pass
-    return compute_orbitals(every(), labels)
+    every = tuple(map(generator, range(count)))
+    return compute_orbitals(PermGroupAction(n, every), labels)
 
 
 def _two_generator_orbitals(action: PermGroupAction, labels) -> OrbitalPartition:
-    """:func:`compute_orbitals` of ``action`` named by ``labels``, a pair
-    invariant of the whole group, certified by :func:`_pair_orbitals` on
-    the product P of all generators in index order and the partner of
-    :func:`_transitive_pair`, and on every generator when no partner is
-    transitive."""
+    """:func:`_named_orbitals` of ``action``'s generators, with P their
+    product in index order (the first applied first); ValueError if the
+    action is not transitive."""
     gens = action.generators
     product = functools.reduce(lambda a, b: _gatherer(a)(b), gens)  # a, then b
-    pair = _transitive_pair(product, gens.__getitem__, len(gens))
-    return _pair_orbitals(pair, tuple(labels), lambda: action)
+    partition = _named_orbitals(product, gens.__getitem__, len(gens), labels)
+    if partition is None:
+        raise ValueError("action is not transitive")
+    return partition
 
 
 def orbital_graph(partition: OrbitalPartition, cls: int) -> Graph:

@@ -17,6 +17,7 @@ from srgkit.geometry import (
     FormedSpace,
     ProjectivePoint,
     _check_nonsingular_points,
+    _reflections,
     _rescale,
     _value_index,
     enumerate_flags,
@@ -35,7 +36,7 @@ from srgkit.gf import (
     trace_to_prime,
 )
 from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph, complement
-from srgkit.orbitals import _pair_bytes, mulclose
+from srgkit.orbitals import PermGroupAction, _pair_bytes, mulclose
 
 
 def hermitian_norm_counts(n: int, q: int) -> list[int]:
@@ -233,6 +234,26 @@ def schoolbook_tables(field: Field) -> tuple[list[list[int]], list[list[int]]]:
             row.append(field.index_of(prod[:k]))
         mul.append(row)
     return add, mul
+
+
+def least_irreducible_by_products(p: int, k: int) -> tuple[int, ...]:
+    """The least monic polynomial of degree k over F_p, coefficient tuples
+    compared constant term first, that is no product of two monic
+    polynomials of positive degree: every such product is listed."""
+
+    def monic(d):
+        return [(*lower, 1) for lower in itertools.product(range(p), repeat=d)]
+
+    reducible = set()
+    for d in range(1, k // 2 + 1):
+        for a in monic(d):
+            for b in monic(k - d):
+                prod = [0] * (k + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                reducible.add(tuple(prod))
+    return min(f for f in monic(k) if f not in reducible)
 
 
 def form_value_by_kind(space, vec) -> int:
@@ -449,6 +470,29 @@ def form_pair_classes(space, points) -> bytes:
             return min(t, neg[t])
 
     return _symmetric_pair_classes(len(reps), label)
+
+
+def reflection_action(space, points) -> PermGroupAction:
+    """The isometry group of ``space`` generated by reflections, acting on
+    ``points``, on every generator: the permutations of the reflections
+    of ``geometry._reflections``, each image found by its lead-one
+    representative, taken until they span the space and act transitively.
+    A reflection that leaves the point set raises AssertionError, naming
+    it."""
+    index = {lead_one(space.field, p.rep): i for i, p in enumerate(points)}
+    generators = []
+    for name, reflect, spans in _reflections(space, points):
+        images = (lead_one(space.field, reflect(p.rep)) for p in points)
+        try:
+            generators.append(tuple(index[x] for x in images))
+        except KeyError:
+            raise AssertionError(
+                f"the reflection in {name} maps a point outside the point set"
+            ) from None
+        action = PermGroupAction(len(points), tuple(generators))
+        if spans and action.is_transitive():
+            return action
+    raise AssertionError("the reflections do not act transitively on the points")
 
 
 def word_pair_classes(d: int) -> bytes:

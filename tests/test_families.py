@@ -40,7 +40,6 @@ from srgkit.geometry import (
     enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
-    reflection_action,
 )
 from srgkit.gf import FieldElement, field_of_order, quadratic_character
 from srgkit import families, geometry, orbitals
@@ -811,7 +810,7 @@ def test_every_form_build_scans_the_projective_space_once(monkeypatch):
         space = FormedSpace(kind, field_of_order(q), dim)
         points = enumerate_points(space, "norm-class", value)
         calls.clear()
-        geometry.reflection_action(space, points)
+        list(geometry._reflections(space, points))
         assert calls == []
 
 
@@ -877,7 +876,7 @@ def test_family_orbits_are_certified_on_two_generators(monkeypatch, build):
     build()
     if spaces:  # a form build, whose group is reflection_action's
         [(space, points, labels)] = spaces
-        named = [(reflection_action(space, points), labels)]
+        named = [(oracles.reflection_action(space, points), labels)]
     [(action, labels)], [(generators, partition)] = named, runs
     every_generator = compute_orbitals(action, labels)
     assert generators == 2 < len(action.generators)
@@ -885,48 +884,105 @@ def test_family_orbits_are_certified_on_two_generators(monkeypatch, build):
     assert partition.certificate == every_generator.certificate == "group-orbitals"
 
 
+def record_prefixes(monkeypatch) -> list[tuple]:
+    """(P, reflection, count, partition) of each prefix a form build tries
+    from here on: its product and its reflections' permutations as the
+    build makes them, and the certified orbits, or None."""
+    prefixes = []
+
+    def recorded(product, generator, count, labels, run=families._named_orbitals):
+        partition = run(product, generator, count, labels)
+        prefixes.append((product, generator, count, partition))
+        return partition
+
+    monkeypatch.setattr(families, "_named_orbitals", recorded)
+    return prefixes
+
+
 @pytest.mark.parametrize("build", FORM_BUILDS.values(), ids=FORM_BUILDS)
 def test_spanning_reflections_are_the_reflection_action(monkeypatch, build):
-    """On every desk-scale form space the spanning reflections are the
-    first of reflection_action's: each permutation made on demand is that
-    reflection's, and P made from the composed linear map is the gather
-    product of their permutations.  They are all of reflection_action's
-    exactly when they act transitively (not at NO(2,3,-), whose build
-    falls back to reflection_action)."""
-    spaces = record_form_spaces(monkeypatch)
+    """On every desk-scale form space each prefix of the reflections that
+    a build tries is a prefix of oracles.reflection_action's generators:
+    each permutation made on demand is that generator, and P made from the
+    composed linear map is the gather product of the prefix.  Only the
+    last prefix acts transitively, and it is all of them."""
+    spaces, prefixes = record_form_spaces(monkeypatch), record_prefixes(monkeypatch)
     build()
     [(space, points, _)] = spaces
-    product, reflection, count = geometry._spanning_reflections(space, points)
-    generators = reflection_action(space, points).generators
-    spanning = generators[:count]
-    assert tuple(map(reflection, range(count))) == spanning
-    assert product == reduce(lambda a, b: tuple(b[x] for x in a), spanning)
-    transitive = PermGroupAction(len(points), spanning).is_transitive()
-    assert transitive == (spanning == generators)
+    generators = oracles.reflection_action(space, points).generators
+    for product, reflection, count, partition in prefixes:
+        prefix = generators[:count]
+        assert tuple(map(reflection, range(count))) == prefix
+        assert product == reduce(lambda a, b: tuple(b[x] for x in a), prefix)
+        assert (partition is not None) == (prefix == generators)
+    assert prefixes[-1][2] == len(generators)
 
 
 def test_the_partner_search_stops_when_the_generators_are_not_transitive(
     monkeypatch,
 ):
     """At NO(2,3,-) the six spanning reflections are not transitive
-    together, so no partner can make a transitive pair with their product:
-    the search tries the six single partners, then the six reflections
-    once, and none of the 15 products."""
+    together, and neither are the first seven, so no partner can make a
+    transitive pair with their product: each of those prefixes tries its
+    single partners, then its reflections once, and none of the product
+    partners.  The prefix of eight is transitive with P and its first
+    reflection, and stops there."""
     searches, calls = [], []
 
     def counted(action, run=PermGroupAction.is_transitive):
         searches.append(len(action.generators))
         return run(action)
 
-    def recorded(product, generator, count, run=families._transitive_pair):
+    def recorded(product, generator, count, labels, run=families._named_orbitals):
         searches.clear()
-        calls.append((count, run(product, generator, count), list(searches)))
-        return calls[-1][1]
+        partition = run(product, generator, count, labels)
+        calls.append((count, partition is None, list(searches)))
+        return partition
 
     monkeypatch.setattr(PermGroupAction, "is_transitive", counted)
-    monkeypatch.setattr(families, "_transitive_pair", recorded)
+    monkeypatch.setattr(families, "_named_orbitals", recorded)
     build_orthogonal_orbitals(2, 3, "-")
-    assert calls == [(6, None, [2] * 6 + [6])]
+    assert calls == [
+        (6, True, [2] * 6 + [6]),
+        (7, True, [2] * 7 + [7]),
+        (8, False, [2]),
+    ]
+
+
+# the permutations of the point set each form build makes, its products
+# P and its reflections together: one lead_one per point for each, after
+# the n of the point index
+PERMUTATIONS_MADE = {
+    "NU(3,3)": (partial(build_NU, 3, 3), 2),
+    "NU(3,4)": (partial(build_NU, 3, 4), 2),
+    "NU(4,3)": (partial(build_NU, 4, 3), 2),
+    "unitary(4,3)": (partial(build_unitary_orbitals, 4, 3), 2),
+    "orthogonal(2,5,+)": (partial(build_orthogonal_orbitals, 2, 5, "+"), 7),
+    "orthogonal(2,5,-)": (partial(build_orthogonal_orbitals, 2, 5, "-"), 3),
+    "orthogonal(2,7,+)": (partial(build_orthogonal_orbitals, 2, 7, "+"), 2),
+    "NO(2,5,+)": (partial(build_NO, 2, 5, "+"), 7),
+    "NO(2,5,-)": (partial(build_NO, 2, 5, "-"), 3),
+    "polar O7(2)": (partial(build_polar_complement, "O7", 2), 13),
+    "polar O8+(2)": (partial(build_polar_complement, "O8+", 2), 13),
+    "polar O8+(3)": (partial(build_polar_complement, "O8+", 3), 11),
+    # P of 6, 7 and 8 reflections and the first seven reflections, each once
+    "NO(2,3,-)": (partial(build_NO, 2, 3, "-"), 10),
+}
+
+
+@pytest.mark.parametrize("name", PERMUTATIONS_MADE)
+def test_each_form_build_makes_each_permutation_once(monkeypatch, name):
+    build, made = PERMUTATIONS_MADE[name]
+    spaces, calls = record_form_spaces(monkeypatch), []
+
+    def counted(field, vec, run=families.lead_one):
+        calls.append(vec)
+        return run(field, vec)
+
+    monkeypatch.setattr(families, "lead_one", counted)
+    build()
+    [(_, points, _)] = spaces
+    assert len(calls) == (1 + made) * len(points)
 
 
 def test_meet_graphs_pass_graph_validation():

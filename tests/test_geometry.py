@@ -20,10 +20,11 @@ from srgkit.geometry import (
     least_zeta,
     line_tangency_count,
     projective_reps,
-    reflection_action,
     rref,
 )
 import srgkit.geometry as geometry
+from srgkit import families
+from srgkit.families import build_NO, build_polar_complement
 from srgkit.gf import field_of_order, make_field
 from srgkit.orbitals import PermGroupAction, compute_orbitals
 
@@ -605,7 +606,7 @@ def test_the_zero_vector_is_refused_by_name():
 )
 def test_reflections_act_transitively_and_one_alone_does_not(space, points):
     points = enumerate_points(space, points)
-    action = reflection_action(space, points)
+    action = oracles.reflection_action(space, points)
     assert action.is_transitive()
     single = PermGroupAction(len(points), action.generators[:1])
     with pytest.raises(ValueError, match="not transitive"):
@@ -613,29 +614,54 @@ def test_reflections_act_transitively_and_one_alone_does_not(space, points):
 
 
 def test_reflections_build_their_action_once_they_span(monkeypatch):
-    """The action is built, and tested for transitivity, only from the
-    first reflection whose vector completes a spanning set."""
-    built = []
+    """The reflections' spans flag turns True, for good, at the first
+    vector that completes a spanning set.  A form build tries a prefix of
+    the reflections, and makes its permutations, only from there on, one
+    more reflection at a time, until a prefix acts transitively: at once
+    on O8+(2)'s singular points, on the third prefix at NO(2,3,-)."""
+    spaces, tried = [], []
 
-    def counted(degree, generators):
-        built.append(len(generators))
-        return PermGroupAction(degree, generators)
+    def recorded(space, points, labels, run=families._reflection_orbitals):
+        spaces.append((space, points))
+        return run(space, points, labels)
 
-    monkeypatch.setattr(geometry, "PermGroupAction", counted)
-    space = FormedSpace("quadratic-plus", field_of_order(2), 8)
-    action = reflection_action(space, enumerate_points(space, "singular"))
-    assert built[0] >= space.dim
-    assert built == list(range(built[0], len(action.generators) + 1))
+    def named(product, generator, count, labels, run=families._named_orbitals):
+        tried.append((count, run(product, generator, count, labels)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(families, "_reflection_orbitals", recorded)
+    monkeypatch.setattr(families, "_named_orbitals", named)
+    for build, prefixes in (
+        (lambda: build_polar_complement("O8+", 2), 1),
+        (lambda: build_NO(2, 3, "-"), 3),
+    ):
+        spaces.clear()
+        tried.clear()
+        build()
+        [(space, points)] = spaces
+        reflections = geometry._reflections(space, points)
+        flags = [s for _, _, s in itertools.islice(reflections, tried[-1][0])]
+        first = flags.index(True) + 1
+        assert first >= space.dim and all(flags[first - 1 :])
+        assert [count for count, _ in tried] == list(range(first, first + prefixes))
+        untransitive = [partition is None for _, partition in tried]
+        assert untransitive == [True] * (prefixes - 1) + [False]
 
 
 def test_a_reflection_leaving_the_points_is_named():
+    """The first map a form build makes, at the first spanning prefix, is
+    the product of the reflections; when the reflections leave the point
+    set, that map is the one named."""
     space = hermitian(3, 3)
     points = enumerate_points(space, "nonsingular")[1:]
-    with pytest.raises(AssertionError, match=r"the reflection in \S+ maps a point outside"):
-        reflection_action(space, points)
+    labels = [1] * (len(points) - 1)
+    with pytest.raises(
+        AssertionError, match="the product of the reflections maps a point outside"
+    ):
+        families._reflection_orbitals(space, points, labels)
 
 
 def test_a_symplectic_space_has_no_reflections():
     space = FormedSpace("symplectic", field_of_order(3), 4)
     with pytest.raises(ValueError, match="no reflections"):
-        reflection_action(space, enumerate_points(space, "singular"))
+        next(geometry._reflections(space, enumerate_points(space, "singular")))

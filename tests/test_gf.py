@@ -1,5 +1,6 @@
 """Tests for exact finite-field arithmetic and the counting utilities."""
 
+import gc
 import random
 
 import pytest
@@ -23,6 +24,10 @@ from srgkit.gf import (
 )
 
 
+ORDERS_TO_256 = [q for q in range(2, 257) if is_prime_power(q)]
+ORDERS_TO_64 = [q for q in ORDERS_TO_256 if q <= 64]
+
+
 class TestMakeField:
     def test_deterministic_moduli(self):
         assert make_field(3, 1).modulus == (0, 1)
@@ -30,6 +35,13 @@ class TestMakeField:
         assert make_field(2, 2).modulus == (1, 1, 1)
         assert make_field(2, 3).modulus == (1, 0, 1, 1)
         assert make_field(2, 6).modulus == (1, 0, 0, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("q", ORDERS_TO_256)
+    def test_moduli_are_the_least_irreducibles(self, q):
+        """The modulus of every field up to order 256 is the least monic
+        polynomial that no product of two monic factors equals."""
+        field = field_of_order(q)
+        assert field.modulus == oracles.least_irreducible_by_products(field.p, field.k)
 
     def test_element_counts(self):
         for p, k in [(2, 1), (3, 2), (2, 4), (5, 2)]:
@@ -71,10 +83,6 @@ class TestMakeField:
         assert orbit == 6
 
 
-ORDERS_TO_256 = [q for q in range(2, 257) if is_prime_power(q)]
-ORDERS_TO_64 = [q for q in ORDERS_TO_256 if q <= 64]
-
-
 def power_by_products(mul, a: int, e: int) -> int:
     """a**e for e >= 0, as e products in the table ``mul``."""
     r = 1
@@ -91,12 +99,21 @@ class TestFieldArithmetic:
         schoolbook sums and products."""
         field = field_of_order(q)
         add, mul = oracles.schoolbook_tables(field)
-        assert field.add_table == add
-        assert field.mul_table == mul
+        assert [list(row) for row in field.add_table] == add
+        assert [list(row) for row in field.mul_table] == mul
         assert field.neg_table == [row.index(0) for row in add]
         assert field.inv_table == [0] + [row.index(1) for row in mul[1:]]
         frob = [power_by_products(mul, a, field.p) for a in range(q)]
         assert field.frob_table == frob
+
+    def test_no_table_row_is_tracked_by_the_collector(self):
+        """make_field keeps every field, so the rows of its add and mul
+        tables, which hold only ints, must be untracked by the cyclic
+        garbage collector, not traversed at each collection."""
+        fields = [field_of_order(q) for q in (2, 9, 64, 125)]
+        gc.collect()
+        rows = [row for f in fields for row in (*f.add_table, *f.mul_table)]
+        assert rows and not any(map(gc.is_tracked, rows))
 
     @pytest.mark.parametrize("q", ORDERS_TO_64)
     def test_pow_index_matches_repeated_products(self, q):

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,65 @@ def test_the_base_layer_imports_no_other_layer():
     ``graphcore``; that holds only while it imports no srgkit module."""
     base = next(path for path in PACKAGE if path.name == "base.py")
     assert package_imports(base.read_text()) == []
+
+
+def layer_order() -> list[str]:
+    """The layers as ``srgkit/__init__``'s docstring lists them, bottom up."""
+    init = next(path for path in PACKAGE if path.name == "__init__.py")
+    doc = ast.get_docstring(ast.parse(init.read_text()))
+    return re.findall(r":mod:`srgkit\.(\w+)`", doc)
+
+
+def upward_imports(source: str, layer: str, order: list[str]) -> list[str]:
+    """Module-level relative imports (``TYPE_CHECKING`` blocks included;
+    function bodies exempt) of a layer not listed before ``layer`` in
+    ``order``.  A module not in ``order`` stands above every layer."""
+    rank = order.index(layer) if layer in order else len(order)
+    found, nodes = [], list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [(node.lineno, n) for n in names if n not in order[:rank]]
+    return [f"line {line}: .{name}" for line, name in sorted(found)]
+
+
+def test_the_scan_finds_an_upward_import():
+    order = ["base", "gf", "geometry", "graphcore", "orbitals"]
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from .base import _record\n"
+        "from .orbitals import PermGroupAction\n"
+        "from . import graphcore, gf\n"
+        "if TYPE_CHECKING:\n"
+        "    from .geometry import FormedSpace\n"
+        "def f():\n"
+        "    from .orbitals import compute_orbitals\n"
+    )
+    assert upward_imports(source, "geometry", order) == [
+        "line 3: .orbitals",
+        "line 4: .graphcore",
+        "line 6: .geometry",
+    ]
+    assert upward_imports(source, "__main__", order) == []
+
+
+def test_the_layer_order_lists_every_module():
+    order = layer_order()
+    assert order[:2] == ["base", "gf"] and order[-1] == "cli"
+    layers = [path.stem for path in SOURCES if path.stem != "__main__"]
+    assert sorted(order) == sorted(layers)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_module_level_import_is_of_a_lower_layer(path):
+    """A module imports, at module level, only layers listed before it in
+    ``srgkit/__init__``; an import of a higher layer waits in the
+    function that needs it, so importing a layer compiles none above it."""
+    assert upward_imports(path.read_text(), path.stem, layer_order()) == []
 
 
 # the owners of the ``"group-orbitals"`` certificate: who may write it, and

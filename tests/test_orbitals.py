@@ -543,6 +543,35 @@ def test_no_transitive_pair_falls_back_to_every_generator(monkeypatch):
     assert partition.rank == 8 and partition.certificate == "group-orbitals"
 
 
+def test_named_orbitals_are_none_when_the_generators_are_not_transitive():
+    """Two disjoint swaps of 4 points: no partner of their product is
+    transitive, nor are they, so no product partner is made or tried."""
+    swaps, asked = ((1, 0, 2, 3), (0, 1, 3, 2)), []
+
+    def generator(i):
+        asked.append(i)
+        return swaps[i]
+
+    assert orbitals._named_orbitals((1, 0, 3, 2), generator, 2, [1, 2, 2]) is None
+    assert asked == [0, 1, 0, 1]
+
+
+def test_named_orbitals_make_only_the_partners_tried(monkeypatch):
+    """The 5-cycle c with the transposition t: the product t c and the
+    first partner c make a transitive pair, so t is never made."""
+    cycle, swap, asked = (1, 2, 3, 4, 0), (1, 0, 2, 3, 4), []
+
+    def generator(i):
+        asked.append(i)
+        return (cycle, swap)[i]
+
+    product = tuple(swap[x] for x in cycle)  # c, then t
+    runs = generator_counts_of_runs(monkeypatch)
+    partition = orbitals._named_orbitals(product, generator, 2, [1] * 4)
+    assert asked == [0] and runs == [2]
+    assert partition == compute_orbitals(PermGroupAction(5, (cycle, swap)))
+
+
 def test_a_labelling_the_group_moves_raises_as_on_every_generator(monkeypatch):
     action = flag_action(2)
     moved = [y % 2 for y in range(1, action.degree)]

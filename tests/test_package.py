@@ -25,6 +25,15 @@ def test_importing_the_package_compiles_no_layer():
     assert run.stdout.strip() == "[]"
 
 
+def test_the_geometry_layer_compiles_only_the_layers_below_it():
+    loaded = "sorted(m for m in sys.modules if 'srgkit.' in m)"
+    code = f"import sys, srgkit.geometry; print({loaded})"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", code]
+    run = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "['srgkit.base', 'srgkit.geometry', 'srgkit.gf']"
+
+
 def test_star_import_binds_exactly_all():
     namespace: dict = {}
     exec("from srgkit import *", namespace)
