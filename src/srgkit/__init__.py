@@ -12,8 +12,10 @@ before it:
   traces, characters, and closed-form solution counts for standard forms.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,
   hermitian) over those fields: point/subspace enumeration, tangency and
-  perpendicularity tests, flags of projective planes, and the reflections
-  of a form as linear maps (no permutation action: that is made above).
+  perpendicularity tests, flags of projective planes, the reflections of
+  a form as matrices, and the column kernel that applies a matrix to a
+  whole point set by one gather (no permutation action: that is made
+  above).
 - :mod:`srgkit.graphcore` — immutable bitset graphs with brute-force
   strong-regularity and distance-regularity verification, plus graph6 and
   edge-list serialization.

@@ -20,13 +20,13 @@ the base row (0, y) alone, and :func:`srgkit.orbitals.compute_orbitals`,
 which certifies the pair orbits and checks that the invariant names them
 one to one.  The certificate runs on two products of the generators when
 they generate a transitive subgroup whose pair orbits the invariant names,
-and on every generator otherwise.  :mod:`srgkit.geometry` gives the
-reflections as linear maps; :func:`_reflection_orbitals` turns them into
-permutations of the points, each once and only when the certificate reads
+and on every generator otherwise.  A linear map permutes a point set by one
+gather through its code index (:func:`srgkit.geometry._permutation`);
+:func:`_reflection_orbitals` makes each once, when the certificate reads
 it.  The unitary, orthogonal, polar-complement and Hamming graphs are
-classes of such a partition.  Grassmann and dual
-polar graphs are read off packed incidence sums, one byte row per subspace
-and symmetric by construction; only Johnson graphs use ``build_graph``.
+classes of such a partition.  Grassmann and dual polar graphs are read off
+incidence sums over the subspaces' points, found by the same gathers; only
+Johnson graphs use ``build_graph``.
 
 The pair-classification builders (:func:`build_unitary_orbitals`,
 :func:`build_orthogonal_orbitals`, :func:`build_flag_orbitals`,
@@ -55,14 +55,17 @@ from .base import _record, _strict_int
 from .geometry import (
     FormedSpace,
     _check_vector_cap,
+    _code_index,
+    _columns,
     _dot,
+    _permutation,
     _reflections,
+    _subspace_points,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
-    lead_one,
     line_tangency_count,
     projective_reps,
 )
@@ -384,39 +387,27 @@ def _reflection_orbitals(space: FormedSpace, points, labels) -> OrbitalPartition
     space on, each prefix goes to :func:`_named_orbitals`, and a prefix
     that does not act transitively takes one more reflection.  P, the
     product of a prefix in pick order (the first applied first), is made
-    in one pass over the points from the composed linear map; the i-th
-    reflection's permutation is made when it is first read, and kept for
-    the longer prefixes, so no permutation is made twice.  Each image is
-    found by its :func:`lead_one` representative; a map that leaves the
-    point set raises AssertionError, naming it."""
+    from the product matrix, and the i-th reflection's permutation when it
+    is first read, each once, by one gather through the points' code
+    index; a map that leaves the point set raises AssertionError, naming
+    it."""
     field, labels = space.field, tuple(labels)
-    add, mul = field.add_table, field.mul_table
-    index = {lead_one(field, p.rep): i for i, p in enumerate(points)}
+    columns = _columns(p.rep for p in points)
+    index = _code_index(field, columns)
 
-    def permutation(apply, name: str) -> tuple[int, ...]:
-        try:
-            return tuple(index[lead_one(field, apply(p.rep))] for p in points)
-        except KeyError:
-            raise AssertionError(
-                f"the {name} maps a point outside the point set"
-            ) from None
+    def permutation(matrix, name: str) -> tuple[int, ...]:
+        if -1 in (perm := _permutation(field, columns, matrix, index)):
+            raise AssertionError(f"the {name} maps a point outside the point set")
+        return perm
 
-    def composed(x):  # the sum of x_j images[j]: the product of the prefix
-        acc = [0] * len(x)
-        for c, row in zip(x, images):
-            if c:
-                scaled = mul[c]
-                acc = [add[a][scaled[b]] for a, b in zip(acc, row)]
-        return tuple(acc)
-
-    maps, images = [], space.basis()  # images: of the basis under the product
+    maps, product = [], space.basis()  # product: the basis images under P
     reflection = cache(lambda i: permutation(*maps[i]))
-    for name, reflect, spans in _reflections(space, points):
-        maps.append((reflect, f"reflection in {name}"))
-        images = list(map(reflect, images))
+    for name, matrix, spans in _reflections(space, points):
+        maps.append((matrix, f"reflection in {name}"))
+        product = [tuple(_dot(field, x, y) for y in zip(*matrix)) for x in product]
         if spans:
-            product = permutation(composed, "product of the reflections")
-            partition = _named_orbitals(product, reflection, len(maps), labels)
+            product_perm = permutation(product, "product of the reflections")
+            partition = _named_orbitals(product_perm, reflection, len(maps), labels)
             if partition is not None:
                 return partition
     raise AssertionError("the reflections do not act transitively on the points")
@@ -566,26 +557,18 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
     """Graph on 3-subspaces of F_q^ambient_dim, two adjacent exactly when
     they meet in a 2-space (q+1 common projective points).  A projective
     point is one int with byte v set when subspace v contains it, so the
-    sum over a subspace's points is its row of intersection sizes, q^2+q+1
-    on the diagonal.  Size (v, w) counts the points v and w share, so the
-    graph is symmetric by construction.  A size fits its byte while
-    q^2 + q + 1 <= 255, that is q < 16, and two guards hold that: the
-    vector cap refuses F_16^6 (2^24 vectors), and the pair cap more than
-    8192 subspaces; each builder applies both before any enumeration."""
-    q = field.q
-    point_index = {
-        rep: i for i, rep in enumerate(projective_reps(field, ambient_dim))
-    }
-    n = len(subspaces)
-    incidence = [0] * len(point_index)
-    points_of = []
-    for v, s in enumerate(subspaces):
-        ids = [point_index[rep] for rep in s.point_reps(field)]
-        if len(ids) != q * q + q + 1:
-            raise AssertionError(f"a 3-space has {len(ids)} points")
+    sum over a subspace's points (:func:`srgkit.geometry._subspace_points`)
+    is its row of intersection sizes, q^2+q+1 on the diagonal and
+    symmetric by construction.  A size fits its byte while q^2 + q + 1 <=
+    255, that is q < 16: the vector cap refuses F_16^6 (2^24 vectors), and
+    the pair cap more than 8192 subspaces, both before any enumeration."""
+    n, q = len(subspaces), field.q
+    points_of = _subspace_points(field, ambient_dim, subspaces)
+    members = [bytearray(n) for _ in range((q**ambient_dim - 1) // (q - 1))]
+    for v, ids in enumerate(points_of):
         for i in ids:
-            incidence[i] |= 1 << 8 * v
-        points_of.append(ids)
+            members[i][v] = 1
+    incidence = [int.from_bytes(m, "little") for m in members]
     sizes = (
         sum(map(incidence.__getitem__, ids)).to_bytes(n, "little") for ids in points_of
     )
@@ -752,13 +735,29 @@ def flag_action(q: int) -> PermGroupAction:
     Matrix generators: a diagonal scaling by the field's least primitive
     element g, one transvection, and the coordinate 3-cycle; points
     transform by the matrix A and lines by its inverse transpose A^-T, so
-    incidence is preserved.  The duality swaps a flag's point and line
-    coordinates.
+    incidence is preserved, each by one gather through the plane's code
+    index, and a flag's image is read off its key point * m + line.  The
+    duality swaps a flag's point and line.
     """
     field = field_of_order(q)
-    flags = enumerate_flags(q)
-    index = {f: i for i, f in enumerate(flags)}
-    g = field.primitive
+    flags, reps = enumerate_flags(q), projective_reps(field, 3)
+    g, m, columns = field.primitive, len(reps), _columns(reps)
+    index, identity = _code_index(field, columns), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    point, line = (  # the index in reps of each flag's point, and of its line
+        _permutation(field, _columns(vectors), identity, index)
+        for vectors in zip(*flags)
+    )
+
+    def keys(points, lines):  # a flag's key: point index * m + line index
+        return map(operator.add, map(operator.mul, points, itertools.repeat(m)), lines)
+
+    flag_of = dict(zip(keys(point, line), range(len(flags))))
+
+    def gather(points, lines, name: str) -> tuple[int, ...]:
+        if None in (perm := tuple(map(flag_of.get, keys(points, lines)))):
+            raise AssertionError(f"the {name} generator maps a flag to a non-flag")
+        return perm
+
     cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     pairs = {  # name -> (A, A^-T)
         "scaling": (
@@ -771,19 +770,12 @@ def flag_action(q: int) -> PermGroupAction:
         ),
         "3-cycle": (cycle, cycle),
     }
-
-    def image(vec, a):  # the row vector vec A, by its lead-1 representative
-        return lead_one(field, tuple(_dot(field, vec, column) for column in zip(*a)))
-
+    at_point, at_line = operator.itemgetter(*point), operator.itemgetter(*line)
     generators = []
-    for name, (a, b) in pairs.items():
-        try:
-            perm = tuple(index[image(p, a), image(line, b)] for p, line in flags)
-        except KeyError:
-            message = f"the {name} generator maps a flag to a non-flag"
-            raise AssertionError(message) from None
-        generators.append(perm)
-    generators.append(tuple(index[(line, point)] for point, line in flags))
+    for name, (a, b) in pairs.items():  # the row vectors x A and x A^-T
+        on_points, on_lines = (_permutation(field, columns, c, index) for c in (a, b))
+        generators.append(gather(at_point(on_points), at_line(on_lines), name))
+    generators.append(gather(line, point, "duality"))
     return PermGroupAction(len(flags), tuple(generators))
 
 

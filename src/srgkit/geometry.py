@@ -1,8 +1,10 @@
 """Formed vector spaces over finite fields, exact enumeration of the
-point sets and subspaces that underlie the graph families, and the
-reflections of the forms as linear maps.  This layer makes no permutation
-action: :mod:`srgkit.families` turns the reflections into permutations of
-a point set for :mod:`srgkit.orbitals`, which lies above it.
+point sets and subspaces that underlie the graph families, the
+reflections of the forms as matrices, and one column kernel that maps a
+point set, held as its coordinate columns, through a matrix by one gather
+(:func:`_permutation`).  This layer makes no permutation action:
+:mod:`srgkit.families` turns the reflections into the permutations of a
+point set that :mod:`srgkit.orbitals`, which lies above it, acts by.
 
 A :class:`FormedSpace` is F_q^n (or F_{q^2}^n) equipped with exactly one of
 
@@ -27,9 +29,11 @@ index order, so every listing is deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple
+import operator
+from typing import Iterator, NamedTuple
 
 from .base import ScaleGuardError, _record
 from .gf import Field, FieldElement, field_of_order
@@ -105,24 +109,9 @@ class Subspace:
     def vectors(self, field: Field) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the span, deterministically ordered by
         coefficient tuples."""
-        return self._combinations(
-            field, itertools.product(range(field.q), repeat=self.dim)
-        )
-
-    def point_reps(self, field: Field) -> tuple[tuple[int, ...], ...]:
-        """Canonical first-nonzero-is-1 representatives of the projective
-        points in the span, sorted.  The basis is reduced echelon, so
-        sum c_i r_i has coordinate c_i at the pivot of r_i and zeros before
-        the first pivot with c_i nonzero: it is canonical exactly when the
-        coefficient vector c is."""
-        reps = self._combinations(field, projective_reps(field, self.dim))
-        return tuple(sorted(reps))
-
-    def _combinations(self, field: Field, coefficients) -> Iterator[tuple[int, ...]]:
-        """sum c_i r_i over the basis rows r_i, for each coefficient tuple c."""
         n = len(self.rows[0]) if self.rows else 0
         add, mul = field.add_table, field.mul_table
-        for coeffs in coefficients:
+        for coeffs in itertools.product(range(field.q), repeat=self.dim):
             vec = [0] * n
             for c, row in zip(coeffs, self.rows):
                 if c:
@@ -384,6 +373,79 @@ def projective_reps(field: Field, n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _columns(vectors) -> list[bytes]:
+    """Vectors over a field of order q <= 256 held as coordinate columns."""
+    return list(map(bytes, zip(*vectors)))
+
+
+def _image_codes(field: Field, columns, matrix):
+    """The int code sum y_j q^j of y = x M for each vector x held as
+    coordinate ``columns`` (:func:`_columns`), M given by the images M[i]
+    of the basis vectors: each term M[i][j] x_i is one translate of column
+    i through a row of ``mul_table``, and the sums and the code are lazy
+    C-level maps over rows of ``add_table``."""
+    add_row, mul, q = field.add_table.__getitem__, field.mul_table, field.q
+    times = {m: bytes(mul[m]).ljust(256, b"\0") for m in {*itertools.chain(*matrix)}}
+    get, repeat = operator.getitem, itertools.repeat
+    codes = repeat(0, len(columns[0]))
+    for j, entries in enumerate(zip(*matrix)):
+        terms = [
+            x if m == 1 else x.translate(times[m])
+            for x, m in zip(columns, entries)
+            if m
+        ]
+        if terms:  # y_j = sum M[i][j] x_i; a zero one adds nothing
+            y = functools.reduce(lambda a, b: map(get, map(add_row, a), b), terms)
+            codes = map(operator.add, codes, map(operator.mul, y, repeat(q**j)))
+    return codes
+
+
+def _code_index(field: Field, columns) -> memoryview:
+    """index[code] = k for the code of every nonzero multiple of the k-th
+    vector held as coordinate ``columns``, and -1 for every other vector of
+    F_q^dim, the zero vector included: a C array of q^dim entries within
+    the vector cap, two bytes an entry below 2^15 vectors.  It is a typed
+    view of a ``bytearray`` of 0xff bytes: an ``array.array`` raised the
+    peak memory of ``scheme dualpolar:1``, which compiles this layer, by
+    about 0.15 MiB (the module is a shared library)."""
+    dim, wide = len(columns), len(columns[0]) >= 1 << 15
+    _check_vector_cap(field, dim)
+    index = memoryview(bytearray(b"\xff") * ((4 if wide else 2) * field.q**dim))
+    index = index.cast("i" if wide else "h")
+    for s in range(1, field.q):
+        scalar = [[s * (i == j) for j in range(dim)] for i in range(dim)]
+        for k, code in enumerate(_image_codes(field, columns, scalar)):
+            index[code] = k
+    return index
+
+
+def _permutation(field: Field, columns, matrix, index) -> tuple[int, ...]:
+    """The point that ``index`` (from :func:`_code_index`) gives the code of
+    the image x M of each vector x held as ``columns``: one gather, -1
+    where the image is a multiple of no indexed point."""
+    codes = _image_codes(field, columns, matrix)
+    return tuple(map(operator.getitem, itertools.repeat(index), codes))
+
+
+def _subspace_points(field, ambient_dim: int, subspaces) -> list[tuple[int, ...]]:
+    """The indices in ``projective_reps(field, ambient_dim)`` of the points
+    sum c_i r_i of each 3-space with basis rows r_i, c running over
+    ``projective_reps(field, 3)``: one gather per c over the columns of all
+    subspaces' joined rows.  A 3-space with fewer than q^2 + q + 1 distinct
+    points (dependent rows) raises AssertionError, naming it."""
+    q, n = field.q, ambient_dim
+    columns = _columns(itertools.chain(*s.rows) for s in subspaces)
+    index, by_c = _code_index(field, _columns(projective_reps(field, n))), []
+    for cs in projective_reps(field, 3):  # row (i, j) of the matrix is c_i e_j
+        matrix = [[c * (j == k) for k in range(n)] for c in cs for j in range(n)]
+        by_c.append(_permutation(field, columns, matrix, index))
+    points_of = list(zip(*by_c))
+    for s, ids in zip(subspaces, points_of):
+        if (found := len(set(ids) - {-1})) != q * q + q + 1:
+            raise AssertionError(f"the 3-space {s} has {found} points")
+    return points_of
+
+
 def _value_index(space: FormedSpace, value: int | FieldElement) -> int:
     """The index of a form value in space.value_field, which must hold it."""
     if isinstance(value, FieldElement):
@@ -481,12 +543,13 @@ def line_tangency_count(
     return count
 
 
-def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, Callable, bool]]:
+def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, list, bool]]:
     """The reflections of ``space`` picked from ``points``, in a fixed
-    order, each as (name, reflect, spans): the name of its vector, its
-    linear map on vectors, checked to preserve the form and Q on the basis,
-    and whether its vector and the vectors before it span the space (once
-    True, True for every later one).
+    order, each as (name, images, spans): the name of its vector, the
+    images of the basis vectors under it (the linear map x -> sum x_i
+    images[i]), checked to preserve the form and Q, and whether its vector
+    and the vectors before it span the space (once True, True for every
+    later one).
 
     A quadratic space reflects in a nonsingular v by x -> x - B(x, v)
     Q(v)^-1 v (the orthogonal transvection in characteristic 2), a
@@ -525,25 +588,16 @@ def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, Callable, bo
         v = candidates[k * step % len(candidates)]
         c = mul[scale][inv[square(v, v)]]  # x -> x + (x . u) v, u_i = c h(e_i, v)
         u = [mul[c][_dot(field, row, space.conjugate(v))] for row in gram]
-        reflect = _rank_one_map(field, u, v)
-        images, name = list(map(reflect, basis)), ":".join(map(str, v))
+        images = [  # e_i + u_i v
+            tuple(add[a][mul[t][b]] for a, b in zip(e, v)) for t, e in zip(u, basis)
+        ]
+        name = ":".join(map(str, v))
         if [[space.inner(a, b) for b in images] for a in images] != gram or list(
             map(space.form_value, images)
         ) != values:
             raise AssertionError(f"the reflection in {name} is not an isometry")
         span = rref(field, [*span, v])
-        yield name, reflect, len(span) == dim
-
-
-def _rank_one_map(field: Field, u, v) -> Callable:
-    """The linear map x -> x + (x . u) v."""
-    add, mul = field.add_table, field.mul_table
-
-    def apply(x):
-        t = _dot(field, x, u)
-        return tuple(add[a][mul[t][b]] for a, b in zip(x, v))
-
-    return apply
+        yield name, images, len(span) == dim
 
 
 def _witt_index(space: FormedSpace) -> int:
@@ -638,8 +692,11 @@ def enumerate_flags(q: int) -> list[Flag]:
     """All incident (point, line) pairs of PG(2, q), ordered by point then
     line representative; the count is (q^2+q+1)(q+1)."""
     field = field_of_order(q)
-    reps = projective_reps(field, 3)
-    flags = [Flag(p, line) for p in reps for line in reps if _dot(field, p, line) == 0]
+    reps, flags = projective_reps(field, 3), []
+    columns = _columns(reps)
+    for p in reps:  # the lines through p: the reps x with x . p = 0
+        on_p = map(operator.not_, _image_codes(field, columns, [[c] for c in p]))
+        flags += [Flag(p, line) for line in itertools.compress(reps, on_p)]
     expected = (q**2 + q + 1) * (q + 1)
     if len(flags) != expected:
         raise AssertionError(f"{len(flags)} flags found, expected {expected}")

@@ -17,12 +17,14 @@ from srgkit.geometry import (
     FormedSpace,
     ProjectivePoint,
     _check_nonsingular_points,
+    _dot,
     _reflections,
     _rescale,
     _value_index,
     enumerate_flags,
     lead_one,
     line_tangency_count,
+    projective_reps,
     rref,
 )
 from srgkit.gf import (
@@ -375,6 +377,66 @@ def point_reps_by_normalising(field: Field, subspace) -> tuple[tuple[int, ...], 
     )
 
 
+def point_reps_by_echelon(field: Field, subspace) -> tuple[tuple[int, ...], ...]:
+    """Canonical first-nonzero-is-1 representatives of the projective
+    points in the span, sorted.  The basis is reduced echelon, so
+    sum c_i r_i has coordinate c_i at the pivot of r_i and zeros before
+    the first pivot with c_i nonzero: it is canonical exactly when the
+    coefficient vector c is, so each is made once, from its c."""
+    add, mul = field.add_table, field.mul_table
+    reps = []
+    for coeffs in projective_reps(field, subspace.dim):
+        vec = [0] * len(subspace.rows[0])
+        for c, row in zip(coeffs, subspace.rows):
+            vec = [add[a][mul[c][r]] for a, r in zip(vec, row)]
+        reps.append(tuple(vec))
+    return tuple(sorted(reps))
+
+
+def image_by_rows(field: Field, matrix, vec) -> tuple[int, ...]:
+    """The row vector vec M, M given by the images M[i] of the basis
+    vectors: one dot product with each column of M."""
+    return tuple(_dot(field, vec, column) for column in zip(*matrix))
+
+
+def permutation_by_normalising(field: Field, reps, matrix) -> tuple[int, ...] | None:
+    """The permutation x -> x M of the projective points ``reps``, each
+    image scaled to its lead-one representative and looked up in a
+    tuple-keyed index of the points; None when an image is not one of
+    them."""
+    index = {lead_one(field, rep): i for i, rep in enumerate(reps)}
+    images = [lead_one(field, image_by_rows(field, matrix, rep)) for rep in reps]
+    perm = tuple(index.get(image) for image in images)
+    return None if None in perm else perm
+
+
+def flag_action_generators(q: int) -> tuple[tuple[int, ...], ...]:
+    """The generators of ``families.flag_action(q)`` point by point: each
+    flag's point times A and line times A^-T, scaled to lead-one
+    representatives and looked up as a pair among the flags, then the
+    duality, which swaps a flag's point and line."""
+    field = field_of_order(q)
+    flags = enumerate_flags(q)
+    index = {f: i for i, f in enumerate(flags)}
+    g, neg, inv = field.primitive, field.neg_table, field.inv_table
+    cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    pairs = (  # (A, A^-T) of the scaling, the transvection and the 3-cycle
+        ([[g, 0, 0], [0, 1, 0], [0, 0, 1]], [[inv[g], 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [neg[1], 1, 0], [0, 0, 1]]),
+        (cycle, cycle),
+    )
+
+    def image(vec, a):
+        return lead_one(field, image_by_rows(field, a, vec))
+
+    generators = [
+        tuple(index[image(p, a), image(line, b)] for p, line in flags)
+        for a, b in pairs
+    ]
+    generators.append(tuple(index[(line, point)] for point, line in flags))
+    return tuple(generators)
+
+
 def tangency_graph(space, points):
     """Graph on the given projective points, two points adjacent exactly
     when the line joining them has one singular point, found by evaluating
@@ -475,20 +537,18 @@ def form_pair_classes(space, points) -> bytes:
 def reflection_action(space, points) -> PermGroupAction:
     """The isometry group of ``space`` generated by reflections, acting on
     ``points``, on every generator: the permutations of the reflections
-    of ``geometry._reflections``, each image found by its lead-one
-    representative, taken until they span the space and act transitively.
-    A reflection that leaves the point set raises AssertionError, naming
-    it."""
-    index = {lead_one(space.field, p.rep): i for i, p in enumerate(points)}
-    generators = []
-    for name, reflect, spans in _reflections(space, points):
-        images = (lead_one(space.field, reflect(p.rep)) for p in points)
-        try:
-            generators.append(tuple(index[x] for x in images))
-        except KeyError:
+    of ``geometry._reflections``, each made by
+    :func:`permutation_by_normalising`, taken until they span the space
+    and act transitively.  A reflection that leaves the point set raises
+    AssertionError, naming it."""
+    reps, generators = [p.rep for p in points], []
+    for name, matrix, spans in _reflections(space, points):
+        perm = permutation_by_normalising(space.field, reps, matrix)
+        if perm is None:
             raise AssertionError(
                 f"the reflection in {name} maps a point outside the point set"
-            ) from None
+            )
+        generators.append(perm)
         action = PermGroupAction(len(points), tuple(generators))
         if spans and action.is_transitive():
             return action

@@ -421,10 +421,28 @@ def test_flag_labels_must_name_the_orbits_one_to_one(monkeypatch):
 
 
 def test_flag_action_names_a_generator_that_leaves_the_flags(monkeypatch):
-    # every image becomes the point (0:0:1) on the line (0:0:1): not a flag
-    monkeypatch.setattr(families, "lead_one", lambda field, vec: (0, 0, 1))
+    # the scaling's images of the points (0:0:1) and (0:1:0) are swapped
+    # and its line images kept (A^-T differs from A at q = 5), so a flag on
+    # (0:0:1) goes to a point and a line that miss each other: no flag
+    g, run = field_of_order(5).primitive, families._permutation
+
+    def planted(field, columns, matrix, index):
+        perm = run(field, columns, matrix, index)
+        if matrix == [[g, 0, 0], [0, 1, 0], [0, 0, 1]]:
+            perm = (perm[1], perm[0]) + perm[2:]
+        return perm
+
+    monkeypatch.setattr(families, "_permutation", planted)
     with pytest.raises(AssertionError, match="the scaling generator maps a flag"):
-        flag_action(3)
+        flag_action(5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_flag_action_is_the_action_made_point_by_point(q):
+    """Each generator, a gather through the plane's code index and the
+    flag index point * m + line, is the permutation the lead-one
+    representatives of each flag's images name."""
+    assert flag_action(q).generators == oracles.flag_action_generators(q)
 
 
 def test_flag_action_is_transitive_of_rank_four():
@@ -950,8 +968,7 @@ def test_the_partner_search_stops_when_the_generators_are_not_transitive(
 
 
 # the permutations of the point set each form build makes, its products
-# P and its reflections together: one lead_one per point for each, after
-# the n of the point index
+# P and its reflections together: one gather of the kernel for each
 PERMUTATIONS_MADE = {
     "NU(3,3)": (partial(build_NU, 3, 3), 2),
     "NU(3,4)": (partial(build_NU, 3, 4), 2),
@@ -970,19 +987,74 @@ PERMUTATIONS_MADE = {
 }
 
 
+def record_permutations(monkeypatch) -> list[tuple]:
+    """(matrix, permutation) of each permutation the kernel makes for
+    families from here on."""
+    made = []
+
+    def recorded(field, columns, matrix, index, run=families._permutation):
+        made.append((matrix, run(field, columns, matrix, index)))
+        return made[-1][1]
+
+    monkeypatch.setattr(families, "_permutation", recorded)
+    return made
+
+
 @pytest.mark.parametrize("name", PERMUTATIONS_MADE)
 def test_each_form_build_makes_each_permutation_once(monkeypatch, name):
     build, made = PERMUTATIONS_MADE[name]
-    spaces, calls = record_form_spaces(monkeypatch), []
-
-    def counted(field, vec, run=families.lead_one):
-        calls.append(vec)
-        return run(field, vec)
-
-    monkeypatch.setattr(families, "lead_one", counted)
+    spaces, calls = record_form_spaces(monkeypatch), record_permutations(monkeypatch)
     build()
     [(_, points, _)] = spaces
-    assert len(calls) == (1 + made) * len(points)
+    assert len(calls) == made
+    assert all(len(perm) == len(points) for _, perm in calls)
+
+
+@pytest.mark.parametrize("name", PERMUTATIONS_MADE)
+def test_each_permutation_is_the_one_made_point_by_point(monkeypatch, name):
+    """Every reflection and product P a form build makes through the
+    column kernel is the permutation that normalising each image to its
+    lead-one representative gives."""
+    build, made = PERMUTATIONS_MADE[name]
+    spaces, calls = record_form_spaces(monkeypatch), record_permutations(monkeypatch)
+    build()
+    [(space, points, _)] = spaces
+    reps = [p.rep for p in points]
+    for matrix, perm in calls:
+        assert perm == oracles.permutation_by_normalising(space.field, reps, matrix)
+
+
+def test_meet_graph_points_are_the_normalised_spans(monkeypatch):
+    """The points of every 3-space of Grassmann(6,2), Sp6(2) and Sp6(3),
+    read off the kernel's columns over all subspaces, are its span's
+    nonzero vectors normalised to lead-one representatives."""
+    seen = []
+
+    def recorded(field, ambient_dim, subspaces, run=families._subspace_points):
+        seen.append((field, ambient_dim, subspaces, run(field, ambient_dim, subspaces)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(families, "_subspace_points", recorded)
+    build_grassmann(6, 2), build_dual_polar_sp6(2), build_dual_polar_sp6(3)
+    assert [len(subspaces) for _, _, subspaces, _ in seen] == [1395, 135, 1120]
+    for field, dim, subspaces, points_of in seen:
+        reps = geometry.projective_reps(field, dim)
+        for s, ids in zip(subspaces, points_of):
+            found = tuple(sorted(reps[i] for i in ids))
+            assert found == oracles.point_reps_by_normalising(field, s)
+
+
+def test_meet_graph_refuses_a_subspace_with_dependent_rows():
+    field = field_of_order(2)
+    good = enumerate_subspaces(field, 6, 3)[:2]
+    r = good[1].rows
+    bad = geometry.Subspace((r[0], r[1], tuple(a ^ b for a, b in zip(r[0], r[1]))))
+    # <r0, r1, r0 + r1> is a 2-space: 3 distinct points, not 7
+    with pytest.raises(AssertionError, match=f"the 3-space {bad} has 3 points"):
+        families._meet_graph(field, 6, [good[0], bad])
+    repeated = geometry.Subspace((r[0], r[0], r[1]))  # <r0, r1> again, a zero image
+    with pytest.raises(AssertionError, match=f"the 3-space {repeated} has 3 points"):
+        families._meet_graph(field, 6, [good[0], repeated])
 
 
 def test_meet_graphs_pass_graph_validation():

@@ -24,6 +24,7 @@ from srgkit.geometry import (
 )
 import srgkit.geometry as geometry
 from srgkit import families
+from srgkit.base import ScaleGuardError
 from srgkit.families import build_NO, build_polar_complement
 from srgkit.gf import field_of_order, make_field
 from srgkit.orbitals import PermGroupAction, compute_orbitals
@@ -492,23 +493,68 @@ SUBSPACE_FAMILIES = {
 }
 
 
+def kernel_points(field, subspaces) -> list[tuple[tuple[int, ...], ...]]:
+    """The points of each 3-space as the column kernel reads them for the
+    meet graphs: representatives, sorted."""
+    dim = len(subspaces[0].rows[0])
+    reps = projective_reps(field, dim)
+    points_of = geometry._subspace_points(field, dim, subspaces)
+    return [tuple(sorted(reps[i] for i in ids)) for ids in points_of]
+
+
 @pytest.mark.parametrize("name", SUBSPACE_FAMILIES)
 def test_point_reps_equal_the_normalised_span(name):
     """The points read off the coefficient vectors through the echelon
-    basis are the span's nonzero vectors, normalised and deduplicated."""
+    basis, by the column kernel over all subspaces at once, are the
+    span's nonzero vectors, normalised and deduplicated."""
     q, subspaces = SUBSPACE_FAMILIES[name]
     field = field_of_order(q)
-    for s in subspaces(field):
-        assert s.point_reps(field) == oracles.point_reps_by_normalising(field, s)
+    subspaces = subspaces(field)
+    expected = [oracles.point_reps_by_normalising(field, s) for s in subspaces]
+    assert kernel_points(field, subspaces) == expected
 
 
 def test_subspace_point_reps():
     space = FormedSpace("symplectic", field_of_order(3), 6)
     sample = enumerate_max_isotropic(space)[0]
-    reps = sample.point_reps(space.field)
+    [reps] = kernel_points(space.field, [sample])
     assert len(reps) == 13  # (27 - 1) / 2
     assert all(next(c for c in r if c) == 1 for r in reps)
-    assert list(reps) == sorted(reps)
+    assert reps == oracles.point_reps_by_echelon(space.field, sample)
+
+
+@pytest.mark.parametrize("q, dim", [(2, 3), (3, 4), (4, 3), (5, 3), (9, 2)])
+def test_the_column_kernel_gathers_the_normalised_images(q, dim):
+    """On every other projective point of F_q^dim, each of a few linear
+    maps (invertible or not) gathers the point the lead-one representative
+    of each image names, and -1 where that point is not in the set or the
+    image is zero."""
+    field = field_of_order(q)
+    reps = projective_reps(field, dim)[::2]
+    columns = geometry._columns(reps)
+    index = geometry._code_index(field, columns)
+    assert sorted(index).count(-1) == q**dim - (q - 1) * len(reps)
+    zero = [[0] * dim] * dim  # every image is the zero vector, no point
+    assert geometry._permutation(field, columns, zero, index) == (-1,) * len(reps)
+    for seed in range(6):
+        matrix = [
+            tuple((seed * 7 + 3 * i + 5 * j + i * j) % q for j in range(dim))
+            for i in range(dim)
+        ]
+        matrix[seed % dim] = tuple((j == seed % dim) * (seed % q) for j in range(dim))
+        perm = geometry._permutation(field, columns, matrix, index)
+        images = [oracles.image_by_rows(field, matrix, x) for x in reps]
+        expected = [  # a zero image is no point
+            reps.index(lead_one(field, y)) if any(y) and lead_one(field, y) in reps else -1
+            for y in images
+        ]
+        assert list(perm) == expected
+
+
+def test_the_code_index_stays_inside_the_vector_cap():
+    # 64^4 = 2^24 vectors: refused before the index is allocated
+    with pytest.raises(ScaleGuardError, match="F_64\\^4"):
+        geometry._code_index(field_of_order(64), [(1,), (0,), (0,), (0,)])
 
 
 # ---------------------------------------------------------------------------

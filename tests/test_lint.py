@@ -594,3 +594,67 @@ def test_no_order_search_outside_the_field(path):
     read from the logs of one walk of the field's least primitive
     element, not found by powering candidates."""
     assert order_searches(path.read_text()) == []
+
+
+LOOPS = {
+    ast.For: "for",
+    ast.While: "while",
+    ast.ListComp: "comprehension",
+    ast.SetComp: "comprehension",
+    ast.DictComp: "comprehension",
+    ast.GeneratorExp: "comprehension",
+}
+
+
+def per_point_normalising(source: str) -> list[str]:
+    """Uses of ``lead_one`` inside a loop or a comprehension, or handed to
+    ``map``: scaling points to their lead-one representatives one at a
+    time, where the column kernel of ``geometry`` reads every image by one
+    gather through a code index.  Each use is named once, with the
+    outermost loop around it."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+            kind, scope = "map", node.args
+        elif type(node) in LOOPS:
+            kind, scope = LOOPS[type(node)], [node]
+        else:
+            continue
+        for part in scope:
+            for use in ast.walk(part):
+                name = getattr(use, "attr", getattr(use, "id", None))
+                if isinstance(use, (ast.Name, ast.Attribute)) and name == "lead_one":
+                    text = f"line {use.lineno}: lead_one in {kind}"
+                    found.setdefault((use.lineno, use.col_offset), text)
+    return [text for _, text in sorted(found.items())]
+
+
+def test_the_scan_finds_per_point_normalising():
+    source = (
+        "from .geometry import lead_one\n"
+        "def index(field, points):\n"
+        "    return {lead_one(field, p): i for i, p in enumerate(points)}\n"
+        "def images(field, vectors):\n"
+        "    out = []\n"
+        "    for v in vectors:\n"
+        "        out.append(geometry.lead_one(field, v))\n"
+        "    return out\n"
+        "def reps(field, vectors):\n"
+        "    return list(map(partial(lead_one, field), vectors))\n"
+        "def one(field, v):\n"
+        "    return lead_one(field, v)\n"
+    )
+    assert per_point_normalising(source) == [
+        "line 3: lead_one in comprehension",
+        "line 7: lead_one in for",
+        "line 10: lead_one in map",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "geometry.py"], ids=lambda path: path.name
+)
+def test_no_per_point_normalising_outside_geometry(path):
+    """Permutations of a point set are gathers through the column kernel's
+    code index, not a lead-one representative looked up per point."""
+    assert per_point_normalising(path.read_text()) == []
