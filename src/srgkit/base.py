@@ -112,25 +112,13 @@ def _record(cls):
             )
         return [given[name] if name in given else defaults[name] for name in params]
 
-    # one store and no loop for the one-field records, points and subspaces,
-    # which are made by the thousand
-    if arity == 1 and post_init is None:
-        (only,) = params
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = bind(args, kwargs)
-            _setattr(self, only, args[0])
-
-    else:
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != arity:
-                args = bind(args, kwargs)
-            for name, value in zip(params, args):
-                _setattr(self, name, value)
-            if post_init is not None:
-                post_init(self)
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for name, value in zip(params, args):
+            _setattr(self, name, value)
+        if post_init is not None:
+            post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -3,10 +3,13 @@
 Each family is built from first principles on top of :mod:`srgkit.geometry`
 (formed spaces, point and subspace enumeration) or plain combinatorics, and
 is returned as a :class:`srgkit.graphcore.Graph` ready for brute-force
-verification.  Each closed form (strongly regular parameters, valencies,
-the Grassmann array) is stated once, as a function of an exact scalar q:
-:func:`params_closed_form` and the vertex budgets evaluate it at a
-``Fraction`` and insist on integers, and the tests check it identically in q.
+verification.  Vertex i of a graph is the i-th entry of its construction's
+listing (a point's representative tuple, a subspace's row tuple, a flag, a
+word or a 3-set); the graph stores adjacency alone.  Each closed form
+(strongly regular parameters, valencies, the Grassmann array) is stated
+once, as a function of an exact scalar q: :func:`params_closed_form` and
+the vertex budgets evaluate it at a ``Fraction`` and insist on integers,
+and the tests check it identically in q.
 
 Each graph family is stated once, in the private table ``_FAMILIES``:
 its tag, its spec head (``nu`` in ``nu:n=3,q=3``), its parameter names and
@@ -299,11 +302,10 @@ class OrbitalClassification:
     graphs: Mapping[int, Graph]
     suborbit_lengths: Mapping[int, int]
     tensor: IntersectionTensor
-    eps: str | None = None
 
 
 def _classify_pairs(
-    points, partition: OrbitalPartition, labels, vertex_label, eps: str | None = None
+    points, partition: OrbitalPartition, labels
 ) -> OrbitalClassification:
     """Build an :class:`OrbitalClassification` from pair orbits named by a
     symmetric invariant, ``labels`` ascending (see
@@ -313,25 +315,21 @@ def _classify_pairs(
 
     if partition.paired != tuple(range(partition.rank)):
         raise AssertionError("a named pair class is not symmetric")
-    names = [vertex_label(p) for p in points]
     return OrbitalClassification(
         points=tuple(points),
         labels=labels,
         partition=partition,
-        graphs={
-            lab: orbital_graph(partition, c).relabel(names)
-            for c, lab in enumerate(labels, 1)
-        },
+        graphs={lab: orbital_graph(partition, c) for c, lab in enumerate(labels, 1)},
         suborbit_lengths=dict(zip(labels, partition.suborbit_lengths[1:])),
         tensor=tensor_from_orbital_partition(partition),
-        eps=eps,
     )
 
 
-def _class_graph(points, partition: OrbitalPartition, labels, label) -> Graph:
-    """The graph of the pair class named ``label``, on the named points."""
-    graph = orbital_graph(partition, 1 + labels.index(label))
-    return graph.relabel(list(map(str, points)))
+def _class_graph(classes, label) -> Graph:
+    """The graph of the pair class named ``label`` of ``classes``, a triple
+    (points, pair orbits, class labels); vertex i is points[i]."""
+    _, partition, labels = classes
+    return orbital_graph(partition, 1 + labels.index(label))
 
 
 def _form_points(
@@ -373,7 +371,7 @@ def _form_orbits(space: FormedSpace, points, label, tangency=False):
     a transitive H <= G: G preserves the label, so once the label names
     H's pair orbits one to one, H-orbits <= G-orbits <= label classes =
     H-orbits, and the classes are G's pair orbits."""
-    base = [label(points[0].rep, y.rep) for y in points[1:]]
+    base = [label(points[0], y) for y in points[1:]]
     for j, value in enumerate(base if tangency else (), 1):
         if (line_tangency_count(space, points[0], points[j]) == 1) != (value == 1):
             raise AssertionError(f"label 1 differs from line tangency at (0, {j})")
@@ -392,7 +390,7 @@ def _reflection_orbitals(space: FormedSpace, points, labels) -> OrbitalPartition
     index; a map that leaves the point set raises AssertionError, naming
     it."""
     field, labels = space.field, tuple(labels)
-    columns = _columns(p.rep for p in points)
+    columns = _columns(points)
     index = _code_index(field, columns)
 
     def permutation(matrix, name: str) -> tuple[int, ...]:
@@ -437,7 +435,7 @@ def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 
     For unit representatives the line is tangent exactly when its Gram
     determinant 1 - N(h(x, y)) vanishes, so adjacency is norm label 1."""
-    return _class_graph(*_unitary_classes(n, q, f"NU_{n}({q})", max_v, True), 1)
+    return _class_graph(_unitary_classes(n, q, f"NU_{n}({q})", max_v, True), 1)
 
 
 def build_unitary_orbitals(
@@ -452,9 +450,7 @@ def build_unitary_orbitals(
     vectors multiplies h(x, y) by an element of norm 1.  The classes are
     the pair orbits of the unitary reflection group.
     """
-    return _classify_pairs(
-        *_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v), str
-    )
+    return _classify_pairs(*_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,7 @@ def _orthogonal_classes(
         "quadratic-odd", q, 2 * m + 1, value, fid, family, max_v
     )
     mul, neg = space.field.mul_table, space.field.neg_table
-    inv_c = space.field.inv_table[space.form_value(points[0].rep)]
+    inv_c = space.field.inv_table[space.form_value(points[0])]
 
     def label(x, y) -> int:
         t = mul[space.half_inner(x, y)][inv_c]
@@ -501,7 +497,7 @@ def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
     For representatives of form value c the line is tangent exactly when
     its Gram determinant c^2 - (x, y)^2 vanishes, so adjacency is label 1."""
     family = f"NO_{2 * m + 1}^{eps}({q})"
-    return _class_graph(*_orthogonal_classes(m, q, eps, family, max_v, True), 1)
+    return _class_graph(_orthogonal_classes(m, q, eps, family, max_v, True), 1)
 
 
 def build_orthogonal_orbitals(
@@ -518,9 +514,7 @@ def build_orthogonal_orbitals(
     orbits of the orthogonal reflection group.
     """
     family = f"NO_{2 * m + 1}^{eps}({q}) pair classes"
-    return _classify_pairs(
-        *_orthogonal_classes(m, q, eps, family, max_v), str, eps
-    )
+    return _classify_pairs(*_orthogonal_classes(m, q, eps, family, max_v))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +539,7 @@ def build_polar_complement(
     family = f"polar complement {kind}({q})"
     space, points = _form_points(form, q, dim, 0, fid, family, max_v)
     nonzero = _form_orbits(space, points, lambda x, y: int(space.inner(x, y) != 0))
-    return _class_graph(points, *nonzero, 1)
+    return _class_graph((points, *nonzero), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +567,7 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
         sum(map(incidence.__getitem__, ids)).to_bytes(n, "little") for ids in points_of
     )
     rows = _class_rows(n, sizes, {q + 1})
-    return Graph(rows, [str(s) for s in subspaces], validate=False)
+    return Graph(rows, validate=False)
 
 
 def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
@@ -610,11 +604,7 @@ def build_johnson(n: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     predicted = comb(n, 3)
     _guard(f"J({n},3,{i})", predicted, max_v)
     vertices = [frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)]
-    return build_graph(
-        vertices,
-        lambda a, b: a is not b and len(a & b) == i,
-        labels=lambda s: "{" + ",".join(map(str, sorted(s))) + "}",
-    )
+    return build_graph(vertices, lambda a, b: a is not b and len(a & b) == i)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +681,7 @@ def build_hamming_orbital(d: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     """Graph on the length-3 words over a d-letter alphabet, two words
     adjacent exactly when they disagree in ``i`` coordinates."""
     FamilyId.make("hamming-orbital", d=d, i=i)
-    return _class_graph(*_hamming_classes(d, f"H(3,{d}) class {i}", max_v), i)
+    return _class_graph(_hamming_classes(d, f"H(3,{d}) class {i}", max_v), i)
 
 
 def hamming_classification(
@@ -699,7 +689,7 @@ def hamming_classification(
 ) -> OrbitalClassification:
     """Partition of ordered pairs of length-3 words by the number of
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
-    return _classify_pairs(*_hamming_classes(d, f"H(3,{d}) pair classes", max_v), str)
+    return _classify_pairs(*_hamming_classes(d, f"H(3,{d}) pair classes", max_v))
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +729,13 @@ def flag_action(q: int) -> PermGroupAction:
     index, and a flag's image is read off its key point * m + line.  The
     duality swaps a flag's point and line.
     """
-    field = field_of_order(q)
-    flags, reps = enumerate_flags(q), projective_reps(field, 3)
+    return _flag_action(field_of_order(q), enumerate_flags(q))
+
+
+def _flag_action(field, flags) -> PermGroupAction:
+    """:func:`flag_action` on ``flags``, the flags of PG(2, q) over
+    ``field`` as :func:`enumerate_flags` lists them."""
+    reps = projective_reps(field, 3)
     g, m, columns = field.primitive, len(reps), _columns(reps)
     index, identity = _code_index(field, columns), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     point, line = (  # the index in reps of each flag's point, and of its line
@@ -810,12 +805,10 @@ def build_flag_orbitals(
     G-orbits <= label classes = H-orbits).
     """
     _guard(f"flags of PG(2,{q})", 1 + sum(_flag_valencies(q)), max_v)
-    flags = enumerate_flags(q)
-    base = map(partial(_flag_pair_label, field_of_order(q), flags[0]), flags[1:])
-    classification = _classify_pairs(
-        flags, _two_generator_orbitals(flag_action(q), base), (1, 2, 3),
-        lambda f: f"{':'.join(map(str, f.point))}|{':'.join(map(str, f.line))}",
-    )
+    field, flags = field_of_order(q), enumerate_flags(q)
+    base = map(partial(_flag_pair_label, field, flags[0]), flags[1:])
+    orbits = _two_generator_orbitals(_flag_action(field, flags), base)
+    classification = _classify_pairs(flags, orbits, (1, 2, 3))
     lengths = classification.suborbit_lengths
     if lengths != dict(zip((1, 2, 3), _flag_valencies(q))):
         raise AssertionError(f"unexpected suborbit lengths {lengths}")

@@ -23,8 +23,10 @@ which give Q and its polar form in one pass each.  Q(s x) = s^2 Q(x) and
 h(s x, s x) = N(s) h(x, x), so rescaling a point to a form value is one
 lookup in the space's table of least roots of s^2 (or N(s)).
 
-Vectors are tuples of element indices; all enumeration is in lexicographic
-index order, so every listing is deterministic.
+Vectors are tuples of element indices.  A projective point is held as one
+representative vector (see :func:`enumerate_points`), and a subspace as
+the tuple of its reduced-row-echelon basis rows.  All enumeration is in
+lexicographic index order, so every listing is deterministic.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ import math
 import operator
 from typing import Iterator, NamedTuple
 
-from .base import ScaleGuardError, _record
+from .base import ScaleGuardError
 from .gf import Field, FieldElement, field_of_order
 
 __all__ = [
     "Flag",
     "FormedSpace",
-    "ProjectivePoint",
-    "Subspace",
     "enumerate_flags",
     "enumerate_max_isotropic",
     "enumerate_points",
@@ -78,49 +78,6 @@ def least_zeta(field: Field) -> int:
         if all(add[add[mul[t][t]][t]][zeta] != 0 for t in range(field.q)):
             return zeta
     raise AssertionError("no irreducible t^2 + t + zeta exists")
-
-
-@_record
-class ProjectivePoint:
-    """A projective 1-space, held by a deterministic representative.
-
-    The representative is the lexicographically least vector with the
-    requested form value when the enumeration filter asked for one and such
-    a scaling exists; otherwise it is the unique representative whose first
-    nonzero coordinate is the field element 1.
-    """
-
-    rep: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return ":".join(str(c) for c in self.rep)
-
-
-@_record
-class Subspace:
-    """A linear subspace held by its unique reduced-row-echelon basis."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def vectors(self, field: Field) -> Iterator[tuple[int, ...]]:
-        """All q^dim vectors of the span, deterministically ordered by
-        coefficient tuples."""
-        n = len(self.rows[0]) if self.rows else 0
-        add, mul = field.add_table, field.mul_table
-        for coeffs in itertools.product(range(field.q), repeat=self.dim):
-            vec = [0] * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    scaled = mul[c]
-                    vec = [add[a][scaled[r]] for a, r in zip(vec, row)]
-            yield tuple(vec)
-
-    def __str__(self) -> str:
-        return "; ".join(":".join(map(str, row)) for row in self.rows)
 
 
 class Flag(NamedTuple):
@@ -179,7 +136,6 @@ class FormedSpace:
         self._root = [0] * self.value_field.q
         for s in range(field.q - 1, 0, -1):
             self._root[factor[s]] = s
-        self._singular_points: list[ProjectivePoint] | None = None
         self._check_nondegenerate()
 
     # -- raw form evaluation on index tuples --------------------------------
@@ -269,15 +225,9 @@ class FormedSpace:
         # singular.
         if radical and self.field.p != 2:
             raise AssertionError("degenerate quadratic form (odd characteristic)")
-        for vec in Subspace(tuple(radical)).vectors(self.field) if radical else ():
+        for vec in _span(self.field, radical) if radical else ():
             if any(vec) and self.is_singular(vec):
                 raise AssertionError("quadratic form has a singular radical vector")
-
-    def singular_points(self) -> list[ProjectivePoint]:
-        """All singular projective points (cached)."""
-        if self._singular_points is None:
-            self._singular_points = enumerate_points(self, "singular")
-        return self._singular_points
 
     def __repr__(self) -> str:
         return f"FormedSpace({self.kind}, GF({self.field.q}), dim={self.dim})"
@@ -340,6 +290,19 @@ def kernel_basis(field: Field, matrix: list[list[int]]) -> list[tuple[int, ...]]
             vec[p] = neg[row[j]]
         basis.append(tuple(vec))
     return basis
+
+
+def _span(field: Field, rows) -> Iterator[tuple[int, ...]]:
+    """All q^len(rows) vectors sum c_i rows[i] of the span of the nonempty
+    ``rows``, deterministically ordered by coefficient tuples c."""
+    add, mul = field.add_table, field.mul_table
+    for coeffs in itertools.product(range(field.q), repeat=len(rows)):
+        vec = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if c:
+                scaled = mul[c]
+                vec = [add[a][scaled[r]] for a, r in zip(vec, row)]
+        yield tuple(vec)
 
 
 def _dot(field: Field, x, y) -> int:
@@ -429,12 +392,12 @@ def _permutation(field: Field, columns, matrix, index) -> tuple[int, ...]:
 
 def _subspace_points(field, ambient_dim: int, subspaces) -> list[tuple[int, ...]]:
     """The indices in ``projective_reps(field, ambient_dim)`` of the points
-    sum c_i r_i of each 3-space with basis rows r_i, c running over
+    sum c_i r_i of each 3-space, given by its basis rows r_i, c running over
     ``projective_reps(field, 3)``: one gather per c over the columns of all
     subspaces' joined rows.  A 3-space with fewer than q^2 + q + 1 distinct
     points (dependent rows) raises AssertionError, naming it."""
     q, n = field.q, ambient_dim
-    columns = _columns(itertools.chain(*s.rows) for s in subspaces)
+    columns = _columns(itertools.chain(*rows) for rows in subspaces)
     index, by_c = _code_index(field, _columns(projective_reps(field, n))), []
     for cs in projective_reps(field, 3):  # row (i, j) of the matrix is c_i e_j
         matrix = [[c * (j == k) for k in range(n)] for c in cs for j in range(n)]
@@ -484,8 +447,11 @@ def _check_nonsingular_points(space: FormedSpace) -> None:
 
 def enumerate_points(
     space: FormedSpace, filter: str, value: int | FieldElement | None = None
-) -> list[ProjectivePoint]:
-    """Projective points filtered by the form.
+) -> list[tuple[int, ...]]:
+    """Projective points filtered by the form, each held by a deterministic
+    representative vector: the lexicographically least one with the
+    requested form value when the filter asks for one and such a scaling
+    exists, otherwise the one whose first nonzero coordinate is 1.
 
     filter = "singular":    points with form value 0 (canonical reps);
     filter = "nonsingular": points with nonzero form value, re-scaled to
@@ -517,22 +483,21 @@ def enumerate_points(
         val = space.form_value(rep)
         if not val:
             if filter == "singular":
-                points.append(ProjectivePoint(rep))
+                points.append(rep)
         elif filter != "singular":
             scaled = _rescale(space, rep, val, target)
             if scaled is not None or filter == "nonsingular":
-                points.append(ProjectivePoint(scaled or rep))
+                points.append(scaled or rep)
     return points
 
 
 def line_tangency_count(
-    space: FormedSpace, p: ProjectivePoint, q: ProjectivePoint
+    space: FormedSpace, x: tuple[int, ...], y: tuple[int, ...]
 ) -> int:
-    """Number of singular projective points on the line through p and q,
-    by direct enumeration of all its points."""
+    """Number of singular projective points on the line through the points
+    with representatives x and y, by direct enumeration of all its points."""
     field = space.field
     add, mul = field.add_table, field.mul_table
-    x, y = p.rep, q.rep
     if lead_one(field, x) == lead_one(field, y):
         raise ValueError("tangency needs two distinct points")
     count = 1 if space.form_value(y) == 0 else 0
@@ -574,11 +539,11 @@ def _reflections(space: FormedSpace, points) -> Iterator[tuple[str, list, bool]]
         )
     gram, basis = space.gram(), space.basis()
     values = list(map(space.form_value, basis))
-    x0 = points[0].rep
+    x0 = points[0]
     if space.form_value(x0):
-        vectors = [p.rep for p in points]
+        vectors = points
     else:
-        vectors = [tuple(add[a][b] for a, b in zip(x0, p.rep)) for p in points[1:]]
+        vectors = [tuple(add[a][b] for a, b in zip(x0, p)) for p in points[1:]]
     candidates = [v for v in vectors if space.form_value(v)]
     step = max(1, round(0.618 * len(candidates)))
     while math.gcd(step, len(candidates)) != 1:
@@ -607,9 +572,11 @@ def _witt_index(space: FormedSpace) -> int:
     return space.dim // 2 - (space.kind == "quadratic-minus")
 
 
-def _rref_bases(field: Field, n: int, dim: int, admits=None) -> list[Subspace]:
-    """All ``dim``-dimensional subspaces of F_q^n as canonical RREF bases,
-    sorted, enumerated row by row for each pivot-column pattern.
+def _rref_bases(
+    field: Field, n: int, dim: int, admits=None
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All ``dim``-dimensional subspaces of F_q^n as canonical RREF row
+    tuples, sorted, enumerated row by row for each pivot-column pattern.
 
     ``admits(rows, row)``, when given, prunes every partial basis ``rows``
     that may not be extended by ``row``.
@@ -638,12 +605,12 @@ def _rref_bases(field: Field, n: int, dim: int, admits=None) -> list[Subspace]:
     for pivots in itertools.combinations(range(n), dim):
         fill(pivots, [])
     results.sort()
-    return [Subspace(rows) for rows in results]
+    return results
 
 
-def enumerate_max_isotropic(space: FormedSpace) -> list[Subspace]:
+def enumerate_max_isotropic(space: FormedSpace) -> list[tuple[tuple[int, ...], ...]]:
     """All totally isotropic (symplectic) / totally singular (quadratic)
-    subspaces of maximal dimension, as canonical RREF bases, sorted.
+    subspaces of maximal dimension, as canonical RREF row tuples, sorted.
 
     Enumerates reduced-row-echelon patterns directly, pruning every
     partial basis that violates isotropy.
@@ -672,9 +639,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def enumerate_subspaces(
     field: Field, ambient_dim: int, dim: int
-) -> list[Subspace]:
+) -> list[tuple[tuple[int, ...], ...]]:
     """All ``dim``-dimensional subspaces of F_q^ambient_dim as canonical
-    RREF bases, sorted; enumerated by pivot-column pattern.  The count is
+    RREF row tuples, sorted; enumerated by pivot-column pattern.  The count is
     verified against :func:`gaussian_binomial`.
     """
     if not 0 <= dim <= ambient_dim:

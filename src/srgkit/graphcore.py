@@ -1,7 +1,9 @@
 """Immutable bitset graphs and brute-force regularity engines.
 
-Graphs store one Python integer per vertex as an adjacency bitset, so
-common-neighbour counting is a word-parallel AND plus popcount.  On top of
+Graphs are their rows: the vertices are 0..n-1, and each holds one Python
+integer as its adjacency bitset, so common-neighbour counting is a
+word-parallel AND plus popcount.  Vertex i stands for the i-th entry (a
+point, a subspace, a flag) of the list its builder enumerated.  On top of
 that sit exhaustive verifiers: strong regularity (every vertex pair, or
 every pair (0, y) of a graph certified as group orbitals), BFS distance
 computation, distance-i graphs, complements, and full distance-regularity
@@ -118,33 +120,22 @@ class RegularityFailure:
 
 
 class Graph:
-    """An immutable simple graph: bitset adjacency rows plus vertex labels.
+    """An immutable simple graph on the vertices 0..n-1: one adjacency
+    bitset per vertex.
 
     certificate is ``"group-orbitals"`` when the graph is a union of pair
     orbits of a transitive group that :func:`orbitals.compute_orbitals` has
-    certified, as :func:`orbitals.orbital_graph` records; ``relabel`` keeps
-    it, and every other constructor leaves it None.  Equality and hashing
-    compare the rows alone, so they ignore it.
+    certified, as :func:`orbitals.orbital_graph` records; every other
+    constructor leaves it None.  Equality and hashing compare the rows
+    alone, so they ignore it.
     """
 
-    __slots__ = ("n", "rows", "labels", "certificate")
+    __slots__ = ("n", "rows", "certificate")
 
-    def __init__(
-        self,
-        rows: Sequence[int],
-        labels: Sequence[str] | None = None,
-        validate: bool = True,
-    ):
+    def __init__(self, rows: Sequence[int], validate: bool = True):
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "rows", tuple(rows))
-        if labels is None:
-            labels = tuple(str(i) for i in range(self.n))
-        else:
-            labels = tuple(str(x) for x in labels)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "certificate", None)
-        if len(labels) != self.n:
-            raise ValueError("label count differs from vertex count")
         if validate:
             self._validate()
 
@@ -186,11 +177,6 @@ class Graph:
             for off in bits(row):
                 yield (u, u + 1 + off)
 
-    def relabel(self, labels: Sequence[str]) -> "Graph":
-        graph = Graph(self.rows, labels, validate=False)
-        object.__setattr__(graph, "certificate", self.certificate)  # same rows
-        return graph
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -203,13 +189,9 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def build_graph(
-    vertices: Sequence,
-    adjacent: Callable,
-    labels: Callable | None = None,
-) -> Graph:
+def build_graph(vertices: Sequence, adjacent: Callable) -> Graph:
     """Build a graph from a vertex list and a symmetric, irreflexive
-    adjacency predicate.
+    adjacency predicate; vertex i of the graph is ``vertices[i]``.
 
     The predicate is evaluated on every ordered pair, one byte row per
     vertex, and Graph's validation refuses a loop and names the first
@@ -217,8 +199,7 @@ def build_graph(
     ScaleGuardError before the predicate is called.
     """
     byte_rows = (bytes(map(bool, map(adjacent, repeat(v), vertices))) for v in vertices)
-    rows = _class_rows(len(vertices), byte_rows, {1})
-    return Graph(rows, list(map(labels or str, vertices)))
+    return Graph(_class_rows(len(vertices), byte_rows, {1}))
 
 
 def _class_rows(n: int, rows: Iterable[bytes], classes) -> list[int]:
@@ -552,15 +533,15 @@ def distance_graph(g: Graph, i: int) -> Graph:
         raise ValueError("distance_graph requires a connected graph")
     for j, level in enumerate(_distance_levels(_neighbour_lists(g))):
         if j == i:
-            return Graph(level, g.labels, validate=False)
-    return Graph([0] * g.n, g.labels, validate=False)
+            return Graph(level, validate=False)
+    return Graph([0] * g.n, validate=False)
 
 
 def complement(g: Graph) -> Graph:
     """Edge iff non-edge (no loops)."""
     full = (1 << g.n) - 1
     rows = [full & ~row & ~(1 << u) for u, row in enumerate(g.rows)]
-    return Graph(rows, g.labels, validate=False)
+    return Graph(rows, validate=False)
 
 
 # ---------------------------------------------------------------------------

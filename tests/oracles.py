@@ -15,13 +15,14 @@ from fractions import Fraction
 
 from srgkit.geometry import (
     FormedSpace,
-    ProjectivePoint,
     _check_nonsingular_points,
     _dot,
     _reflections,
     _rescale,
+    _span,
     _value_index,
     enumerate_flags,
+    enumerate_points,
     lead_one,
     line_tangency_count,
     projective_reps,
@@ -336,27 +337,30 @@ def _singular_point_counts(m: int, q: int) -> dict[str, int]:
     }
 
 
-def perp_type(space: FormedSpace, p: ProjectivePoint) -> str:
-    """Type ("+" or "-") of the restriction of Q to the perp of a
-    nonsingular point of an odd-dimensional quadratic space, recognized by
-    counting singular projective points inside the perp."""
+def perp_types(space: FormedSpace, points) -> list[str]:
+    """Type ("+" or "-") of the restriction of Q to the perp of each
+    nonsingular point, given by its representative, of an odd-dimensional
+    quadratic space, recognized by counting singular projective points
+    inside the perp."""
     if space.kind != "quadratic-odd":
-        raise ValueError("perp_type applies to quadratic-odd spaces")
+        raise ValueError("perp_types applies to quadratic-odd spaces")
     if space.field.p == 2:
-        raise ValueError("perp_type requires odd q")
-    if space.form_value(p.rep) == 0:
-        raise ValueError("perp_type needs a nonsingular point")
-    count = sum(
-        1 for s in space.singular_points() if space.inner(p.rep, s.rep) == 0
-    )
+        raise ValueError("perp_types requires odd q")
+    singular = enumerate_points(space, "singular")
     m = (space.dim - 1) // 2
     expected = _singular_point_counts(m, space.field.q)
-    for eps, target in expected.items():
-        if count == target:
-            return eps
-    raise AssertionError(
-        f"singular count {count} matches neither type: {expected}"
-    )
+    types = []
+    for p in points:
+        if space.form_value(p) == 0:
+            raise ValueError("perp_types needs a nonsingular point")
+        count = sum(1 for s in singular if space.inner(p, s) == 0)
+        eps = next((eps for eps, target in expected.items() if count == target), None)
+        if eps is None:
+            raise AssertionError(
+                f"singular count {count} matches neither type: {expected}"
+            )
+        types.append(eps)
+    return types
 
 
 def projective_reps_by_filter(field: Field, n: int) -> list[tuple[int, ...]]:
@@ -370,11 +374,10 @@ def projective_reps_by_filter(field: Field, n: int) -> list[tuple[int, ...]]:
 
 
 def point_reps_by_normalising(field: Field, subspace) -> tuple[tuple[int, ...], ...]:
-    """The projective points of a subspace's span, sorted: every nonzero
-    vector of the span scaled to a leading 1, duplicates dropped."""
-    return tuple(
-        sorted({lead_one(field, v) for v in subspace.vectors(field) if any(v)})
-    )
+    """The projective points of the span of a subspace's rows, sorted:
+    every nonzero vector of the span scaled to a leading 1, duplicates
+    dropped."""
+    return tuple(sorted({lead_one(field, v) for v in _span(field, subspace) if any(v)}))
 
 
 def point_reps_by_echelon(field: Field, subspace) -> tuple[tuple[int, ...], ...]:
@@ -385,9 +388,9 @@ def point_reps_by_echelon(field: Field, subspace) -> tuple[tuple[int, ...], ...]
     coefficient vector c is, so each is made once, from its c."""
     add, mul = field.add_table, field.mul_table
     reps = []
-    for coeffs in projective_reps(field, subspace.dim):
-        vec = [0] * len(subspace.rows[0])
-        for c, row in zip(coeffs, subspace.rows):
+    for coeffs in projective_reps(field, len(subspace)):
+        vec = [0] * len(subspace[0])
+        for c, row in zip(coeffs, subspace):
             vec = [add[a][mul[c][r]] for a, r in zip(vec, row)]
         reps.append(tuple(vec))
     return tuple(sorted(reps))
@@ -442,30 +445,20 @@ def tangency_graph(space, points):
     when the line joining them has one singular point, found by evaluating
     the form on every point of that line."""
     return build_graph(
-        points,
-        lambda a, b: a.rep != b.rep and line_tangency_count(space, a, b) == 1,
-        labels=str,
+        points, lambda a, b: a != b and line_tangency_count(space, a, b) == 1
     )
 
 
 def meet_graph_by_rank(field, subspaces):
     """Graph on 3-subspaces, two adjacent exactly when their stacked bases
     have rank 4, so that they meet in a 2-space."""
-    return build_graph(
-        subspaces,
-        lambda a, b: len(rref(field, list(a.rows + b.rows))) == 4,
-        labels=str,
-    )
+    return build_graph(subspaces, lambda a, b: len(rref(field, [*a, *b])) == 4)
 
 
 def polar_complement_by_form(space, points):
     """Complement of the graph joining distinct singular points whose
     polar form value is 0, evaluated by the form on every pair."""
-    polar = build_graph(
-        points,
-        lambda a, b: a.rep != b.rep and space.inner(a.rep, b.rep) == 0,
-        labels=str,
-    )
+    polar = build_graph(points, lambda a, b: a != b and space.inner(a, b) == 0)
     return complement(polar)
 
 
@@ -516,22 +509,21 @@ def form_pair_classes(space, points) -> bytes:
     one square class of a quadratic space, the halved form (x, y) divided
     by Q(x) and read up to sign."""
     field = space.field
-    reps = [p.rep for p in points]
     if space.kind == "hermitian":
         norms = [norm(FieldElement(field, a)).index for a in range(field.q)]
 
         def label(i, j):
-            return norms[space.inner(reps[i], reps[j])]
+            return norms[space.inner(points[i], points[j])]
 
     else:
         mul, neg = field.mul_table, field.neg_table
-        inverse_q = [field.inv_table[space.form_value(x)] for x in reps]
+        inverse_q = [field.inv_table[space.form_value(x)] for x in points]
 
         def label(i, j):
-            t = mul[space.half_inner(reps[i], reps[j])][inverse_q[i]]
+            t = mul[space.half_inner(points[i], points[j])][inverse_q[i]]
             return min(t, neg[t])
 
-    return _symmetric_pair_classes(len(reps), label)
+    return _symmetric_pair_classes(len(points), label)
 
 
 def reflection_action(space, points) -> PermGroupAction:
@@ -541,9 +533,9 @@ def reflection_action(space, points) -> PermGroupAction:
     :func:`permutation_by_normalising`, taken until they span the space
     and act transitively.  A reflection that leaves the point set raises
     AssertionError, naming it."""
-    reps, generators = [p.rep for p in points], []
+    generators = []
     for name, matrix, spans in _reflections(space, points):
-        perm = permutation_by_normalising(space.field, reps, matrix)
+        perm = permutation_by_normalising(space.field, points, matrix)
         if perm is None:
             raise AssertionError(
                 f"the reflection in {name} maps a point outside the point set"

@@ -4,13 +4,11 @@ import itertools
 
 import oracles
 import pytest
-from oracles import perp_type, scale_to_value
+from oracles import perp_types, scale_to_value
 
 from srgkit.geometry import (
     Flag,
     FormedSpace,
-    ProjectivePoint,
-    Subspace,
     enumerate_flags,
     enumerate_max_isotropic,
     enumerate_points,
@@ -164,7 +162,7 @@ def test_hermitian_point_counts(n, q, total, singular):
 def test_hermitian_nonsingular_reps_have_value_one():
     space = hermitian(3, 3)
     points = enumerate_points(space, "nonsingular")
-    assert all(space.form_value(p.rep) == 1 for p in points)
+    assert all(space.form_value(p) == 1 for p in points)
     # vector-level consistency: value-1 points x (q+1) unit scalings each
     assert len(points) * (3 + 1) == oracles.count_hermitian_norm_solutions(3, 3, 1)
 
@@ -172,8 +170,8 @@ def test_hermitian_nonsingular_reps_have_value_one():
 def test_hermitian_singular_reps_are_canonical():
     space = hermitian(3, 3)
     for p in enumerate_points(space, "singular"):
-        assert next(c for c in p.rep if c) == 1
-        assert space.form_value(p.rep) == 0
+        assert next(c for c in p if c) == 1
+        assert space.form_value(p) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +205,11 @@ def test_norm_class_partition_of_conic_complement():
     class2 = enumerate_points(space, "norm-class", value=2)
     assert len(singular) == 4
     assert len(class1) + len(class2) == 13 - 4
-    assert all(space.form_value(p.rep) == 1 for p in class1)
-    assert all(space.form_value(p.rep) == 2 for p in class2)
+    assert all(space.form_value(p) == 1 for p in class1)
+    assert all(space.form_value(p) == 2 for p in class2)
     # the two classes are disjoint as 1-spaces: scaling by any nonzero
     # square keeps the class, so no representative can appear in both
-    reps1 = {p.rep for p in class1}
-    assert not reps1 & {p.rep for p in class2}
+    assert not set(class1) & set(class2)
     assert enumerate_points(space, "norm-class", value=0) == singular
 
 
@@ -332,7 +329,7 @@ def test_scale_to_value_returns_lex_least():
             got = [scale_to_value(space, vec, target) for vec in multiples]
             assert got == expected, (space, target)
             points = enumerate_points(space, "norm-class", target)
-            assert [p.rep for p in points] == [s for s in expected if s], space
+            assert points == [s for s in expected if s], space
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +359,7 @@ def test_line_tangency_rejects_equal_points():
         line_tangency_count(space, points[0], points[0])
     # also when handed two different representatives of one 1-space
     field = space.field
-    other = ProjectivePoint(
-        tuple(field.mul_table[2][c] for c in points[0].rep)
-    )
+    other = tuple(field.mul_table[2][c] for c in points[0])
     with pytest.raises(ValueError):
         line_tangency_count(space, points[0], other)
 
@@ -388,42 +383,34 @@ def test_conic_tangent_and_secant_counts():
 
 def test_perp_type_split_dim3():
     space = FormedSpace("quadratic-odd", field_of_order(5), 3)
-    points = enumerate_points(space, "nonsingular")
-    split = {"+": 0, "-": 0}
-    for p in points:
-        split[perp_type(space, p)] += 1
-    assert split == {"+": 15, "-": 10}
+    types = perp_types(space, enumerate_points(space, "nonsingular"))
+    assert (types.count("+"), types.count("-")) == (15, 10)
 
 
 def test_perp_type_split_dim5():
     space = FormedSpace("quadratic-odd", field_of_order(5), 5)
     points = enumerate_points(space, "nonsingular")
     assert len(points) == 625
-    split = {"+": 0, "-": 0}
-    for p in points:
-        split[perp_type(space, p)] += 1
-    assert split == {"+": 325, "-": 300}
+    types = perp_types(space, points)
+    assert (types.count("+"), types.count("-")) == (325, 300)
 
 
 def test_perp_type_split_dim3_q3():
     space = FormedSpace("quadratic-odd", field_of_order(3), 3)
-    points = enumerate_points(space, "nonsingular")
-    split = {"+": 0, "-": 0}
-    for p in points:
-        split[perp_type(space, p)] += 1
-    assert split == {"+": 6, "-": 3}
+    types = perp_types(space, enumerate_points(space, "nonsingular"))
+    assert (types.count("+"), types.count("-")) == (6, 3)
 
 
 def test_perp_type_guards():
     odd2 = FormedSpace("quadratic-odd", field_of_order(2), 7)
     with pytest.raises(ValueError):
-        perp_type(odd2, enumerate_points(odd2, "nonsingular")[0])
+        perp_types(odd2, enumerate_points(odd2, "nonsingular")[:1])
     space = FormedSpace("quadratic-odd", field_of_order(5), 3)
     with pytest.raises(ValueError):
-        perp_type(space, enumerate_points(space, "singular")[0])
+        perp_types(space, enumerate_points(space, "singular")[:1])
     plus = FormedSpace("quadratic-plus", field_of_order(5), 4)
     with pytest.raises(ValueError):
-        perp_type(plus, enumerate_points(plus, "nonsingular")[0])
+        perp_types(plus, enumerate_points(plus, "nonsingular")[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +422,11 @@ def test_max_isotropic_sp6_q2():
     space = FormedSpace("symplectic", field_of_order(2), 6)
     subspaces = enumerate_max_isotropic(space)
     assert len(subspaces) == 135
-    assert all(s.dim == 3 for s in subspaces)
-    rows_list = [s.rows for s in subspaces]
-    assert rows_list == sorted(rows_list)
+    assert all(len(s) == 3 for s in subspaces)
+    assert subspaces == sorted(subspaces)
     sample = subspaces[17]
-    for x in sample.rows:
-        for y in sample.rows:
+    for x in sample:
+        for y in sample:
             assert space.inner(x, y) == 0
 
 
@@ -449,9 +435,9 @@ def test_max_isotropic_sp6_q3():
     subspaces = enumerate_max_isotropic(space)
     assert len(subspaces) == 1120
     sample = subspaces[999]
-    assert sample.dim == 3
-    for vec in sample.vectors(space.field):
-        for other in sample.rows:
+    assert len(sample) == 3
+    for vec in geometry._span(space.field, sample):
+        for other in sample:
             assert space.inner(vec, other) == 0
 
 
@@ -461,18 +447,18 @@ def test_max_isotropic_quadratic_counts():
     odd5 = FormedSpace("quadratic-odd", field_of_order(2), 5)
     generators = enumerate_max_isotropic(odd5)
     assert len(generators) == 15  # (2+1)(4+1)
-    assert all(g.dim == 2 for g in generators)
+    assert all(len(g) == 2 for g in generators)
     for g in generators[:4]:
-        for vec in g.vectors(field_of_order(2)):
+        for vec in geometry._span(field_of_order(2), g):
             assert any(vec) is False or odd5.form_value(vec) == 0
 
 
 def test_max_isotropic_minus_type_are_singular_points():
     space = FormedSpace("quadratic-minus", field_of_order(2), 4)
     subspaces = enumerate_max_isotropic(space)
-    assert all(s.dim == 1 for s in subspaces)
-    reps = sorted(s.rows[0] for s in subspaces)
-    assert reps == sorted(p.rep for p in enumerate_points(space, "singular"))
+    assert all(len(s) == 1 for s in subspaces)
+    reps = sorted(s[0] for s in subspaces)
+    assert reps == sorted(enumerate_points(space, "singular"))
 
 
 def test_max_isotropic_rejects_hermitian():
@@ -496,7 +482,7 @@ SUBSPACE_FAMILIES = {
 def kernel_points(field, subspaces) -> list[tuple[tuple[int, ...], ...]]:
     """The points of each 3-space as the column kernel reads them for the
     meet graphs: representatives, sorted."""
-    dim = len(subspaces[0].rows[0])
+    dim = len(subspaces[0][0])
     reps = projective_reps(field, dim)
     points_of = geometry._subspace_points(field, dim, subspaces)
     return [tuple(sorted(reps[i] for i in ids)) for ids in points_of]
@@ -598,24 +584,6 @@ def test_flag_type():
 
 
 # ---------------------------------------------------------------------------
-# misc structure
-# ---------------------------------------------------------------------------
-
-
-def test_singular_points_cache_identity():
-    space = FormedSpace("quadratic-odd", field_of_order(3), 5)
-    assert space.singular_points() is space.singular_points()
-
-
-def test_point_str_and_subspace_str():
-    p = ProjectivePoint((1, 0, 2))
-    assert str(p) == "1:0:2"
-    s = Subspace(((1, 0, 0), (0, 1, 2)))
-    assert str(s) == "1:0:0; 0:1:2"
-    assert s.dim == 2
-
-
-# ---------------------------------------------------------------------------
 # lead-1 representatives and reflection groups
 # ---------------------------------------------------------------------------
 
@@ -628,11 +596,11 @@ def test_lead_one_scales_the_first_nonzero_coordinate_to_one():
 
 def test_the_zero_vector_is_refused_by_name():
     space = FormedSpace("quadratic-odd", field_of_order(3), 5)
-    zero = ProjectivePoint((0,) * 5)
+    zero = (0,) * 5
     point = enumerate_points(space, "singular")[0]
     calls = [
         lambda: lead_one(space.field, (0, 0, 0)),
-        lambda: scale_to_value(space, zero.rep, 1),
+        lambda: scale_to_value(space, zero, 1),
         lambda: line_tangency_count(space, zero, point),
         lambda: line_tangency_count(space, point, zero),
     ]

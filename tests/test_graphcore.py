@@ -69,7 +69,7 @@ class TestGraphType:
         g = cycle(4)
         with pytest.raises(AttributeError):
             g.n = 7
-        for name in ("n", "rows", "labels", "certificate"):
+        for name in ("n", "rows", "certificate"):
             with pytest.raises(AttributeError, match="Graph is immutable"):
                 delattr(g, name)
         assert g.degrees() == [2] * 4 and g.certificate is None
@@ -464,8 +464,7 @@ def test_certified_table1_cells_count_as_the_full_scan(spec):
 
 def test_only_orbital_graphs_carry_a_certificate():
     certified = build_family(parse_family_spec("nu:n=3,q=3"))
-    renamed = certified.relabel([f"v{u}" for u in range(certified.n)])
-    assert renamed.certificate == "group-orbitals" and renamed.labels[0] == "v0"
+    assert certified.certificate == "group-orbitals"
     plain = Graph(certified.rows)
     assert plain.certificate is None
     assert plain == certified and hash(plain) == hash(certified)  # rows alone

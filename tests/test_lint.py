@@ -378,7 +378,7 @@ def test_every_module_level_import_is_of_a_lower_layer(path):
 
 # the owners of the ``"group-orbitals"`` certificate: who may write it, and
 # who may read it
-CERTIFICATE_WRITERS = {"compute_orbitals", "orbital_graph", "Graph.relabel"}
+CERTIFICATE_WRITERS = {"compute_orbitals", "orbital_graph"}
 CERTIFICATE_READERS = {"orbital_graph", "check_srg", "intersection_number_direct"}
 
 
@@ -410,10 +410,9 @@ def certificate_write(node: ast.AST) -> ast.AST | None:
 def certificate_misuses(source: str) -> list[str]:
     """Uses of the ``"group-orbitals"`` certificate outside its owners.
     It may be written only in ``compute_orbitals``, which earns it for a
-    partition, and in ``orbital_graph`` and ``Graph.relabel``, which carry
-    it onto a graph of certified classes or of the same rows; a value
-    copied into such a write is part of it, and writing None anywhere
-    withdraws nothing.  It may be read (compared, or through the
+    partition, and in ``orbital_graph``, which carries it onto a graph of
+    certified classes; a value copied into such a write is part of it, and
+    writing None anywhere withdraws nothing.  It may be read (compared, or through the
     ``certificate`` attribute) only in ``orbital_graph``, ``check_srg``
     and ``intersection_number_direct``, which act on it.  Any other use of
     the literal, a named copy of it for one, is flagged too.  So a count
@@ -467,9 +466,6 @@ def test_the_scan_finds_a_misused_certificate():
         "    __slots__ = ('rows', 'certificate')\n"
         "    def __init__(self, rows):\n"
         "        object.__setattr__(self, 'certificate', None)\n"
-        "    def relabel(self, labels):\n"
-        "        graph = Graph(self.rows)\n"
-        "        object.__setattr__(graph, 'certificate', self.certificate)\n"
         "    def is_certified(self):\n"
         "        return self.certificate is not None\n"
         "def complement(g):\n"
@@ -483,9 +479,9 @@ def test_the_scan_finds_a_misused_certificate():
         "line 8: compared in sampled",
         "line 8: read in sampled",
         "line 10: used in module level",
-        "line 19: read in Graph.is_certified",
-        "line 22: written in complement",
-        "line 24: written in forge",
+        "line 16: read in Graph.is_certified",
+        "line 19: written in complement",
+        "line 21: written in forge",
     ]
 
 
@@ -606,14 +602,30 @@ LOOPS = {
 }
 
 
+def name_uses(node: ast.AST):
+    """(use, name) for each ``name`` or ``owner.name`` in ``node`` and its
+    descendants."""
+    for use in ast.walk(node):
+        if isinstance(use, (ast.Name, ast.Attribute)):
+            yield use, getattr(use, "attr", getattr(use, "id", None))
+
+
 def per_point_normalising(source: str) -> list[str]:
-    """Uses of ``lead_one`` inside a loop or a comprehension, or handed to
-    ``map``: scaling points to their lead-one representatives one at a
+    """Uses of ``lead_one``, or of a function of the module (nested ones
+    too) whose body uses it, inside a loop or a comprehension, or handed
+    to ``map``: scaling points to their lead-one representatives one at a
     time, where the column kernel of ``geometry`` reads every image by one
     gather through a code index.  Each use is named once, with the
     outermost loop around it."""
+    tree = ast.parse(source)
+    normalising = {"lead_one"} | {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(name == "lead_one" for _, name in name_uses(node))
+    }
     found = {}
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
             kind, scope = "map", node.args
         elif type(node) in LOOPS:
@@ -621,10 +633,9 @@ def per_point_normalising(source: str) -> list[str]:
         else:
             continue
         for part in scope:
-            for use in ast.walk(part):
-                name = getattr(use, "attr", getattr(use, "id", None))
-                if isinstance(use, (ast.Name, ast.Attribute)) and name == "lead_one":
-                    text = f"line {use.lineno}: lead_one in {kind}"
+            for use, name in name_uses(part):
+                if name in normalising:
+                    text = f"line {use.lineno}: {name} in {kind}"
                     found.setdefault((use.lineno, use.col_offset), text)
     return [text for _, text in sorted(found.items())]
 
@@ -643,11 +654,22 @@ def test_the_scan_finds_per_point_normalising():
         "    return list(map(partial(lead_one, field), vectors))\n"
         "def one(field, v):\n"
         "    return lead_one(field, v)\n"
+        "def action(field, flags, pairs, flag_of):\n"
+        "    def image(vec, a):\n"
+        "        return lead_one(field, tuple(_dot(field, vec, c) for c in zip(*a)))\n"
+        "    generators = []\n"
+        "    for a, b in pairs:\n"
+        "        perm = tuple(flag_of[image(p, a), image(l, b)] for p, l in flags)\n"
+        "        generators.append(perm)\n"
+        "    return generators, [one(field, v) for v in flag_of]\n"
     )
     assert per_point_normalising(source) == [
         "line 3: lead_one in comprehension",
         "line 7: lead_one in for",
         "line 10: lead_one in map",
+        "line 18: image in for",
+        "line 18: image in for",
+        "line 20: one in comprehension",
     ]
 
 

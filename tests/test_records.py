@@ -8,7 +8,6 @@ import pytest
 from oracles import dataclass_twin
 
 from srgkit.families import FamilyId, OrbitalClassification, hamming_classification
-from srgkit.geometry import ProjectivePoint, Subspace
 from srgkit.graphcore import IntersectionArray, RegularityFailure, SrgParams
 from srgkit.orbitals import OrbitalPartition, PermGroupAction, compute_orbitals
 from srgkit.schemes import (
@@ -29,8 +28,6 @@ SAMPLES = [
     (SrgParams, lambda: SrgParams(10, 3, 0, 1)),
     (IntersectionArray, lambda: IntersectionArray([3, 2], [1, 1])),
     (RegularityFailure, lambda: RegularityFailure("lambda differs", (0, 1), 0, 2)),
-    (ProjectivePoint, lambda: ProjectivePoint((0, 1, 2))),
-    (Subspace, lambda: Subspace(((1, 0, 2), (0, 1, 1)))),
     (PermGroupAction, lambda: PENTAGON),
     (OrbitalPartition, lambda: compute_orbitals(PENTAGON)),
     (IntersectionTensor, lambda: tensor_from_array(IntersectionArray((3, 2), (1, 1)))),
