@@ -8,14 +8,14 @@ before it:
   :class:`ScaleGuardError`, the default vertex budget,
   :class:`IntersectionArray`, and the one dense polynomial product and
   long division; it imports no other layer.
-- :mod:`srgkit.gf` — finite fields as dense lookup tables, with norms,
-  traces, characters, and closed-form solution counts for standard forms.
+- :mod:`srgkit.gf` — finite fields as dense lookup tables on element
+  indices: a field element is its index.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,
   hermitian) over those fields: point/subspace enumeration, tangency and
-  perpendicularity tests, flags of projective planes, the reflections of
-  a form as matrices, and the column kernel that applies a matrix to a
-  whole point set by one gather (no permutation action: that is made
-  above).
+  perpendicularity tests, the flags of a projective plane as (point,
+  line) pairs, the reflections of a form as matrices, and the column
+  kernel that applies a matrix to a whole point set by one gather (no
+  permutation action: that is made above).
 - :mod:`srgkit.graphcore` — immutable bitset graphs with brute-force
   strong-regularity and distance-regularity verification, plus graph6 and
   edge-list serialization.
@@ -43,7 +43,6 @@ rationals; no floating point is used anywhere.
 # each public name and the submodule that binds it at top level
 _EXPORTS = {
     "Field": "gf",
-    "FieldElement": "gf",
     "ScaleGuardError": "base",
     "field_of_order": "gf",
     "Graph": "graphcore",
@@ -96,7 +95,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyId",
     "Field",
-    "FieldElement",
     "Graph",
     "IntersectionArray",
     "IntersectionTensor",

@@ -59,7 +59,7 @@ def _record(cls):
     class attribute of a field as its default, then calls __post_init__
     when the class has one; only __post_init__ may write a field, through
     object.__setattr__.  Equality compares two instances of the same class
-    field by field, the hash is that of the tuple of fields, and the repr
+    field by field, the hash is that of the compared fields, and the repr
     names every field.  Two class-level markers adjust that: the fields in
     ``_derived`` are not arguments (__post_init__ sets them), and those in
     ``_uncompared`` take no part in equality or the hash; a class that sets
@@ -125,15 +125,8 @@ def _record(cls):
             return key(self) == key(other)
         return NotImplemented
 
-    if len(compared) > 1:
-
-        def __hash__(self):
-            return hash(key(self))
-
-    else:
-
-        def __hash__(self):
-            return hash((key(self),))
+    def __hash__(self):
+        return hash(key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

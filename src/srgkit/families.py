@@ -351,7 +351,7 @@ def _form_points(
     _check_pair_cap(predicted)
     if callable(value):
         value = value(space.field)
-    points = enumerate_points(space, "norm-class", value)
+    points = enumerate_points(space, value)
     if len(points) != predicted:
         raise AssertionError(
             f"enumerated {len(points)} points of form value {value}, "
@@ -693,7 +693,7 @@ def hamming_classification(
 
 
 # ---------------------------------------------------------------------------
-# Flag orbitals of the projective plane PG(2, q)
+# Orbitals on the flags of the projective plane PG(2, q)
 # ---------------------------------------------------------------------------
 
 
@@ -778,10 +778,11 @@ def _flag_pair_label(field, flag, other) -> int:
     """Label of a pair of distinct flags of PG(2, q): 1 when they share a
     point or a line, else 3 less the number of cross-incidences between one
     flag's point and the other's line (at most one)."""
-    if flag.point == other.point or flag.line == other.line:
+    (point, line), (other_point, other_line) = flag, other
+    if point == other_point or line == other_line:
         return 1
-    crossings = (_dot(field, flag.point, other.line) == 0) + (
-        _dot(field, other.point, flag.line) == 0
+    crossings = (_dot(field, point, other_line) == 0) + (
+        _dot(field, other_point, line) == 0
     )
     if crossings == 2:
         raise AssertionError("flags in general position share both cross-incidences")

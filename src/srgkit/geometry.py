@@ -35,13 +35,12 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .base import ScaleGuardError
-from .gf import Field, FieldElement, field_of_order
+from .gf import Field, field_of_order
 
 __all__ = [
-    "Flag",
     "FormedSpace",
     "enumerate_flags",
     "enumerate_max_isotropic",
@@ -78,14 +77,6 @@ def least_zeta(field: Field) -> int:
         if all(add[add[mul[t][t]][t]][zeta] != 0 for t in range(field.q)):
             return zeta
     raise AssertionError("no irreducible t^2 + t + zeta exists")
-
-
-class Flag(NamedTuple):
-    """An incident (point, line) pair of PG(2, q); the line is held by its
-    dual coordinates."""
-
-    point: tuple[int, int, int]
-    line: tuple[int, int, int]
 
 
 class FormedSpace:
@@ -148,10 +139,10 @@ class FormedSpace:
         """h(x,x) = sum N(x_i) (as an index in the subfield), or Q(x) = sum
         c x_i x_j over the terms; 0 for symplectic, which has none."""
         if self.kind == "hermitian":
-            sub_add, norm = self.value_field.add_table, self._norm
+            sub_add, norms = self.value_field.add_table, self._norm
             acc = 0
             for c in vec:
-                acc = sub_add[acc][norm[c]]
+                acc = sub_add[acc][norms[c]]
             return acc
         add, mul = self.field.add_table, self.field.mul_table
         acc = 0
@@ -409,13 +400,11 @@ def _subspace_points(field, ambient_dim: int, subspaces) -> list[tuple[int, ...]
     return points_of
 
 
-def _value_index(space: FormedSpace, value: int | FieldElement) -> int:
-    """The index of a form value in space.value_field, which must hold it."""
-    if isinstance(value, FieldElement):
-        if value.field is space.value_field:
-            return value.index
-    elif 0 <= value < space.value_field.q:
-        return int(value)
+def _value_index(space: FormedSpace, value: int) -> int:
+    """``value`` itself when it is the index of an element of
+    space.value_field: an int in range, and not a bool."""
+    if type(value) is int and 0 <= value < space.value_field.q:
+        return value
     raise ValueError(f"form value {value!r} is not in {space.value_field!r}")
 
 
@@ -434,60 +423,30 @@ def _rescale(space: FormedSpace, rep, value: int, target: int):
     return tuple(row[c] for c in rep)
 
 
-def _check_nonsingular_points(space: FormedSpace) -> None:
-    """Refuse a request for points of nonzero form value where none exist."""
-    if space.kind == "symplectic":
-        raise ValueError("a symplectic space has no nonsingular points")
-
-
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
 
 
-def enumerate_points(
-    space: FormedSpace, filter: str, value: int | FieldElement | None = None
-) -> list[tuple[int, ...]]:
-    """Projective points filtered by the form, each held by a deterministic
-    representative vector: the lexicographically least one with the
-    requested form value when the filter asks for one and such a scaling
-    exists, otherwise the one whose first nonzero coordinate is 1.
+def enumerate_points(space: FormedSpace, value: int) -> list[tuple[int, ...]]:
+    """The projective points of form value ``value``, the index of an
+    element of space.value_field; value 0 gives the singular points.
 
-    filter = "singular":    points with form value 0 (canonical reps);
-    filter = "nonsingular": points with nonzero form value, re-scaled to
-                            form value 1 where a scaling exists;
-    filter = "norm-class":  points scalable to the given nonzero ``value``
-                            (re-scaled to exactly that value); value 0 is
-                            the singular filter.  ``value`` must be an
-                            element of space.value_field or its index.
-
-    Both filters for nonzero values raise ValueError on a symplectic space,
-    whose points are all singular.
-
-    Points are listed in the lexicographic order of the underlying
-    1-spaces' canonical representatives.
+    A singular point is held by its canonical representative (first
+    nonzero coordinate 1), any other by its lexicographically least
+    multiple of form value ``value``, and a point with no such multiple is
+    left out.  A nonzero value raises ValueError on a symplectic space,
+    whose points are all singular.  Points are listed in the lexicographic
+    order of the 1-spaces' canonical representatives.
     """
-    target = 1
-    if filter == "norm-class":
-        if value is None:
-            raise ValueError("norm-class filter needs a value")
-        target = _value_index(space, value)
-        if target == 0:
-            filter = "singular"
-    elif filter not in ("singular", "nonsingular"):
-        raise ValueError(f"unknown point filter {filter!r}")
-    if filter != "singular":
-        _check_nonsingular_points(space)
+    target = _value_index(space, value)
+    if target and space.kind == "symplectic":
+        raise ValueError("a symplectic space has no nonsingular points")
     points = []
     for rep in projective_reps(space.field, space.dim):
-        val = space.form_value(rep)
-        if not val:
-            if filter == "singular":
-                points.append(rep)
-        elif filter != "singular":
-            scaled = _rescale(space, rep, val, target)
-            if scaled is not None or filter == "nonsingular":
-                points.append(scaled or rep)
+        scaled = _rescale(space, rep, space.form_value(rep), target)
+        if scaled is not None:
+            points.append(scaled)
     return points
 
 
@@ -655,15 +614,16 @@ def enumerate_subspaces(
     return subspaces
 
 
-def enumerate_flags(q: int) -> list[Flag]:
-    """All incident (point, line) pairs of PG(2, q), ordered by point then
-    line representative; the count is (q^2+q+1)(q+1)."""
+def enumerate_flags(q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All incident (point, line) pairs of PG(2, q), each line held by its
+    dual coordinates, ordered by point then line representative; the count
+    is (q^2+q+1)(q+1)."""
     field = field_of_order(q)
     reps, flags = projective_reps(field, 3), []
     columns = _columns(reps)
     for p in reps:  # the lines through p: the reps x with x . p = 0
         on_p = map(operator.not_, _image_codes(field, columns, [[c] for c in p]))
-        flags += [Flag(p, line) for line in itertools.compress(reps, on_p)]
+        flags += [(p, line) for line in itertools.compress(reps, on_p)]
     expected = (q**2 + q + 1) * (q + 1)
     if len(flags) != expected:
         raise AssertionError(f"{len(flags)} flags found, expected {expected}")

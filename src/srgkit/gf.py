@@ -1,20 +1,15 @@
-"""Exact arithmetic in small finite fields, plus exact counting utilities.
+"""Exact arithmetic in small finite fields, on element indices.
 
 Fields F_{p^k} use a polynomial basis modulo a deterministic irreducible:
 the lexicographically least monic irreducible of degree k over F_p, where
-coefficient tuples are compared constant term first.  Every element has an
-integer index in [0, p^k) via ``index = sum(c_i * p**i)``, which allows
-dense index-based arithmetic tables, built by F_p-linearity; one walk of
-the least primitive element g gives the exp and log tables, from which
-inverses, Frobenius images, powers and the quadratic character are read.
-:class:`FieldElement` wraps an index for ergonomic exact arithmetic.
-
-Beyond field arithmetic, the module provides the relative norm and absolute
-trace, the quadratic character, and the closed-form solution counts of
-hermitian norm equations and hyperbolic bilinear equations.  The
-irreducibility test of the moduli is trial division by every monic
-polynomial of at most half the degree, by the long division of
-:mod:`srgkit.base`, as integer arithmetic reduced mod p.
+coefficient tuples are compared constant term first.  A field element is
+its integer index in [0, p^k), ``index = sum(c_i * p**i)``, and the field
+is its dense index tables, built by F_p-linearity; one walk of the least
+primitive element g gives the exp and log tables, from which inverses,
+Frobenius images and powers are read.  The irreducibility test of the
+moduli is trial division by every monic polynomial of at most half the
+degree, by the long division of :mod:`srgkit.base`, as integer
+arithmetic reduced mod p.
 """
 
 from __future__ import annotations
@@ -24,24 +19,9 @@ from functools import lru_cache
 from operator import floordiv, getitem
 from typing import Sequence
 
-from .base import ScaleGuardError, _long_division, _setattr
+from .base import ScaleGuardError, _long_division
 
-__all__ = [
-    "CharacterValue",
-    "Field",
-    "FieldElement",
-    "field_of_order",
-    "hermitian_count_closed",
-    "hyperbolic_count_closed",
-    "is_prime_power",
-    "make_field",
-    "norm",
-    "quadratic_character",
-    "trace_to_prime",
-]
-
-# A quadratic-character or trace-indicator value: one of -1, 0, +1.
-CharacterValue = int
+__all__ = ["Field", "field_of_order", "is_prime_power", "make_field"]
 
 # Largest field order for which dense multiplication tables are built.
 _TABLE_CAP = 1024
@@ -78,18 +58,12 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     )
 
 
-# ---------------------------------------------------------------------------
-# Field and FieldElement
-# ---------------------------------------------------------------------------
-
-
 class Field:
     """The finite field F_{p^k} with dense index-based arithmetic tables.
 
     Element ``i`` has the base-p digits of ``i`` as its coefficient vector
     (constant term first).  Do not instantiate directly: use
-    :func:`make_field`, which caches one canonical instance per (p, k) so
-    that element equality can compare fields by identity.
+    :func:`make_field`, which caches one canonical instance per (p, k).
 
     Public index tables (lists indexed by element index) are exposed for
     bulk consumers: ``add_table`` and ``mul_table``, whose rows are tuples,
@@ -183,45 +157,13 @@ class Field:
             return 0 if e else 1
         return self.exp_table[e * self.log_table[a] % (self.q - 1)]
 
-    # -- element construction ----------------------------------------------
-
-    def from_index(self, index: int) -> FieldElement:
-        return FieldElement(self, index)
-
-    def __call__(self, value) -> FieldElement:
-        """Build an element from an int (a prime-subfield constant, reduced
-        mod p), a coefficient list (constant term first), or pass through an
-        element of this field."""
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        coeffs = list(value)
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient list longer than the field degree")
-        return FieldElement(self, self.index_of(coeffs))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> list[FieldElement]:
-        """All field elements in index order (deterministic)."""
-        return [FieldElement(self, i) for i in range(self.q)]
-
     # -- subfields -----------------------------------------------------------
 
     def subfield(self, k_sub: int) -> tuple[Field, list[int]]:
         """The canonical copy of F_{p^k_sub} inside this field.
 
         Returns ``(S, embed)`` where ``embed[i]`` is the index in this field
-        of the image of ``S.from_index(i)``.  The embedding sends the
+        of the image of element ``i`` of S.  The embedding sends the
         polynomial generator of S to the least root (in index order) of
         S.modulus in this field; the result is cached.
         """
@@ -252,110 +194,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """An element of a :class:`Field`, identified by its index in [0, q).
-    Immutable, as its hash requires."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: Field, index: int):
-        if not 0 <= index < field.q:
-            raise ValueError(f"index {index} out of range for {field!r}")
-        _setattr(self, "field", field)
-        _setattr(self, "index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> list[int]:
-        return self.field.coeffs_of(self.index)
-
-    def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, other % self.field.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add_table[self.index][o.index])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_table[self.index])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        neg = self.field.neg_table[o.index]
-        return FieldElement(self.field, self.field.add_table[self.index][neg])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul_table[self.index][o.index])
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> FieldElement:
-        if self.index == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(self.field, self.field.inv_table[self.index])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_index(self.index, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.index == other.index
-        if isinstance(other, int):
-            return self.index == other % self.field.p and self.index < self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}t" if i == 1 else f"{head}t^{i}")
-        poly = " + ".join(terms) if terms else "0"
-        return f"GF({self.field.q})({poly})"
 
 
 @lru_cache(maxsize=None)
@@ -395,84 +233,3 @@ def field_of_order(q: int) -> Field:
         q //= p
         k += 1
     return make_field(p, k)
-
-
-# ---------------------------------------------------------------------------
-# Norm, trace, character
-# ---------------------------------------------------------------------------
-
-
-def norm(a: FieldElement) -> FieldElement:
-    """Relative norm to the index-2 subfield: a -> a * a_bar = a^(q0+1).
-
-    Requires a field of square order q0^2; the result is checked to be
-    fixed by x -> x^q0 and returned as an element of the subfield.
-    """
-    field = a.field
-    if field.k % 2:
-        raise ValueError("norm requires a field of square order")
-    q0 = field.p ** (field.k // 2)
-    sub, embed = field.subfield(field.k // 2)
-    b = field.pow_index(a.index, q0 + 1)
-    if field.pow_index(b, q0) != b:
-        raise AssertionError("norm image is not fixed by the subfield Frobenius")
-    return sub.from_index(embed.index(b))
-
-
-def trace_to_prime(a: FieldElement) -> int:
-    """Absolute trace sum(a^(2^i)) -> F_2, as an int in {0, 1} (char 2 only)."""
-    field = a.field
-    if field.p != 2:
-        raise ValueError("trace_to_prime requires characteristic 2")
-    acc, t = 0, a.index
-    for _ in range(field.k):
-        acc = field.add_table[acc][t]
-        t = field.frob_table[t]
-    if acc not in (0, 1):
-        raise AssertionError("trace landed outside the prime subfield")
-    return acc
-
-
-def quadratic_character(a: FieldElement) -> CharacterValue:
-    """chi(a) = a^((q-1)/2) read in {-1, 0, +1}: +1 when log a is even,
-    -1 when it is odd; chi(0) = 0.  Odd q only."""
-    field = a.field
-    if field.p == 2:
-        raise ValueError("quadratic character requires odd q")
-    if a.index == 0:
-        return 0
-    return -1 if field.log_table[a.index] % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# Closed-form solution counts
-# ---------------------------------------------------------------------------
-
-
-def hermitian_count_closed(n: int, q: int, zero: bool) -> int:
-    """#{(a_1..a_n) in (F_{q^2})^n : sum of a_i^(q+1) = c}, for c = 0 when
-    ``zero`` and for any c != 0 otherwise (n >= 1):
-
-        c = 0:   q^(2n-1) + (-1)^n (q-1) q^(n-1)
-        c != 0:  q^(2n-1) - (-1)^n q^(n-1)
-    """
-    if n == 0:
-        return 1 if zero else 0
-    s = (-1) ** n
-    if zero:
-        return q ** (2 * n - 1) + s * (q - 1) * q ** (n - 1)
-    return q ** (2 * n - 1) - s * q ** (n - 1)
-
-
-def hyperbolic_count_closed(k: int, q: int, zero: bool) -> int:
-    """#{(a_1,b_1,..,a_k,b_k) in F_q^(2k) : sum of a_i b_i = c}, for c = 0
-    when ``zero`` and for any c != 0 otherwise (k >= 1):
-
-        c = 0:   q^(2k-1) + q^k - q^(k-1)
-        c != 0:  q^(2k-1) - q^(k-1)
-    """
-    if k == 0:
-        return 1 if zero else 0
-    if zero:
-        return q ** (2 * k - 1) + q**k - q ** (k - 1)
-    return q ** (2 * k - 1) - q ** (k - 1)

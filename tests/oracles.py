@@ -12,10 +12,10 @@ import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from srgkit.geometry import (
     FormedSpace,
-    _check_nonsingular_points,
     _dot,
     _reflections,
     _rescale,
@@ -28,18 +28,44 @@ from srgkit.geometry import (
     projective_reps,
     rref,
 )
-from srgkit.gf import (
-    Field,
-    FieldElement,
-    field_of_order,
-    hermitian_count_closed,
-    hyperbolic_count_closed,
-    norm,
-    quadratic_character,
-    trace_to_prime,
-)
+from srgkit.gf import Field, field_of_order
 from srgkit.graphcore import Graph, IntersectionArray, bits, build_graph, complement
 from srgkit.orbitals import PermGroupAction, _pair_bytes, mulclose
+
+
+@lru_cache(maxsize=None)
+def norm_table(field: Field) -> list[int]:
+    """The relative norm a -> a^(q0+1) of every element of F_{q0^2}, as an
+    index in the subfield F_{q0} (retracted through ``subfield``); a field
+    of non-square order has no such norm."""
+    if field.k % 2:
+        raise ValueError("norm requires a field of square order")
+    sub, embed = field.subfield(field.k // 2)
+    retract = {e: i for i, e in enumerate(embed)}
+    return [retract[field.pow_index(a, sub.q + 1)] for a in range(field.q)]
+
+
+def trace_to_prime(field: Field, a: int) -> int:
+    """The absolute trace sum(a^(2^i)) of element ``a`` of a field of
+    characteristic 2, in {0, 1}: a walk of the Frobenius table."""
+    if field.p != 2:
+        raise ValueError("trace_to_prime requires characteristic 2")
+    acc = 0
+    for _ in range(field.k):
+        acc, a = field.add_table[acc][a], field.frob_table[a]
+    if acc not in (0, 1):
+        raise AssertionError("trace landed outside the prime subfield")
+    return acc
+
+
+def quadratic_character(field: Field, a: int) -> int:
+    """chi(a) = a^((q-1)/2) of element ``a`` of a field of odd order, read
+    in {-1, 0, +1} from the parity of its logarithm; chi(0) = 0."""
+    if field.p == 2:
+        raise ValueError("quadratic character requires odd q")
+    if a == 0:
+        return 0
+    return -1 if field.log_table[a] % 2 else 1
 
 
 def hermitian_norm_counts(n: int, q: int) -> list[int]:
@@ -47,13 +73,10 @@ def hermitian_norm_counts(n: int, q: int) -> list[int]:
 
     Returns a list indexed by the element index in F_q.
     """
-    ext = field_of_order(q * q)
-    sub, embed = ext.subfield(ext.k // 2)
-    retract = {e: i for i, e in enumerate(embed)}
-    norm_of = [retract[ext.pow_index(a, q + 1)] for a in range(ext.q)]
-    add = sub.add_table
+    norm_of = norm_table(field_of_order(q * q))
+    add = field_of_order(q).add_table
     counts = [0] * q
-    for vec in itertools.product(range(ext.q), repeat=n):
+    for vec in itertools.product(range(q * q), repeat=n):
         acc = 0
         for a in vec:
             acc = add[acc][norm_of[a]]
@@ -77,28 +100,62 @@ def hyperbolic_counts(k: int, q: int) -> list[int]:
     return counts
 
 
-def char_sum_direct(
-    gamma1: FieldElement, gamma2: FieldElement, lam: FieldElement
-) -> int:
+def _char_sum_terms(field: Field, gamma1: int, gamma2: int, lam: int):
+    """(m(x), k(x)) = (1 - x gamma1 + x^2, gamma2 - lam x) for every
+    element x of the field, on element indices."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    for x in range(field.q):
+        m = add[add[1][neg[mul[x][gamma1]]]][mul[x][x]]
+        yield m, add[gamma2][neg[mul[lam][x]]]
+
+
+def char_sum_direct(gamma1: int, gamma2: int, lam: int, q: int) -> int:
     """Count pairs (x, T) in F_q^2 solving
     T^2 - (gamma2 - lam*x)*T + (1 - x*gamma1 + x^2) = 0
-    by substituting every T directly."""
-    field = gamma1.field
-    one = field.one
+    by substituting every T directly; arguments are element indices."""
+    field = field_of_order(q)
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     total = 0
-    for x in field.elements():
-        m = one - x * gamma1 + x * x
-        kx = gamma2 - lam * x
-        for t in field.elements():
-            if not (t * t - kx * t + m):
+    for m, kx in _char_sum_terms(field, gamma1, gamma2, lam):
+        for t in range(q):
+            if add[add[mul[t][t]][neg[mul[kx][t]]]][m] == 0:
                 total += 1
     return total
 
 
 # ---------------------------------------------------------------------------
 # Dynamic-programming counts, checked against the enumerations above and
-# against the closed forms in srgkit.gf
+# against the closed forms below
 # ---------------------------------------------------------------------------
+
+
+def hermitian_count_closed(n: int, q: int, zero: bool) -> int:
+    """#{(a_1..a_n) in (F_{q^2})^n : sum of a_i^(q+1) = c}, for c = 0 when
+    ``zero`` and for any c != 0 otherwise (n >= 1):
+
+        c = 0:   q^(2n-1) + (-1)^n (q-1) q^(n-1)
+        c != 0:  q^(2n-1) - (-1)^n q^(n-1)
+    """
+    if n == 0:
+        return 1 if zero else 0
+    s = (-1) ** n
+    if zero:
+        return q ** (2 * n - 1) + s * (q - 1) * q ** (n - 1)
+    return q ** (2 * n - 1) - s * q ** (n - 1)
+
+
+def hyperbolic_count_closed(k: int, q: int, zero: bool) -> int:
+    """#{(a_1,b_1,..,a_k,b_k) in F_q^(2k) : sum of a_i b_i = c}, for c = 0
+    when ``zero`` and for any c != 0 otherwise (k >= 1):
+
+        c = 0:   q^(2k-1) + q^k - q^(k-1)
+        c != 0:  q^(2k-1) - q^(k-1)
+    """
+    if k == 0:
+        return 1 if zero else 0
+    if zero:
+        return q ** (2 * k - 1) + q**k - q ** (k - 1)
+    return q ** (2 * k - 1) - q ** (k - 1)
 
 
 def _convolve_counts(dist: list[int], single: list[int], field: Field) -> list[int]:
@@ -121,14 +178,13 @@ def count_hermitian_norm_solutions(n: int, q: int, c=0) -> int:
     contributes norm 0 once and each nonzero norm value q+1 times.  The
     whole distribution is checked against ``hermitian_count_closed``.
 
-    ``c`` may be a FieldElement of F_q or an element index (0 = zero).
+    ``c`` is an element index of F_q (0 = zero).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     field = field_of_order(q)
-    c_index = c.index if isinstance(c, FieldElement) else int(c)
-    if not 0 <= c_index < q:
-        raise ValueError(f"c index {c_index} out of range for GF({q})")
+    if not 0 <= c < q:
+        raise ValueError(f"c index {c} out of range for GF({q})")
     single = [q + 1] * q
     single[0] = 1
     dist = [0] * q
@@ -139,7 +195,7 @@ def count_hermitian_norm_solutions(n: int, q: int, c=0) -> int:
         raise AssertionError("hermitian count disagrees with its closed form")
     if n and set(dist[1:]) != {hermitian_count_closed(n, q, zero=False)}:
         raise AssertionError("hermitian count not constant on nonzero targets")
-    return dist[c_index]
+    return dist[c]
 
 
 def count_hyperbolic_solutions(k: int, q: int, zero_target: bool) -> int:
@@ -167,41 +223,34 @@ def count_hyperbolic_solutions(k: int, q: int, zero_target: bool) -> int:
     return dist[0] if zero_target else dist[1 % q]
 
 
-def char_sum_c(gamma1, gamma2, lam, q: int | None = None) -> int:
+def char_sum_c(gamma1: int, gamma2: int, lam: int, q: int) -> int:
     """sum over x in F_q of the number of roots of
-    T^2 - (gamma2 - lam*x) T + m(x), where m(x) = 1 - x*gamma1 + x^2.
+    T^2 - (gamma2 - lam*x) T + m(x), where m(x) = 1 - x*gamma1 + x^2, on
+    element indices.
 
     Odd q counts roots of a monic quadratic as 1 + chi(discriminant).  Even
     q writes the quadratic as T^2 + k T + m with k = gamma2 + lam*x: exactly
     one root when k = 0 (squaring is bijective), otherwise two roots exactly
     when the absolute trace of m / k^2 vanishes.
-
-    Arguments may be FieldElements of one field, or element indices together
-    with an explicit prime power ``q``.
     """
-    if q is not None:
-        field = field_of_order(q)
-        gamma1, gamma2, lam = (
-            x if isinstance(x, FieldElement) else field.from_index(int(x))
-            for x in (gamma1, gamma2, lam)
-        )
-    field = gamma1.field
-    if gamma2.field is not field or lam.field is not field:
-        raise ValueError("gamma1, gamma2, lam must lie in one field")
-    one = field.one
+    field = field_of_order(q)
+    add, mul, neg, inv = (
+        field.add_table,
+        field.mul_table,
+        field.neg_table,
+        field.inv_table,
+    )
+    four = mul[add[1][1]][add[1][1]]
     total = 0
-    for xi in range(field.q):
-        x = field.from_index(xi)
-        m = one - x * gamma1 + x * x
-        kx = gamma2 - lam * x
+    for m, kx in _char_sum_terms(field, gamma1, gamma2, lam):
         if field.p == 2:
             if not kx:
                 total += 1
-            elif trace_to_prime(m * (kx * kx).inverse()) == 0:
+            elif trace_to_prime(field, mul[m][inv[mul[kx][kx]]]) == 0:
                 total += 2
         else:
-            disc = kx * kx - 4 * m
-            total += 1 + quadratic_character(disc)
+            disc = add[mul[kx][kx]][neg[mul[four][m]]]
+            total += 1 + quadratic_character(field, disc)
     return total
 
 
@@ -265,10 +314,11 @@ def form_value_by_kind(space, vec) -> int:
     field = space.field
     add, mul = field.add_table, field.mul_table
     if space.kind == "hermitian":
-        total = space.value_field.zero
+        sub_add, norms = space.value_field.add_table, norm_table(field)
+        acc = 0
         for c in vec:
-            total = total + norm(FieldElement(field, c))
-        return total.index
+            acc = sub_add[acc][norms[c]]
+        return acc
     if space.kind == "symplectic":
         return 0
     m = space.dim // 2
@@ -312,18 +362,30 @@ def scale_by_trial(space, vec, target: int):
     return None
 
 
+def nonsingular_points(space: FormedSpace) -> list[tuple[int, ...]]:
+    """The projective points of nonzero form value, in the order of their
+    canonical representatives, each held by its least multiple of form
+    value 1 (:func:`scale_by_trial`) where one exists, and by its
+    canonical representative otherwise."""
+    points = []
+    for rep in projective_reps(space.field, space.dim):
+        if form_value_by_kind(space, rep):
+            points.append(scale_by_trial(space, rep, 1) or rep)
+    return points
+
+
 def scale_to_value(
-    space: FormedSpace, rep: tuple[int, ...], target: int | FieldElement
+    space: FormedSpace, rep: tuple[int, ...], target: int
 ) -> tuple[int, ...] | None:
     """The lexicographically least scalar multiple of rep whose form value
-    is ``target`` (an element of space.value_field or its index), or None
+    is ``target`` (the index of an element of space.value_field), or None
     if no scaling achieves it; a nonzero target on a symplectic space, where
     every point is singular, raises ValueError.  The multiples of the
     :func:`lead_one` representative sort as their scalars do, so the least
     scalar with that value gives the least multiple."""
     target = _value_index(space, target)
-    if target:
-        _check_nonsingular_points(space)
+    if target and space.kind == "symplectic":
+        raise ValueError("a symplectic space has no nonsingular points")
     rep = lead_one(space.field, rep)
     return _rescale(space, rep, space.form_value(rep), target)
 
@@ -346,7 +408,7 @@ def perp_types(space: FormedSpace, points) -> list[str]:
         raise ValueError("perp_types applies to quadratic-odd spaces")
     if space.field.p == 2:
         raise ValueError("perp_types requires odd q")
-    singular = enumerate_points(space, "singular")
+    singular = enumerate_points(space, 0)
     m = (space.dim - 1) // 2
     expected = _singular_point_counts(m, space.field.q)
     types = []
@@ -479,10 +541,11 @@ def flag_pair_classes(q: int) -> bytes:
     def pair_class(flag, other) -> int:
         if flag == other:
             return 0
-        if flag.point == other.point or flag.line == other.line:
+        (point, line), (other_point, other_line) = flag, other
+        if point == other_point or line == other_line:
             return 1
-        first = incident(flag.point, other.line)
-        second = incident(other.point, flag.line)
+        first = incident(point, other_line)
+        second = incident(other_point, line)
         assert not (first and second), "two flags share both cross-incidences"
         return 2 if first or second else 3
 
@@ -510,7 +573,7 @@ def form_pair_classes(space, points) -> bytes:
     by Q(x) and read up to sign."""
     field = space.field
     if space.kind == "hermitian":
-        norms = [norm(FieldElement(field, a)).index for a in range(field.q)]
+        norms = norm_table(field)
 
         def label(i, j):
             return norms[space.inner(points[i], points[j])]

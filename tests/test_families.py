@@ -44,7 +44,7 @@ from srgkit.geometry import (
     enumerate_points,
     enumerate_subspaces,
 )
-from srgkit.gf import FieldElement, field_of_order, quadratic_character
+from srgkit.gf import field_of_order
 from srgkit import families, geometry, orbitals
 from srgkit.graphcore import (
     Graph,
@@ -476,7 +476,7 @@ def test_unitary_tangency_graph_small():
 @pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)])
 def test_unitary_tangency_graph_matches_line_enumeration(n, q):
     space = FormedSpace("hermitian", field_of_order(q * q), n)
-    expected = oracles.tangency_graph(space, enumerate_points(space, "nonsingular"))
+    expected = oracles.tangency_graph(space, oracles.nonsingular_points(space))
     graph = build_NU(n, q)
     assert graph.rows == expected.rows
 
@@ -529,7 +529,7 @@ def test_orthogonal_tangency_graphs_match_closed_forms():
 def _least_nonsquare(space):
     return next(
         s for s in range(2, space.field.q)
-        if quadratic_character(FieldElement(space.field, s)) == -1
+        if oracles.quadratic_character(space.field, s) == -1
     )
 
 
@@ -539,7 +539,7 @@ def _orthogonal_square_class(m, q, eps):
     or of the least non-square."""
     space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
     for value in (1, _least_nonsquare(space)):
-        points = enumerate_points(space, "norm-class", value)
+        points = enumerate_points(space, value)
         if perp_types(space, points[:1]) == [eps]:
             return space, points
     raise AssertionError(f"no square class of type {eps}")
@@ -552,7 +552,7 @@ def test_form_value_one_has_plus_type_and_the_least_nonsquare_minus(m, q):
     # the orthogonal builders choose their square class by this rule
     space = FormedSpace("quadratic-odd", field_of_order(q), 2 * m + 1)
     for eps, value in (("+", 1), ("-", _least_nonsquare(space))):
-        points = enumerate_points(space, "norm-class", value)
+        points = enumerate_points(space, value)
         assert set(perp_types(space, points)) == {eps}
 
 
@@ -645,7 +645,7 @@ def test_polar_complements_at_q2():
 def test_polar_complement_matches_the_form_on_every_pair(kind, q):
     form, dim = ("quadratic-odd", 7) if kind == "O7" else ("quadratic-plus", 8)
     space = FormedSpace(form, field_of_order(q), dim)
-    points = enumerate_points(space, "singular")
+    points = enumerate_points(space, 0)
     expected = oracles.polar_complement_by_form(space, points)
     graph = build_polar_complement(kind, q)
     assert graph.rows == expected.rows
@@ -824,7 +824,7 @@ def test_every_form_build_scans_the_projective_space_once(monkeypatch):
         assert len(calls) == 1
     for kind, q, dim, value in (("hermitian", 9, 3, 1), ("quadratic-plus", 2, 8, 0)):
         space = FormedSpace(kind, field_of_order(q), dim)
-        points = enumerate_points(space, "norm-class", value)
+        points = enumerate_points(space, value)
         calls.clear()
         list(geometry._reflections(space, points))
         assert calls == []

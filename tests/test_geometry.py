@@ -7,7 +7,6 @@ import pytest
 from oracles import perp_types, scale_to_value
 
 from srgkit.geometry import (
-    Flag,
     FormedSpace,
     enumerate_flags,
     enumerate_max_isotropic,
@@ -152,8 +151,8 @@ def test_projective_rep_counts():
 )
 def test_hermitian_point_counts(n, q, total, singular):
     space = hermitian(n, q)
-    sing = enumerate_points(space, "singular")
-    nonsing = enumerate_points(space, "nonsingular")
+    sing = enumerate_points(space, 0)
+    nonsing = oracles.nonsingular_points(space)
     assert len(sing) == singular
     assert len(nonsing) == total - singular
     assert len(projective_reps(space.field, n)) == total
@@ -161,7 +160,7 @@ def test_hermitian_point_counts(n, q, total, singular):
 
 def test_hermitian_nonsingular_reps_have_value_one():
     space = hermitian(3, 3)
-    points = enumerate_points(space, "nonsingular")
+    points = oracles.nonsingular_points(space)
     assert all(space.form_value(p) == 1 for p in points)
     # vector-level consistency: value-1 points x (q+1) unit scalings each
     assert len(points) * (3 + 1) == oracles.count_hermitian_norm_solutions(3, 3, 1)
@@ -169,7 +168,7 @@ def test_hermitian_nonsingular_reps_have_value_one():
 
 def test_hermitian_singular_reps_are_canonical():
     space = hermitian(3, 3)
-    for p in enumerate_points(space, "singular"):
+    for p in enumerate_points(space, 0):
         assert next(c for c in p if c) == 1
         assert space.form_value(p) == 0
 
@@ -194,15 +193,15 @@ def test_hermitian_singular_reps_are_canonical():
 )
 def test_quadratic_singular_point_counts(kind, q, dim, singular):
     space = FormedSpace(kind, field_of_order(q), dim)
-    assert len(enumerate_points(space, "singular")) == singular
+    assert len(enumerate_points(space, 0)) == singular
 
 
 def test_norm_class_partition_of_conic_complement():
     # dim-3 parabolic space over GF(3): 13 points = 4 singular + classes
     space = FormedSpace("quadratic-odd", field_of_order(3), 3)
-    singular = enumerate_points(space, "singular")
-    class1 = enumerate_points(space, "norm-class", value=1)
-    class2 = enumerate_points(space, "norm-class", value=2)
+    singular = enumerate_points(space, 0)
+    class1 = enumerate_points(space, 1)
+    class2 = enumerate_points(space, 2)
     assert len(singular) == 4
     assert len(class1) + len(class2) == 13 - 4
     assert all(space.form_value(p) == 1 for p in class1)
@@ -210,37 +209,30 @@ def test_norm_class_partition_of_conic_complement():
     # the two classes are disjoint as 1-spaces: scaling by any nonzero
     # square keeps the class, so no representative can appear in both
     assert not set(class1) & set(class2)
-    assert enumerate_points(space, "norm-class", value=0) == singular
+    assert enumerate_points(space, 0) == singular
 
 
 def test_symplectic_points():
     space = FormedSpace("symplectic", field_of_order(2), 4)
-    assert len(enumerate_points(space, "singular")) == 15
-    with pytest.raises(ValueError):
-        enumerate_points(space, "nonsingular")
+    assert len(enumerate_points(space, 0)) == 15
+    with pytest.raises(ValueError, match="a symplectic space has no nonsingular"):
+        enumerate_points(space, 1)
 
 
 def test_enumerate_points_rejects_bad_filter():
-    space = FormedSpace("quadratic-plus", field_of_order(2), 4)
-    with pytest.raises(ValueError):
-        enumerate_points(space, "positive")
-    with pytest.raises(ValueError):
-        enumerate_points(space, "norm-class")
-    # a form value outside the value field is refused by name, not matched
-    # by no point
+    """A form value is the index of an element of the value field: an int
+    in range, and not a bool.  Anything else is refused by name, not
+    matched by no point or truncated to an index."""
     odd = FormedSpace("quadratic-odd", field_of_order(3), 5)
-    for value in (7, 3, -1, field_of_order(9).one):
+    for value in (7, 3, -1, "1", 2.5, True):
         with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
-            enumerate_points(odd, "norm-class", value)
+            enumerate_points(odd, value)
         with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
             scale_to_value(odd, (1, 0, 0, 0, 0), value)
-    two = field_of_order(3)(2)
-    assert enumerate_points(odd, "norm-class", two) == enumerate_points(
-        odd, "norm-class", 2
-    )
-    assert scale_to_value(odd, (0, 0, 0, 0, 1), two) is None
-    with pytest.raises(ValueError, match=r"form value .* is not in GF\(3\)"):
-        enumerate_points(hermitian(3, 3), "norm-class", field_of_order(9).one)
+    assert scale_to_value(odd, (0, 0, 0, 0, 1), 2) is None
+    # index 3 lies in the coordinate field GF(9), not in the value field
+    with pytest.raises(ValueError, match=r"form value 3 is not in GF\(3\)"):
+        enumerate_points(hermitian(3, 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +303,7 @@ def test_scale_to_value_returns_lex_least():
     and for every target value: the root table finds the multiple that
     trying every scalar finds, and the norm classes are the points that
     have one.  A symplectic space, whose points are all singular, refuses
-    every nonzero target by name, as the nonsingular filter does."""
+    every nonzero target by name, as enumerate_points does."""
     for kind, q, dim in SMALL_SPACES:
         space = FormedSpace(kind, field_of_order(q), dim)
         last = space.field.mul_table[q - 1]
@@ -323,12 +315,12 @@ def test_scale_to_value_returns_lex_least():
                 with pytest.raises(ValueError, match=message):
                     scale_to_value(space, multiples[0], target)
                 with pytest.raises(ValueError, match=message):
-                    enumerate_points(space, "norm-class", target)
+                    enumerate_points(space, target)
                 continue
             expected = [oracles.scale_by_trial(space, r, target) for r in reps]
             got = [scale_to_value(space, vec, target) for vec in multiples]
             assert got == expected, (space, target)
-            points = enumerate_points(space, "norm-class", target)
+            points = enumerate_points(space, target)
             assert points == [s for s in expected if s], space
 
 
@@ -339,8 +331,8 @@ def test_scale_to_value_returns_lex_least():
 
 def test_hermitian_line_meets_singular_set_in_1_or_qplus1():
     space = hermitian(3, 3)
-    singular = enumerate_points(space, "singular")
-    nonsingular = enumerate_points(space, "nonsingular")
+    singular = enumerate_points(space, 0)
+    nonsingular = oracles.nonsingular_points(space)
     # a line through two singular points carries q+1 of them
     assert line_tangency_count(space, singular[0], singular[1]) == 4
     seen = set()
@@ -354,7 +346,7 @@ def test_hermitian_line_meets_singular_set_in_1_or_qplus1():
 
 def test_line_tangency_rejects_equal_points():
     space = hermitian(3, 3)
-    points = enumerate_points(space, "nonsingular")
+    points = oracles.nonsingular_points(space)
     with pytest.raises(ValueError):
         line_tangency_count(space, points[0], points[0])
     # also when handed two different representatives of one 1-space
@@ -367,7 +359,7 @@ def test_line_tangency_rejects_equal_points():
 def test_conic_tangent_and_secant_counts():
     # dim-3 quadratic space over GF(5): lines meet the conic in 0, 1 or 2
     space = FormedSpace("quadratic-odd", field_of_order(5), 3)
-    points = enumerate_points(space, "nonsingular")
+    points = oracles.nonsingular_points(space)
     counts = {
         line_tangency_count(space, p, q)
         for p, q in itertools.combinations(points[:12], 2)
@@ -383,13 +375,13 @@ def test_conic_tangent_and_secant_counts():
 
 def test_perp_type_split_dim3():
     space = FormedSpace("quadratic-odd", field_of_order(5), 3)
-    types = perp_types(space, enumerate_points(space, "nonsingular"))
+    types = perp_types(space, oracles.nonsingular_points(space))
     assert (types.count("+"), types.count("-")) == (15, 10)
 
 
 def test_perp_type_split_dim5():
     space = FormedSpace("quadratic-odd", field_of_order(5), 5)
-    points = enumerate_points(space, "nonsingular")
+    points = oracles.nonsingular_points(space)
     assert len(points) == 625
     types = perp_types(space, points)
     assert (types.count("+"), types.count("-")) == (325, 300)
@@ -397,20 +389,20 @@ def test_perp_type_split_dim5():
 
 def test_perp_type_split_dim3_q3():
     space = FormedSpace("quadratic-odd", field_of_order(3), 3)
-    types = perp_types(space, enumerate_points(space, "nonsingular"))
+    types = perp_types(space, oracles.nonsingular_points(space))
     assert (types.count("+"), types.count("-")) == (6, 3)
 
 
 def test_perp_type_guards():
     odd2 = FormedSpace("quadratic-odd", field_of_order(2), 7)
     with pytest.raises(ValueError):
-        perp_types(odd2, enumerate_points(odd2, "nonsingular")[:1])
+        perp_types(odd2, oracles.nonsingular_points(odd2)[:1])
     space = FormedSpace("quadratic-odd", field_of_order(5), 3)
     with pytest.raises(ValueError):
-        perp_types(space, enumerate_points(space, "singular")[:1])
+        perp_types(space, enumerate_points(space, 0)[:1])
     plus = FormedSpace("quadratic-plus", field_of_order(5), 4)
     with pytest.raises(ValueError):
-        perp_types(plus, enumerate_points(plus, "nonsingular")[:1])
+        perp_types(plus, oracles.nonsingular_points(plus)[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +450,7 @@ def test_max_isotropic_minus_type_are_singular_points():
     subspaces = enumerate_max_isotropic(space)
     assert all(len(s) == 1 for s in subspaces)
     reps = sorted(s[0] for s in subspaces)
-    assert reps == sorted(enumerate_points(space, "singular"))
+    assert reps == sorted(enumerate_points(space, 0))
 
 
 def test_max_isotropic_rejects_hermitian():
@@ -570,17 +562,17 @@ def test_flags_are_incident_and_ordered():
     # each point lies on q+1 lines, each line carries q+1 points
     from collections import Counter
 
-    by_point = Counter(f.point for f in flags)
-    by_line = Counter(f.line for f in flags)
+    by_point = Counter(point for point, _ in flags)
+    by_line = Counter(line for _, line in flags)
     assert set(by_point.values()) == {4}
     assert set(by_line.values()) == {4}
 
 
 def test_flag_type():
+    """A flag is plain data: the tuple of its point and its line."""
     flag = enumerate_flags(2)[0]
-    assert isinstance(flag, Flag)
-    assert flag.point == (0, 0, 1)
-    assert flag.line == (0, 1, 0)
+    assert type(flag) is tuple
+    assert flag == ((0, 0, 1), (0, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +589,7 @@ def test_lead_one_scales_the_first_nonzero_coordinate_to_one():
 def test_the_zero_vector_is_refused_by_name():
     space = FormedSpace("quadratic-odd", field_of_order(3), 5)
     zero = (0,) * 5
-    point = enumerate_points(space, "singular")[0]
+    point = enumerate_points(space, 0)[0]
     calls = [
         lambda: lead_one(space.field, (0, 0, 0)),
         lambda: scale_to_value(space, zero, 1),
@@ -610,16 +602,16 @@ def test_the_zero_vector_is_refused_by_name():
 
 
 @pytest.mark.parametrize(
-    "space, points",
+    "space, value",
     [
-        (hermitian(3, 3), "nonsingular"),
-        (FormedSpace("quadratic-odd", field_of_order(5), 5), "singular"),
-        (FormedSpace("quadratic-plus", field_of_order(2), 8), "singular"),
+        (hermitian(3, 3), 1),
+        (FormedSpace("quadratic-odd", field_of_order(5), 5), 0),
+        (FormedSpace("quadratic-plus", field_of_order(2), 8), 0),
     ],
     ids=["hermitian_3_3", "odd_5_5", "plus_8_2"],
 )
-def test_reflections_act_transitively_and_one_alone_does_not(space, points):
-    points = enumerate_points(space, points)
+def test_reflections_act_transitively_and_one_alone_does_not(space, value):
+    points = enumerate_points(space, value)
     action = oracles.reflection_action(space, points)
     assert action.is_transitive()
     single = PermGroupAction(len(points), action.generators[:1])
@@ -667,7 +659,7 @@ def test_a_reflection_leaving_the_points_is_named():
     the product of the reflections; when the reflections leave the point
     set, that map is the one named."""
     space = hermitian(3, 3)
-    points = enumerate_points(space, "nonsingular")[1:]
+    points = oracles.nonsingular_points(space)[1:]
     labels = [1] * (len(points) - 1)
     with pytest.raises(
         AssertionError, match="the product of the reflections maps a point outside"
@@ -678,4 +670,4 @@ def test_a_reflection_leaving_the_points_is_named():
 def test_a_symplectic_space_has_no_reflections():
     space = FormedSpace("symplectic", field_of_order(3), 4)
     with pytest.raises(ValueError, match="no reflections"):
-        next(geometry._reflections(space, enumerate_points(space, "singular")))
+        next(geometry._reflections(space, enumerate_points(space, 0)))

@@ -1,6 +1,8 @@
-"""Tests for exact finite-field arithmetic and the counting utilities."""
+"""Tests for exact finite-field arithmetic on element indices, and for
+the counting oracles built on it."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -10,18 +12,13 @@ from oracles import (
     char_sum_c,
     count_hermitian_norm_solutions,
     count_hyperbolic_solutions,
-)
-from srgkit.gf import (
-    FieldElement,
-    field_of_order,
     hermitian_count_closed,
     hyperbolic_count_closed,
-    is_prime_power,
-    make_field,
-    norm,
     quadratic_character,
     trace_to_prime,
 )
+from srgkit.geometry import FormedSpace, enumerate_points
+from srgkit.gf import field_of_order, is_prime_power, make_field
 
 
 ORDERS_TO_256 = [q for q in range(2, 257) if is_prime_power(q)]
@@ -45,7 +42,8 @@ class TestMakeField:
 
     def test_element_counts(self):
         for p, k in [(2, 1), (3, 2), (2, 4), (5, 2)]:
-            assert len(make_field(p, k).elements()) == p**k
+            field = make_field(p, k)
+            assert field.q == len(field.add_table) == len(field.mul_table) == p**k
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -69,14 +67,14 @@ class TestMakeField:
         field = make_field(2, 6)
         gen = next(
             a
-            for a in field.elements()
-            if a and all(a ** e != field.one for e in (9, 21))
-            and a ** 63 == field.one
+            for a in range(1, field.q)
+            if all(field.pow_index(a, e) != 1 for e in (9, 21))
+            and field.pow_index(a, 63) == 1
         )
         img = gen
         orbit = 0
         while True:
-            img = img ** 2
+            img = field.pow_index(img, 2)
             orbit += 1
             if img == gen:
                 break
@@ -153,61 +151,58 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2), (2, 4)])
     def test_ring_laws_on_random_triples(self, p, k):
         field = make_field(p, k)
+        add, mul, neg = field.add_table, field.mul_table, field.neg_table
         rng = random.Random(20240 + p * k)
         for _ in range(60):
-            a, b, c = (field.from_index(rng.randrange(field.q)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert (a * b) * c == a * (b * c)
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert a + field.zero == a
-            assert a * field.one == a
-            assert a - a == field.zero
+            a, b, c = (rng.randrange(field.q) for _ in range(3))
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert add[a][b] == add[b][a]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][b] == mul[b][a]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+            assert add[a][0] == a
+            assert mul[a][1] == a
+            assert add[a][neg[a]] == 0
 
     @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 1)])
     def test_inverses_exhaustively(self, p, k):
         field = make_field(p, k)
-        for a in field.elements():
+        for a in range(field.q):
             if a:
-                assert a * a.inverse() == field.one
+                assert field.mul_table[a][field.inv_table[a]] == 1
+                assert field.pow_index(a, -1) == field.inv_table[a]
             else:
                 with pytest.raises(ZeroDivisionError):
-                    a.inverse()
+                    field.pow_index(a, -1)
 
     def test_pow_and_division(self):
+        """Division by b is a product with inv_table[b]: (a / b) b = a."""
         field = make_field(3, 2)
-        t = field.from_index(3)
-        assert t ** 0 == field.one
-        assert t ** (field.q - 1) == field.one
-        assert t ** -1 == t.inverse()
-        assert (t / t) == field.one
-
-    def test_elements_are_immutable(self):
-        """An element's hash is that of its index, so the index stays: a
-        dict holding the element finds it again."""
-        x = make_field(3, 2).from_index(2)
-        held = {x: "x"}
-        for name in ("index", "field"):
-            with pytest.raises(AttributeError, match="FieldElement is immutable"):
-                setattr(x, name, 3)
-            with pytest.raises(AttributeError, match="FieldElement is immutable"):
-                delattr(x, name)
-        assert x.index == 2 and held[x] == "x"
+        mul, inv = field.mul_table, field.inv_table
+        t = 3
+        assert field.pow_index(t, 0) == 1
+        assert field.pow_index(t, field.q - 1) == 1
+        assert field.pow_index(t, -1) == inv[t]
+        assert mul[t][inv[t]] == 1
+        for a in range(field.q):
+            for b in range(1, field.q):
+                assert mul[mul[a][inv[b]]][b] == a
 
     @pytest.mark.parametrize("index", [-1, 3, 7])
     def test_an_element_index_lies_in_the_field(self, index):
-        field = make_field(3, 1)
-        message = rf"index {index} out of range for GF\(3\)"
-        for make in (FieldElement, type(field).from_index):
-            with pytest.raises(ValueError, match=message):
-                make(field, index)
+        """An element index enters the package as a form value, and is
+        refused there when it lies outside the value field: GF(3) inside
+        GF(9) for a hermitian form, which holds the indices 3 and 7."""
+        space = FormedSpace("hermitian", make_field(3, 2), 2)
+        with pytest.raises(ValueError, match=rf"form value {index} is not in GF\(3\)"):
+            enumerate_points(space, index)
 
     def test_coeff_roundtrip(self):
         field = make_field(5, 2)
         for i in range(field.q):
             assert field.index_of(field.coeffs_of(i)) == i
-        assert field([2, 3]).index == 2 + 3 * 5
+        assert field.index_of([2, 3]) == 2 + 3 * 5
+        assert field.coeffs_of(2 + 3 * 5) == [2, 3]
 
     def test_subfield_embedding_is_a_field_embedding(self):
         big = make_field(2, 6)
@@ -232,72 +227,72 @@ class TestFieldArithmetic:
 
 
 class TestNormTraceCharacter:
+    """The relative norm, the absolute trace and the quadratic character,
+    read on element indices from the field's powers, Frobenius table and
+    logs (:mod:`oracles`)."""
+
     def test_norm_basics(self):
-        f9 = make_field(3, 2)
-        f3, _ = f9.subfield(1)
-        assert norm(f9.zero) == f3.zero
-        assert norm(f9.one) == f3.one
-        t = f9.from_index(3)
-        assert norm(t) == f3.one  # t^2 = -1, so t^4 = 1
+        norms = oracles.norm_table(make_field(3, 2))
+        assert norms[0] == 0
+        assert norms[1] == 1
+        assert norms[3] == 1  # t^2 = -1, so t^4 = 1
 
     @pytest.mark.parametrize("q", [4, 9, 16])
     def test_norm_multiplicative_and_surjective(self, q):
         ext = field_of_order(q)
         sub, _ = ext.subfield(ext.k // 2)
-        for a in ext.elements():
-            for b in ext.elements():
-                assert norm(a * b) == norm(a) * norm(b)
-        values = {norm(a).index for a in ext.elements() if a}
-        assert values == set(range(1, sub.q))
-        q0 = sub.q
-        kernel = sum(1 for a in ext.elements() if a and norm(a) == sub.one)
-        assert kernel == q0 + 1
+        norms, mul = oracles.norm_table(ext), ext.mul_table
+        for a in range(q):
+            for b in range(q):
+                assert norms[mul[a][b]] == sub.mul_table[norms[a]][norms[b]]
+        assert set(norms[1:]) == set(range(1, sub.q))
+        assert norms.count(1) == sub.q + 1
 
     def test_norm_rejects_non_square_order(self):
-        with pytest.raises(ValueError):
-            norm(make_field(2, 3).one)
+        f8 = make_field(2, 3)
+        with pytest.raises(ValueError, match="square order"):
+            oracles.norm_table(f8)
+        with pytest.raises(ValueError, match="hermitian forms need a field of square"):
+            FormedSpace("hermitian", f8, 2)
 
     def test_trace_examples(self):
         f4 = make_field(2, 2)
-        assert trace_to_prime(f4.zero) == 0
-        assert trace_to_prime(f4.one) == 0  # 1 + 1^2 = 0
-        assert sum(1 for a in f4.elements() if trace_to_prime(a) == 0) == 2
+        traces = [trace_to_prime(f4, a) for a in range(f4.q)]
+        assert traces[0] == 0
+        assert traces[1] == 0  # 1 + 1^2 = 0
+        assert traces.count(0) == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_trace_additive_and_balanced(self, k):
         field = make_field(2, k)
-        for a in field.elements():
-            for b in field.elements():
-                assert trace_to_prime(a + b) == (
-                    trace_to_prime(a) + trace_to_prime(b)
-                ) % 2
-        zeros = sum(1 for a in field.elements() if trace_to_prime(a) == 0)
-        assert zeros == field.q // 2
+        traces = [trace_to_prime(field, a) for a in range(field.q)]
+        for a in range(field.q):
+            for b in range(field.q):
+                assert traces[field.add_table[a][b]] == (traces[a] + traces[b]) % 2
+        assert traces.count(0) == field.q // 2
 
     def test_trace_rejects_odd_characteristic(self):
         with pytest.raises(ValueError):
-            trace_to_prime(make_field(3, 1).one)
+            trace_to_prime(make_field(3, 1), 1)
 
     def test_character_examples_mod_5(self):
         f5 = make_field(5, 1)
-        assert quadratic_character(f5.zero) == 0
-        assert quadratic_character(f5(4)) == 1
-        assert quadratic_character(f5(2)) == -1
+        assert quadratic_character(f5, 0) == 0
+        assert quadratic_character(f5, 4) == 1
+        assert quadratic_character(f5, 2) == -1
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
     def test_character_multiplicative_and_balanced(self, q):
         field = field_of_order(q)
-        elems = field.elements()
-        for a in elems[1:]:
-            for b in elems[1:]:
-                assert quadratic_character(a * b) == quadratic_character(
-                    a
-                ) * quadratic_character(b)
-        assert sum(1 for a in elems if quadratic_character(a) == 1) == (q - 1) // 2
+        chi = [quadratic_character(field, a) for a in range(q)]
+        for a in range(1, q):
+            for b in range(1, q):
+                assert chi[field.mul_table[a][b]] == chi[a] * chi[b]
+        assert chi.count(1) == (q - 1) // 2
 
     def test_character_rejects_even_q(self):
         with pytest.raises(ValueError):
-            quadratic_character(make_field(2, 2).one)
+            quadratic_character(make_field(2, 2), 1)
 
 
 class TestHermitianCounts:
@@ -364,51 +359,28 @@ class TestHyperbolicCounts:
 class TestCharSums:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_matches_direct_root_counting_exhaustively(self, q):
-        field = field_of_order(q)
-        for g1 in field.elements():
-            for g2 in field.elements():
-                for lam in field.elements():
-                    assert char_sum_c(g1, g2, lam) == oracles.char_sum_direct(
-                        g1, g2, lam
-                    )
+        for g1, g2, lam in itertools.product(range(q), repeat=3):
+            assert char_sum_c(g1, g2, lam, q) == oracles.char_sum_direct(
+                g1, g2, lam, q
+            )
 
     @pytest.mark.parametrize("q", [7, 8, 9])
     def test_matches_direct_root_counting_sampled(self, q):
-        field = field_of_order(q)
         rng = random.Random(987 + q)
         for _ in range(40):
-            g1, g2, lam = (
-                field.from_index(rng.randrange(q)) for _ in range(3)
+            g1, g2, lam = (rng.randrange(q) for _ in range(3))
+            assert char_sum_c(g1, g2, lam, q) == oracles.char_sum_direct(
+                g1, g2, lam, q
             )
-            assert char_sum_c(g1, g2, lam) == oracles.char_sum_direct(g1, g2, lam)
 
     def test_values_bounded(self):
-        field = field_of_order(5)
-        for g1 in field.elements():
-            for lam in field.elements():
-                value = char_sum_c(g1, g1, lam)
-                assert 0 <= value <= 2 * field.q
+        for g1 in range(5):
+            for lam in range(5):
+                assert 0 <= char_sum_c(g1, g1, lam, 5) <= 2 * 5
 
     def test_diagonal_sums_separate_some_pair_of_slopes(self):
         # For every gamma there are two slopes lam1 != lam2, neither equal
         # to gamma, whose diagonal sums differ.
-        field = field_of_order(5)
-        for gamma in field.elements():
-            values = {
-                lam.index: char_sum_c(gamma, gamma, lam)
-                for lam in field.elements()
-                if lam != gamma
-            }
-            assert len(set(values.values())) >= 2
-
-    def test_accepts_indices_with_explicit_q(self):
-        field = field_of_order(4)
-        for g1 in range(4):
-            for g2 in range(4):
-                for lam in range(4):
-                    expected = oracles.char_sum_direct(
-                        field.from_index(g1),
-                        field.from_index(g2),
-                        field.from_index(lam),
-                    )
-                    assert char_sum_c(g1, g2, lam, q=4) == expected
+        for gamma in range(5):
+            slopes = (lam for lam in range(5) if lam != gamma)
+            assert len({char_sum_c(gamma, gamma, lam, 5) for lam in slopes}) >= 2

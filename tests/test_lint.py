@@ -534,15 +534,15 @@ def test_only_compute_orbitals_allocates_a_pair_table(path):
 
 
 SEARCHES = {"next", "all", "any"}
-POWERS = {"pow_index", "quadratic_character"}
+POWERS = {"pow_index"}
 
 
 def order_searches(source: str) -> list[str]:
-    """Calls of ``pow_index`` or ``quadratic_character`` inside the
-    argument of ``next``, ``all`` or ``any``: a search for an element of
-    some multiplicative order or character by powering it, which the
-    field's ``log_table`` answers by one lookup.  Each call is named once,
-    with the outermost search around it."""
+    """Calls of ``pow_index`` inside the argument of ``next``, ``all`` or
+    ``any``: a search for an element of some multiplicative order or
+    character by powering it, which the field's ``log_table`` answers by
+    one lookup.  Each call is named once, with the outermost search around
+    it."""
     found = {}
     for node in ast.walk(ast.parse(source)):
         if not (
@@ -563,7 +563,7 @@ def order_searches(source: str) -> list[str]:
 
 def test_the_scan_finds_an_order_search():
     source = (
-        "from .gf import quadratic_character as chi\n"
+        "from .gf import make_field\n"
         "def primitive(field, q):\n"
         "    return next(\n"
         "        s for s in range(2, q)\n"
@@ -572,13 +572,13 @@ def test_the_scan_finds_an_order_search():
         "def nonsquare(field):\n"
         "    return min(s for s in range(2, field.q) if field.log_table[s] % 2)\n"
         "def squares(field, xs):\n"
-        "    return [x for x in xs if quadratic_character(x) == 1]\n"
-        "def has_nonsquare(xs):\n"
-        "    return any(quadratic_character(x) == -1 for x in xs)\n"
+        "    return [x for x in xs if field.pow_index(x, field.q // 2) == 1]\n"
+        "def has_nonsquare(field, xs):\n"
+        "    return any(pow_index(x, (field.q - 1) // 2) != 1 for x in xs)\n"
     )
     assert order_searches(source) == [
         "line 5: pow_index in next",
-        "line 12: quadratic_character in any",
+        "line 12: pow_index in any",
     ]
 
 
@@ -680,3 +680,73 @@ def test_no_per_point_normalising_outside_geometry(path):
     """Permutations of a point set are gathers through the column kernel's
     code index, not a lead-one representative looked up per point."""
     assert per_point_normalising(path.read_text()) == []
+
+
+PLAIN_DATA_LAYERS = ("gf.py", "geometry.py")
+
+
+def wrapper_classes(source: str) -> list[str]:
+    """Classes that wrap plain data in a record: a ``NamedTuple``
+    subclass, a class decorated with ``_record``, or a class that declares
+    ``__slots__``, each named with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+        decorators = {
+            getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list
+        }
+        slots = any(
+            getattr(target, "id", None) == "__slots__"
+            for statement in node.body
+            if isinstance(statement, ast.Assign)
+            for target in statement.targets
+        )
+        kinds = {
+            "NamedTuple": "NamedTuple" in bases,
+            "_record": "_record" in decorators,
+            "__slots__": slots,
+        }
+        found += [
+            f"line {node.lineno}: {node.name} ({kind})"
+            for kind, present in kinds.items()
+            if present
+        ]
+    return found
+
+
+def test_the_scan_finds_a_wrapper_class():
+    source = (
+        "import typing\n"
+        "from .base import _record\n"
+        "class Flag(typing.NamedTuple):\n"
+        "    point: tuple\n"
+        "@_record\n"
+        "class Pair:\n"
+        "    a: int\n"
+        "    b: int\n"
+        "class Element:\n"
+        "    __slots__ = ('field', 'index')\n"
+        "class Field:\n"
+        "    slots = ()\n"
+        "    def __init__(self, q):\n"
+        "        self.q = q\n"
+    )
+    assert wrapper_classes(source) == [
+        "line 3: Flag (NamedTuple)",
+        "line 6: Pair (_record)",
+        "line 9: Element (__slots__)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in PACKAGE if p.name in PLAIN_DATA_LAYERS],
+    ids=lambda path: path.name,
+)
+def test_the_bottom_layers_hold_plain_data(path):
+    """A field element is its index, a point its tuple and a flag its
+    (point, line) pair: the field and geometry layers define no record
+    around them."""
+    assert wrapper_classes(path.read_text()) == []

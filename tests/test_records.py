@@ -7,6 +7,7 @@ from collections.abc import Hashable
 import pytest
 from oracles import dataclass_twin
 
+from srgkit.base import _record
 from srgkit.families import FamilyId, OrbitalClassification, hamming_classification
 from srgkit.graphcore import IntersectionArray, RegularityFailure, SrgParams
 from srgkit.orbitals import OrbitalPartition, PermGroupAction, compute_orbitals
@@ -75,6 +76,28 @@ def test_a_record_equals_hashes_and_prints_as_its_twin(record, make):
         if not f.compare:  # OrbitalPartition.certificate
             other = record(*(None if n == f.name else a for n, a in zip(names, args)))
             assert other == ours and hash(other) == hash(ours)
+
+
+def test_a_one_field_record_hashes_as_it_equals():
+    """``attrgetter`` of one compared field gives the bare value, not a
+    one-tuple: equal records still hash equal, and the hash is the
+    value's."""
+
+    @_record
+    class Single:
+        value: tuple
+
+    @_record
+    class Counted:
+        value: tuple
+        calls: int = 0
+        _uncompared = ("calls",)
+
+    for record in (Single, Counted):
+        a, b = record((1, 2)), record((1, 2))
+        assert a == b and hash(a) == hash(b) == hash((1, 2))
+        assert record((2, 1)) != a
+    assert hash(Counted((1, 2), 5)) == hash(Counted((1, 2)))
 
 
 # the records whose fields hold dicts, and that declare ``__hash__ = None``
