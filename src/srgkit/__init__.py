@@ -22,8 +22,9 @@ before it:
 - :mod:`srgkit.orbitals` — permutation actions on points, pair-orbit
   partitions, orbital graphs, and direct intersection-number counting.
 - :mod:`srgkit.schemes` — the exact intersection-number calculus: numeric
-  tensors from arrays, graphs, and partitions; symbolic tensors over
-  rational-function fields; coefficient-extraction certificates.
+  tensors from arrays, certified distance-regular graphs, and partitions;
+  symbolic tensors over rational-function fields, matched coefficient by
+  coefficient against the paper's displays and checked on finite scans.
 - :mod:`srgkit.audit` — the seven-relation audit every tensor passes, on
   integer forms over one common denominator; imported on first use.
 - :mod:`srgkit.families` — named graph families built from the layers

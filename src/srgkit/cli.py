@@ -273,8 +273,7 @@ def _scheme_g2_report() -> dict:
 def _scheme_dual_polar_report(e: Fraction) -> dict:
     from .schemes import dual_polar_symbolic, fraction_json, ratfunc_str
 
-    graph_qs = (2,) if e == 1 else ()
-    result = dual_polar_symbolic(e, graph_qs=graph_qs)
+    result = dual_polar_symbolic(e)
     return {
         "job": "dualpolar",
         "e": fraction_json(e),

@@ -289,40 +289,37 @@ class OrbitalClassification:
     symmetric classes, with one graph per class and the full
     intersection-number tensor computed by direct counting.
 
-    ``labels`` lists the non-diagonal class labels in ascending order;
-    partition class ``c >= 1`` carries label ``labels[c - 1]`` and the
-    diagonal is class 0.
+    ``points`` are the vertices, ``partition`` their certified pair orbits
+    and ``labels`` the non-diagonal class labels in ascending order (see
+    :func:`srgkit.orbitals.compute_orbitals`): partition class ``c >= 1``
+    carries label ``labels[c - 1]`` and the diagonal is class 0.  The rest
+    is derived: ``graphs`` and ``suborbit_lengths`` by label, and
+    ``tensor``, which refuses a class that is not symmetric; ValueError
+    names a label count other than rank - 1.
     """
 
     __hash__ = None  # ``graphs`` and ``suborbit_lengths`` are dicts
+    _derived = ("graphs", "suborbit_lengths", "tensor")
 
     points: tuple
-    labels: tuple[int, ...]
     partition: OrbitalPartition
+    labels: tuple[int, ...]
     graphs: Mapping[int, Graph]
     suborbit_lengths: Mapping[int, int]
     tensor: IntersectionTensor
 
+    def __post_init__(self):
+        from .schemes import tensor_from_orbital_partition
 
-def _classify_pairs(
-    points, partition: OrbitalPartition, labels
-) -> OrbitalClassification:
-    """Build an :class:`OrbitalClassification` from pair orbits named by a
-    symmetric invariant, ``labels`` ascending (see
-    :func:`srgkit.orbitals.compute_orbitals`): class c >= 1 carries
-    ``labels[c - 1]``."""
-    from .schemes import tensor_from_orbital_partition
-
-    if partition.paired != tuple(range(partition.rank)):
-        raise AssertionError("a named pair class is not symmetric")
-    return OrbitalClassification(
-        points=tuple(points),
-        labels=labels,
-        partition=partition,
-        graphs={lab: orbital_graph(partition, c) for c, lab in enumerate(labels, 1)},
-        suborbit_lengths=dict(zip(labels, partition.suborbit_lengths[1:])),
-        tensor=tensor_from_orbital_partition(partition),
-    )
+        partition, labels = self.partition, self.labels
+        if len(labels) != partition.rank - 1:
+            raise ValueError(f"{len(labels)} labels for {partition.rank - 1} classes")
+        graphs = {lab: orbital_graph(partition, c) for c, lab in enumerate(labels, 1)}
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "graphs", graphs)
+        lengths = dict(zip(labels, partition.suborbit_lengths[1:]))
+        object.__setattr__(self, "suborbit_lengths", lengths)
+        object.__setattr__(self, "tensor", tensor_from_orbital_partition(partition))
 
 
 def _class_graph(classes, label) -> Graph:
@@ -450,7 +447,9 @@ def build_unitary_orbitals(
     vectors multiplies h(x, y) by an element of norm 1.  The classes are
     the pair orbits of the unitary reflection group.
     """
-    return _classify_pairs(*_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v))
+    return OrbitalClassification(
+        *_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +513,7 @@ def build_orthogonal_orbitals(
     orbits of the orthogonal reflection group.
     """
     family = f"NO_{2 * m + 1}^{eps}({q}) pair classes"
-    return _classify_pairs(*_orthogonal_classes(m, q, eps, family, max_v))
+    return OrbitalClassification(*_orthogonal_classes(m, q, eps, family, max_v))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +688,9 @@ def hamming_classification(
 ) -> OrbitalClassification:
     """Partition of ordered pairs of length-3 words by the number of
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
-    return _classify_pairs(*_hamming_classes(d, f"H(3,{d}) pair classes", max_v))
+    return OrbitalClassification(
+        *_hamming_classes(d, f"H(3,{d}) pair classes", max_v)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +810,7 @@ def build_flag_orbitals(
     field, flags = field_of_order(q), enumerate_flags(q)
     base = map(partial(_flag_pair_label, field, flags[0]), flags[1:])
     orbits = _two_generator_orbitals(_flag_action(field, flags), base)
-    classification = _classify_pairs(flags, orbits, (1, 2, 3))
+    classification = OrbitalClassification(flags, orbits, (1, 2, 3))
     lengths = classification.suborbit_lengths
     if lengths != dict(zip((1, 2, 3), _flag_valencies(q))):
         raise AssertionError(f"unexpected suborbit lengths {lengths}")

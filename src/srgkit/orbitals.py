@@ -75,8 +75,11 @@ class OrbitalPartition:
 
     class_of is ``bytes``, one byte per pair, row-major:
     class_of[x * degree + y]; so there are at most 255 classes.  Class 0 is
-    the diagonal.  paired[c] is the class of the transposed pairs of class
-    c; reps[c] is a representative pair with first coordinate 0.
+    the diagonal.  The rest is read off the base row (0, y) and the first
+    column (y, 0), so every class needs a pair in the base row: reps[c] is
+    the first, suborbit_lengths[c] their number, and paired[c] the class of
+    the transposed pairs.  Bytes that are no such table raise ValueError
+    naming the fault (TypeError if they are not ``bytes``).
 
     certificate is ``"group-orbitals"`` when :func:`compute_orbitals` has
     certified the classes as the pair orbits of a transitive group, as for
@@ -85,6 +88,7 @@ class OrbitalPartition:
     preserve.  It is not compared: equal partitions are equal classes.
     """
 
+    _derived = ("rank", "paired", "reps", "suborbit_lengths")
     _uncompared = ("certificate",)
 
     degree: int
@@ -94,6 +98,30 @@ class OrbitalPartition:
     reps: tuple[tuple[int, int], ...]
     suborbit_lengths: tuple[int, ...]
     certificate: str | None = None
+
+    def __post_init__(self):
+        n, class_of = self.degree, self.class_of
+        if not isinstance(class_of, bytes):
+            raise TypeError(f"class_of is {type(class_of).__name__}, not bytes")
+        if n < 1:
+            raise ValueError(f"degree {n} is below 1")
+        if len(class_of) != n * n:
+            raise ValueError(
+                f"{len(class_of)} class bytes for the {n * n} pairs of {n} points"
+            )
+        base_row = class_of[:n]
+        rank = max(base_row) + 1
+        lengths = tuple(map(base_row.count, range(rank)))
+        rows = (class_of[x : x + n] for x in range(0, n * n, n))  # no n² temporary
+        if 0 in lengths or any(row.translate(None, bytes(range(rank))) for row in rows):
+            raise ValueError("a pair class has no representative in the base row")
+        if class_of[:: n + 1] != bytes(n) or class_of.count(0) != n:
+            raise ValueError("class 0 is not the diagonal")
+        reps = tuple((0, base_row.index(c)) for c in range(rank))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "paired", tuple(class_of[y * n] for _, y in reps))
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "suborbit_lengths", lengths)
 
     def pair_class(self, x: int, y: int) -> int:
         return self.class_of[x * self.degree + y]
@@ -105,21 +133,7 @@ class OrbitalPartition:
 _UNCLASSIFIED = 255  # the byte of every base-row point past the first 255 classes
 _SEEDS = 8  # Schreier generators taken before the first certificate
 _FEW = 8  # a fill group of fewer rows is gathered a row at a time
-
-
-def _partition(n: int, class_of: bytes, certificate=None) -> OrbitalPartition:
-    """The partition with pair classes ``class_of``.  Reps, suborbit lengths
-    and pairing are read off the base row (0, y) and the first column
-    (y, 0), so every class needs a representative in the base row."""
-    base_row = class_of[:n]
-    rank = max(base_row) + 1
-    lengths = tuple(map(base_row.count, range(rank)))
-    rows = (class_of[x : x + n] for x in range(0, n * n, n))  # no n² temporary
-    if 0 in lengths or any(row.translate(None, bytes(range(rank))) for row in rows):
-        raise AssertionError("a pair class has no representative in the base row")
-    reps = tuple((0, base_row.index(c)) for c in range(rank))
-    paired = tuple(class_of[y * n] for _, y in reps)
-    return OrbitalPartition(n, rank, class_of, paired, reps, lengths, certificate)
+_MULCLOSE_CAP = 100_000  # the most elements mulclose enumerates
 
 
 def _gatherer(perm):
@@ -299,7 +313,7 @@ def compute_orbitals(action: PermGroupAction, labels=None) -> OrbitalPartition:
             table[x : x + n] = table[x : x + n].translate(rename)
     class_of = bytes(table)
     del table  # one n² copy at a time
-    return _partition(n, class_of, certificate="group-orbitals")
+    return OrbitalPartition(n, class_of, certificate="group-orbitals")
 
 
 def _named_orbitals(product, generator, count: int, labels) -> OrbitalPartition | None:
@@ -451,10 +465,9 @@ def load_gens(path: str | Path) -> PermGroupAction:
     return PermGroupAction(degree, tuple(gens))
 
 
-def mulclose(
-    generators: list[tuple[int, ...]], cap: int = 100_000
-) -> set[tuple[int, ...]]:
-    """All products of the generators; error beyond ``cap`` elements."""
+def mulclose(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """All products of the generators; ValueError beyond ``_MULCLOSE_CAP``
+    elements."""
     if not generators:
         raise ValueError("need at least one generator")
     identity = tuple(range(len(generators[0])))
@@ -465,8 +478,8 @@ def mulclose(
         for g in generators:
             product = tuple(base[x] for x in g)
             if product not in group:
-                if len(group) >= cap:
-                    raise ValueError(f"group exceeds {cap} elements")
+                if len(group) >= _MULCLOSE_CAP:
+                    raise ValueError(f"group exceeds {_MULCLOSE_CAP} elements")
                 group.add(product)
                 frontier.append(product)
     return group

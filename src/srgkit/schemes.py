@@ -642,40 +642,28 @@ def symbolic_tensor_from_array(b: list, c: list, one) -> IntersectionTensor:
 
 
 def tensor_from_graph(g: Graph) -> IntersectionTensor:
-    """Direct pair-counting tensor of a graph's distance partition.
+    """Direct pair-counting tensor of a distance-regular graph's distance
+    partition.
 
-    Counts p_ij^h at a representative pair for each h from two different
-    roots and insists the answers agree — a cheap well-definedness check;
-    the relation audit then guards the rest.  Intended for graphs already
-    certified distance-regular.
+    :func:`srgkit.graphcore.check_drg` certifies the graph first, and a
+    graph it refuses raises ValueError naming its failure.  In a
+    distance-regular graph p_ij^h depends only on h, i and j (Brouwer,
+    Cohen & Neumaier, 4.1), so counting it at one pair (0, y) per distance
+    h is exhaustive: p_ij^h = |D_i(0) & D_j(y)|.
     """
-    from .graphcore import distance_masks
+    from .graphcore import check_drg, distance_masks
 
-    def tensor_at(root: int):
-        base = distance_masks(g, root)
-        d = len(base) - 1
-        p = []
-        for h in range(d + 1):
-            y = (base[h] & -base[h]).bit_length() - 1
-            other = distance_masks(g, y)
-            if len(other) != d + 1:
-                raise ValueError("eccentricities differ: not distance-regular")
-            p.append(
-                tuple(
-                    tuple(
-                        Fraction((base[i] & other[j]).bit_count())
-                        for j in range(d + 1)
-                    )
-                    for i in range(d + 1)
-                )
-            )
-        k = tuple(Fraction(m.bit_count()) for m in base)
-        return k, tuple(p)
+    verdict = check_drg(g)
+    if not isinstance(verdict, IntersectionArray):
+        raise ValueError(f"graph is not distance-regular: {verdict}")
+    base = distance_masks(g, 0)
 
-    k, p = tensor_at(0)
-    k2, p2 = tensor_at(g.n - 1)
-    if k != k2 or p != p2:
-        raise ValueError("tensor differs between roots: not distance-regular")
+    def counts(y):  # the table p_ij^h for h = d(0, y)
+        masks = distance_masks(g, y)
+        return tuple(tuple(Fraction((a & b).bit_count()) for b in masks) for a in base)
+
+    p = tuple(counts((mask & -mask).bit_length() - 1) for mask in base)
+    k = tuple(Fraction(m.bit_count()) for m in base)
     return IntersectionTensor(k=k, p=p, v=Fraction(g.n))
 
 
@@ -871,26 +859,24 @@ class DualPolarSymbolic:
 _DUAL_POLAR_EXPONENTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 
-def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
+def dual_polar_symbolic(e) -> DualPolarSymbolic:
     """Tensor of the array b_i = q^(i+e) [3-i]_q, c_i = [i]_q, symbolically.
 
     For 2e odd everything is computed in a variable r with q = r^2, so
     q^e is a genuine polynomial; for e = 1 the variable is q itself.
     The four displayed intersection-number polynomials must be reproduced
     exactly; p_33^1 = p_33^2 identically iff e = 1.  For e = 1 the tensor
-    can additionally be validated against brute-force tensors of the
-    constructed symplectic dual polar graphs at the given q values.
+    at q = 2 must also equal the counted tensor of the constructed
+    symplectic dual polar graph of Sp_6(2) (:func:`tensor_from_graph`).
     """
     e = Fraction(e)
     if e not in _DUAL_POLAR_EXPONENTS:
         raise ValueError("e must be 1/2, 1 or 3/2")
+    graph_qs = (2,) if e == 1 else ()
     if graph_qs:
-        if e != 1:
-            raise ValueError("graph validation is defined for e = 1 only")
         # the graph layers are compiled only for a graph check, and before
         # the algebra grows the heap
         from .families import build_dual_polar_sp6
-        from .graphcore import check_drg
     r = RatFunc.gen()
     if e.denominator == 2:
         q = r**2
@@ -939,24 +925,19 @@ def dual_polar_symbolic(e, graph_qs: tuple[int, ...] = ()) -> DualPolarSymbolic:
             raise AssertionError(f"p_22^1 - p_22^3 vanishes at r={r0}")
         cert.append((r0, value))
 
-    checked = []
     for q0 in graph_qs:
-        graph = build_dual_polar_sp6(q0)
-        array = check_drg(graph)
-        if not isinstance(array, IntersectionArray):
-            raise AssertionError(f"Sp_6({q0}) dual polar graph is not a DRG")
-        if instantiate_tensor(tensor, q0) != tensor_from_graph(graph):
+        counted = tensor_from_graph(build_dual_polar_sp6(q0))
+        if instantiate_tensor(tensor, q0) != counted:
             raise AssertionError(
                 f"symbolic tensor at q={q0} differs from the built graph"
             )
-        checked.append(q0)
     return DualPolarSymbolic(
         e=e,
         tensor=tensor,
         displayed=displayed,
         p33_equal=p33_equal,
         p22_difference_values=tuple(cert),
-        graph_checked_qs=tuple(checked),
+        graph_checked_qs=graph_qs,
     )
 
 
@@ -983,17 +964,16 @@ class GrassmannF2:
 _PRIME_POWERS_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
-def grassmann_f2(
-    max_q: int = 16, n_range: tuple[int, int] = (6, 12)
-) -> GrassmannF2:
+def grassmann_f2() -> GrassmannF2:
     """Symbolic f_2 for the Grassmann array b_i = q^(2i+1) [3-i]_q [n-3-i]_q,
     c_i = [i]_q^2, in the ring of polynomials in X = q^n over rational
     functions of q.
 
     Matches the three displayed coefficients A, B, C exactly, then
-    certifies f_2 != 0 on a finite scan plus a positivity argument: A > 0,
-    the parabola's vertex lies at or below X = q^6, and f_2(q^6) > 0 —
-    hence f_2 > 0 for all X >= q^6 at each scanned q.
+    certifies f_2 != 0 on a finite scan (the prime powers q <= 16 and
+    6 <= n <= 12) plus a positivity argument: A > 0, the parabola's vertex
+    lies at or below X = q^6, and f_2(q^6) > 0 — hence f_2 > 0 for all
+    X >= q^6 at each scanned q.
     """
     q = RatFunc.gen()
     b, c = _grassmann_array(q, XPoly.gen())
@@ -1034,8 +1014,7 @@ def grassmann_f2(
     if C != displayed_C:
         raise AssertionError("C(q) differs from the display")
 
-    qs = tuple(p for p in _PRIME_POWERS_16 if p <= max_q)
-    ns = tuple(range(n_range[0], n_range[1] + 1))
+    qs, ns = _PRIME_POWERS_16, tuple(range(6, 13))
     all_nonzero = True
     positivity = {}
     for q0 in qs:

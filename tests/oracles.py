@@ -816,6 +816,39 @@ def drg_violation(graph):
     return IntersectionArray((rows[0].bit_count(),) + b, c)
 
 
+def distance_tensor_every_pair(g):
+    """(k, p) of a graph's distance partition, or None when it is not
+    distance-regular.  p[h][i][j] is the number of z with d(x, z) = i and
+    d(z, y) = j, counted at every ordered pair (x, y) at distance h, and
+    k[i] = p[0][i][i]; None as soon as one count differs from the first
+    pair's at that distance, or some pair has no path.  Distances by a
+    list BFS from every vertex, and n^3 counts in all."""
+    n = g.n
+    dist = []
+    for x in range(n):
+        row, queue = [None] * n, [x]
+        row[x] = 0
+        for y in queue:  # the queue grows as it is read
+            for z in bits(g.rows[y]):
+                if row[z] is None:
+                    row[z] = row[y] + 1
+                    queue.append(z)
+        if None in row:
+            return None
+        dist.append(row)
+    tables = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        counts = Counter((dist[x][z], dist[z][y]) for z in range(n))
+        if tables.setdefault(dist[x][y], counts) != counts:
+            return None
+    r = len(tables)
+    p = tuple(
+        tuple(tuple(tables[h][i, j] for j in range(r)) for i in range(r))
+        for h in range(r)
+    )
+    return tuple(p[0][i][i] for i in range(r)), p
+
+
 def graph6_bits(g) -> str:
     """graph6 of a graph with at most 258047 vertices, one bit at a time:
     the size, then the upper triangle column by column in 6-bit groups,

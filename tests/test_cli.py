@@ -739,6 +739,21 @@ def test_payload_matches_the_benchmark_expectation(
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_verify_graph_file_payload_matches_the_benchmark_expectation(
+    capsys, tmp_path
+):
+    """``verify`` of the Grassmann(6, 2) file that ``gen`` writes prints the
+    recorded payload, its target path read as ``"<graph file>"`` as the
+    benchmark reads it."""
+    expected = json.loads((EXPECTED / "verify.json").read_text())["verify graph file"]
+    path = tmp_path / "graph.g6"
+    assert main(["gen", "grassmann:n=6,q=2", "-o", str(path)]) == 0
+    code, got = run(capsys, "verify", str(path))
+    assert code == 0 and got["source"] == "file"
+    got["target"] = "<graph file>"
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_classes_payload_matches_the_benchmark_expectation(monkeypatch):
     """The ``classes`` workload's recorded payload is exactly what its job
     computes through the public API, byte for byte once serialised."""

@@ -453,11 +453,11 @@ def certificate_misuses(source: str) -> list[str]:
 def test_the_scan_finds_a_misused_certificate():
     source = (
         "def compute_orbitals(action):\n"
-        "    return _partition(n, table, certificate='group-orbitals')\n"
+        "    return OrbitalPartition(n, table, certificate='group-orbitals')\n"
         "def check_srg(g):\n"
         "    return g.certificate == 'group-orbitals'\n"
         "def classify(points):\n"
-        "    return _partition(n, table, certificate='group-orbitals')\n"
+        "    return OrbitalPartition(n, table, certificate='group-orbitals')\n"
         "def sampled(partition):\n"
         "    if 'group-orbitals' in {partition.certificate}:\n"
         "        return 1\n"

@@ -26,9 +26,9 @@ from srgkit.graphcore import (
     complement,
 )
 from srgkit.orbitals import (
+    OrbitalPartition,
     PermGroupAction,
     _invariant_under,
-    _partition,
     compute_orbitals,
     intersection_number_direct,
     load_gens,
@@ -92,11 +92,12 @@ def test_orbit_and_transitivity():
     assert not flip_only.is_transitive()
 
 
-def test_mulclose_orders():
+def test_mulclose_orders(monkeypatch):
     assert len(mulclose(list(s3_action().generators))) == 6
     assert len(mulclose([(1, 2, 3, 4, 0)])) == 5
-    with pytest.raises(ValueError):
-        mulclose([(1, 2, 3, 4, 0)], cap=3)
+    monkeypatch.setattr(orbitals, "_MULCLOSE_CAP", 3)
+    with pytest.raises(ValueError, match="group exceeds 3 elements"):
+        mulclose([(1, 2, 3, 4, 0)])
     with pytest.raises(ValueError):
         mulclose([])
 
@@ -198,7 +199,8 @@ def test_row_gathers_equal_the_pair_bfs(name):
     expected = oracles.pair_orbits_bfs(action)
     partition = compute_orbitals(action)
     assert partition.class_of == expected
-    assert partition == _partition(action.degree, expected)  # the certificate aside
+    # equal to the hand-built record of those classes, the certificate aside
+    assert partition == OrbitalPartition(action.degree, expected)
 
 
 @pytest.mark.parametrize("name", ["psl2_8_sq6", "flag_action_7", "a5_on_pairs"])
@@ -367,8 +369,37 @@ def test_more_than_255_pair_orbits_is_a_named_error():
 
 def test_every_class_needs_a_base_row_representative():
     # class 2 occurs only at the pair (1, 1)
-    with pytest.raises(AssertionError, match="no representative in the base row"):
-        _partition(2, bytes([0, 1, 1, 2]))
+    with pytest.raises(ValueError, match="no representative in the base row"):
+        OrbitalPartition(2, bytes([0, 1, 1, 2]))
+
+
+@pytest.mark.parametrize(
+    "degree, class_of, error, message",
+    [
+        (3, b"\x00\x01", ValueError, "2 class bytes for the 9 pairs of 3 points"),
+        (0, b"", ValueError, "degree 0 is below 1"),
+        (2, bytearray(4), TypeError, "class_of is bytearray, not bytes"),
+        (2, bytes([1, 0, 0, 1]), ValueError, "class 0 is not the diagonal"),
+        (2, bytes(4), ValueError, "class 0 is not the diagonal"),
+    ],
+    ids=["short", "no points", "bytearray", "loops", "diagonal pair"],
+)
+def test_a_partition_refuses_class_bytes_that_are_no_pair_table(
+    degree, class_of, error, message
+):
+    with pytest.raises(error, match=f"^{message}$"):
+        OrbitalPartition(degree, class_of)
+
+
+def test_a_partition_derives_its_summaries_from_the_class_bytes():
+    # the 4-cycle's pair classes, each self-paired: equal, adjacent, opposite
+    rows = ((0, 1, 2, 1), (1, 0, 1, 2), (2, 1, 0, 1), (1, 2, 1, 0))
+    partition = OrbitalPartition(4, bytes(itertools.chain(*rows)))
+    assert partition.rank == 3
+    assert partition.paired == (0, 1, 2)
+    assert partition.reps == ((0, 0), (0, 1), (0, 2))
+    assert partition.suborbit_lengths == (1, 2, 1)
+    assert partition.certificate is None
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +654,7 @@ def switched_petersen():
     )
     for (x, y), label in {(a, b): 2, (c, d): 2, (a, c): 1, (b, d): 1}.items():
         table[x * n + y] = table[y * n + x] = label
-    return _partition(n, bytes(table))
+    return OrbitalPartition(n, bytes(table))
 
 
 def test_an_uncertified_partition_gets_the_full_count():
@@ -749,7 +780,7 @@ def test_the_every_pair_count_names_a_pair_that_differs():
 
 def test_direct_counts_refuse_an_uncertified_partition():
     certified = compute_orbitals(a5_on_pairs())
-    bare = _partition(certified.degree, certified.class_of)
+    bare = OrbitalPartition(certified.degree, certified.class_of)
     assert bare == certified and bare.certificate is None
     with pytest.raises(ValueError, match="not certified group orbitals"):
         intersection_number_direct(bare, 1, 1, 1)

@@ -34,7 +34,7 @@ SAMPLES = [
     (IntersectionTensor, lambda: tensor_from_array(IntersectionArray((3, 2), (1, 1)))),
     (G2Symbolic, g2_symbolic),
     (DualPolarSymbolic, lambda: dual_polar_symbolic(1)),
-    (GrassmannF2, lambda: grassmann_f2(3, (6, 7))),
+    (GrassmannF2, grassmann_f2),
     (FamilyId, lambda: FamilyId.make("NU", n=3, q=3)),
     (OrbitalClassification, lambda: hamming_classification(2)),
 ]
@@ -176,6 +176,9 @@ REFUSED = [
     (IntersectionArray, ((3, 1), (1, 2))),
     (PermGroupAction, (3, ((0, 0, 1),))),
     (PermGroupAction, (3, ((0, 1),))),
+    (OrbitalPartition, (3, b"\x00\x01")),
+    (OrbitalPartition, (0, b"")),
+    (OrbitalPartition, (2, bytes([0, 1, 1, 2]))),
     (FamilyId, ("nosuch", ())),
     (FamilyId, ("NU", (("q", 3),))),
     (FamilyId, ("NU", (("n", 3), ("q", 3.0)))),
@@ -186,6 +189,7 @@ REFUSED = [
     (FamilyId, ("johnson", (("i", 3), ("n", 7)))),
     (IntersectionTensor, ((1, 3), (((1, 0), (0, 3)), ((0, 1), (1, 2))), 5)),
     (IntersectionTensor, ((1, 3), (((1, 0), (0, 3)),), 4)),
+    (OrbitalClassification, (range(5), compute_orbitals(PENTAGON), (1,))),
 ]
 
 

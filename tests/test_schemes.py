@@ -451,6 +451,39 @@ class TestTensorFromGraph:
         with pytest.raises(ValueError):
             tensor_from_graph(g)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            petersen,
+            lambda: cycle(7),
+            lambda: cycle(12),
+            lambda: build_graph(range(16), lambda a, b: (a ^ b).bit_count() == 1),
+            lambda: build_dual_polar_sp6(2),
+        ],
+        ids=["Petersen", "C_7", "C_12", "Q_4", "Sp6(2) dual polar"],
+    )
+    def test_the_root_count_equals_the_count_at_every_pair(self, graph):
+        g = graph()
+        tensor = tensor_from_graph(g)
+        assert (tensor.k, tensor.p) == oracles.distance_tensor_every_pair(g)
+
+    def test_a_graph_that_is_not_distance_regular_is_refused(self):
+        # C_9(1, 3) is regular and vertex-transitive, but edge (0, 1) lies in
+        # no triangle and edge (0, 3) in one
+        g = build_graph(range(9), lambda a, b: (a - b) % 9 in (1, 3, 6, 8))
+        assert oracles.distance_tensor_every_pair(g) is None
+        with pytest.raises(
+            ValueError,
+            match=r"^graph is not distance-regular: b_1 not constant at \(0, 3\)",
+        ):
+            tensor_from_graph(g)
+
+    def test_a_complete_graph_is_refused_as_check_drg_refuses_it(self):
+        g = build_graph(range(5), lambda a, b: a != b)
+        assert check_drg(g).reason == "complete graph"
+        with pytest.raises(ValueError, match="^graph is not distance-regular: complete"):
+            tensor_from_graph(g)
+
 
 class TestTensorFromOrbitals:
     def test_pair_action_partition(self):
@@ -663,6 +696,7 @@ class TestDualPolarSymbolic:
         assert rep.displayed["p22_1"] == Q**2 * (Q + 1) * (Q - 1)
         assert rep.displayed["p22_3"] == (Q**2 + Q + 1) * (Q**2 - 1)
         assert all(value != 0 for _, value in rep.p22_difference_values)
+        assert rep.graph_checked_qs == (2,)  # the Sp6(2) graph, checked at e = 1
 
     def test_e1_instantiates_to_sp6_arrays(self):
         rep = dual_polar_symbolic(1)
@@ -676,6 +710,7 @@ class TestDualPolarSymbolic:
     def test_e_half_differs(self):
         rep = dual_polar_symbolic(Fraction(1, 2))
         assert rep.p33_equal is False
+        assert rep.graph_checked_qs == ()
         diff = rep.displayed["p33_1"] - rep.displayed["p33_2"]
         r = Q  # the symbolic variable is r with q = r^2 here
         assert diff == -(r**6) * (r - 1)
@@ -689,10 +724,6 @@ class TestDualPolarSymbolic:
         assert rep.tensor.v.evaluate(2) == sum(
             x.evaluate(2) for x in rep.tensor.k
         )
-
-    def test_graph_validation_needs_e1(self):
-        with pytest.raises(ValueError):
-            dual_polar_symbolic(Fraction(1, 2), graph_qs=(2,))
 
 
 @pytest.fixture(scope="module")

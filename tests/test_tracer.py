@@ -78,8 +78,9 @@ def test_traced_workload_reaches_every_listed_target(monkeypatch, tmp_path, work
 
 def test_traced_dual_polar_job_reaches_its_graph_check(tmp_path):
     """``scheme dualpolar:1`` imports the graph layers inside
-    ``dual_polar_symbolic``; those imports must bind the tracer's wrappers,
-    so its graph check is traced."""
+    ``dual_polar_symbolic``, and ``tensor_from_graph`` imports ``check_drg``
+    when it is called, to certify the graph it counts; those imports must
+    bind the tracer's wrappers, so that one graph check is traced once."""
     out = tmp_path / "t.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(
