@@ -5,9 +5,8 @@ Layers, bottom up; each imports, at module level, only layers listed
 before it:
 
 - :mod:`srgkit.base` — what every layer shares: the record decorator,
-  :class:`ScaleGuardError`, the default vertex budget,
-  :class:`IntersectionArray`, and the one dense polynomial product and
-  long division; it imports no other layer.
+  :class:`ScaleGuardError`, :class:`IntersectionArray`, and the one
+  dense polynomial product and long division; it imports no other layer.
 - :mod:`srgkit.gf` — finite fields as dense lookup tables on element
   indices: a field element is its index.
 - :mod:`srgkit.geometry` — formed spaces (symplectic, quadratic,

@@ -1,15 +1,15 @@
 """The bottom layer: what the other layers and the command line share
 without running a field or a graph.
 
-It holds :class:`ScaleGuardError` and the default vertex budget, the
-record decorator that builds every record of the package, the
-:class:`IntersectionArray` of a distance-regular graph with its text
-parser, the integer check of a closed form, and the package's one dense
-polynomial product and long division: the division over F_p for the
-trial division of :mod:`srgkit.gf`'s moduli, as integer arithmetic
-reduced mod p, and both over Z and Q for :mod:`srgkit.schemes`.  It imports no other srgkit module, so a scheme
-job and ``import srgkit.cli`` compile neither :mod:`srgkit.gf` nor
-:mod:`srgkit.graphcore`.
+It holds :class:`ScaleGuardError`, the record decorator that builds
+every record of the package, the :class:`IntersectionArray` of a
+distance-regular graph with its text parser, the integer check of a
+closed form, and the package's one dense polynomial product and long
+division: the division over F_p for the trial division of
+:mod:`srgkit.gf`'s moduli, as integer arithmetic reduced mod p, and both
+over Z and Q for :mod:`srgkit.schemes`.  It imports no other srgkit
+module, so a scheme job and ``import srgkit.cli`` compile neither
+:mod:`srgkit.gf` nor :mod:`srgkit.graphcore`.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["DEFAULT_MAX_V", "IntersectionArray", "ScaleGuardError"]
+__all__ = ["IntersectionArray", "ScaleGuardError"]
 
 
 class ScaleGuardError(ValueError):
     """A construction would exceed a desk-scale limit.
 
     ``family`` names what was refused, ``predicted_v`` is its size and
-    ``max_v`` the limit it exceeds: the vertex budget a caller passes to a
-    family builder, or a fixed cap on field tables or enumerated vectors.
+    ``max_v`` the fixed cap it exceeds: on field tables, enumerated
+    vectors, ordered pairs (the one vertex bound of the family builds),
+    array ranks or class unions.
     """
 
     def __init__(self, family: str, predicted_v: int, max_v: int):
@@ -141,11 +142,6 @@ def _record(cls):
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls
-
-
-# Family constructions refuse to enumerate more vertices than this unless
-# the caller raises the budget explicitly.
-DEFAULT_MAX_V = 2000
 
 
 @_record

@@ -13,11 +13,10 @@ summary; :func:`main` alone times the verb, writes the payload to stdout as
 JSON with sorted keys and the summary with the elapsed time to stderr.  So
 stdout carries nothing that varies between runs.  Rationals appear as
 ``num/den`` strings.  Exit codes: 0 pass, 1 verification failure, 2 input
-error, 3 scale guard (or a ``table1`` row skipped by it), 4 infeasible
-array.  A verb refuses its input by raising :class:`_Refusal` where it
-detects the fault (``scheme`` turns an ``InfeasibleArrayError`` into one);
-``main`` prints that message or a ``ScaleGuardError`` as one ``error:``
-line and writes no payload.
+error, 3 scale guard, 4 infeasible array.  A verb refuses its input by
+raising :class:`_Refusal` where it detects the fault (``scheme`` turns an
+``InfeasibleArrayError`` into one); ``main`` prints that message or a
+``ScaleGuardError`` as one ``error:`` line and writes no payload.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from __future__ import annotations
 # memory lower.  Each verb imports the other layers (graphcore, families,
 # orbitals, schemes) where it runs them, so a command compiles only the
 # layers it uses: a scheme job compiles neither gf nor graphcore.
-from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError
-from .base import _array_entries, _strict_int
+from .base import IntersectionArray, ScaleGuardError, _array_entries
 
 import argparse
 import json
@@ -104,7 +102,7 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, None, str]:
     from .graphcore import to_edgelist, to_graph6
 
     fid = _family(args.family)
-    graph = build_family(fid, max_v=args.max_v)
+    graph = build_family(fid)
     text = to_graph6(graph) + "\n" if args.format == "graph6" else to_edgelist(graph)
     try:
         Path(args.output).write_text(text)
@@ -127,6 +125,8 @@ def _load_graph_file(name: str) -> Graph:
         if text.lstrip().startswith("#"):
             return from_edgelist(text)
         return from_graph6(text.strip())
+    except ScaleGuardError:  # before ValueError, its base class; main maps it
+        raise
     except (OSError, ValueError) as e:
         raise _Refusal(EXIT_INPUT, f"unreadable graph file {name!r}: {e}") from None
 
@@ -174,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
         from .families import build_family
 
         fid = _family(args.target)
-        graph = build_family(fid, max_v=args.max_v)
+        graph = build_family(fid)
         name = str(fid)
     srg = check_srg(graph)
     drg = check_drg(graph)
@@ -356,25 +356,15 @@ def cmd_table1(args: argparse.Namespace) -> tuple[int, dict, str]:
     rows = []
     for spec, expected in TABLE1_TARGETS:
         row: dict = {"family": spec, "expected": list(expected)}
-        try:
-            graph = build_family(parse_family_spec(spec), max_v=args.max_v)
-        except ScaleGuardError as e:
-            row.update(verdict="skipped", reason=str(e))
-        else:
-            srg = check_srg(graph)
-            ok = isinstance(srg, SrgParams) and srg.as_tuple() == expected
-            verdict = "pass" if ok else "fail"
-            row.update(v=graph.n, srg=_srg_verdict(srg), verdict=verdict)
+        graph = build_family(parse_family_spec(spec))
+        srg = check_srg(graph)
+        ok = isinstance(srg, SrgParams) and srg.as_tuple() == expected
+        verdict = "pass" if ok else "fail"
+        row.update(v=graph.n, srg=_srg_verdict(srg), verdict=verdict)
         rows.append(row)
     verdicts = [row["verdict"] for row in rows]
-    # a skipped row verified nothing, so it is not a pass
-    if "fail" in verdicts:
-        code = EXIT_VERIFICATION
-    elif "skipped" in verdicts:
-        code = EXIT_SCALE
-    else:
-        code = EXIT_PASS
-    tally = (f"{verdicts.count(v)} {v}" for v in ("pass", "fail", "skipped"))
+    code = EXIT_VERIFICATION if "fail" in verdicts else EXIT_PASS
+    tally = (f"{verdicts.count(v)} {v}" for v in ("pass", "fail"))
     report = {"targets": rows, "all_pass": code == EXIT_PASS}
     return code, report, "table1: " + ", ".join(tally)
 
@@ -431,14 +421,6 @@ def cmd_orbitals(args: argparse.Namespace) -> tuple[int, dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_budget(text: str) -> int:
-    """A ``--max-v`` value: an integer of at least 1, else argparse exits 2."""
-    value = _strict_int(text)  # a ValueError exits 2 as well
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"needs a budget of at least 1, got {value}")
-    return value
-
-
 def _path(text: str) -> str:
     """A path argument: a non-empty string, else argparse exits 2.  An
     empty path would name the working directory, since ``Path("")`` is
@@ -464,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--format", choices=("graph6", "edgelist"), default="graph6"
     )
-    gen.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser(
@@ -473,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "target", type=_path, help="family spec or path to a graph file"
     )
-    verify.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     verify.set_defaults(func=cmd_verify)
 
     scheme = sub.add_parser(
@@ -487,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser(
         "table1", help="regression run over all desk-scale targets"
     )
-    table1.add_argument("--max-v", type=_vertex_budget, default=DEFAULT_MAX_V)
     table1.set_defaults(func=cmd_table1)
 
     orbitals = sub.add_parser(

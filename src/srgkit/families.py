@@ -8,7 +8,7 @@ listing (a point's representative tuple, a subspace's row tuple, a flag, a
 word or a 3-set); the graph stores adjacency alone.  Each closed form
 (strongly regular parameters, valencies, the Grassmann array) is stated
 once, as a function of an exact scalar q: :func:`params_closed_form` and
-the vertex budgets evaluate it at a ``Fraction`` and insist on integers,
+the vertex counts evaluate it at a ``Fraction`` and insist on integers,
 and the tests check it identically in q.
 
 Each graph family is stated once, in the private table ``_FAMILIES``:
@@ -38,10 +38,12 @@ per class, and the full intersection-number tensor of the partition by
 direct counting.  They have no family tag; call them directly.
 
 Every constructor predicts its vertex count from a formula first and
-refuses to enumerate past a configurable budget (:class:`ScaleGuardError`),
-so a typo in parameters fails fast instead of grinding.  The form families
-take their points from :func:`_form_points`, which refuses before its one
-projective scan; the reflection group takes its vectors from those points.
+refuses, before it enumerates, a count past the pair cap of
+:mod:`srgkit.graphcore` (2^26 ordered pairs, 8192 vertices;
+:class:`ScaleGuardError`), so a typo in parameters fails fast instead of
+grinding.  The form families take their points from :func:`_form_points`,
+which refuses before its one projective scan; the reflection group takes
+its vectors from those points.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from functools import cache, partial
 from math import comb
 from typing import TYPE_CHECKING, Mapping
 
-from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError, _integer
+from .base import IntersectionArray, ScaleGuardError, _integer
 from .base import _record, _strict_int
 from .geometry import (
     FormedSpace,
@@ -82,7 +84,6 @@ if TYPE_CHECKING:
     from .schemes import IntersectionTensor
 
 __all__ = [
-    "DEFAULT_MAX_V",
     "FamilyId",
     "OrbitalClassification",
     "ScaleGuardError",
@@ -108,11 +109,6 @@ __all__ = [
     "params_closed_form",
     "parse_family_spec",
 ]
-
-
-def _guard(family: str, predicted_v: int, max_v: int) -> None:
-    if predicted_v > max_v:
-        raise ScaleGuardError(family, predicted_v, max_v)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +325,18 @@ def _class_graph(classes, label) -> Graph:
     return orbital_graph(partition, 1 + labels.index(label))
 
 
-def _form_points(
-    kind: str, q: int, dim: int, value, fid: FamilyId, family: str, max_v: int
-):
+def _form_points(kind: str, q: int, dim: int, value, fid: FamilyId):
     """The space of ``kind`` over F_q in dimension ``dim`` and its points
     of form value ``value`` (0: the singular points; a function of the
-    field is called on it) from one projective scan, after the vertex
-    budget and the pair cap refuse the closed-form count of ``fid``.  The
-    scan must find exactly that many points.
+    field is called on it) from one projective scan, once the field-table
+    cap has passed F_q and the pair cap the closed-form count of ``fid``.
+    The scan must find exactly that many points.
 
     For the odd-dimensional quadratic form, value 1 has plus type: the last
     basis vector has Q = 1 and a hyperbolic perp, and Witt's theorem
     carries it to every point of the class.  A non-square class has minus
     type.  The types differ in size, so the count check confirms the type."""
     predicted = params_closed_form(fid).v
-    _guard(family, predicted, max_v)
     space = FormedSpace(kind, field_of_order(q), dim)
     _check_pair_cap(predicted)
     if callable(value):
@@ -413,31 +406,29 @@ def _reflection_orbitals(space: FormedSpace, points, labels) -> OrbitalPartition
 # ---------------------------------------------------------------------------
 
 
-def _unitary_classes(n: int, q: int, family: str, max_v: int, tangency=False):
+def _unitary_classes(n: int, q: int, tangency=False):
     """The nonsingular points of the n-dimensional hermitian space over
     F_{q^2} at unit representatives, and their pair orbits under the
     unitary reflection group, named by the relative norm of h(x, y).
     With ``tangency``, label 1 is checked against line tangency."""
     fid = FamilyId.make("NU", n=n, q=q)
-    space, points = _form_points("hermitian", q * q, n, 1, fid, family, max_v)
+    space, points = _form_points("hermitian", q * q, n, 1, fid)
     return points, *_form_orbits(
         space, points, lambda x, y: space._norm[space.inner(x, y)], tangency
     )
 
 
-def build_NU(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_NU(n: int, q: int) -> Graph:
     """Graph on the nonsingular points of the n-dimensional hermitian space
     over F_{q^2}, two points adjacent exactly when the line joining them is
     tangent to the hermitian variety (contains exactly one singular point).
 
     For unit representatives the line is tangent exactly when its Gram
     determinant 1 - N(h(x, y)) vanishes, so adjacency is norm label 1."""
-    return _class_graph(_unitary_classes(n, q, f"NU_{n}({q})", max_v, True), 1)
+    return _class_graph(_unitary_classes(n, q, True), 1)
 
 
-def build_unitary_orbitals(
-    n: int, q: int, max_v: int = DEFAULT_MAX_V
-) -> OrbitalClassification:
+def build_unitary_orbitals(n: int, q: int) -> OrbitalClassification:
     """Partition of the ordered pairs of nonsingular hermitian points by the
     relative norm of the inner product h(x, y) of unit representatives.
 
@@ -447,9 +438,7 @@ def build_unitary_orbitals(
     vectors multiplies h(x, y) by an element of norm 1.  The classes are
     the pair orbits of the unitary reflection group.
     """
-    return OrbitalClassification(
-        *_unitary_classes(n, q, f"NU_{n}({q}) pair classes", max_v)
-    )
+    return OrbitalClassification(*_unitary_classes(n, q))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +452,7 @@ def _least_nonsquare(field) -> int:
     return min(field.exp_table[1::2])
 
 
-def _orthogonal_classes(
-    m: int, q: int, eps: str, family: str, max_v: int, tangency=False
-):
+def _orthogonal_classes(m: int, q: int, eps: str, tangency=False):
     """The square class of nonsingular points of the (2m+1)-dimensional
     quadratic space over F_q whose perp has type ``eps`` (form value 1 for
     plus, the least non-square for minus), and its pair orbits under the
@@ -474,9 +461,7 @@ def _orthogonal_classes(
     With ``tangency``, label 1 is checked against line tangency."""
     fid = FamilyId.make("NO", m=m, q=q, eps=eps)
     value = 1 if eps == "+" else _least_nonsquare
-    space, points = _form_points(
-        "quadratic-odd", q, 2 * m + 1, value, fid, family, max_v
-    )
+    space, points = _form_points("quadratic-odd", q, 2 * m + 1, value, fid)
     mul, neg = space.field.mul_table, space.field.neg_table
     inv_c = space.field.inv_table[space.form_value(points[0])]
 
@@ -487,7 +472,7 @@ def _orthogonal_classes(
     return points, *_form_orbits(space, points, label, tangency)
 
 
-def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_NO(m: int, q: int, eps: str) -> Graph:
     """Graph on the nonsingular points of the (2m+1)-dimensional quadratic
     space over odd F_q whose perpendicular space has type ``eps``, two
     points adjacent exactly when the line joining them is tangent to the
@@ -495,12 +480,11 @@ def build_NO(m: int, q: int, eps: str, max_v: int = DEFAULT_MAX_V) -> Graph:
 
     For representatives of form value c the line is tangent exactly when
     its Gram determinant c^2 - (x, y)^2 vanishes, so adjacency is label 1."""
-    family = f"NO_{2 * m + 1}^{eps}({q})"
-    return _class_graph(_orthogonal_classes(m, q, eps, family, max_v, True), 1)
+    return _class_graph(_orthogonal_classes(m, q, eps, True), 1)
 
 
 def build_orthogonal_orbitals(
-    m: int, q: int, eps: str = "+", max_v: int = DEFAULT_MAX_V
+    m: int, q: int, eps: str = "+"
 ) -> OrbitalClassification:
     """Partition of the ordered pairs of one square-class of nonsingular
     points by the halved bilinear form of the representatives, divided by
@@ -512,8 +496,7 @@ def build_orthogonal_orbitals(
     whose representatives have form value 1.  The classes are the pair
     orbits of the orthogonal reflection group.
     """
-    family = f"NO_{2 * m + 1}^{eps}({q}) pair classes"
-    return OrbitalClassification(*_orthogonal_classes(m, q, eps, family, max_v))
+    return OrbitalClassification(*_orthogonal_classes(m, q, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +504,7 @@ def build_orthogonal_orbitals(
 # ---------------------------------------------------------------------------
 
 
-def build_polar_complement(
-    kind: str, q: int, max_v: int = DEFAULT_MAX_V
-) -> Graph:
+def build_polar_complement(kind: str, q: int) -> Graph:
     """Complement of the perpendicularity graph on the singular points of a
     quadratic space: ``kind`` is "O7" (dimension 7) or "O8+" (dimension 8,
     plus type).  Two distinct points are adjacent exactly when their polar
@@ -535,8 +516,7 @@ def build_polar_complement(
         raise ValueError(f"unknown polar-complement kind {kind!r}")
     form, dim = forms[kind]
     fid = FamilyId.make(f"polar-complement-{kind}", q=q)
-    family = f"polar complement {kind}({q})"
-    space, points = _form_points(form, q, dim, 0, fid, family, max_v)
+    space, points = _form_points(form, q, dim, 0, fid)
     nonzero = _form_orbits(space, points, lambda x, y: int(space.inner(x, y) != 0))
     return _class_graph((points, *nonzero), 1)
 
@@ -569,12 +549,11 @@ def _meet_graph(field, ambient_dim: int, subspaces) -> Graph:
     return Graph(rows, validate=False)
 
 
-def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_dual_polar_sp6(q: int) -> Graph:
     """Graph on the maximal (3-dimensional) totally isotropic subspaces of
     the 6-dimensional symplectic space over F_q, two subspaces adjacent
     exactly when they meet in a 2-space (q+1 common projective points)."""
     predicted = _integer(_srg_closed_form("dual-polar-sp6-dist3", Fraction(q))[0])
-    _guard(f"dual polar Sp6({q})", predicted, max_v)
     field = field_of_order(q)
     _check_vector_cap(field, 6)  # first, so F_16^6 is refused by name
     _check_pair_cap(predicted)
@@ -586,9 +565,9 @@ def build_dual_polar_sp6(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
     return _meet_graph(field, 6, subspaces)
 
 
-def build_dual_polar_sp6_dist3(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_dual_polar_sp6_dist3(q: int) -> Graph:
     """Distance-3 graph of :func:`build_dual_polar_sp6`."""
-    return distance_graph(build_dual_polar_sp6(q, max_v), 3)
+    return distance_graph(build_dual_polar_sp6(q), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +575,11 @@ def build_dual_polar_sp6_dist3(q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def build_johnson(n: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_johnson(n: int, i: int) -> Graph:
     """Graph on the 3-element subsets of {1..n}, two subsets adjacent
     exactly when their intersection has size ``i``."""
     FamilyId.make("johnson", n=n, i=i)
-    predicted = comb(n, 3)
-    _guard(f"J({n},3,{i})", predicted, max_v)
+    _check_pair_cap(comb(n, 3))
     vertices = [frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)]
     return build_graph(vertices, lambda a, b: a is not b and len(a & b) == i)
 
@@ -652,7 +630,7 @@ def hamming_srg_criterion(d: int) -> bool:
     return m[0][1] == m[2][1]
 
 
-def _hamming_classes(d: int, family: str, max_v: int):
+def _hamming_classes(d: int):
     """The length-3 words over a d-letter alphabet, and their pair orbits
     under S_d wr S_3, named by the number of coordinates in which two words
     disagree.  Generators: a letter swap and a letter d-cycle on
@@ -660,7 +638,7 @@ def _hamming_classes(d: int, family: str, max_v: int):
     are certified on two products of them, which generate a transitive
     H <= S_d wr S_3.  The distance is invariant under the whole group, so
     naming H's pair orbits one to one makes them the whole group's."""
-    _guard(family, 1 + sum(_hamming_valencies(d)), max_v)
+    _check_pair_cap(1 + sum(_hamming_valencies(d)))
     words = list(itertools.product(range(d), repeat=3))
     index = {w: i for i, w in enumerate(words)}
     maps = (
@@ -676,21 +654,17 @@ def _hamming_classes(d: int, family: str, max_v: int):
     return words, _two_generator_orbitals(action, base), (1, 2, 3)
 
 
-def build_hamming_orbital(d: int, i: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_hamming_orbital(d: int, i: int) -> Graph:
     """Graph on the length-3 words over a d-letter alphabet, two words
     adjacent exactly when they disagree in ``i`` coordinates."""
     FamilyId.make("hamming-orbital", d=d, i=i)
-    return _class_graph(_hamming_classes(d, f"H(3,{d}) class {i}", max_v), i)
+    return _class_graph(_hamming_classes(d), i)
 
 
-def hamming_classification(
-    d: int, max_v: int = DEFAULT_MAX_V
-) -> OrbitalClassification:
+def hamming_classification(d: int) -> OrbitalClassification:
     """Partition of ordered pairs of length-3 words by the number of
     disagreeing coordinates (labels 1..3), with its direct-count tensor."""
-    return OrbitalClassification(
-        *_hamming_classes(d, f"H(3,{d}) pair classes", max_v)
-    )
+    return OrbitalClassification(*_hamming_classes(d))
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +764,7 @@ def _flag_pair_label(field, flag, other) -> int:
     return 3 - crossings
 
 
-def build_flag_orbitals(
-    q: int, max_v: int = DEFAULT_MAX_V
-) -> OrbitalClassification:
+def build_flag_orbitals(q: int) -> OrbitalClassification:
     """Partition of the ordered pairs of flags of PG(2, q) into the
     diagonal and three classes: sharing a point or a line (label 1),
     exactly one cross-incidence between one flag's point and the other's
@@ -806,7 +778,7 @@ def build_flag_orbitals(
     G, so naming H's pair orbits one to one makes them G's (H-orbits <=
     G-orbits <= label classes = H-orbits).
     """
-    _guard(f"flags of PG(2,{q})", 1 + sum(_flag_valencies(q)), max_v)
+    _check_pair_cap(1 + sum(_flag_valencies(q)))
     field, flags = field_of_order(q), enumerate_flags(q)
     base = map(partial(_flag_pair_label, field, flags[0]), flags[1:])
     orbits = _two_generator_orbitals(_flag_action(field, flags), base)
@@ -837,12 +809,11 @@ def grassmann_intersection_array(n: int, q: int) -> IntersectionArray:
     return _integer_array(*_grassmann_array(Fraction(q), Fraction(q) ** n))
 
 
-def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_grassmann(n: int, q: int) -> Graph:
     """Graph on the 3-dimensional subspaces of F_q^n, two subspaces
     adjacent exactly when they meet in a 2-space."""
     FamilyId.make("grassmann", n=n, q=q)
     predicted = gaussian_binomial(n, 3, q)
-    _guard(f"Grassmann 3-spaces of F_{q}^{n}", predicted, max_v)
     field = field_of_order(q)
     _check_vector_cap(field, n)  # first, so F_16^6 is refused by name
     _check_pair_cap(predicted)
@@ -854,13 +825,13 @@ def build_grassmann(n: int, q: int, max_v: int = DEFAULT_MAX_V) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _flag_graph(i: int, q: int, max_v: int) -> Graph:
+def _flag_graph(i: int, q: int) -> Graph:
     """Class-``i`` graph of :func:`build_flag_orbitals` (by name at call time)."""
-    return build_flag_orbitals(q, max_v).graphs[i]
+    return build_flag_orbitals(q).graphs[i]
 
 
 # tag -> (spec head, parameter names in sorted order, graph builder).  A
-# builder takes the parameters and ``max_v`` as keywords.  The benchmark
+# builder takes the parameters as keywords.  The benchmark
 # tracer rebinds wrapped functions among the module globals, so a wrapped
 # builder (build_flag_orbitals) is reached through a global lookup.
 _FAMILIES = {
@@ -877,8 +848,8 @@ _FAMILIES = {
 }
 
 
-def build_family(fid: FamilyId, max_v: int = DEFAULT_MAX_V) -> Graph:
+def build_family(fid: FamilyId) -> Graph:
     """Build the graph selected by a :class:`FamilyId`: its family's
     builder in ``_FAMILIES``, called with the parameters as keywords.  Every
     tag names one graph; the pair classifications have no tag."""
-    return _FAMILIES[fid.tag][2](**dict(fid.params), max_v=max_v)
+    return _FAMILIES[fid.tag][2](**dict(fid.params))

@@ -25,11 +25,10 @@ from itertools import compress, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .base import DEFAULT_MAX_V, IntersectionArray, ScaleGuardError, _record
+from .base import IntersectionArray, ScaleGuardError, _record
 from .base import _strict_int
 
 __all__ = [
-    "DEFAULT_MAX_V",
     "Graph",
     "IntersectionArray",
     "RegularityFailure",
@@ -48,7 +47,9 @@ __all__ = [
 ]
 
 
-# most ordered pairs, one byte each, that a pair table may hold: degree 8192
+# most ordered pairs, one byte each, that a pair table may hold: degree
+# 8192.  It is the one vertex bound of the family builds and of the graph
+# files that ``verify`` counts.
 _PAIR_CAP = 1 << 26
 
 # most neighbour-list entries check_drg's three-term identity may hold
@@ -592,7 +593,8 @@ def from_graph6(text: str) -> Graph:
     """Decode a graph6 string (tolerates the optional standard header).
 
     Only the form to_graph6 writes is accepted: the one-byte size up to 62
-    vertices, the "~" size above, and zero padding bits.
+    vertices, the "~" size above, and zero padding bits.  A size past the
+    pair cap (8192 vertices) raises ScaleGuardError before the body is read.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -611,6 +613,7 @@ def from_graph6(text: str) -> Graph:
         n = (n << 6) | (ord(ch) - 63)
     if size == 4 and n <= 62:
         raise ValueError(f"graph6 size {n} written in the '~' form, kept for n > 62")
+    _check_pair_cap(n)  # the decoding below holds n^2 digits
     body = s[size:]
     pairs = n * (n - 1) // 2
     need = (pairs + 5) // 6

@@ -144,13 +144,13 @@ def test_acceptance_02_flag_classes():
 def test_acceptance_03_unitary_graphs():
     started = time.perf_counter()
     details = []
-    for n, max_v in ((3, 2000), (4, 2000)):
-        cls = build_unitary_orbitals(n, 3, max_v=max_v)
+    for n in (3, 4):
+        cls = build_unitary_orbitals(n, 3)
         expected = params_closed_form(FamilyId.make("NU", n=n, q=3))
         verdict = check_srg(cls.graphs[1])
         assert verdict == expected
         # the norm-one class is exactly the tangency graph
-        assert cls.graphs[1] == build_NU(n, 3, max_v=max_v)
+        assert cls.graphs[1] == build_NU(n, 3)
         # perpendicularity and the remaining class both fail, with witnesses
         for label in (0, 2):
             failure = check_srg(cls.graphs[label])

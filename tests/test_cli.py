@@ -73,7 +73,7 @@ def test_verify_refuses_an_uncertified_graph_file_past_the_pair_cap(
 ):
     """A graph file carries no certificate, so every pair would be counted:
     past the pair cap it is refused with exit 3 before any count, as a
-    family spec past its budget is."""
+    family spec past it is."""
 
     def never(graph):
         raise AssertionError("check_srg ran past the pair cap")
@@ -89,23 +89,28 @@ def test_verify_refuses_an_uncertified_graph_file_past_the_pair_cap(
     assert out == "" and "error: the pair partition of 8193 points" in err
 
 
+def test_verify_refuses_a_graph6_file_past_the_pair_cap_before_decoding(
+    capsys, tmp_path, monkeypatch
+):
+    """Decoding a graph6 body holds n^2 digits, so the decoder refuses from
+    the size alone, with exit 3 as for the edge list above."""
+
+    def never(*args):
+        raise AssertionError("decoded a graph6 body past the pair cap")
+
+    monkeypatch.setattr(graphcore.binascii, "a2b_base64", never)
+    n = 8193
+    path = tmp_path / "empty.g6"
+    body = "?" * ((n * (n - 1) // 2 + 5) // 6)  # no edges
+    path.write_text(f"{graphcore._graph6_size(n)}{body}\n")
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "error: the pair partition of 8193 points" in err
+
+
 def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "nonsense:q=2")[0] == 2
     assert run(capsys, "verify", "grassmann:n=7,q=2")[0] == 3
-    # --max-v raises the guard: 540 vertices rejected at 500, allowed at 600
-    assert run(capsys, "verify", "nu:n=4,q=3", "--max-v", "500")[0] == 3
-    assert run(capsys, "verify", "nu:n=4,q=3", "--max-v", "600")[0] == 0
-
-
-@pytest.mark.parametrize("budget", ["-1", "0", "x"])
-@pytest.mark.parametrize(
-    "argv", [["gen", "nu:n=3,q=3", "-o", "never.g6"], ["verify", "nu:n=3,q=3"], ["table1"]]
-)
-def test_max_v_must_be_a_positive_integer(capsys, argv, budget):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--max-v", budget])
-    assert exc.value.code == 2
-    assert "argument --max-v" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -155,11 +160,10 @@ def test_orthogonal_dimension_three_is_an_input_error(capsys, eps):
     ],
 )
 def test_desk_scale_caps_are_scale_errors(capsys, tmp_path, spec, message):
-    budget = "100000000000000"
-    assert main(["verify", spec, "--max-v", budget]) == 3
+    assert main(["verify", spec]) == 3
     assert message in capsys.readouterr().err
     path = tmp_path / "never.g6"
-    assert main(["gen", spec, "-o", str(path), "--max-v", budget]) == 3
+    assert main(["gen", spec, "-o", str(path)]) == 3
     assert message in capsys.readouterr().err
     assert not path.exists()
 
@@ -426,23 +430,18 @@ def test_table1_runs_clean(capsys):
     assert "seconds" not in keys_of(report)
 
 
-def test_table1_with_every_row_skipped_is_not_a_pass(capsys):
-    code, report = run(capsys, "table1", "--max-v", "10")
-    assert code == 3
-    assert report["all_pass"] is False
-    assert {row["verdict"] for row in report["targets"]} == {"skipped"}
-
-
-def test_table1_failure_outranks_a_skipped_row(capsys, monkeypatch):
+def test_table1_failing_row_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "TABLE1_TARGETS",
-        (("johnson:n=7,i=1", (35, 18, 9, 10)), ("nu:n=4,q=3", (540, 224, 88, 96))),
+        (("johnson:n=7,i=1", (35, 18, 9, 10)), ("nu:n=3,q=3", (63, 32, 16, 16))),
     )
-    code, report = run(capsys, "table1", "--max-v", "100")
-    assert code == 1
+    assert main(["table1"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
     assert report["all_pass"] is False
-    assert [row["verdict"] for row in report["targets"]] == ["fail", "skipped"]
+    assert [row["verdict"] for row in report["targets"]] == ["fail", "pass"]
+    assert err.startswith("table1: 1 pass, 1 fail in ")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -12,7 +13,6 @@ from oracles import perp_types
 
 from srgkit.cli import TABLE1_TARGETS
 from srgkit.families import (
-    DEFAULT_MAX_V,
     _FAMILIES,
     FamilyId,
     ScaleGuardError,
@@ -45,7 +45,7 @@ from srgkit.geometry import (
     enumerate_subspaces,
 )
 from srgkit.gf import field_of_order
-from srgkit import families, geometry, orbitals
+from srgkit import families, geometry, graphcore, orbitals
 from srgkit.graphcore import (
     Graph,
     IntersectionArray,
@@ -502,7 +502,7 @@ def test_unitary_classification_at_q4():
 
 
 def test_unitary_four_dimensional():
-    cls = build_unitary_orbitals(4, 3, max_v=600)
+    cls = build_unitary_orbitals(4, 3)
     assert cls.suborbit_lengths == {0: 63, 1: 224, 2: 252}
     assert check_srg(cls.graphs[1]) == SrgParams(540, 224, 88, 96)
     assert isinstance(check_srg(cls.graphs[0]), RegularityFailure)
@@ -516,7 +516,7 @@ def test_unitary_four_dimensional():
 
 @pytest.mark.parametrize("n, q", [(3, 3), (3, 4), (4, 3)])
 def test_unitary_classes_match_the_pair_by_pair_oracle(n, q):
-    cls = build_unitary_orbitals(n, q, max_v=600)
+    cls = build_unitary_orbitals(n, q)
     space = FormedSpace("hermitian", field_of_order(q * q), n)
     assert cls.partition.class_of == oracles.form_pair_classes(space, cls.points)
 
@@ -725,25 +725,17 @@ def test_grassmann_graph_matches_formula():
 # ---------------------------------------------------------------------------
 
 
-def test_scale_guard_reports_prediction():
+def pair_cap_refusal(n: int) -> str:
+    return (
+        f"the pair partition of {n} points has size {n * n}, "
+        "over the desk-scale limit of 67108864"
+    )
+
+
+def test_scale_guard_reports_prediction(monkeypatch):
     with pytest.raises(ScaleGuardError) as info:
         build_grassmann(7, 2)
-    assert info.value.predicted_v == 11811
-    assert info.value.max_v == DEFAULT_MAX_V
-    with pytest.raises(ScaleGuardError):
-        build_NU(4, 3, max_v=500)  # 540 vertices over a tight budget
-    build_NU(3, 3, max_v=63)  # exactly at the budget is allowed
-    # budgets read from the shared closed forms: v from the sp6-dist3 form,
-    # 1 + the sum of the flag and of the Hamming valencies
-    for build, v in (
-        (partial(build_dual_polar_sp6, 2), 135),
-        (partial(build_flag_orbitals, 3), 52),
-        (partial(hamming_classification, 4), 64),
-    ):
-        build(max_v=v)
-        with pytest.raises(ScaleGuardError) as info:
-            build(max_v=v - 1)
-        assert info.value.predicted_v == v
+    assert (info.value.predicted_v, info.value.max_v) == (11811**2, 1 << 26)
     # the field-table and vector caps raise the same type
     with pytest.raises(ScaleGuardError) as info:
         field_of_order(1031)
@@ -751,15 +743,29 @@ def test_scale_guard_reports_prediction():
     with pytest.raises(ScaleGuardError) as info:
         enumerate_subspaces(field_of_order(8), 7, 3)
     assert (info.value.predicted_v, info.value.max_v) == (8**7, 1 << 20)
+    # the pair cap reads the shared closed forms: v from the NU and
+    # sp6-dist3 forms, 1 + the sum of the flag and of the Hamming valencies
+    for build, v in (
+        (partial(build_NU, 3, 3), 63),
+        (partial(build_dual_polar_sp6, 2), 135),
+        (partial(build_flag_orbitals, 3), 52),
+        (partial(hamming_classification, 4), 64),
+    ):
+        monkeypatch.setattr(graphcore, "_PAIR_CAP", v * v)
+        build()  # exactly at the cap is allowed
+        monkeypatch.setattr(graphcore, "_PAIR_CAP", v * v - 1)
+        with pytest.raises(ScaleGuardError) as info:
+            build()
+        assert info.value.predicted_v == v * v
 
 
 def test_meet_graph_sizes_stay_in_their_byte():
     # q^2 + q + 1 = 273 would carry out of a byte: the vector cap refuses
-    # F_16^6 whatever the vertex budget
+    # F_16^6 ahead of the pair cap
     with pytest.raises(ScaleGuardError, match="F_16\\^6"):
-        build_grassmann(6, 16, max_v=10**12)
+        build_grassmann(6, 16)
     with pytest.raises(ScaleGuardError, match="F_16\\^6"):
-        build_dual_polar_sp6(16, max_v=10**12)
+        build_dual_polar_sp6(16)
 
 
 def test_meet_graphs_refuse_the_pair_cap_before_enumerating(monkeypatch):
@@ -772,13 +778,11 @@ def test_meet_graphs_refuse_the_pair_cap_before_enumerating(monkeypatch):
         (build_grassmann, (6, 3), 33880),
         (build_grassmann, (7, 2), 11811),
         (build_dual_polar_sp6, (5,), 19656),
+        (build_dual_polar_sp6_dist3, (5,), 19656),
     ):
         with pytest.raises(ScaleGuardError) as info:
-            build(*args, max_v=10**6)
-        assert str(info.value) == (
-            f"the pair partition of {n} points has size {n * n}, "
-            "over the desk-scale limit of 67108864"
-        )
+            build(*args)
+        assert str(info.value) == pair_cap_refusal(n)
 
 
 def test_form_builds_refuse_the_scale_caps_before_enumerating(monkeypatch):
@@ -790,17 +794,50 @@ def test_form_builds_refuse_the_scale_caps_before_enumerating(monkeypatch):
         (build_NO, (3, 7, "+"), 58996),
         (build_NU, (5, 4), 52480),
         (build_polar_complement, ("O8+", 5), 19656),
+        (build_polar_complement, ("O7", 7), 19608),
+        (build_unitary_orbitals, (5, 4), 52480),
+        (build_orthogonal_orbitals, (3, 7, "+"), 58996),
+        (build_orthogonal_orbitals, (3, 7, "-"), 58653),
     ):
         with pytest.raises(ScaleGuardError) as info:
-            build(*args, max_v=10**6)
-        assert str(info.value) == (
-            f"the pair partition of {n} points has size {n * n}, "
-            "over the desk-scale limit of 67108864"
-        )
-    for eps, n in (("+", 58996), ("-", 58653)):
+            build(*args)
+        assert str(info.value) == pair_cap_refusal(n)
+
+
+def test_flag_builds_refuse_the_pair_cap_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the pair cap")
+
+    monkeypatch.setattr(families, "enumerate_flags", refuse)
+    n = 90 * 8011  # (q + 1)(q^2 + q + 1) flags at q = 89
+    flag_graph = FamilyId.make("flag-orbital", i=2, q=89)
+    for build in (partial(build_flag_orbitals, 89), partial(build_family, flag_graph)):
         with pytest.raises(ScaleGuardError) as info:
-            build_orthogonal_orbitals(3, 7, eps)
-        assert (info.value.predicted_v, info.value.max_v) == (n, DEFAULT_MAX_V)
+            build()
+        assert str(info.value) == pair_cap_refusal(n)
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (partial(build_johnson, 100, 1), 161700),
+        (partial(hamming_classification, 60), 216000),
+        (partial(build_hamming_orbital, 60, 1), 216000),
+    ],
+)
+def test_set_and_word_builds_refuse_the_pair_cap_before_listing(build, n):
+    """The 3-sets and the words come from ``itertools``, so listing them
+    before the refusal shows in the allocation peak: 35 MiB for J(100, 3)
+    and 70 MiB for the words over 60 letters."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleGuardError) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == pair_cap_refusal(n)
+    assert peak < 1 << 20
 
 
 def test_every_form_build_scans_the_projective_space_once(monkeypatch):

@@ -54,8 +54,6 @@ MOVED = [
     ("ScaleGuardError", "graphcore"),
     ("ScaleGuardError", "families"),
     ("IntersectionArray", "graphcore"),
-    ("DEFAULT_MAX_V", "graphcore"),
-    ("DEFAULT_MAX_V", "families"),
 ]
 
 
